@@ -68,8 +68,7 @@ impl Scope {
                 || rel.starts_with("tests/")
                 || rel.contains("/benches/")
                 || rel.contains("/examples/")
-                || rel.starts_with("examples/")
-                || rel.starts_with("crates/bench/"),
+                || rel.starts_with("examples/"),
             cli: rel.starts_with("crates/cli/") || rel.ends_with("/main.rs"),
             obs: rel.starts_with("crates/obs/src/"),
             hot: HOT_MODULES.contains(&rel),
@@ -419,7 +418,6 @@ mod tests {
         let src = "fn f(v: Option<u8>) -> u8 { v.unwrap() }\n";
         assert_eq!(run("crates/x/src/lib.rs", src).len(), 1);
         assert!(run("crates/x/tests/t.rs", src).is_empty());
-        assert!(run("crates/bench/src/lib.rs", src).is_empty());
         assert!(run("shims/rand/src/lib.rs", src).is_empty());
         let cfg = "#[cfg(test)]\nmod tests {\n fn f(v: Option<u8>) -> u8 { v.unwrap() }\n}\n";
         assert!(run("crates/x/src/lib.rs", cfg).is_empty());

@@ -139,8 +139,7 @@ pub enum Command {
         tolerance: f64,
         /// Session shards inside each worker's engine.
         shards: usize,
-        /// I/O threads multiplexing the connections (0 = legacy
-        /// thread-per-connection runtime).
+        /// I/O threads multiplexing the connections (≥ 1).
         io_threads: usize,
         /// Cap on concurrently served connections; accepts beyond it
         /// get a typed over-capacity error frame.
@@ -748,7 +747,6 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                             .map_err(|e| format!("bad --shards: {e}"))?;
                     }
                     "--io-threads" => {
-                        // 0 is meaningful: the legacy runtime.
                         io_threads = take_value("--io-threads", &mut it)?
                             .parse()
                             .map_err(|e| format!("bad --io-threads: {e}"))?;
@@ -764,6 +762,7 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             for (flag, value) in [
                 ("--workers", workers),
                 ("--shards", shards),
+                ("--io-threads", io_threads),
                 ("--max-connections", max_connections),
             ] {
                 if value == 0 {
@@ -1353,11 +1352,12 @@ mod tests {
                 evict_idle: 30.0
             }
         );
-        // 0 io-threads is valid: the legacy thread-per-connection mode.
-        assert!(matches!(
-            parse(&args("serve --spill /tmp/t --io-threads 0")).unwrap(),
-            Command::Serve { io_threads: 0, .. }
-        ));
+        // The pool needs at least one I/O thread; 0 is refused here
+        // with the same message `Server::bind` gives library callers.
+        assert_eq!(
+            parse(&args("serve --spill /tmp/t --io-threads 0")).unwrap_err(),
+            "serve needs --io-threads ≥ 1, got 0"
+        );
         assert!(parse(&args("serve")).is_err(), "spill is required");
         assert!(parse(&args("serve --spill /tmp/t --workers 0")).is_err());
         assert!(parse(&args("serve --spill /tmp/t --max-connections 0")).is_err());

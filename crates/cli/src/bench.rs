@@ -15,17 +15,15 @@
 //!   frame-grained
 //!   [`ParallelFleet::submit_run`](bqs_core::fleet::ParallelFleet::submit_run)
 //!   submission of the same workload.
-//! * `net_ingest_threaded` / `net_ingest_pool` — loopback `bqs serve`
-//!   end to end under a pipelined multi-connection driver (the loadgen
-//!   schedule with one frame in flight per connection), legacy
-//!   thread-per-connection runtime vs the multiplexed I/O pool;
-//!   best-of-N rounds.
-//! * `net_ingest_pool_metrics` / `net_ingest_pool_tracing` — the pool
-//!   runtime with a live metrics registry, then with the flight
+//! * `net_ingest_pool` — loopback `bqs serve` end to end under a
+//!   pipelined multi-connection driver (the loadgen schedule with one
+//!   frame in flight per connection); best-of-N rounds.
+//! * `net_ingest_pool_metrics` / `net_ingest_pool_tracing` — the same
+//!   server with a live metrics registry, then with the flight
 //!   recorder layered on top; the summary ratios pin the cost of each
 //!   observability layer.
 //! * `query_fanout` — per-track time-range queries against the live
-//!   pool server (hot snapshot + spill tree fan-out).
+//!   `net_ingest_pool` server (hot snapshot + spill tree fan-out).
 //!
 //! The workloads are seeded and the report is plain JSON (hand-rolled,
 //! like everything else in this workspace — no serde). `--quick` is
@@ -275,13 +273,8 @@ fn report(quick: bool, seed: u64) -> Result<String, CliError> {
     let mut summary: Vec<(String, f64)> = Vec::new();
     for (key, num, den) in [
         (
-            "net_pool_vs_threaded",
-            "net_ingest_pool",
-            "net_ingest_threaded",
-        ),
-        (
             // The acceptance ratio for the metrics layer: instrumented
-            // ingest over the same pool runtime without a registry.
+            // ingest over the same server without a registry.
             // ≥ 0.95 keeps the "within 5%" budget.
             "metrics_enabled_vs_disabled",
             "net_ingest_pool_metrics",
@@ -289,7 +282,7 @@ fn report(quick: bool, seed: u64) -> Result<String, CliError> {
         ),
         (
             // The flight recorder's budget on top of metrics: traced
-            // ingest over the metered pool runtime. `--compare` holds
+            // ingest over the metered server. `--compare` holds
             // this ratio at `TRACING_FLOOR` (≥ 0.95).
             "tracing_enabled_vs_disabled",
             "net_ingest_pool_tracing",
@@ -318,7 +311,7 @@ fn report(quick: bool, seed: u64) -> Result<String, CliError> {
 
     let mut json = String::new();
     json.push_str("{\n");
-    json.push_str("  \"bench\": 8,\n");
+    json.push_str("  \"bench\": 9,\n");
     json.push_str(&format!(
         "  \"mode\": \"{}\",\n",
         if quick { "quick" } else { "full" }
@@ -327,8 +320,7 @@ fn report(quick: bool, seed: u64) -> Result<String, CliError> {
     json.push_str(&format!("  \"cores\": {},\n", available_cores()));
     json.push_str(
         "  \"notes\": \"net workloads: pipelined driver (one Append in flight per connection, \
-         loadgen schedule), best-of-N rounds; driver and server share this host's cores, so \
-         single-core numbers under-state the pool's advantage over per-connection threads\",\n",
+         loadgen schedule), best-of-N rounds; driver and server share this host's cores\",\n",
     );
     json.push_str("  \"workloads\": [\n");
     let lines: Vec<String> = workloads.iter().map(Workload::to_json).collect();
@@ -550,11 +542,11 @@ fn pipelined_ingest(
     Ok(start.elapsed().as_secs_f64())
 }
 
-/// Loopback serve end to end: the legacy runtime, the I/O pool, and
-/// per-track query fan-out against the live pool server. Ingest runs
-/// are repeated and the best round is recorded (standard min-time
-/// practice — the rounds share a binary and a host, so the minimum is
-/// the least-scheduled-against measurement).
+/// Loopback serve end to end: pipelined ingest, then per-track query
+/// fan-out against the same live server. Ingest runs are repeated and
+/// the best round is recorded (standard min-time practice — the rounds
+/// share a binary and a host, so the minimum is the
+/// least-scheduled-against measurement).
 fn bench_net(sizes: &Sizes, seed: u64, out: &mut Vec<Workload>) -> Result<(), CliError> {
     let (sessions, points, connections) = sizes.net;
     let reps = if sizes.codec_reps > 2 { 3 } else { 2 };
@@ -570,61 +562,52 @@ fn bench_net(sizes: &Sizes, seed: u64, out: &mut Vec<Workload>) -> Result<(), Cl
         (payload.len() + 10) as f64 / batch.len() as f64
     };
 
-    for (name, io_threads) in [("net_ingest_threaded", 0usize), ("net_ingest_pool", 4usize)] {
-        let dir = bench_dir(name);
-        let mut config = ServerConfig::new("127.0.0.1:0", 4, &dir);
-        config.io_threads = io_threads;
-        let server = Server::bind(config)?;
-        let addr = server.local_addr();
-        let handle = std::thread::spawn(move || server.run());
-        let mut best = f64::INFINITY;
-        for rep in 0..reps {
-            let elapsed = pipelined_ingest(addr, &traces, connections, (rep * sessions) as u64)?;
-            best = best.min(elapsed);
-        }
-        out.push(Workload {
-            name,
-            points: (sessions * points) as u64,
-            elapsed: best,
-            bytes_per_point: Some(wire_bpp),
-        });
-        if name != "net_ingest_pool" {
-            BqsClient::connect(addr)?.shutdown()?;
-        } else {
-            // The plain pool server stays up for the query workload.
-            let mut client = BqsClient::connect(addr)?;
-            let mut returned = 0u64;
-            let start = Instant::now();
-            for track in 0..sessions as u64 {
-                let report =
-                    client.query_time_range(Some(track), f64::NEG_INFINITY, f64::INFINITY)?;
-                returned += report
-                    .slices
-                    .iter()
-                    .map(|s| s.points.len() as u64)
-                    .sum::<u64>()
-                    + report.hot_points;
-            }
-            out.push(Workload {
-                name: "query_fanout",
-                points: returned,
-                elapsed: start.elapsed().as_secs_f64(),
-                bytes_per_point: None,
-            });
-            client.shutdown()?;
-        }
-        handle
-            .join()
-            .map_err(|_| CliError::Invalid("bench server panicked".to_string()))??;
-        let _ = std::fs::remove_dir_all(&dir);
+    let dir = bench_dir("net_ingest_pool");
+    let server = Server::bind(ServerConfig::new("127.0.0.1:0", 4, &dir))?;
+    let addr = server.local_addr();
+    let handle = std::thread::spawn(move || server.run());
+    let mut best = f64::INFINITY;
+    for rep in 0..reps {
+        let elapsed = pipelined_ingest(addr, &traces, connections, (rep * sessions) as u64)?;
+        best = best.min(elapsed);
     }
+    out.push(Workload {
+        name: "net_ingest_pool",
+        points: (sessions * points) as u64,
+        elapsed: best,
+        bytes_per_point: Some(wire_bpp),
+    });
+    // The server stays up for the query workload.
+    let mut client = BqsClient::connect(addr)?;
+    let mut returned = 0u64;
+    let start = Instant::now();
+    for track in 0..sessions as u64 {
+        let report = client.query_time_range(Some(track), f64::NEG_INFINITY, f64::INFINITY)?;
+        returned += report
+            .slices
+            .iter()
+            .map(|s| s.points.len() as u64)
+            .sum::<u64>()
+            + report.hot_points;
+    }
+    out.push(Workload {
+        name: "query_fanout",
+        points: returned,
+        elapsed: start.elapsed().as_secs_f64(),
+        bytes_per_point: None,
+    });
+    client.shutdown()?;
+    handle
+        .join()
+        .map_err(|_| CliError::Invalid("bench server panicked".to_string()))??;
+    let _ = std::fs::remove_dir_all(&dir);
 
-    // The observability pair. `net_ingest_pool_metrics` is the pool
-    // runtime with a live registry — the delta against
+    // The observability pair. `net_ingest_pool_metrics` is the same
+    // server with a live registry — the delta against
     // `net_ingest_pool` is the cost of full instrumentation, pinned in
     // the summary as `metrics_enabled_vs_disabled`.
     // `net_ingest_pool_tracing` layers the flight recorder (at the
-    // serve-default capacity) on top of the metered runtime, so
+    // serve-default capacity) on top of the metered server, so
     // `tracing_enabled_vs_disabled` isolates the recorder's own cost.
     // The two servers run side by side with their rounds interleaved:
     // each rep drives the metered server then the traced one, so both
@@ -633,7 +616,6 @@ fn bench_net(sizes: &Sizes, seed: u64, out: &mut Vec<Workload>) -> Result<(), Cl
     let spawn_pool = |name: &'static str, traced: bool| {
         let dir = bench_dir(name);
         let mut config = ServerConfig::new("127.0.0.1:0", 4, &dir);
-        config.io_threads = 4;
         let registry = bqs_obs::MetricsRegistry::new();
         if traced {
             config.trace = Some(bqs_obs::FlightRecorder::with_counters(
@@ -700,18 +682,16 @@ mod tests {
             "codec_decode_columnar",
             "fleet_push_points",
             "fleet_submit_runs",
-            "net_ingest_threaded",
             "net_ingest_pool",
             "net_ingest_pool_metrics",
             "net_ingest_pool_tracing",
             "query_fanout",
-            "net_pool_vs_threaded",
             "metrics_enabled_vs_disabled",
             "tracing_enabled_vs_disabled",
         ] {
             assert!(json.contains(name), "missing {name} in {json}");
         }
-        assert!(json.contains("\"bench\": 8"), "{json}");
+        assert!(json.contains("\"bench\": 9"), "{json}");
     }
 
     fn synthetic_report(ingest_pps: u64) -> String {

@@ -1118,11 +1118,6 @@ fn serve(run: ServeRun<'_>) -> Result<String, CliError> {
     } else {
         String::new()
     };
-    let io_mode = if io_threads == 0 {
-        "thread-per-connection".to_string()
-    } else {
-        format!("{io_threads} io-threads")
-    };
     let lateness_line = if report.late_points + report.backfill_points + report.too_late_points > 0
     {
         format!(
@@ -1135,7 +1130,7 @@ fn serve(run: ServeRun<'_>) -> Result<String, CliError> {
     };
     Ok(format!(
         "served {} connection(s), {} frame(s), {} points \
-         ({workers} workers, {io_mode}, {tolerance} m, {shards} shards)\n\
+         ({workers} workers, {io_threads} io-threads, {tolerance} m, {shards} shards)\n\
          {rejected_line}\
          {lateness_line}\
          spilled {} sessions, {} points, {} B ({:.2} B/point) to {spill}\n\

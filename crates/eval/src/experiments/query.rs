@@ -27,6 +27,7 @@ use bqs_geo::{Point2, Rect, TimedPoint};
 use bqs_sim::{RandomWalkConfig, RandomWalkModel};
 use bqs_tlog::{open_shard_logs, LogConfig, Manifest, QueryEngine, TimeRange};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// Tolerance used throughout (the paper's 10 m default).
@@ -140,8 +141,13 @@ fn build_tree(root: &PathBuf, shards: usize, traces: &[Vec<TimedPoint>]) {
     Manifest::rebuild(root).expect("manifest");
 }
 
-/// Runs the sweep. Trees are built under a per-process temp directory
-/// and removed afterwards.
+/// Distinguishes concurrent [`run`] calls within one process (the unit
+/// tests below run in parallel threads) so each owns its tree directory.
+static RUN_SEQ: AtomicU64 = AtomicU64::new(0);
+
+/// Runs the sweep. Trees are built under a temp directory unique to
+/// this call (pid + a process-wide sequence number) and removed
+/// afterwards.
 pub fn run(scale: Scale) -> QueryResult {
     let traces: Vec<Vec<TimedPoint>> = (0..sessions(scale))
         .map(|t| track_points(t as u64, points_per_session(scale)))
@@ -155,7 +161,9 @@ pub fn run(scale: Scale) -> QueryResult {
         .expect("non-empty trace")
         .union(&Rect::from_point(Point2::new(0.0, 0.0)));
 
-    let base = std::env::temp_dir().join(format!("bqs-eval-query-{}", std::process::id()));
+    // ordering: relaxed unique-id ticket — only atomicity matters for distinct temp dirs
+    let seq = RUN_SEQ.fetch_add(1, Ordering::Relaxed);
+    let base = std::env::temp_dir().join(format!("bqs-eval-query-{}-{seq}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base);
     let mut rows = Vec::new();
     for shards in shard_counts() {

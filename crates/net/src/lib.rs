@@ -26,9 +26,7 @@
 //!   tree through the unified
 //!   [`QueryEngine`](bqs_tlog::QueryEngine); `Shutdown` drains
 //!   connections and leaves a spill tree `bqs log verify` accepts.
-//!   `--io-threads 0` keeps the legacy thread-per-connection runtime
-//!   for A/B comparison; both share one request handler, so semantics
-//!   cannot drift.
+//!   The pool is the only serving path; `--io-threads` sizes it.
 //! * [`client`] — [`BqsClient`]: the blocking client library.
 //! * [`loadgen`] — seeded multi-connection load generation whose
 //!   workloads match `bqs fleet`'s exactly, so network ingest is

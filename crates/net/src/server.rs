@@ -11,16 +11,17 @@
 //!                                                                        └─ snapshot() ─► QueryEngine (hot + cold)
 //! ```
 //!
-//! * **Multiplexed ingest** — `--io-threads N` (default 4) I/O threads
-//!   each run a level-triggered readiness loop (`polling::Poller`:
-//!   epoll on Linux, kqueue on macOS, a portable round-robin fallback
-//!   anywhere else). An `Append` frame is decoded straight into a
-//!   columnar batch ([`decode_append_columns`]) — timestamps validated
-//!   in one contiguous pass — and submitted as a whole run in **one**
-//!   channel send ([`ParallelFleet::submit_run`]): no per-point
-//!   hashing, no per-point dispatch, no thread per connection.
-//!   `io_threads = 0` selects the legacy thread-per-connection runtime
-//!   (same protocol, same semantics), kept for A/B comparison.
+//! * **Multiplexed ingest** — `--io-threads N` (default 4, `N ≥ 1`)
+//!   I/O threads each run a level-triggered readiness loop
+//!   (`polling::Poller`: epoll on Linux, kqueue on macOS, a portable
+//!   round-robin fallback anywhere else). This is the only serving
+//!   path: `run` → `run_pool` → `io_loop` → `service_conn` →
+//!   `handle_payload`, with [`decode_frame`] the one server-side frame
+//!   parser. An `Append` frame is decoded straight into a columnar
+//!   batch ([`decode_append_columns`]) — timestamps validated in one
+//!   contiguous pass — and submitted as a whole run in **one** channel
+//!   send ([`ParallelFleet::submit_run`]): no per-point hashing, no
+//!   per-point dispatch, no thread per connection.
 //! * **Backpressure end to end** — an I/O thread submits while holding
 //!   the fleet lock; when a worker shard's bounded channel is full the
 //!   send blocks, the I/O thread stops reading *all* its sockets, the
@@ -51,8 +52,8 @@
 use crate::error::NetError;
 use crate::wire::{
     decode_append_columns, decode_frame, frame_to_vec, write_frame, ErrorCode, QueryReport,
-    QuerySpec, Reply, Request, ShardStat, StatsReport, WireError, FRAME_MAGIC, HEADER_BYTES,
-    MAX_FRAME_BYTES, PROTOCOL_VERSION, TAG_APPEND, TAG_FLUSH, TAG_QUERY, TAG_STATS,
+    QuerySpec, Reply, Request, ShardStat, StatsReport, WireError, HEADER_BYTES, PROTOCOL_VERSION,
+    TAG_APPEND, TAG_FLUSH, TAG_QUERY, TAG_STATS,
 };
 use bqs_core::fleet::{
     worker_of, FleetConfig, FleetMetrics, FleetReorder, FleetSink, ParallelConfig, ParallelFleet,
@@ -64,7 +65,6 @@ use bqs_geo::{ColumnarBatch, TimedPoint};
 use bqs_obs::{
     elapsed_us, Counter, FlightRecorder, Gauge, Histogram, MetricsRegistry, TraceEventKind,
 };
-use bqs_tlog::crc::crc32;
 use bqs_tlog::{
     prepare_spill_logs, LogConfig, Manifest, QueryEngine, SpillMetrics, SpillSink, TimeRange,
     TrajectoryLog,
@@ -83,8 +83,9 @@ use std::time::{Duration, Instant};
 /// before the server stops waiting for it.
 const DRAIN_GRACE: Duration = Duration::from_secs(5);
 
-/// The poll interval at which blocked reads re-check the shutdown flag
-/// (legacy thread-per-connection runtime).
+/// Back-off between retries of a failing `accept` (the acceptor and the
+/// Prometheus responder), and the write timeout on an over-capacity
+/// rejection frame.
 const POLL_INTERVAL: Duration = Duration::from_millis(100);
 
 /// An I/O thread's poller timeout: the latency bound on noticing the
@@ -123,7 +124,7 @@ const SUB_BATCH_POINTS: usize = 512;
 /// before that subscriber is declared dead.
 const SUB_WRITE_TIMEOUT: Duration = Duration::from_secs(2);
 
-/// Default I/O threads in the multiplexed runtime.
+/// Default I/O threads multiplexing the connections.
 pub const DEFAULT_IO_THREADS: usize = 4;
 
 /// Default cap on concurrently served connections.
@@ -152,8 +153,7 @@ pub struct ServerConfig {
     /// Session shards inside each worker's engine.
     pub shards: usize,
     /// I/O threads multiplexing the connections
-    /// ([`DEFAULT_IO_THREADS`]); `0` selects the legacy
-    /// thread-per-connection runtime.
+    /// ([`DEFAULT_IO_THREADS`]); must be ≥ 1.
     pub io_threads: usize,
     /// Connections served concurrently at most
     /// ([`DEFAULT_MAX_CONNECTIONS`]); beyond it, accepts are answered
@@ -733,13 +733,14 @@ impl Server {
     /// binds the listener. Refuses a non-empty or layout-incompatible
     /// spill directory up front, exactly like `bqs fleet --spill`.
     pub fn bind(config: ServerConfig) -> Result<Server, NetError> {
-        if config.workers == 0 {
-            return Err(NetError::Config("serve needs --workers ≥ 1, got 0".into()));
-        }
-        if config.max_connections == 0 {
-            return Err(NetError::Config(
-                "serve needs --max-connections ≥ 1, got 0".into(),
-            ));
+        for (flag, value) in [
+            ("--workers", config.workers),
+            ("--max-connections", config.max_connections),
+            ("--io-threads", config.io_threads),
+        ] {
+            if value == 0 {
+                return Err(NetError::Config(format!("serve needs {flag} ≥ 1, got 0")));
+            }
         }
         if !(config.tolerance.is_finite() && config.tolerance > 0.0) {
             return Err(NetError::Config(format!(
@@ -893,7 +894,7 @@ impl Server {
     /// it drains, spills and reports instead of abandoning the fleet.
     pub fn run(mut self) -> Result<ServeReport, NetError> {
         // The subscriber pump: one thread delivering queued kept points
-        // to every subscriber, in both runtimes. It is the only live
+        // to every subscriber. It is the only live
         // writer to subscriber sockets, so pushed frames never
         // interleave. The same thread drives the idle-eviction tick
         // (once per EVICT_TICK) when `--evict-idle` is set.
@@ -929,14 +930,11 @@ impl Server {
             }
             None => None,
         };
-        if self.shared.io_threads == 0 {
-            self.run_threaded(pump, prom)
-        } else {
-            self.run_pool(pump, prom)
-        }
+        self.run_pool(pump, prom)
     }
 
-    /// The multiplexed runtime: I/O threads + readiness polling.
+    /// The accept loop: admit, hand each socket round-robin to an I/O
+    /// thread's readiness poller, and on shutdown drain and finalize.
     fn run_pool(
         self,
         pump: std::thread::JoinHandle<()>,
@@ -1013,55 +1011,6 @@ impl Server {
             wake(waker);
         }
         for handle in handles {
-            let _ = handle.join();
-        }
-        self.finalize(pump, prom)
-    }
-
-    /// The legacy thread-per-connection runtime (`--io-threads 0`).
-    fn run_threaded(
-        self,
-        pump: std::thread::JoinHandle<()>,
-        prom: Option<std::thread::JoinHandle<()>>,
-    ) -> Result<ServeReport, NetError> {
-        const MAX_CONSECUTIVE_ACCEPT_FAILURES: u32 = 100;
-        let mut handles = Vec::new();
-        let mut accept_failures = 0u32;
-        loop {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    accept_failures = 0;
-                    // ordering: seqcst pairs with the Shutdown request's store
-                    if self.shared.shutdown.load(Ordering::SeqCst) {
-                        drop(stream);
-                        break;
-                    }
-                    // ordering: seqcst capacity check pairs with conn_admitted/conn_closed
-                    if self.shared.active.load(Ordering::SeqCst) >= self.shared.max_connections {
-                        reject_over_capacity(stream, &self.shared);
-                        continue;
-                    }
-                    let id = self.shared.conn_admitted();
-                    let shared = Arc::clone(&self.shared);
-                    handles.push(std::thread::spawn(move || {
-                        handle_connection(stream, &shared, id);
-                        shared.conn_closed();
-                    }));
-                }
-                Err(_) if self.shared.shutdown.load(Ordering::SeqCst) => break, // ordering: seqcst pairs with the Shutdown request's store
-                Err(_) => {
-                    accept_failures += 1;
-                    if accept_failures >= MAX_CONSECUTIVE_ACCEPT_FAILURES {
-                        self.shared.shutdown.store(true, Ordering::SeqCst); // ordering: seqcst so every worker agrees the server is shutting down
-                        break;
-                    }
-                    std::thread::sleep(POLL_INTERVAL);
-                }
-            }
-        }
-        for handle in handles {
-            // A handler panic poisons nothing we still need; keep
-            // draining the rest and finish the fleet regardless.
             let _ = handle.join();
         }
         self.finalize(pump, prom)
@@ -1672,98 +1621,6 @@ enum After {
     },
 }
 
-/// The legacy per-connection reader thread (`--io-threads 0`).
-fn handle_connection(mut stream: TcpStream, shared: &Shared, conn_id: u64) {
-    if stream.set_read_timeout(Some(POLL_INTERVAL)).is_err() {
-        return;
-    }
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    // The protocol requires `Hello` to open every connection; nothing
-    // else is served before the handshake succeeds.
-    let mut greeted = false;
-    let mut scratch = ColumnarBatch::new();
-    loop {
-        let payload = match read_frame_interruptible(&mut stream, &shared.shutdown) {
-            Ok(Some(payload)) => payload,
-            Ok(None) => return, // clean EOF or drained shutdown
-            Err(NetError::Wire(e)) => {
-                // The stream cannot be resynchronised after a framing
-                // violation: report and close.
-                let reply = Reply::Error {
-                    code: ErrorCode::BadFrame,
-                    message: e.to_string(),
-                };
-                send_reply(&mut writer, &reply, shared);
-                return;
-            }
-            Err(_) => return, // transport died
-        };
-        shared.frames.fetch_add(1, Ordering::Relaxed); // ordering: relaxed stat counter, read after join()
-        let start = (shared.metrics.is_some() || shared.trace.is_some()).then(|| {
-            let kind = ReqKind::of(&payload);
-            if let Some(m) = &shared.metrics {
-                m.on_frame(kind);
-                m.bytes_in.add((HEADER_BYTES + payload.len() + 4) as u64);
-            }
-            (bqs_obs::now(), kind)
-        });
-        if let Some(tr) = &shared.trace {
-            tr.record(TraceEventKind::FrameDecode, conn_id, payload.len() as u64);
-        }
-        let (reply, after) = handle_payload(&payload, shared, &mut greeted, &mut scratch, conn_id);
-        let sent = send_reply(&mut writer, &reply, shared);
-        if let Some((t, kind)) = start {
-            let us = elapsed_us(t);
-            if let Some(m) = &shared.metrics {
-                m.request_us.get(kind).record(us);
-            }
-            if sent {
-                if let Some(tr) = &shared.trace {
-                    tr.record(TraceEventKind::ReplyFlush, conn_id, us);
-                }
-            }
-        }
-        if !sent {
-            return;
-        }
-        match after {
-            After::Continue => {}
-            After::Close => return,
-            After::Subscribe { track, bbox } => {
-                // `send_reply` is synchronous, so `Subscribed` is on
-                // the wire: hand the socket to the hub and let this
-                // reader thread retire (the caller's accounting then
-                // reflects the handoff, not a disconnect).
-                shared.hub.add(writer, track, bbox);
-                return;
-            }
-        }
-    }
-}
-
-fn send_reply(writer: &mut TcpStream, reply: &Reply, shared: &Shared) -> bool {
-    let payload = match reply.encode() {
-        Ok(payload) => payload,
-        Err(e) => Reply::Error {
-            code: ErrorCode::Internal,
-            message: format!("cannot encode reply: {e}"),
-        }
-        .encode()
-        // bqs-analyze: allow(no-unwrap-in-lib) — invariant: error replies always encode
-        .expect("error replies always encode"),
-    };
-    let ok = write_frame(writer, &payload).is_ok();
-    if ok {
-        if let Some(m) = &shared.metrics {
-            m.bytes_out.add((HEADER_BYTES + payload.len() + 4) as u64);
-        }
-    }
-    ok
-}
-
 /// Validates a batch's timestamp run against the codec's time invariant
 /// and the track's accepted watermark. The wire *decoder* cannot
 /// enforce this (only the encoder does), so without the check a crafted
@@ -1790,8 +1647,6 @@ fn validate_times(times: &[f64], watermark: Option<f64>) -> Result<(), String> {
 
 /// Serves one frame payload: the columnar `Append` fast path first
 /// (after the handshake), everything else through [`Request::decode`].
-/// Both runtimes — pool and thread-per-connection — go through here, so
-/// semantics and error strings cannot drift between them.
 fn handle_payload(
     payload: &[u8],
     shared: &Shared,
@@ -2094,7 +1949,7 @@ fn handle_request(
         }
         Request::Append { track, points } => {
             // The row-decoded path — reachable only through direct
-            // `Request` handling (the servers catch `Append` in the
+            // `Request` handling (the server catches `Append` in the
             // columnar fast path); kept for exactness with it.
             let batch = ColumnarBatch::from_points(&points);
             handle_append_columns(track, &batch, shared, conn)
@@ -2277,96 +2132,4 @@ fn run_query(spec: &QuerySpec, shared: &Shared) -> Result<QueryReport, NetError>
         candidate_records: output.stats.candidate_records as u64,
         decoded_records: output.stats.decoded_records as u64,
     })
-}
-
-enum ReadOutcome {
-    Done,
-    Closed,
-    Drained,
-}
-
-/// `read_exact` that a shutdown flag can interrupt. At a frame boundary
-/// (`at_boundary`, nothing read yet) shutdown closes the connection
-/// immediately; mid-frame, the peer gets [`DRAIN_GRACE`] to finish the
-/// frame before the server gives up on it.
-fn read_interruptible(
-    stream: &mut TcpStream,
-    buf: &mut [u8],
-    shutdown: &AtomicBool,
-    at_boundary: bool,
-) -> Result<ReadOutcome, NetError> {
-    let mut filled = 0usize;
-    let mut drain_deadline: Option<Instant> = None;
-    while filled < buf.len() {
-        match stream.read(&mut buf[filled..]) {
-            Ok(0) => {
-                if filled == 0 && at_boundary {
-                    return Ok(ReadOutcome::Closed);
-                }
-                return Err(NetError::Wire(WireError::Torn {
-                    needed: buf.len() - filled,
-                    got: filled,
-                }));
-            }
-            Ok(n) => filled += n,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                // ordering: seqcst so the reader observes the drain decision promptly
-                if shutdown.load(Ordering::SeqCst) {
-                    if at_boundary && filled == 0 {
-                        return Ok(ReadOutcome::Drained);
-                    }
-                    let deadline =
-                        *drain_deadline.get_or_insert_with(|| bqs_obs::now() + DRAIN_GRACE);
-                    if bqs_obs::now() >= deadline {
-                        return Ok(ReadOutcome::Drained);
-                    }
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(NetError::io("read frame", e)),
-        }
-    }
-    Ok(ReadOutcome::Done)
-}
-
-/// Reads one frame, polling the shutdown flag between reads. `Ok(None)`
-/// when the connection is done: clean EOF, or shutdown drained it.
-fn read_frame_interruptible(
-    stream: &mut TcpStream,
-    shutdown: &AtomicBool,
-) -> Result<Option<Vec<u8>>, NetError> {
-    let mut header = [0u8; HEADER_BYTES];
-    match read_interruptible(stream, &mut header, shutdown, true)? {
-        ReadOutcome::Done => {}
-        ReadOutcome::Closed | ReadOutcome::Drained => return Ok(None),
-    }
-    if header[..2] != FRAME_MAGIC {
-        return Err(NetError::Wire(WireError::BadMagic {
-            found: [header[0], header[1]],
-        }));
-    }
-    let len = u32::from_le_bytes([header[2], header[3], header[4], header[5]]) as usize;
-    if len > MAX_FRAME_BYTES {
-        return Err(NetError::Wire(WireError::Oversized {
-            len: len as u64,
-            max: MAX_FRAME_BYTES as u64,
-        }));
-    }
-    let mut body = vec![0u8; len + 4];
-    match read_interruptible(stream, &mut body, shutdown, false)? {
-        ReadOutcome::Done => {}
-        ReadOutcome::Closed | ReadOutcome::Drained => return Ok(None),
-    }
-    let declared = u32::from_le_bytes([body[len], body[len + 1], body[len + 2], body[len + 3]]);
-    body.truncate(len);
-    let computed = crc32(&body);
-    if computed != declared {
-        return Err(NetError::Wire(WireError::BadCrc { computed, declared }));
-    }
-    Ok(Some(body))
 }

@@ -242,6 +242,21 @@ fn a_used_spill_directory_is_refused_up_front() {
 }
 
 #[test]
+fn zero_io_threads_is_a_typed_config_error_before_the_spill_dir_is_touched() {
+    let root = temp_root("io-zero");
+    let mut config = ServerConfig::new("127.0.0.1:0", 2, &root);
+    config.io_threads = 0;
+    match Server::bind(config) {
+        Err(NetError::Config(message)) => {
+            assert_eq!(message, "serve needs --io-threads ≥ 1, got 0");
+        }
+        Err(other) => panic!("expected a config error, got {other:?}"),
+        Ok(_) => panic!("a server with no I/O threads must not bind"),
+    }
+    assert!(!root.exists(), "validation must precede prepare_spill_logs");
+}
+
+#[test]
 fn batches_violating_the_track_watermark_are_rejected_without_poisoning_the_spill() {
     let root = temp_root("watermark");
     let (addr, server) = start(2, &root);
@@ -273,62 +288,58 @@ fn batches_violating_the_track_watermark_are_rejected_without_poisoning_the_spil
 
 #[test]
 fn over_capacity_accepts_get_a_typed_error_and_a_graceful_close() {
-    // Both runtimes share the admission gate: the multiplexed pool and
-    // the legacy thread-per-connection mode.
-    for io_threads in [2usize, 0] {
-        let root = temp_root(&format!("capacity-{io_threads}"));
-        let mut config = ServerConfig::new("127.0.0.1:0", 2, &root);
-        config.io_threads = io_threads;
-        config.max_connections = 2;
-        let server = Server::bind(config).expect("bind");
-        let addr = server.local_addr();
-        let handle = std::thread::spawn(move || server.run().expect("serve"));
+    let root = temp_root("capacity");
+    let mut config = ServerConfig::new("127.0.0.1:0", 2, &root);
+    config.io_threads = 2;
+    config.max_connections = 2;
+    let server = Server::bind(config).expect("bind");
+    let addr = server.local_addr();
+    let handle = std::thread::spawn(move || server.run().expect("serve"));
 
-        // Fill the table.
-        let mut first = BqsClient::connect(addr).expect("connect 1");
-        let second = BqsClient::connect(addr).expect("connect 2");
+    // Fill the table.
+    let mut first = BqsClient::connect(addr).expect("connect 1");
+    let second = BqsClient::connect(addr).expect("connect 2");
 
-        // The next connection is answered with one typed error frame,
-        // then closed — not hung, not silently dropped.
-        match BqsClient::connect(addr) {
-            Err(NetError::Server { code, message }) => {
-                assert_eq!(code, ErrorCode::OverCapacity);
-                assert!(message.contains("connection table full"), "{message}");
-            }
-            Err(other) => panic!("expected an over-capacity rejection, got {other:?}"),
-            Ok(_) => panic!("expected an over-capacity rejection, got a connection"),
+    // The next connection is answered with one typed error frame,
+    // then closed — not hung, not silently dropped.
+    match BqsClient::connect(addr) {
+        Err(NetError::Server { code, message }) => {
+            assert_eq!(code, ErrorCode::OverCapacity);
+            assert!(message.contains("connection table full"), "{message}");
         }
-
-        // The admitted connections still work, and closing one frees a
-        // slot (the pool notices the EOF asynchronously: retry briefly).
-        first.append(1, &wave(1, 30)).expect("admitted still works");
-        drop(second);
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-        let mut readmitted = loop {
-            match BqsClient::connect(addr) {
-                Ok(client) => break client,
-                Err(NetError::Server {
-                    code: ErrorCode::OverCapacity,
-                    ..
-                }) if std::time::Instant::now() < deadline => {
-                    std::thread::sleep(std::time::Duration::from_millis(20));
-                }
-                Err(other) => panic!("expected a freed slot, got {other:?}"),
-            }
-        };
-        readmitted.append(2, &wave(2, 30)).expect("append");
-        drop(first);
-        readmitted.shutdown().expect("shutdown");
-
-        let report = handle.join().expect("server thread");
-        assert!(
-            report.rejected_connections >= 1,
-            "rejections are counted: {report:?}"
-        );
-        assert_eq!(report.appended_points, 60);
-        bqs_tlog::verify_sharded(&root).expect("tree verifies");
-        let _ = std::fs::remove_dir_all(&root);
+        Err(other) => panic!("expected an over-capacity rejection, got {other:?}"),
+        Ok(_) => panic!("expected an over-capacity rejection, got a connection"),
     }
+
+    // The admitted connections still work, and closing one frees a
+    // slot (the pool notices the EOF asynchronously: retry briefly).
+    first.append(1, &wave(1, 30)).expect("admitted still works");
+    drop(second);
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    let mut readmitted = loop {
+        match BqsClient::connect(addr) {
+            Ok(client) => break client,
+            Err(NetError::Server {
+                code: ErrorCode::OverCapacity,
+                ..
+            }) if std::time::Instant::now() < deadline => {
+                std::thread::sleep(std::time::Duration::from_millis(20));
+            }
+            Err(other) => panic!("expected a freed slot, got {other:?}"),
+        }
+    };
+    readmitted.append(2, &wave(2, 30)).expect("append");
+    drop(first);
+    readmitted.shutdown().expect("shutdown");
+
+    let report = handle.join().expect("server thread");
+    assert!(
+        report.rejected_connections >= 1,
+        "rejections are counted: {report:?}"
+    );
+    assert_eq!(report.appended_points, 60);
+    bqs_tlog::verify_sharded(&root).expect("tree verifies");
+    let _ = std::fs::remove_dir_all(&root);
 }
 
 #[test]

@@ -12,8 +12,8 @@
 //!    whose load has fully arrived, exactly what the finished durable
 //!    tree answers after shutdown.
 //! 3. **Disordered ≡ sorted** — a seeded `loadgen --disorder W` run
-//!    against a server started with `--lateness W` produces, on both
-//!    runtimes and at 1/2/8 workers, a spill tree byte-identical to the
+//!    against a server started with `--lateness W` produces, at 1/2
+//!    io-threads and 1/2/8 workers, a spill tree byte-identical to the
 //!    in-process *sorted* run, and the server's late/backfill/too-late
 //!    counters match the load generator's ground truth with zero slack.
 //! 4. **Subscribe streams the kept points** — a client subscribed to a
@@ -135,9 +135,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
     /// Acceptance: seeded loadgen over TCP ≡ in-process fleet, across
-    /// every serving runtime — legacy thread-per-connection
-    /// (`io_threads = 0`), the multiplexed pool on the OS poller, and
-    /// the pool on the portable fallback backend — at varying fan-in.
+    /// pool sizes (1/4/2 io-threads), the OS poller and the portable
+    /// fallback backend, at varying fan-in.
     /// Per-track byte-identical spill and identical `bqs query` CSV
     /// after shutdown.
     #[test]
@@ -156,7 +155,7 @@ proptest! {
         let expected_csv = query_csv(&reference);
 
         for (connections, io_threads, fallback) in
-            [(1usize, 0usize, false), (2, 4, false), (4, 2, true)]
+            [(1usize, 1usize, false), (2, 4, false), (4, 2, true)]
         {
             let root = temp_root("net");
             let mut config = ServerConfig::new("127.0.0.1:0", workers, &root);
@@ -334,7 +333,7 @@ proptest! {
 
     /// Acceptance for bounded-lateness ingest: a seeded
     /// `loadgen --disorder W` run against a server started with
-    /// `--lateness W` spills, on both runtimes and at 1/2/8 workers,
+    /// `--lateness W` spills, at 1/2 io-threads and 1/2/8 workers,
     /// byte-for-byte what the in-process fleet spills for the *sorted*
     /// workload — the reorder buffer restores timestamp order exactly.
     /// The server's late-data counters (wire `Metrics` text and the
@@ -359,7 +358,7 @@ proptest! {
             let expected_tracks = read_tracks(&reference, workers, sessions);
             let expected_csv = query_csv(&reference);
 
-            for io_threads in [0usize, 2] {
+            for io_threads in [1usize, 2] {
                 let root = temp_root("net-late");
                 let registry = MetricsRegistry::new();
                 let mut config = ServerConfig::new("127.0.0.1:0", workers, &root);
