@@ -9,6 +9,7 @@
 //! | `no-unwrap-in-lib` | `.unwrap()` / `.expect(` / `panic!` are forbidden in non-test library code — typed errors are the house style |
 //! | `no-print-in-lib` | `println!` / `eprintln!` (and the non-`ln` forms) only in `crates/cli` and binaries |
 //! | `now-in-hot-path` | direct `Instant::now` / `SystemTime::now` reads are forbidden in the designated hot modules — clock reads go through the `bqs-obs` timing helpers |
+//! | `trig-in-kernel` | no trigonometric call (`atan2`, `.angle()`, `.sin()`, `.cos()`, `.tan()`, `from_angle`, …) in the BQS decision-kernel modules — the kernel orders directions by cross-product sign and is priced in roots and divisions |
 //! | `bad-suppression` | a suppression marker must name a known lint and give a reason |
 //!
 //! Suppression grammar (same line or the line directly above): the
@@ -27,6 +28,7 @@ pub const SOURCE_LINT_IDS: &[&str] = &[
     "no-unwrap-in-lib",
     "no-print-in-lib",
     "now-in-hot-path",
+    "trig-in-kernel",
     "bad-suppression",
 ];
 
@@ -40,6 +42,27 @@ pub const HOT_MODULES: &[&str] = &[
     "crates/core/src/fleet/reorder.rs",
     "crates/tlog/src/spill.rs",
     "crates/tlog/src/engine.rs",
+];
+
+/// The BQS decision kernel: everything `BqsEngine::push` runs per point.
+/// These modules order directions by cross-product sign and intersect
+/// rays from direction vectors, so a trigonometric call here is a
+/// performance regression (`docs/architecture.md` §Decision kernel) —
+/// one `atan2` costs more than a whole deviation-bound evaluation.
+pub const KERNEL_MODULES: &[&str] = &[
+    "crates/core/src/quadrant.rs",
+    "crates/core/src/engine.rs",
+    "crates/core/src/bounds.rs",
+    "crates/core/src/rotation.rs",
+];
+
+/// `f64` trigonometric methods, flagged when called (`x.sin()`,
+/// `f64::atan2(y, x)`), plus `.angle()` — the geometry crate's `atan2`
+/// wrapper on vectors, lines and rotations. `from_angle(…)`
+/// (`Vec2`/`Rot2`: `cos` and `sin` inside) is flagged as a call of any
+/// shape.
+const TRIG_METHODS: &[&str] = &[
+    "sin", "cos", "tan", "sin_cos", "asin", "acos", "atan", "atan2", "angle",
 ];
 
 const ATOMIC_ORDERINGS: &[&str] = &["Relaxed", "Acquire", "Release", "AcqRel", "SeqCst"];
@@ -58,6 +81,8 @@ struct Scope {
     obs: bool,
     /// On the [`HOT_MODULES`] list.
     hot: bool,
+    /// On the [`KERNEL_MODULES`] list.
+    kernel: bool,
 }
 
 impl Scope {
@@ -72,6 +97,7 @@ impl Scope {
             cli: rel.starts_with("crates/cli/") || rel.ends_with("/main.rs"),
             obs: rel.starts_with("crates/obs/src/"),
             hot: HOT_MODULES.contains(&rel),
+            kernel: KERNEL_MODULES.contains(&rel),
         }
     }
 }
@@ -304,6 +330,29 @@ pub fn lint_file(
                         "direct clock read in a hot module — use bqs_obs::now()/elapsed_us()",
                     ));
                 }
+                trig if scope.kernel
+                    && after.trim_start().starts_with('(')
+                    && (trig == "from_angle"
+                        || (TRIG_METHODS.contains(&trig)
+                            && (before.trim_end().ends_with('.')
+                                || before.ends_with("f64::")))) =>
+                {
+                    if !enabled("trig-in-kernel") || test_region[idx] {
+                        continue;
+                    }
+                    if allowed(lineno, "trig-in-kernel") {
+                        continue;
+                    }
+                    out.push(Finding::new(
+                        rel,
+                        lineno,
+                        "trig-in-kernel",
+                        format!(
+                            "{trig}( in a decision-kernel module — order directions by \
+                             cross-product sign, intersect from direction vectors"
+                        ),
+                    ));
+                }
                 _ => {}
             }
         }
@@ -452,6 +501,27 @@ mod tests {
         let sup = "fn f() { let t = Instant::now(); } \
                    // bqs-analyze: allow(now-in-hot-path) — one-shot uptime anchor\n";
         assert!(run("crates/net/src/server.rs", sup).is_empty());
+    }
+
+    #[test]
+    fn trig_only_flags_kernel_modules_outside_tests() {
+        let src = "fn f(p: Vec2) -> f64 { p.y.atan2(p.x) + p.angle() + f64::sin(p.x) }\n";
+        let found = run("crates/core/src/quadrant.rs", src);
+        assert_eq!(found.len(), 3, "{found:?}");
+        assert!(found.iter().all(|f| f.lint == "trig-in-kernel"));
+        assert!(run("crates/core/src/reconstruct.rs", src).is_empty());
+        assert!(run("crates/geo/src/vec2.rs", src).is_empty());
+        let ctor = "fn f(t: f64) -> Vec2 { Vec2::from_angle(t) }\n";
+        assert_eq!(run("crates/core/src/engine.rs", ctor).len(), 1);
+        // Fields, other identifiers and the on-demand accessor's name are not calls.
+        let fields =
+            "fn f(r: Rot2, q: &Q) -> f64 { r.cos * r.sin + q.angle_range().0 + cosine(1.0) }\n";
+        assert!(run("crates/core/src/rotation.rs", fields).is_empty());
+        let cfg = "#[cfg(test)]\nmod reference {\n fn f(x: f64) -> f64 { x.cos() }\n}\n";
+        assert!(run("crates/core/src/quadrant.rs", cfg).is_empty());
+        let sup = "// bqs-analyze: allow(trig-in-kernel) — on-demand accessor, off the push path\n\
+                   fn f(p: Vec2) -> f64 { p.y.atan2(p.x) }\n";
+        assert!(run("crates/core/src/quadrant.rs", sup).is_empty());
     }
 
     #[test]

@@ -291,6 +291,58 @@ fn now_suppressed_by_allow_marker() {
     assert_eq!(findings(&root, &["now-in-hot-path"]), Vec::<String>::new());
 }
 
+// --- trig-in-kernel -----------------------------------------------------
+
+#[test]
+fn trig_fires_only_in_kernel_modules() {
+    let body = "pub fn heading(x: f64, y: f64) -> f64 {\n\
+                \x20   y.atan2(x)\n\
+                }\n\
+                pub fn unit(theta: f64) -> (f64, f64) {\n\
+                \x20   (theta.cos(), theta.sin())\n\
+                }\n";
+    let root = fixture(
+        "kernel-trig",
+        &[
+            ("crates/core/src/quadrant.rs", body),
+            ("crates/core/src/reconstruct.rs", body),
+            ("crates/geo/src/vec2.rs", body),
+        ],
+    );
+    assert_eq!(
+        findings(&root, &["trig-in-kernel"]),
+        vec![
+            "crates/core/src/quadrant.rs:2 trig-in-kernel",
+            "crates/core/src/quadrant.rs:5 trig-in-kernel",
+            "crates/core/src/quadrant.rs:5 trig-in-kernel",
+        ]
+    );
+}
+
+#[test]
+fn trig_suppressed_by_marker_and_exempt_in_test_regions() {
+    let root = fixture(
+        "kernel-trig-allow",
+        &[(
+            "crates/core/src/engine.rs",
+            "pub fn report_angle(x: f64, y: f64) -> f64 {\n\
+             \x20   // bqs-analyze: allow(trig-in-kernel) — report accessor, never on the push path\n\
+             \x20   y.atan2(x)\n\
+             }\n\
+             pub fn clean(ax: f64, ay: f64, bx: f64, by: f64) -> bool {\n\
+             \x20   ax * by - ay * bx > 0.0\n\
+             }\n\
+             #[cfg(test)]\n\
+             mod radians_reference {\n\
+             \x20   pub fn angle_of(x: f64, y: f64) -> f64 {\n\
+             \x20       y.atan2(x)\n\
+             \x20   }\n\
+             }\n",
+        )],
+    );
+    assert_eq!(findings(&root, &["trig-in-kernel"]), Vec::<String>::new());
+}
+
 // --- bad-suppression ----------------------------------------------------
 
 #[test]

@@ -62,12 +62,16 @@ impl DeviationBounds {
 }
 
 /// Third-largest of four values (Theorem 5.5's corner lower bound).
+///
+/// A compare network rather than a sort — this runs once per decision per
+/// quadrant the chord is not in. Split the values into two pairs; the
+/// third-largest (= second-smallest) of the four is the smaller of "the
+/// larger pair-minimum" and "the smaller pair-maximum".
 #[inline]
-pub fn third_largest(mut v: [f64; 4]) -> f64 {
-    // Full sort of 4 elements is fine here; this is not on the hot path
-    // relative to the distance computations that feed it.
-    v.sort_by(|a, b| b.partial_cmp(a).unwrap_or(std::cmp::Ordering::Equal));
-    v[2]
+pub fn third_largest(v: [f64; 4]) -> f64 {
+    let (lo_ab, hi_ab) = (v[0].min(v[1]), v[0].max(v[1]));
+    let (lo_cd, hi_cd) = (v[2].min(v[3]), v[2].max(v[3]));
+    lo_ab.max(lo_cd).min(hi_ab.min(hi_cd))
 }
 
 #[cfg(test)]
@@ -108,6 +112,22 @@ mod tests {
         assert_eq!(third_largest([4.0, 3.0, 2.0, 1.0]), 2.0);
         assert_eq!(third_largest([5.0, 5.0, 5.0, 5.0]), 5.0);
         assert_eq!(third_largest([0.0, 10.0, 0.0, 10.0]), 0.0);
+        // Every arrangement of distinct and tied values agrees with a sort.
+        for values in [
+            [1.0f64, 2.0, 3.0, 4.0],
+            [1.0, 1.0, 2.0, 3.0],
+            [7.0, 2.0, 2.0, 9.0],
+        ] {
+            let mut sorted = values;
+            sorted.sort_by(|a, b| b.total_cmp(a));
+            for code in 0..256usize {
+                let idx = [code & 3, (code >> 2) & 3, (code >> 4) & 3, code >> 6];
+                if (0..4).all(|i| idx.contains(&i)) {
+                    let v = idx.map(|i| values[i]);
+                    assert_eq!(third_largest(v), sorted[2], "{v:?}");
+                }
+            }
+        }
     }
 
     #[test]

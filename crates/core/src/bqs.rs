@@ -74,6 +74,10 @@ impl StreamCompressor for BqsCompressor {
         self.engine.finish(out);
     }
 
+    fn pending_tail(&self, out: &mut dyn Sink) {
+        self.engine.pending_tail(out);
+    }
+
     fn name(&self) -> &'static str {
         "BQS"
     }

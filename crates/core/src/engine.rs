@@ -37,11 +37,12 @@
 //! segment end and the bound is unconditional (see the property tests).
 
 use crate::bounds::DeviationBounds;
-use crate::config::{BqsConfig, RotationMode};
+use crate::config::{BoundsMode, BqsConfig, RotationMode};
+use crate::metrics::Chord;
 use crate::quadrant::QuadrantBounds;
 use crate::rotation::SegmentFrame;
 use crate::stream::{DecisionStats, Sink};
-use bqs_geo::{Point2, Quadrant, TimedPoint};
+use bqs_geo::{Point2, Quadrant, TimedPoint, Vec2};
 
 /// What the engine does when the bounds are inconclusive.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -98,6 +99,24 @@ pub struct StepTrace {
 /// amortised per point.
 const REBUILD_GROWTH: f64 = 2.0;
 
+/// Whether `|v| > bound`, decided exactly as `v.norm() > bound` decides it
+/// but from the squares whenever they are not within rounding distance of
+/// each other, so the steady-state push takes no root for its near-ball
+/// test or its rebuild trigger. The exact fallback matters: on an evenly
+/// sampled straight run the doubled rebuild radius lands *on* a sample, and
+/// which side of the tie it falls is part of the decision sequence.
+#[inline]
+fn norm_exceeds(v: Vec2, bound: f64) -> bool {
+    let (sq, bound_sq) = (v.norm_sq(), bound * bound);
+    if sq < bound_sq * (1.0 - 1e-9) {
+        false
+    } else if sq > bound_sq * (1.0 + 1e-9) {
+        true
+    } else {
+        v.norm() > bound
+    }
+}
+
 /// State for the segment currently being built.
 #[derive(Debug, Clone)]
 struct SegmentState {
@@ -136,15 +155,20 @@ impl SegmentState {
         }
     }
 
-    fn insert_far(&mut self, world: Point2, warmup_limit: usize) {
+    /// Admits a far point; `local` is `world` in the current frame, already
+    /// computed by the decision that admitted it.
+    fn insert_far(&mut self, world: Point2, local: Point2, warmup_limit: usize) {
         self.far_points += 1;
         if self.frame.is_fixed() {
-            let radius = (world - self.frame.origin()).norm();
-            if radius > self.rebuild_at {
+            let displacement = world - self.frame.origin();
+            let local = if norm_exceeds(displacement, self.rebuild_at) {
                 self.rebuild(world);
-                self.rebuild_at = radius * REBUILD_GROWTH;
-            }
-            self.insert_into_quadrant(world);
+                self.rebuild_at = displacement.norm() * REBUILD_GROWTH;
+                self.frame.to_local(world)
+            } else {
+                local
+            };
+            self.insert_into_quadrant(local);
         } else {
             self.warmup.push(world);
             if self.warmup.len() >= warmup_limit {
@@ -161,7 +185,7 @@ impl SegmentState {
                 self.rebuild_at = (r_max * REBUILD_GROWTH).max(f64::MIN_POSITIVE);
                 let pending = std::mem::take(&mut self.warmup);
                 for p in pending {
-                    self.insert_into_quadrant(p);
+                    self.insert_into_quadrant(self.frame.to_local(p));
                 }
             }
         }
@@ -184,12 +208,11 @@ impl SegmentState {
         self.frame = frame;
         self.quadrants = [None, None, None, None];
         for v in vertices {
-            self.insert_into_quadrant(v);
+            self.insert_into_quadrant(self.frame.to_local(v));
         }
     }
 
-    fn insert_into_quadrant(&mut self, world: Point2) {
-        let local = self.frame.to_local(world);
+    fn insert_into_quadrant(&mut self, local: Point2) {
         let quadrant = Quadrant::of(local.x, local.y);
         match &mut self.quadrants[quadrant.index()] {
             Some(q) => q.insert(local),
@@ -197,19 +220,15 @@ impl SegmentState {
         }
     }
 
-    /// Aggregated bounds for the chord `origin → end_world` over all
-    /// occupied quadrants (Algorithm 1 lines 4–5). `None` when the frame is
-    /// not fixed yet.
-    fn aggregated_bounds(&self, end_world: Point2, config: &BqsConfig) -> Option<DeviationBounds> {
-        if !self.frame.is_fixed() {
-            return None;
-        }
-        let end_local = self.frame.to_local(end_world);
+    /// Aggregated bounds for a chord from the local origin over all
+    /// occupied quadrants (Algorithm 1 lines 4–5). Only meaningful once
+    /// the frame is fixed (the quadrants are empty before).
+    fn aggregated_bounds(&self, chord: &Chord, mode: BoundsMode) -> DeviationBounds {
         let mut agg = DeviationBounds::EMPTY;
         for q in self.quadrants.iter().flatten() {
-            agg = agg.merge(q.deviation_bounds(end_local, config.metric, config.bounds_mode));
+            agg = agg.merge(q.bounds_against(chord, mode));
         }
-        Some(agg)
+        agg
     }
 
     /// Number of significant points currently maintained — the paper's
@@ -309,6 +328,9 @@ impl BqsEngine {
 
         let tolerance = self.config.tolerance;
         let origin = state.frame.origin();
+        // The point in the segment-local frame, mapped once for the bounds
+        // and the insert.
+        let local = state.frame.to_local(p.pos);
 
         // Decision stage.
         let (include, trace) = if state.far_points == 0 {
@@ -347,10 +369,10 @@ impl BqsEngine {
                 },
             )
         } else {
-            let bounds = state
-                .aggregated_bounds(p.pos, &self.config)
-                // bqs-analyze: allow(no-unwrap-in-lib) — invariant: frame is fixed
-                .expect("frame is fixed");
+            // The chord's length is the one square root of a steady-state
+            // push, shared by every distance in every quadrant.
+            let chord = Chord::new(Point2::ORIGIN, local, self.config.metric);
+            let bounds = state.aggregated_bounds(&chord, self.config.bounds_mode);
             if bounds.upper <= tolerance {
                 self.stats.by_bounds += 1;
                 (
@@ -412,24 +434,25 @@ impl BqsEngine {
         };
 
         if include {
-            self.admit(p);
+            self.admit(p, local);
         } else {
             self.cut_and_restart(p, out);
         }
         trace
     }
 
-    /// Admits `p` into the current segment.
-    fn admit(&mut self, p: TimedPoint) {
+    /// Admits `p` into the current segment; `local` is `p` in the segment's
+    /// frame.
+    fn admit(&mut self, p: TimedPoint, local: Point2) {
         // bqs-analyze: allow(no-unwrap-in-lib) — invariant: segment exists
         let state = self.state.as_mut().expect("segment exists");
-        let near = state.frame.origin().distance(p.pos) <= self.config.tolerance;
+        let near = !norm_exceeds(p.pos - state.frame.origin(), self.config.tolerance);
         if !near {
             let warmup_limit = match self.config.rotation {
                 RotationMode::Disabled => 0,
                 RotationMode::DataCentric { warmup } => warmup,
             };
-            state.insert_far(p.pos, warmup_limit);
+            state.insert_far(p.pos, local, warmup_limit);
             if let Some(buffer) = self.buffer.as_mut() {
                 buffer.push(p.pos);
             }
@@ -446,24 +469,34 @@ impl BqsEngine {
             .expect("a cut is only reachable after an admission");
         self.emit(key, out);
         self.stats.segments += 1;
-        self.state = Some(SegmentState::new(key.pos, self.config.rotation));
+        let state = SegmentState::new(key.pos, self.config.rotation);
+        // A fresh frame is unrotated, so this is the plain displacement.
+        let local = state.frame.to_local(p.pos);
+        self.state = Some(state);
         if let Some(buffer) = self.buffer.as_mut() {
             buffer.clear();
         }
         // The incoming point joins the fresh segment. Its chord is the
         // degenerate-but-valid `key → p`; with no far structure yet the
         // admission is trivially sound.
-        self.admit(p);
+        self.admit(p, local);
     }
 
-    /// Flushes the final point of the last segment and resets the stream
-    /// state (statistics are preserved).
-    pub fn finish(&mut self, out: &mut dyn Sink) {
+    /// Emits what [`BqsEngine::finish`] would emit right now — the last
+    /// point pushed, unless it already went out as a key point — and leaves
+    /// the stream open.
+    pub fn pending_tail(&self, out: &mut dyn Sink) {
         if let Some(last) = self.last {
             if self.last_emitted != Some(last) {
                 out.push(last);
             }
         }
+    }
+
+    /// Flushes the final point of the last segment and resets the stream
+    /// state (statistics are preserved).
+    pub fn finish(&mut self, out: &mut dyn Sink) {
+        self.pending_tail(out);
         self.state = None;
         self.last = None;
         self.last_emitted = None;
@@ -649,6 +682,30 @@ mod tests {
             .collect();
         let out = drive(&mut e, &pts);
         assert!(out.len() >= 2);
+    }
+
+    #[test]
+    fn pending_tail_is_what_finishing_a_clone_would_emit() {
+        for fallback in [Fallback::Scan, Fallback::Cut] {
+            let mut e = engine(4.0, fallback);
+            let mut out = Vec::new();
+            let mut tail = Vec::new();
+            e.pending_tail(&mut tail);
+            assert!(tail.is_empty(), "nothing pushed, nothing pending");
+            for i in 0..300 {
+                let a = i as f64;
+                // Wavy enough to cut often, so both tail states occur: last
+                // point still pending, and (right after the first push) last
+                // point already emitted.
+                let p = TimedPoint::new(a * 7.0, (a * 0.3).sin() * 30.0, a);
+                e.push(p, &mut out);
+                let (mut tail, mut finished) = (Vec::new(), Vec::new());
+                e.pending_tail(&mut tail);
+                e.clone().finish(&mut finished);
+                assert_eq!(tail, finished, "{fallback:?} after point {i}");
+                assert_eq!(tail.is_empty(), i == 0);
+            }
+        }
     }
 
     #[test]

@@ -76,6 +76,10 @@ impl StreamCompressor for FastBqsCompressor {
         self.engine.finish(out);
     }
 
+    fn pending_tail(&self, out: &mut dyn Sink) {
+        self.engine.pending_tail(out);
+    }
+
     fn name(&self) -> &'static str {
         "FBQS"
     }

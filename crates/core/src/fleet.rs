@@ -616,8 +616,8 @@ where
     /// A consistent, non-destructive snapshot of every live session:
     /// the kept points `sink` still buffers per track
     /// ([`FleetSink::live_buffered`]) plus each live compressor's
-    /// pending tail, obtained by finishing a *clone* so the session
-    /// itself is untouched. The result is exactly what
+    /// [`StreamCompressor::pending_tail`], which leaves the session
+    /// itself untouched. The result is exactly what
     /// [`FleetEngine::finish_all`] into `sink` would make durable if it
     /// ran right now — the hot half a unified query layer merges with
     /// on-disk data.
@@ -631,7 +631,7 @@ where
         for shard in &self.shards {
             for (&track, session) in &shard.sessions {
                 let mut pending: Vec<TimedPoint> = Vec::new();
-                session.compressor.clone().finish(&mut pending);
+                session.compressor.pending_tail(&mut pending);
                 tracks.push(TrackSnapshot {
                     track,
                     emitted: emitted.remove(&track).unwrap_or_default(),

@@ -224,6 +224,17 @@ pub trait StreamCompressor {
 
     /// Short algorithm label for reports ("BQS", "FBQS", "BDP", ...).
     fn name(&self) -> &'static str;
+
+    /// Emits what [`StreamCompressor::finish`] would emit if the stream
+    /// ended right now, without ending it — the live half of a fleet
+    /// snapshot. The default finishes a clone; compressors whose tail is
+    /// one remembered point (BQS, FBQS) answer from that point instead.
+    fn pending_tail(&self, out: &mut dyn Sink)
+    where
+        Self: Clone,
+    {
+        self.clone().finish(out);
+    }
 }
 
 /// Counters describing how the BQS compressors reached their decisions.

@@ -108,21 +108,28 @@ impl Quadrant {
         }
     }
 
-    /// Whether an (undirected) line with direction angle `theta` is "in" this
+    /// Whether an (undirected) line with direction `(dx, dy)` is "in" this
     /// quadrant per the paper's definition below Theorem 5.3: a line is in
-    /// quadrant Q if `θ`, `θ + π` or `θ − π` falls in Q's angle range. Since
-    /// we use point-to-line distance, every line is "in" exactly two
-    /// (opposite) quadrants.
+    /// quadrant Q if its direction or the opposite direction falls in Q's
+    /// half-open angle range. Since we use point-to-line distance, every
+    /// line is "in" exactly two (opposite) quadrants.
+    ///
+    /// Decided from coordinate signs alone — no `atan2`, and no seam at
+    /// `±π`: horizontal lines (either way, either zero sign) are in Q1/Q3,
+    /// vertical lines in Q2/Q4, and the zero direction counts as horizontal.
     #[inline]
-    pub fn contains_line_angle(self, theta: f64) -> bool {
-        let (lo, hi) = self.angle_range();
-        // Quadrant ranges are half-open within [-π, π); fold the +π
-        // representative of the seam angle onto -π so horizontal-left lines
-        // classify consistently.
-        let fold = |a: f64| if a >= PI { a - 2.0 * PI } else { a };
-        let t = fold(normalize_angle(theta));
-        let in_range = |a: f64| a >= lo && a < hi;
-        in_range(t) || in_range(fold(normalize_angle(t + PI)))
+    pub fn contains_line_direction(self, dx: f64, dy: f64) -> bool {
+        let in_q1_q3 = if dx > 0.0 {
+            dy >= 0.0
+        } else if dx < 0.0 {
+            dy <= 0.0
+        } else {
+            dy == 0.0
+        };
+        match self {
+            Quadrant::Q1 | Quadrant::Q3 => in_q1_q3,
+            Quadrant::Q2 | Quadrant::Q4 => !in_q1_q3,
+        }
     }
 
     /// The signs `(sign_x, sign_y)` of coordinates in this quadrant, using
@@ -245,23 +252,54 @@ mod tests {
 
     #[test]
     fn line_in_exactly_two_quadrants() {
+        let lines_in = |dx: f64, dy: f64| -> Vec<Quadrant> {
+            Quadrant::ALL
+                .into_iter()
+                .filter(|q| q.contains_line_direction(dx, dy))
+                .collect()
+        };
         for deg in (-180..180).step_by(3) {
             let theta = (deg as f64).to_radians();
-            let count = Quadrant::ALL
-                .iter()
-                .filter(|q| q.contains_line_angle(theta))
-                .count();
-            assert_eq!(count, 2, "line at {deg}° should be in exactly 2 quadrants");
+            let found = lines_in(theta.cos(), theta.sin());
+            assert_eq!(
+                found.len(),
+                2,
+                "line at {deg}° should be in exactly 2 quadrants"
+            );
+            assert_eq!(found[0].opposite(), found[1]);
+        }
+        // Exact axes, every zero sign, and the degenerate zero direction.
+        for (dx, dy, expected) in [
+            (1.0, 0.0, Quadrant::Q1),
+            (1.0, -0.0, Quadrant::Q1),
+            (-1.0, 0.0, Quadrant::Q1),
+            (-1.0, -0.0, Quadrant::Q1),
+            (0.0, 1.0, Quadrant::Q2),
+            (-0.0, 1.0, Quadrant::Q2),
+            (0.0, -1.0, Quadrant::Q2),
+            (-0.0, -1.0, Quadrant::Q2),
+            (0.0, 0.0, Quadrant::Q1),
+            (-0.0, -0.0, Quadrant::Q1),
+        ] {
+            assert_eq!(
+                lines_in(dx, dy),
+                vec![expected, expected.opposite()],
+                "({dx}, {dy})"
+            );
         }
     }
 
     #[test]
     fn line_in_opposite_quadrants() {
         let theta = 30f64.to_radians();
-        assert!(Quadrant::Q1.contains_line_angle(theta));
-        assert!(Quadrant::Q3.contains_line_angle(theta));
-        assert!(!Quadrant::Q2.contains_line_angle(theta));
-        assert!(!Quadrant::Q4.contains_line_angle(theta));
+        let (dx, dy) = (theta.cos(), theta.sin());
+        assert!(Quadrant::Q1.contains_line_direction(dx, dy));
+        assert!(Quadrant::Q3.contains_line_direction(dx, dy));
+        assert!(!Quadrant::Q2.contains_line_direction(dx, dy));
+        assert!(!Quadrant::Q4.contains_line_direction(dx, dy));
+        // The opposite direction is the same line.
+        assert!(Quadrant::Q1.contains_line_direction(-dx, -dy));
+        assert!(!Quadrant::Q2.contains_line_direction(-dx, -dy));
     }
 
     #[test]

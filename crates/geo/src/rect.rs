@@ -2,6 +2,7 @@
 
 use crate::line::Line2;
 use crate::point::Point2;
+use crate::vec2::Vec2;
 use serde::{Deserialize, Serialize};
 
 /// An axis-aligned, possibly degenerate rectangle.
@@ -114,29 +115,22 @@ impl Rect {
         ]
     }
 
-    /// Corner nearest to `origin` in Euclidean distance.
-    #[inline]
-    pub fn nearest_corner_to(&self, origin: Point2) -> Point2 {
-        self.extreme_corner_to(origin, false)
-    }
-
-    /// Corner farthest from `origin` in Euclidean distance.
-    #[inline]
-    pub fn farthest_corner_to(&self, origin: Point2) -> Point2 {
-        self.extreme_corner_to(origin, true)
-    }
-
-    fn extreme_corner_to(&self, origin: Point2, farthest: bool) -> Point2 {
-        let mut best = self.min;
-        let mut best_d = origin.distance_sq(best);
-        for c in self.corners().into_iter().skip(1) {
-            let d = origin.distance_sq(c);
-            if (farthest && d > best_d) || (!farthest && d < best_d) {
-                best = c;
-                best_d = d;
+    /// Indices into [`Rect::corners`] of the corners nearest to and
+    /// farthest from `origin`, as `(nearest, farthest)`. Ties go to the
+    /// first strict winner in `c1..c4` order; squared distances only, so no
+    /// root is taken.
+    pub fn extreme_corner_indices_to(&self, origin: Point2) -> (usize, usize) {
+        let d = self.corners().map(|c| origin.distance_sq(c));
+        let (mut near, mut far) = (0, 0);
+        for i in 1..4 {
+            if d[i] < d[near] {
+                near = i;
+            }
+            if d[i] > d[far] {
+                far = i;
             }
         }
-        best
+        (near, far)
     }
 
     /// Distances from the four corners to a line, in corner order.
@@ -151,32 +145,34 @@ impl Rect {
         ]
     }
 
-    /// Intersections of the ray `origin + t·(cosθ, sinθ)`, `t ≥ 0`, with the
+    /// Intersections of the ray `origin + t·dir`, `t ≥ 0`, with the
     /// rectangle boundary. Returns 0, 1 or 2 points ordered by `t`.
     ///
-    /// Used to locate the significant points where a BQS angular bounding
-    /// line crosses the bounding box.
-    pub fn ray_intersections(&self, origin: Point2, theta: f64) -> RayHits {
-        let dir_x = theta.cos();
-        let dir_y = theta.sin();
+    /// `dir` need not be unit length: the BQS passes the inserted point
+    /// that defines an angular bounding line, so locating the significant
+    /// points where that line crosses the bounding box takes four
+    /// divisions and neither a root nor a trigonometric call. A zero `dir`
+    /// degenerates to the point `origin`.
+    pub fn ray_intersections(&self, origin: Point2, dir: Vec2) -> RayHits {
         let mut hits = RayHits::default();
+        // A component this small against the other runs parallel to its slab.
+        let parallel = 1e-15 * dir.x.abs().max(dir.y.abs());
 
         // Slab method on [min, max] per axis, tracking entry/exit parameters.
         let mut t_min = 0.0f64;
         let mut t_max = f64::INFINITY;
         for (o, d, lo, hi) in [
-            (origin.x, dir_x, self.min.x, self.max.x),
-            (origin.y, dir_y, self.min.y, self.max.y),
+            (origin.x, dir.x, self.min.x, self.max.x),
+            (origin.y, dir.y, self.min.y, self.max.y),
         ] {
-            if d.abs() < 1e-15 {
+            if d.abs() <= parallel {
                 if o < lo || o > hi {
                     return hits; // parallel and outside the slab
                 }
             } else {
-                let inv = 1.0 / d;
                 let (t0, t1) = {
-                    let a = (lo - o) * inv;
-                    let b = (hi - o) * inv;
+                    let a = (lo - o) / d;
+                    let b = (hi - o) / d;
                     if a <= b {
                         (a, b)
                     } else {
@@ -194,7 +190,7 @@ impl Rect {
         }
 
         let t_max = t_max.max(t_min);
-        let at = |t: f64| Point2::new(origin.x + t * dir_x, origin.y + t * dir_y);
+        let at = |t: f64| Point2::new(origin.x + t * dir.x, origin.y + t * dir.y);
         hits.push(at(t_min));
         if (t_max - t_min) > 1e-12 * t_min.abs().max(1.0) && t_max.is_finite() {
             hits.push(at(t_max));
@@ -287,8 +283,12 @@ mod tests {
     #[test]
     fn nearest_farthest_corner_from_origin() {
         let r = unit_rect();
-        assert_eq!(r.nearest_corner_to(Point2::ORIGIN), Point2::new(1.0, 1.0));
-        assert_eq!(r.farthest_corner_to(Point2::ORIGIN), Point2::new(3.0, 2.0));
+        assert_eq!(r.extreme_corner_indices_to(Point2::ORIGIN), (0, 2));
+        // Seen from beyond the max corner the roles swap.
+        assert_eq!(r.extreme_corner_indices_to(Point2::new(9.0, 9.0)), (2, 0));
+        // A degenerate rectangle ties everywhere: the first corner wins both.
+        let dot = Rect::from_point(Point2::new(1.0, 1.0));
+        assert_eq!(dot.extreme_corner_indices_to(Point2::ORIGIN), (0, 0));
     }
 
     #[test]
@@ -296,7 +296,7 @@ mod tests {
         let r = unit_rect();
         // Ray from origin at the angle of the rect centre crosses entry+exit.
         let theta = (1.5f64).atan2(2.0);
-        let hits = r.ray_intersections(Point2::ORIGIN, theta);
+        let hits = r.ray_intersections(Point2::ORIGIN, Vec2::from_angle(theta));
         assert_eq!(hits.len(), 2);
         for p in hits.iter() {
             // Hits lie on the boundary.
@@ -313,14 +313,14 @@ mod tests {
     #[test]
     fn ray_missing_rect() {
         let r = unit_rect();
-        let hits = r.ray_intersections(Point2::ORIGIN, 170f64.to_radians());
+        let hits = r.ray_intersections(Point2::ORIGIN, Vec2::from_angle(170f64.to_radians()));
         assert!(hits.is_empty());
     }
 
     #[test]
     fn ray_starting_inside_hits_once_at_exit_or_twice_with_t0_zero() {
         let r = unit_rect();
-        let hits = r.ray_intersections(Point2::new(2.0, 1.5), 0.0);
+        let hits = r.ray_intersections(Point2::new(2.0, 1.5), Vec2::from_angle(0.0));
         assert!(!hits.is_empty());
         let last = hits.as_slice()[hits.len() - 1];
         assert!((last.x - 3.0).abs() < 1e-12);
@@ -329,9 +329,42 @@ mod tests {
     #[test]
     fn degenerate_rect_ray() {
         let r = Rect::from_point(Point2::new(1.0, 1.0));
-        let hits = r.ray_intersections(Point2::ORIGIN, std::f64::consts::FRAC_PI_4);
+        let hits = r.ray_intersections(
+            Point2::ORIGIN,
+            Vec2::from_angle(std::f64::consts::FRAC_PI_4),
+        );
         assert_eq!(hits.len(), 1);
         assert!((hits.as_slice()[0].x - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn ray_direction_need_not_be_unit() {
+        let r = unit_rect();
+        // Through a boundary point, any positive scale: the same two hits,
+        // and the defining point itself comes back exactly.
+        let through = Point2::new(3.0, 1.5);
+        let unit = r.ray_intersections(Point2::ORIGIN, through.to_vec().normalized().unwrap());
+        for scale in [1.0, 1e-6, 1e6] {
+            let hits = r.ray_intersections(Point2::ORIGIN, through.to_vec() * scale);
+            assert_eq!(hits.len(), 2);
+            for (a, b) in hits.iter().zip(unit.iter()) {
+                assert!(a.distance(b) < 1e-9, "{a:?} vs {b:?}");
+            }
+        }
+        let exact = r.ray_intersections(Point2::ORIGIN, through.to_vec());
+        assert_eq!(exact.as_slice()[1], through);
+        // Axis-parallel directions of any length, and the zero direction.
+        let along_x = r.ray_intersections(Point2::new(0.0, 1.5), Vec2::new(250.0, 0.0));
+        assert_eq!(
+            along_x.as_slice(),
+            &[Point2::new(1.0, 1.5), Point2::new(3.0, 1.5)]
+        );
+        let inside = Point2::new(2.0, 1.5);
+        assert_eq!(
+            r.ray_intersections(inside, Vec2::ZERO).as_slice(),
+            &[inside]
+        );
+        assert!(r.ray_intersections(Point2::ORIGIN, Vec2::ZERO).is_empty());
     }
 
     #[test]

@@ -170,3 +170,91 @@ proptest! {
         prop_assert!(bounds.upper >= actual - 1e-6);
     }
 }
+
+/// The four axis seams with a negative-zero coordinate: a point on the
+/// axis that closes the quadrant, a second point just off it. On the −x
+/// seam of Q2 `atan2(-0.0, -50.0)` is −π, which swapped the radians
+/// kernel's bounding rays and let every box corner into the wedge; with
+/// cross-product ordering there is no seam, so each of these is a thin
+/// triangle whose protruding box corner is *not* a hull vertex.
+#[test]
+fn negative_zero_seams_keep_the_wedge_tight_and_sound() {
+    for (quadrant, on_axis, off_axis, protruding) in [
+        (
+            Quadrant::Q2,
+            Point2::new(-50.0, -0.0),
+            Point2::new(-60.0, 1.0),
+            Point2::new(-50.0, 1.0),
+        ),
+        (
+            Quadrant::Q1,
+            Point2::new(50.0, -0.0),
+            Point2::new(60.0, 1.0),
+            Point2::new(50.0, 1.0),
+        ),
+        (
+            Quadrant::Q1,
+            Point2::new(-0.0, 50.0),
+            Point2::new(1.0, 60.0),
+            Point2::new(1.0, 50.0),
+        ),
+        (
+            Quadrant::Q4,
+            Point2::new(-0.0, -50.0),
+            Point2::new(1.0, -60.0),
+            Point2::new(1.0, -50.0),
+        ),
+    ] {
+        assert_eq!(Quadrant::of(on_axis.x, on_axis.y), quadrant);
+        for pts in [[on_axis, off_axis], [off_axis, on_axis]] {
+            let mut q = QuadrantBounds::new(quadrant, pts[0]);
+            q.insert(pts[1]);
+
+            let (lo, hi) = q.angle_range();
+            assert!(
+                lo <= hi && hi - lo < 0.02,
+                "{quadrant:?}: wedge ({lo}, {hi})"
+            );
+            let vertices = q.hull_vertices();
+            assert!(
+                !vertices.contains(&protruding),
+                "{quadrant:?}: {protruding:?} is a hull vertex of {vertices:?}"
+            );
+            let hull = convex_hull(&vertices);
+            for p in pts {
+                assert!(
+                    point_in_convex_hull(p, &hull, 1e-9),
+                    "{p:?} escapes {hull:?}"
+                );
+            }
+
+            // Chords all the way round in 0.05° steps: the bound stays sound,
+            // and for the chords the protruding corner would dominate (half
+            // a degree off the axis) it is the tighter wedge bound, not the
+            // box bound.
+            let mut tightest = f64::INFINITY;
+            for step in 0..7_200 {
+                let a = (f64::from(step) * 0.05).to_radians();
+                let end = Point2::new(200.0 * a.cos(), 200.0 * a.sin());
+                for metric in [
+                    DeviationMetric::PointToLine,
+                    DeviationMetric::PointToSegment,
+                ] {
+                    let sound = q.deviation_bounds(end, metric, BoundsMode::Sound);
+                    let coarse = q.deviation_bounds(end, metric, BoundsMode::CoarseCorners);
+                    let actual = pts
+                        .iter()
+                        .map(|p| metric.distance(*p, Point2::ORIGIN, end))
+                        .fold(0.0f64, f64::max);
+                    assert!(
+                        sound.upper >= actual - 1e-9,
+                        "{quadrant:?} {metric:?} {end:?}"
+                    );
+                    assert!(sound.upper <= coarse.upper + 1e-9);
+                    tightest = tightest.min(sound.upper - coarse.upper);
+                }
+            }
+            assert!(tightest < -0.05, "{quadrant:?}: never tighter than the box");
+        }
+    }
+}
