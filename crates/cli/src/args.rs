@@ -1,5 +1,7 @@
 //! Hand-rolled argument parsing for the `bqs` binary.
 
+use bqs_eval::experiments;
+
 /// A parsed invocation.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Command {
@@ -38,7 +40,7 @@ pub enum Command {
     },
     /// `bqs experiments [names...] [--full]`
     Experiments {
-        /// Experiment names; empty means all.
+        /// Experiment names from [`experiments::names`]; empty means all.
         names: Vec<String>,
         /// Paper-size data when true.
         full: bool,
@@ -263,8 +265,8 @@ USAGE:
   bqs compress <bqs|fbqs|bdp|bgd|dp|dr|squish-e|mbr> <trace.csv>
                [--tolerance M] [--buffer N] [--out FILE]
   bqs verify <original.csv> <compressed.csv> --tolerance M
-  bqs experiments [fig3|fig6|fig7|fig8a|fig8b|table1|table2|table3|ablation|fleet|
-                   storage|query|net|all] [--full]
+  bqs experiments [fig3|fig6|fig7|fig8a|fig8b|table1|table2|table3|ablation|
+                   extended|all]... [--full]
   bqs fleet [--sessions N] [--points N] [--tolerance M] [--algorithm bqs|fbqs]
             [--shards N] [--workers N] [--seed N] [--spill DIR]
             [--query-after FROM,TO|all]
@@ -564,7 +566,16 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             for arg in it {
                 match arg.as_str() {
                     "--full" => full = true,
-                    other if !other.starts_with('-') => names.push(other.to_string()),
+                    other if experiments::names().any(|n| n == other) => {
+                        names.push(other.to_string());
+                    }
+                    other if !other.starts_with('-') => {
+                        let known: Vec<&str> = experiments::names().collect();
+                        return Err(format!(
+                            "unknown experiment {other:?}; expected one of {}",
+                            known.join(" ")
+                        ));
+                    }
                     other => return Err(format!("unexpected argument: {other}")),
                 }
             }
@@ -1118,6 +1129,35 @@ mod tests {
                 full: false
             }
         );
+    }
+
+    #[test]
+    fn experiments_rejects_unknown_names() {
+        // A typo beside a valid name is a parse error, not silently dropped.
+        let err = parse(&args("experiments fig3 typo")).unwrap_err();
+        assert!(err.contains("unknown experiment \"typo\""), "{err}");
+        assert!(err.contains("fig3") && err.contains("all"), "{err}");
+        for retired in ["fleet", "storage", "query", "net"] {
+            assert!(parse(&args(&format!("experiments {retired}"))).is_err());
+        }
+        assert!(parse(&args("experiments --quick")).is_err());
+        for name in experiments::names() {
+            assert!(parse(&args(&format!("experiments {name}"))).is_ok());
+        }
+    }
+
+    #[test]
+    fn usage_lists_exactly_the_experiment_names() {
+        let synopsis: String = USAGE
+            .split("bqs experiments [")
+            .nth(1)
+            .and_then(|rest| rest.split(']').next())
+            .unwrap()
+            .split_whitespace()
+            .collect();
+        let listed: Vec<&str> = synopsis.split('|').collect();
+        let names: Vec<&str> = experiments::names().collect();
+        assert_eq!(listed, names);
     }
 
     #[test]

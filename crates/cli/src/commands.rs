@@ -935,68 +935,8 @@ fn log_verify(dir: &str) -> Result<String, CliError> {
 
 fn run_experiments(names: &[String], full: bool) -> Result<String, CliError> {
     let scale = if full { Scale::Full } else { Scale::Quick };
-    let wanted = |name: &str| names.is_empty() || names.iter().any(|n| n == name || n == "all");
-    let mut out = String::new();
-    if wanted("fig3") {
-        out.push_str(&experiments::fig3::run(scale).to_table().to_string());
-    }
-    if wanted("fig6") {
-        let r = experiments::fig6::run(scale);
-        out.push_str(&r.bat.to_table().to_string());
-        out.push_str(&r.vehicle.to_table().to_string());
-    }
-    if wanted("fig7") {
-        let r = experiments::fig7::run(scale);
-        out.push_str(&r.bat.to_table().to_string());
-        out.push_str(&r.vehicle.to_table().to_string());
-    }
-    if wanted("fig8a") {
-        let r = experiments::fig8::run_8a(scale);
-        out.push_str(&format!(
-            "Fig. 8a — synthetic trace: {} points, {:.0} m × {:.0} m\n",
-            r.trace.len(),
-            r.extent.0,
-            r.extent.1
-        ));
-    }
-    if wanted("fig8b") {
-        out.push_str(&experiments::fig8::run_8b(scale).to_table().to_string());
-    }
-    if wanted("table1") {
-        out.push_str(&experiments::table1::run(scale).to_table().to_string());
-    }
-    if wanted("table2") {
-        out.push_str(&experiments::table2::run(scale).to_table().to_string());
-    }
-    if wanted("table3") {
-        out.push_str(&experiments::table3::run(scale).to_table().to_string());
-    }
-    if wanted("ablation") {
-        out.push_str(&experiments::ablation::run(scale).to_table().to_string());
-    }
-    if wanted("fleet") {
-        let r = experiments::fleet::run(scale);
-        out.push_str(&r.to_table().to_string());
-        out.push_str(&r.to_parallel_table().to_string());
-    }
-    if wanted("storage") {
-        out.push_str(&experiments::storage::run(scale).to_table().to_string());
-    }
-    if wanted("query") {
-        out.push_str(&experiments::query::run(scale).to_table().to_string());
-    }
-    if wanted("net") {
-        out.push_str(&experiments::net::run(scale).to_table().to_string());
-    }
-    if wanted("extended") {
-        out.push_str(&experiments::extended::run(scale).to_table().to_string());
-    }
-    if out.is_empty() {
-        return Err(CliError::Invalid(format!(
-            "no experiment matched {names:?}"
-        )));
-    }
-    Ok(out)
+    experiments::run(names, scale)
+        .map_err(|name| CliError::Invalid(format!("no experiment matched {name:?}")))
 }
 
 /// Parameters of one `bqs serve` invocation.
@@ -2155,11 +2095,13 @@ mod tests {
         let cmd = parse(&["experiments".to_string(), "table2".to_string()]).unwrap();
         let text = run(&cmd).unwrap();
         assert!(text.contains("Table II"));
+        // A `Command` built without the parser still cannot run an
+        // unknown name, even beside a known one.
         let err = run(&Command::Experiments {
-            names: vec!["nope".into()],
+            names: vec!["table2".into(), "nope".into()],
             full: false,
         })
         .unwrap_err();
-        assert!(err.contains("no experiment matched"));
+        assert!(err.contains("no experiment matched \"nope\""), "{err}");
     }
 }

@@ -1,19 +1,6 @@
 //! # bqs-cli — command-line front end for the BQS workspace
 //!
-//! ```text
-//! bqs generate <bat|vehicle|synthetic> [--seed N] [--scale quick|full] [--out FILE]
-//! bqs compress <bqs|fbqs|bdp|bgd|dp|dr|squish-e|mbr> <trace.csv>
-//!              [--tolerance M] [--buffer N] [--out FILE]
-//! bqs verify <original.csv> <compressed.csv> --tolerance M
-//! bqs experiments [fig3|fig6|fig7|fig8a|fig8b|table1|table2|table3|ablation|fleet|all]
-//!                 [--full]
-//! bqs fleet [--sessions N] [--points N] [--tolerance M] [--algorithm bqs|fbqs]
-//!           [--shards N]
-//! bqs serve --spill DIR [--addr HOST:PORT] [--workers N]
-//! bqs loadgen --addr HOST:PORT [--sessions N] [--points N] [--shutdown]
-//! bqs info
-//! ```
-//!
+//! The command synopsis is [`args::USAGE`], the text `bqs help` prints.
 //! Traces are the `x,y,t` CSV format of [`bqs_sim::Trace`]. Argument
 //! parsing is hand-rolled (no CLI dependency) and unit-tested here; the
 //! thin binary in `main.rs` just forwards `std::env::args` and exit codes.

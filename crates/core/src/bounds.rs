@@ -1,13 +1,11 @@
 //! Deviation bound pairs and small helpers shared by the bound theorems.
 
-use serde::{Deserialize, Serialize};
-
 /// A pair `⟨d_lb, d_ub⟩` bounding the maximum deviation of a point set from
 /// the current path line (paper §V-A step 5).
 ///
 /// Invariant maintained by constructors: `lower ≤ upper`, both non-negative
 /// and finite (a quadrant with no points contributes `EMPTY`).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeviationBounds {
     /// Smallest the maximum deviation can be.
     pub lower: f64,

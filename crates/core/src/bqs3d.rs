@@ -22,10 +22,9 @@ use crate::bounds::DeviationBounds;
 use crate::config::BoundsMode;
 use crate::stream::Sink;
 use bqs_geo::{Line3, Plane, Point3, Prism};
-use serde::{Deserialize, Serialize};
 
 /// A timestamped 3-D point.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct TimedPoint3 {
     /// Position; `z` is altitude in metres or a scaled timestamp.
     pub pos: Point3,
@@ -306,7 +305,7 @@ impl OctantBounds {
 }
 
 /// Configuration for the 3-D compressor.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Bqs3dConfig {
     /// Error tolerance in metres (of the embedded 3-D space).
     pub tolerance: f64,

@@ -23,10 +23,9 @@
 use crate::bounds::DeviationBounds;
 use crate::stream::Sink;
 use bqs_geo::point4::{Box4, Line4, Point4};
-use serde::{Deserialize, Serialize};
 
 /// A timestamped 4-D sample.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct TimedPoint4 {
     /// Position in the 4-D embedding.
     pub pos: Point4,
@@ -69,7 +68,7 @@ impl Orthant {
 }
 
 /// Configuration for the 4-D compressor.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Bqs4dConfig {
     /// Error tolerance in the embedded 4-D metric.
     pub tolerance: f64,

@@ -1,14 +1,13 @@
 //! Compressor configuration.
 
 use crate::metrics::DeviationMetric;
-use serde::{Deserialize, Serialize};
 
 /// How many points the data-centric rotation warm-up buffers by default —
 /// the paper suggests "the first few points (e.g. 5)" (§V-D).
 pub const DEFAULT_ROTATION_WARMUP: usize = 5;
 
 /// Data-centric rotation behaviour (paper §V-D).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RotationMode {
     /// No rotation: quadrants are axis-aligned at every segment start.
     Disabled,
@@ -31,7 +30,7 @@ impl Default for RotationMode {
 }
 
 /// Which upper/lower bound formulas the quadrant systems use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BoundsMode {
     /// Provably sound bounds over the clipped-wedge significant points (ray
     /// /box intersections plus the box corners inside the angular wedge —
@@ -54,7 +53,7 @@ pub enum BoundsMode {
 }
 
 /// Configuration shared by the BQS and Fast BQS compressors.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BqsConfig {
     /// Error tolerance `d` in metres (must be finite and > 0).
     pub tolerance: f64,

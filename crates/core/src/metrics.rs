@@ -7,10 +7,9 @@
 //! over this choice.
 
 use bqs_geo::{point_to_line_distance, point_to_segment_distance, Point2, Vec2};
-use serde::{Deserialize, Serialize};
 
 /// Which distance kernel defines the deviation `â(τ)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum DeviationMetric {
     /// Distance to the infinite line through the segment anchors (the
     /// paper's default).

@@ -2,7 +2,9 @@
 //! comparison.
 //!
 //! Fig. 8a plots the shape of the §VI-A correlated-random-walk trace
-//! (10 km × 10 km, 30,000 points); here it becomes a CSV/summary. Fig. 8b
+//! (10 km × 10 km, 30,000 points); here it becomes a summary line, and
+//! `bqs generate synthetic --seed 20150413 [--scale full]` writes the
+//! same trace as CSV (same generator, same [`super::SEED`]). Fig. 8b
 //! compares the number of points kept by FBQS and by error-bounded Dead
 //! Reckoning over tolerances 2–20 m: the paper reports DR needing ~40 %
 //! more points at 2 m, widening to ~50 % at 20 m.

@@ -14,13 +14,18 @@
 //! | [`experiments::table2`] | Table II — estimated operational time |
 //! | [`experiments::table3`] | Table III — run time vs. buffer size |
 //! | [`experiments::ablation`] | extra — rotation / bounds-tier ablations |
-//! | [`experiments::fleet`] | extra — multi-session FleetEngine scaling |
-//! | [`experiments::storage`] | extra — tlog codec bytes/point vs fixed-width baselines |
+//! | [`experiments::extended`] | extra — every compressor in the workspace on one table |
+//!
+//! [`experiments::run`] is the one name → runner dispatcher (`bqs
+//! experiments` calls it); [`experiments::names`] lists the names it
+//! accepts. Questions about the system rather than the paper — fleet
+//! scaling, ingest, query fan-out, on-disk bytes — are measured by the
+//! repo benchmark (`BENCHMARK.json`), not here.
 //!
 //! Supporting modules: [`metrics`] (compression rate, error verification),
 //! [`algorithms`] (a uniform factory over every compressor in the
 //! workspace), [`report`] (plain-text table rendering), [`runner`]
-//! (crossbeam-parallel sweeps).
+//! (parallel tolerance sweeps on scoped threads).
 
 #![deny(missing_docs)]
 
@@ -35,8 +40,8 @@ pub use metrics::{compression_rate, kept_indices, verify_deviation_bound};
 pub use report::TextTable;
 
 /// How much data an experiment generates: `Quick` keeps unit tests and
-/// examples snappy; `Full` matches the paper's dataset sizes (used by the
-/// benches and the `paper_experiments` example).
+/// the default `bqs experiments` run snappy; `Full` matches the paper's
+/// dataset sizes (`bqs experiments --full`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
     /// Reduced datasets (seconds end-to-end).

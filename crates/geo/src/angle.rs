@@ -7,7 +7,6 @@
 //! whether it lies between the two angular bounding lines. All of that angle
 //! bookkeeping lives here.
 
-use serde::{Deserialize, Serialize};
 use std::f64::consts::{FRAC_PI_2, PI};
 
 /// One of the four quadrants of a planar coordinate system.
@@ -15,7 +14,7 @@ use std::f64::consts::{FRAC_PI_2, PI};
 /// Quadrants are closed on their start axis and open on their end axis, so
 /// every direction belongs to exactly one quadrant: `Q1 = [0, π/2)`,
 /// `Q2 = [π/2, π)`, `Q3 = [−π, −π/2)`, `Q4 = [−π/2, 0)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Quadrant {
     /// x ≥ 0, y ≥ 0 — angles in `[0, π/2)`.
     Q1,

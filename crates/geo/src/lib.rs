@@ -14,7 +14,7 @@
 //!   fixes into a metric coordinate frame ([`proj`]),
 //! * polyline utilities (path length, brute-force deviation scans) ([`polyline`]).
 //!
-//! Everything here is deliberately dependency-free (`serde` aside) and
+//! Everything here is deliberately dependency-free and
 //! allocation-conscious: the BQS fast path must run on a 4 KB-RAM class device,
 //! so the primitives avoid hidden heap usage.
 

@@ -9,14 +9,13 @@
 
 use crate::point::{Point2, Point3};
 use crate::vec2::Vec2;
-use serde::{Deserialize, Serialize};
 
 /// An infinite line through two (distinct) anchor points in the plane.
 ///
 /// Degenerate lines (coincident anchors) are permitted and fall back to
 /// point distance, matching the behaviour every compressor needs when a
 /// segment's start and end coincide (e.g. a stationary animal).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Line2 {
     /// First anchor (the segment start point `s` in the paper).
     pub a: Point2,
@@ -86,7 +85,7 @@ impl Line2 {
 
 /// A finite segment; a thin wrapper distinguishing segment semantics from
 /// line semantics at the type level.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Segment2 {
     /// Start point.
     pub a: Point2,
@@ -171,7 +170,7 @@ pub fn project_parameter(p: Point2, a: Point2, b: Point2) -> Option<f64> {
 
 /// An infinite line in 3-D through two anchor points, used by the 3-D BQS
 /// deviation metric (§V-G).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Line3 {
     /// First anchor.
     pub a: Point3,

@@ -8,11 +8,10 @@
 
 use crate::point::Point3;
 use crate::prism::Prism;
-use serde::{Deserialize, Serialize};
 
 /// A plane in Hessian normal form: the set of points `p` with
 /// `n · p = d`, where `n` is a unit normal.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Plane {
     /// Unit normal.
     pub normal: Point3,

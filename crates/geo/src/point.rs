@@ -1,12 +1,11 @@
 //! Point types: planar, 3-D, timestamped and geodetic.
 
 use crate::vec2::Vec2;
-use serde::{Deserialize, Serialize};
 use std::ops::{Add, Sub};
 
 /// A point in a planar metric coordinate frame (UTM easting/northing metres
 /// after projection, or raw simulator metres).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Point2 {
     /// Easting in metres.
     pub x: f64,
@@ -93,7 +92,7 @@ impl Sub<Vec2> for Point2 {
 
 /// A point in 3-D space. The `z` axis carries either altitude (metres) or a
 /// scaled timestamp, depending on the error metric in use (paper §V-G).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Point3 {
     /// Easting in metres.
     pub x: f64,
@@ -192,7 +191,7 @@ impl Point3 {
 /// A planar point with a timestamp, the unit of work for the 2-D compressors.
 ///
 /// Timestamps are seconds since an arbitrary epoch; only differences matter.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct TimedPoint {
     /// Position in the metric frame.
     pub pos: Point2,
@@ -231,7 +230,7 @@ impl TimedPoint {
 
 /// A raw GPS fix exactly as the paper defines a location point:
 /// `⟨latitude, longitude, timestamp⟩` (§IV).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LocationPoint {
     /// Latitude in degrees, positive north.
     pub latitude: f64,
@@ -309,9 +308,6 @@ mod tests {
         assert_eq!(b.speed_to(a), None); // dt < 0
     }
 
-    // NOTE: the serde round-trip test is parked until the workspace builds
-    // against the real serde (the offline build vendors a no-op derive
-    // shim; see shims/serde). Equality semantics are still covered here.
     #[test]
     fn copy_and_equality_semantics() {
         let p = TimedPoint::new(1.5, -2.5, 99.0);

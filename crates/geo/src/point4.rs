@@ -2,10 +2,8 @@
 //! paper proposes as future work (§VII: "Exploring the potential of a 4-D
 //! BQS"), where a sample is `⟨x, y, altitude, scaled time⟩`.
 
-use serde::{Deserialize, Serialize};
-
 /// A point in 4-space: planar position, altitude, and (scaled) time.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Point4 {
     /// Easting, metres.
     pub x: f64,
@@ -95,7 +93,7 @@ impl Point4 {
 }
 
 /// An infinite line in 4-space through two anchors.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Line4 {
     /// First anchor.
     pub a: Point4,
@@ -126,7 +124,7 @@ impl Line4 {
 }
 
 /// An axis-aligned 4-D box.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Box4 {
     /// Smallest corner.
     pub min: Point4,

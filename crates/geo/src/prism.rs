@@ -2,11 +2,10 @@
 
 use crate::line::Line3;
 use crate::point::Point3;
-use serde::{Deserialize, Serialize};
 
 /// An axis-aligned rectangular prism; the 3-D analogue of [`crate::Rect`]
 /// used by the 3-D BQS to bound the buffered points of one octant.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Prism {
     /// Smallest corner.
     pub min: Point3,

@@ -9,7 +9,6 @@
 
 use crate::point::{LocationPoint, Point2, TimedPoint};
 use crate::{GeoError, GeoResult};
-use serde::{Deserialize, Serialize};
 
 /// WGS-84 semi-major axis (metres).
 pub const WGS84_A: f64 = 6_378_137.0;
@@ -23,7 +22,7 @@ pub const UTM_FALSE_EASTING: f64 = 500_000.0;
 pub const UTM_FALSE_NORTHING_SOUTH: f64 = 10_000_000.0;
 
 /// A UTM zone: longitudinal band 1–60 plus hemisphere.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct UtmZone {
     /// Zone number, 1–60.
     pub number: u8,
@@ -52,7 +51,7 @@ impl UtmZone {
 }
 
 /// A projected UTM coordinate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UtmCoord {
     /// Easting in metres (false easting applied).
     pub easting: f64,

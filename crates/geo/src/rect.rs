@@ -3,14 +3,13 @@
 use crate::line::Line2;
 use crate::point::Point2;
 use crate::vec2::Vec2;
-use serde::{Deserialize, Serialize};
 
 /// An axis-aligned, possibly degenerate rectangle.
 ///
 /// Inside a BQS quadrant this is the minimum bounding rectangle of the
 /// buffered points (paper §V-A step 2); its four vertices `c1..c4` are the
 /// corner significant points.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Rect {
     /// Smallest x/y corner.
     pub min: Point2,

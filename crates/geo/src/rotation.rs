@@ -2,11 +2,10 @@
 
 use crate::point::Point2;
 use crate::vec2::Vec2;
-use serde::{Deserialize, Serialize};
 
 /// A rotation about the origin, stored as the cosine/sine pair so repeated
 /// application costs four multiplications and no trigonometry.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Rot2 {
     cos: f64,
     sin: f64,

@@ -1,6 +1,5 @@
 //! Planar vectors.
 
-use serde::{Deserialize, Serialize};
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 
 /// A two-dimensional vector with `f64` components, in metres unless stated
@@ -8,7 +7,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 ///
 /// `Vec2` is the displacement counterpart of [`crate::Point2`]; subtracting two
 /// points yields a `Vec2`.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Vec2 {
     /// Easting component.
     pub x: f64,

@@ -1,11 +1,10 @@
 //! Trace containers and (de)serialisation.
 
 use bqs_geo::{path_length, Point2, Rect, TimedPoint};
-use serde::{Deserialize, Serialize};
 
 /// A named point stream with summary statistics — the unit every generator
 /// produces and every experiment consumes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Trace {
     /// Human-readable dataset name ("bat", "vehicle", "synthetic", ...).
     pub name: String,

@@ -743,11 +743,76 @@ pub fn decode_columns(bytes: &[u8]) -> Result<ColumnarBatch, CodecError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bqs_core::stream::CountingSink;
+    use bqs_core::stream::{compress_all, CountingSink};
+    use bqs_core::{BqsConfig, FastBqsCompressor};
+    use bqs_sim::dataset;
 
     fn roundtrip(points: &[TimedPoint]) -> Vec<TimedPoint> {
         let bytes = encode_to_vec(points).expect("encode");
         decode_to_vec(&bytes).expect("decode")
+    }
+
+    fn assert_bit_exact(a: &[TimedPoint], b: &[TimedPoint]) {
+        assert_eq!(a.len(), b.len());
+        for (p, q) in a.iter().zip(b) {
+            assert_eq!(p.pos.x.to_bits(), q.pos.x.to_bits());
+            assert_eq!(p.pos.y.to_bits(), q.pos.y.to_bits());
+            assert_eq!(p.t.to_bits(), q.t.to_bits());
+        }
+    }
+
+    /// The paper's vehicle dataset (road motion under metre-scale GPS
+    /// noise) at the size and seed `bqs experiments` uses by default.
+    fn vehicle_points() -> Vec<TimedPoint> {
+        dataset::vehicle_dataset_sized(20150413, 8).points
+    }
+
+    #[test]
+    fn millimetre_profile_stays_under_half_the_naive_layout_on_vehicle_data() {
+        let points = vehicle_points();
+        let n = points.len() as f64;
+        let exact = encode_to_vec(&points).unwrap();
+        let quantized = encode_to_vec_with(CodecProfile::millimetre(), &points).unwrap();
+        let exact_bpp = exact.len() as f64 / n;
+        let quantized_bpp = quantized.len() as f64 / n;
+        // Also undercuts the paper's 12 B centimetre flash record while
+        // storing 10× finer positions.
+        assert!(
+            quantized_bpp < NAIVE_POINT_BYTES as f64 / 2.0,
+            "mm grid: {quantized_bpp:.2} B/pt"
+        );
+        // The exact profile pays for the noise's entropy floor above the
+        // grid, but still beats the naive layout, and stays lossless.
+        assert!(
+            quantized_bpp < exact_bpp && exact_bpp < NAIVE_POINT_BYTES as f64 * 0.7,
+            "exact: {exact_bpp:.2} B/pt, mm grid: {quantized_bpp:.2} B/pt"
+        );
+        assert_bit_exact(&decode_to_vec(&exact).unwrap(), &points);
+    }
+
+    #[test]
+    fn exact_profile_round_trips_the_bat_dataset_bit_exactly() {
+        let bat = dataset::bat_dataset_sized(20150413, 2, 2).points;
+        assert!(!bat.is_empty());
+        assert_bit_exact(&roundtrip(&bat), &bat);
+    }
+
+    #[test]
+    fn compressing_before_encoding_compounds_the_saving() {
+        let points = vehicle_points();
+        let config = BqsConfig::new(10.0).unwrap();
+        let kept = compress_all(&mut FastBqsCompressor::new(config), points.iter().copied());
+        assert!(kept.len() < points.len());
+        let all_exact = encode_to_vec(&points).unwrap().len();
+        let kept_exact = encode_to_vec(&kept).unwrap().len();
+        assert!(kept_exact < all_exact, "{kept_exact} vs {all_exact} B");
+        // Below a quarter of the naive layout of every input point: under
+        // half of what the paper's 12 B record would take.
+        assert!(
+            kept_exact < NAIVE_POINT_BYTES * points.len() / 4,
+            "{kept_exact} B for {} input points",
+            points.len()
+        );
     }
 
     #[test]
@@ -892,13 +957,7 @@ mod tests {
                 TimedPoint::new((a * 0.13).sin() * 900.0, a * 21.7, a * 5.0)
             })
             .collect();
-        let back = roundtrip(&points);
-        assert_eq!(back.len(), points.len());
-        for (a, b) in points.iter().zip(&back) {
-            assert_eq!(a.pos.x.to_bits(), b.pos.x.to_bits());
-            assert_eq!(a.pos.y.to_bits(), b.pos.y.to_bits());
-            assert_eq!(a.t.to_bits(), b.t.to_bits());
-        }
+        assert_bit_exact(&roundtrip(&points), &points);
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //! grid cell — `0.5 / xy_scale` per coordinate and `0.5 / t_scale` per
 //! timestamp (up to one part in 10⁸ of floating-point slack from the
 //! `v * scale` product). This is the 1 mm-grid guarantee
-//! (`CodecProfile::millimetre`, `scale = 1000`) that
-//! `experiments::storage` budgets against; here it is proved, not
-//! claimed, across scales from decimetre to 0.1 mm grids.
+//! (`CodecProfile::millimetre`, `scale = 1000`) whose bytes per point
+//! the codec's vehicle-data unit tests budget against; here it is
+//! proved, not claimed, across scales from decimetre to 0.1 mm grids.
 
 use bqs_geo::TimedPoint;
 use bqs_tlog::codec::{decode_to_vec, encode_to_vec_with, CodecProfile};
