@@ -4,10 +4,9 @@
 //! storage (latitude, longitude, timestamp)". The codec here packs exactly
 //! that: two 4-byte fixed-point coordinates (1e-7°, ≈ 1.1 cm at the
 //! equator) and a 4-byte second counter — lossless for every tolerance the
-//! paper considers.
+//! paper considers. All three fields are big-endian.
 
 use bqs_geo::LocationPoint;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 
 /// Bytes per encoded GPS record (Table II's 12-byte figure).
 pub const GPS_RECORD_BYTES: usize = 12;
@@ -45,27 +44,32 @@ pub struct SampleCodec;
 impl SampleCodec {
     /// Encodes a fix into 12 bytes. Timestamps must fit an unsigned 32-bit
     /// second counter (136 years — ample for a deployment epoch).
-    pub fn encode(fix: LocationPoint, out: &mut BytesMut) -> Result<(), StorageError> {
+    pub fn encode(fix: LocationPoint, out: &mut Vec<u8>) -> Result<(), StorageError> {
         if !(-90.0..=90.0).contains(&fix.latitude) || !(-180.0..=180.0).contains(&fix.longitude) {
             return Err(StorageError::OutOfRange);
         }
         if !fix.timestamp.is_finite() || fix.timestamp < 0.0 || fix.timestamp > u32::MAX as f64 {
             return Err(StorageError::OutOfRange);
         }
-        out.put_i32((fix.latitude * COORD_SCALE).round() as i32);
-        out.put_i32((fix.longitude * COORD_SCALE).round() as i32);
-        out.put_u32(fix.timestamp.round() as u32);
+        let lat = (fix.latitude * COORD_SCALE).round() as i32;
+        let lon = (fix.longitude * COORD_SCALE).round() as i32;
+        out.extend_from_slice(&lat.to_be_bytes());
+        out.extend_from_slice(&lon.to_be_bytes());
+        out.extend_from_slice(&(fix.timestamp.round() as u32).to_be_bytes());
         Ok(())
     }
 
-    /// Decodes one record.
-    pub fn decode(buf: &mut Bytes) -> Result<LocationPoint, StorageError> {
-        if buf.remaining() < GPS_RECORD_BYTES {
-            return Err(StorageError::Corrupt);
-        }
-        let lat = buf.get_i32() as f64 / COORD_SCALE;
-        let lon = buf.get_i32() as f64 / COORD_SCALE;
-        let ts = buf.get_u32() as f64;
+    /// Decodes the record at the front of `buf` and advances `buf` past
+    /// it.
+    pub fn decode(buf: &mut &[u8]) -> Result<LocationPoint, StorageError> {
+        let (record, rest) = buf
+            .split_first_chunk::<GPS_RECORD_BYTES>()
+            .ok_or(StorageError::Corrupt)?;
+        *buf = rest;
+        let field = |i: usize| [record[i], record[i + 1], record[i + 2], record[i + 3]];
+        let lat = i32::from_be_bytes(field(0)) as f64 / COORD_SCALE;
+        let lon = i32::from_be_bytes(field(4)) as f64 / COORD_SCALE;
+        let ts = u32::from_be_bytes(field(8)) as f64;
         Ok(LocationPoint::new(lat, lon, ts))
     }
 }
@@ -74,7 +78,7 @@ impl SampleCodec {
 #[derive(Debug, Clone)]
 pub struct FlashStorage {
     budget_bytes: usize,
-    data: BytesMut,
+    data: Vec<u8>,
 }
 
 impl FlashStorage {
@@ -82,7 +86,7 @@ impl FlashStorage {
     pub fn new(budget_bytes: usize) -> FlashStorage {
         FlashStorage {
             budget_bytes,
-            data: BytesMut::with_capacity(budget_bytes.min(1 << 20)),
+            data: Vec::with_capacity(budget_bytes.min(1 << 20)),
         }
     }
 
@@ -113,13 +117,10 @@ impl FlashStorage {
     /// Decodes the full contents back into fixes (the base-station side of
     /// the offload).
     pub fn read_all(&self) -> Result<Vec<LocationPoint>, StorageError> {
-        let mut buf = Bytes::copy_from_slice(&self.data);
+        let mut buf = &self.data[..];
         let mut out = Vec::with_capacity(self.record_count());
-        while buf.remaining() >= GPS_RECORD_BYTES {
+        while !buf.is_empty() {
             out.push(SampleCodec::decode(&mut buf)?);
-        }
-        if buf.has_remaining() {
-            return Err(StorageError::Corrupt);
         }
         Ok(out)
     }
@@ -131,9 +132,13 @@ mod tests {
 
     #[test]
     fn record_is_exactly_12_bytes() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         SampleCodec::encode(LocationPoint::new(-27.4698, 153.0251, 12345.0), &mut buf).unwrap();
         assert_eq!(buf.len(), GPS_RECORD_BYTES);
+        // Big-endian fields: lat −7, lon 258 (×1e-7°), t 0xBEEF s.
+        buf.clear();
+        SampleCodec::encode(LocationPoint::new(-0.0000007, 0.0000258, 48879.0), &mut buf).unwrap();
+        assert_eq!(buf, [0xFF, 0xFF, 0xFF, 0xF9, 0, 0, 1, 2, 0, 0, 0xBE, 0xEF]);
     }
 
     #[test]
@@ -144,10 +149,11 @@ mod tests {
             LocationPoint::new(0.0, 0.0, 1.0),
         ];
         for fix in fixes {
-            let mut buf = BytesMut::new();
+            let mut buf = Vec::new();
             SampleCodec::encode(fix, &mut buf).unwrap();
-            let mut bytes = buf.freeze();
+            let mut bytes = &buf[..];
             let back = SampleCodec::decode(&mut bytes).unwrap();
+            assert!(bytes.is_empty());
             assert!((back.latitude - fix.latitude).abs() < 1e-7);
             assert!((back.longitude - fix.longitude).abs() < 1e-7);
             assert_eq!(back.timestamp, fix.timestamp.round());
@@ -156,7 +162,7 @@ mod tests {
 
     #[test]
     fn rejects_out_of_range() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         assert_eq!(
             SampleCodec::encode(LocationPoint::new(91.0, 0.0, 0.0), &mut buf),
             Err(StorageError::OutOfRange)
@@ -173,7 +179,7 @@ mod tests {
 
     #[test]
     fn truncated_decode_fails() {
-        let mut short = Bytes::from_static(&[0u8; 5]);
+        let mut short = &[0u8; 5][..];
         assert_eq!(SampleCodec::decode(&mut short), Err(StorageError::Corrupt));
     }
 

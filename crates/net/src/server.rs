@@ -65,6 +65,7 @@ use bqs_geo::{ColumnarBatch, TimedPoint};
 use bqs_obs::{
     elapsed_us, Counter, FlightRecorder, Gauge, Histogram, MetricsRegistry, TraceEventKind,
 };
+use bqs_tlog::codec::{check_time, check_times, CodecError};
 use bqs_tlog::{
     prepare_spill_logs, LogConfig, Manifest, QueryEngine, SpillMetrics, SpillSink, TimeRange,
     TrajectoryLog,
@@ -1621,28 +1622,20 @@ enum After {
     },
 }
 
-/// Validates a batch's timestamp run against the codec's time invariant
-/// and the track's accepted watermark. The wire *decoder* cannot
-/// enforce this (only the encoder does), so without the check a crafted
-/// frame would be acked, reach the fleet, and poison the track's spill
-/// at session close — losing the whole shard's durable output.
-fn validate_times(times: &[f64], watermark: Option<f64>) -> Result<(), String> {
-    let mut prev = watermark;
-    for (i, &t) in times.iter().enumerate() {
-        if !t.is_finite() {
-            return Err(format!("timestamp at index {i} is not finite"));
+/// Validates an `Append` batch's timestamps with the codec's time-order
+/// rule, the first one measured against `floor` (the track's accepted
+/// watermark, or `f64::NEG_INFINITY` for none). The wire *decoder*
+/// cannot enforce this (only the encoder does), so without the check a
+/// crafted frame would be acked, reach the fleet, and poison the
+/// track's spill at session close — losing the whole shard's durable
+/// output.
+fn validate_times(times: &[f64], floor: f64) -> Result<(), String> {
+    check_times(times.iter().copied(), floor).map_err(|e| match e {
+        CodecError::NonMonotonicTimestamps { .. } => {
+            format!("{e} (the track's accepted stream is time-ordered)")
         }
-        if let Some(prev) = prev {
-            if t < prev {
-                return Err(format!(
-                    "timestamp at index {i} goes backwards: {t} < {prev} \
-                     (the track's accepted stream is time-ordered)"
-                ));
-            }
-        }
-        prev = Some(t);
-    }
-    Ok(())
+        e => e.to_string(),
+    })
 }
 
 /// Serves one frame payload: the columnar `Append` fast path first
@@ -1695,19 +1688,30 @@ fn handle_append_columns(
         return (shutting_down_error(), After::Close);
     };
     let n = batch.len() as u64;
+    // Bounded-lateness ingest: the batch must still be sorted within
+    // itself, but its start may fall up to the window behind the track's
+    // watermark instead of never — only in-order ingest seeds the check
+    // with the watermark.
+    let floor = match state.reorder {
+        Some(_) => f64::NEG_INFINITY,
+        None => state
+            .last_t
+            .get(&track)
+            .copied()
+            .unwrap_or(f64::NEG_INFINITY),
+    };
+    if let Err(message) = validate_times(&batch.t, floor) {
+        // Semantically invalid but well-framed: the batch is rejected
+        // whole and the connection survives.
+        return (
+            Reply::Error {
+                code: ErrorCode::BadRequest,
+                message,
+            },
+            After::Continue,
+        );
+    }
     if state.reorder.is_some() {
-        // Bounded-lateness ingest: the batch must still be sorted
-        // within itself, but its start may fall up to the window
-        // behind the track's watermark instead of never.
-        if let Err(message) = validate_times(&batch.t, None) {
-            return (
-                Reply::Error {
-                    code: ErrorCode::BadRequest,
-                    message,
-                },
-                After::Continue,
-            );
-        }
         return match submit_reordered(state, track, &batch.to_points(), shared) {
             Ok(()) => {
                 drop(guard);
@@ -1729,17 +1733,6 @@ fn handle_append_columns(
                 )
             }
         };
-    }
-    if let Err(message) = validate_times(&batch.t, state.last_t.get(&track).copied()) {
-        // Semantically invalid but well-framed: the batch is rejected
-        // whole and the connection survives.
-        return (
-            Reply::Error {
-                code: ErrorCode::BadRequest,
-                message,
-            },
-            After::Continue,
-        );
     }
     if let Some(&last) = batch.t.last() {
         state.last_t.insert(track, last);
@@ -1831,11 +1824,22 @@ fn handle_append_late(
     shared: &Shared,
     conn: u64,
 ) -> (Reply, After) {
-    if let Some(i) = points.iter().position(|p| !p.t.is_finite()) {
+    // A late batch may be disordered — that is what the reorder buffer
+    // is for — but not non-finite; a backfill batch becomes one durable
+    // record, so it must also be sorted within itself.
+    let times = points.iter().map(|p| p.t);
+    let checked = if backfill {
+        check_times(times, f64::NEG_INFINITY)
+    } else {
+        (0..)
+            .zip(times)
+            .try_for_each(|(i, t)| check_time(f64::NEG_INFINITY, t, i))
+    };
+    if let Err(e) = checked {
         return (
             Reply::Error {
                 code: ErrorCode::BadRequest,
-                message: format!("timestamp at index {i} is not finite"),
+                message: e.to_string(),
             },
             After::Continue,
         );
@@ -1849,20 +1853,6 @@ fn handle_append_late(
         return (shutting_down_error(), After::Close);
     };
     if backfill {
-        // One accepted batch becomes one flagged backfill record, so
-        // it must be sorted within itself like any durable record.
-        if let Some(i) = (1..points.len()).find(|&i| points[i].t < points[i - 1].t) {
-            return (
-                Reply::Error {
-                    code: ErrorCode::BadRequest,
-                    message: format!(
-                        "backfill batch must be time-sorted within itself: \
-                         timestamp at index {i} goes backwards"
-                    ),
-                },
-                After::Continue,
-            );
-        }
         state
             .backfill
             .entry(track)

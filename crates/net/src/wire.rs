@@ -21,8 +21,9 @@
 //!
 //! The body reuses the primitives of `bqs_tlog`'s storage codec:
 //! LEB128 varints ([`bqs_tlog::codec::write_varint`]) for every integer
-//! field, raw little-endian IEEE-754 bits for floats (infinities are
-//! legal time bounds), and whole point streams as embedded
+//! field, raw little-endian IEEE-754 bits for floats
+//! ([`bqs_tlog::codec::write_f64`]; infinities are legal time bounds),
+//! and whole point streams as length-prefixed embedded
 //! [`bqs_tlog::codec::encode_points`] payloads — the same
 //! delta-of-delta encoding over the order-preserving f64 bit map that
 //! the durable log stores, so a batch of GPS fixes costs a few bytes
@@ -36,8 +37,8 @@ use bqs_core::stream::DecisionStats;
 use bqs_geo::{ColumnarBatch, TimedPoint};
 use bqs_obs::{TraceEvent, TraceEventKind};
 use bqs_tlog::codec::{
-    decode_columns_into, decode_to_vec, encode_columns, encode_points, read_varint, write_varint,
-    CodecError,
+    decode_columns_into, decode_to_vec, encode_columns, encode_points, read_f64, read_varint,
+    write_f64, write_varint, CodecError,
 };
 use bqs_tlog::crc::crc32;
 use bqs_tlog::TrackSlice;
@@ -461,21 +462,6 @@ const SUB_KIND_SUBSCRIBED: u8 = 0;
 const SUB_KIND_POINTS: u8 = 1;
 const SUB_KIND_END: u8 = 2;
 
-fn write_f64(v: f64, out: &mut Vec<u8>) {
-    out.extend_from_slice(&v.to_bits().to_le_bytes());
-}
-
-fn read_f64(bytes: &[u8], pos: &mut usize) -> Result<f64, WireError> {
-    let end = pos
-        .checked_add(8)
-        .filter(|&e| e <= bytes.len())
-        .ok_or(WireError::Truncated { offset: *pos })?;
-    let mut b = [0u8; 8];
-    b.copy_from_slice(&bytes[*pos..end]);
-    *pos = end;
-    Ok(f64::from_bits(u64::from_le_bytes(b)))
-}
-
 fn read_byte(bytes: &[u8], pos: &mut usize) -> Result<u8, WireError> {
     let &b = bytes
         .get(*pos)
@@ -484,23 +470,38 @@ fn read_byte(bytes: &[u8], pos: &mut usize) -> Result<u8, WireError> {
     Ok(b)
 }
 
-fn write_points(points: &[TimedPoint], out: &mut Vec<u8>) -> Result<(), WireError> {
-    let mut blob = Vec::with_capacity(2 + points.len() * 4);
-    encode_points(points, &mut blob)?;
+/// Writes a varint-length-prefixed codec blob of `points` points,
+/// which `encode` appends to the buffer it is handed.
+fn write_blob(
+    points: usize,
+    out: &mut Vec<u8>,
+    encode: impl FnOnce(&mut Vec<u8>) -> Result<(), CodecError>,
+) -> Result<(), WireError> {
+    let mut blob = Vec::with_capacity(2 + points * 4);
+    encode(&mut blob)?;
     write_varint(blob.len() as u64, out);
     out.extend_from_slice(&blob);
     Ok(())
 }
 
-fn read_points(bytes: &[u8], pos: &mut usize) -> Result<Vec<TimedPoint>, WireError> {
+/// Reads a varint-length-prefixed byte run (a codec blob or a string),
+/// advancing `*pos` past it.
+fn read_blob<'a>(bytes: &'a [u8], pos: &mut usize) -> Result<&'a [u8], WireError> {
     let len = read_varint(bytes, pos)? as usize;
-    let end = pos
+    let blob = pos
         .checked_add(len)
-        .filter(|&e| e <= bytes.len())
+        .and_then(|end| bytes.get(*pos..end))
         .ok_or(WireError::Truncated { offset: *pos })?;
-    let points = decode_to_vec(&bytes[*pos..end]).map_err(WireError::Codec)?;
-    *pos = end;
-    Ok(points)
+    *pos += len;
+    Ok(blob)
+}
+
+fn write_points(points: &[TimedPoint], out: &mut Vec<u8>) -> Result<(), WireError> {
+    write_blob(points.len(), out, |blob| encode_points(points, blob))
+}
+
+fn read_points(bytes: &[u8], pos: &mut usize) -> Result<Vec<TimedPoint>, WireError> {
+    decode_to_vec(read_blob(bytes, pos)?).map_err(WireError::Codec)
 }
 
 /// Raw (uncompressed) point stream: varint count, then `t, x, y` as
@@ -535,13 +536,7 @@ fn write_string(s: &str, out: &mut Vec<u8>) {
 }
 
 fn read_string(bytes: &[u8], pos: &mut usize) -> Result<String, WireError> {
-    let len = read_varint(bytes, pos)? as usize;
-    let end = pos
-        .checked_add(len)
-        .filter(|&e| e <= bytes.len())
-        .ok_or(WireError::Truncated { offset: *pos })?;
-    let s = std::str::from_utf8(&bytes[*pos..end]).map_err(|_| WireError::BadUtf8)?;
-    *pos = end;
+    let s = std::str::from_utf8(read_blob(bytes, pos)?).map_err(|_| WireError::BadUtf8)?;
     Ok(s.to_string())
 }
 
@@ -1009,13 +1004,8 @@ pub fn decode_append_columns(
     }
     let mut pos = 1usize;
     let track = read_varint(payload, &mut pos)?;
-    let len = read_varint(payload, &mut pos)? as usize;
-    let end = pos
-        .checked_add(len)
-        .filter(|&e| e <= payload.len())
-        .ok_or(WireError::Truncated { offset: pos })?;
-    decode_columns_into(&payload[pos..end], batch).map_err(WireError::Codec)?;
-    check_consumed(payload, end)?;
+    decode_columns_into(read_blob(payload, &mut pos)?, batch).map_err(WireError::Codec)?;
+    check_consumed(payload, pos)?;
     Ok(Some(track))
 }
 
@@ -1025,13 +1015,9 @@ pub fn decode_append_columns(
 /// [`decode_append_columns`]. Fails when the batch violates the codec's
 /// time-order invariant.
 pub fn encode_append_columns(track: u64, batch: &ColumnarBatch) -> Result<Vec<u8>, WireError> {
-    let mut out = Vec::new();
-    out.push(TAG_APPEND);
+    let mut out = vec![TAG_APPEND];
     write_varint(track, &mut out);
-    let mut blob = Vec::with_capacity(2 + batch.len() * 4);
-    encode_columns(batch, &mut blob)?;
-    write_varint(blob.len() as u64, &mut out);
-    out.extend_from_slice(&blob);
+    write_blob(batch.len(), &mut out, |blob| encode_columns(batch, blob))?;
     Ok(out)
 }
 

@@ -6,6 +6,7 @@ use bqs_core::stream::compress_all;
 use bqs_core::{BqsConfig, FastBqsCompressor};
 use bqs_net::wire::{frame_to_vec, read_frame, write_frame, ErrorCode, Reply};
 use bqs_net::{BqsClient, NetError, Server, ServerConfig};
+use bqs_tlog::codec::{ulp_map, write_f64, write_varint, zigzag};
 use bqs_tlog::{LogConfig, TrajectoryLog};
 use std::io::Write;
 use std::net::TcpStream;
@@ -284,6 +285,91 @@ fn batches_violating_the_track_watermark_are_rejected_without_poisoning_the_spil
     assert_eq!(report.spilled_sessions, 1);
     bqs_tlog::verify_sharded(&root).expect("tree verifies");
     let _ = std::fs::remove_dir_all(&root);
+}
+
+/// An `Append` payload carrying a hand-built exact-profile blob of two
+/// points, `a` then `b`: a stream the encoder refuses to write.
+fn crafted_append(track: u64, a: [f64; 3], b: [f64; 3]) -> Vec<u8> {
+    let mut blob = vec![bqs_tlog::CODEC_VERSION, 0]; // version, exact mode
+    a.iter().for_each(|&v| write_f64(v, &mut blob));
+    // The second point's delta-of-delta is its delta from the anchor.
+    for (v, w) in a.into_iter().zip(b) {
+        write_varint(
+            zigzag(ulp_map(w).wrapping_sub(ulp_map(v)) as i64),
+            &mut blob,
+        );
+    }
+    let mut payload = vec![0x02]; // the `Append` tag, docs/protocol.md
+    write_varint(track, &mut payload);
+    write_varint(blob.len() as u64, &mut payload);
+    payload.extend_from_slice(&blob);
+    payload
+}
+
+#[test]
+fn crafted_appends_breaking_the_time_rule_are_bad_requests_under_any_lateness() {
+    for lateness in [0.0, 30.0] {
+        let root = temp_root("crafted");
+        let mut config = ServerConfig::new("127.0.0.1:0", 2, &root);
+        config.lateness = lateness;
+        let server = Server::bind(config).expect("bind");
+        let addr = server.local_addr();
+        let handle = std::thread::spawn(move || server.run().expect("serve"));
+        let mut raw = TcpStream::connect(addr).expect("connect raw");
+        let mut reader = std::io::BufReader::new(raw.try_clone().unwrap());
+        let mut send = |payload: Vec<u8>| {
+            write_frame(&mut raw, &payload).unwrap();
+            Reply::decode(&read_frame(&mut reader).unwrap().expect("a reply")).unwrap()
+        };
+        let hello = bqs_net::Request::Hello {
+            protocol: bqs_net::PROTOCOL_VERSION,
+        };
+        assert!(matches!(
+            send(hello.encode().unwrap()),
+            Reply::HelloOk { .. }
+        ));
+
+        for (a, b, message) in [
+            (
+                [0.0, 0.0, 20.0],
+                [1.0, 0.0, 15.0],
+                "timestamp at index 1 goes backwards: 15 < 20 \
+                 (the track's accepted stream is time-ordered)",
+            ),
+            (
+                [0.0, 0.0, 10.0],
+                [1.0, 0.0, f64::NAN],
+                "timestamp at index 1 is not finite",
+            ),
+        ] {
+            let expected = Reply::Error {
+                code: ErrorCode::BadRequest,
+                message: message.to_string(),
+            };
+            assert_eq!(
+                send(crafted_append(7, a, b)),
+                expected,
+                "lateness {lateness}"
+            );
+        }
+
+        // The connection survives and the track still takes valid data.
+        let valid = bqs_net::Request::Append {
+            track: 7,
+            points: wave(7, 20),
+        };
+        let appended = Reply::Appended {
+            track: 7,
+            points: 20,
+        };
+        assert_eq!(send(valid.encode().unwrap()), appended);
+        let shutdown = bqs_net::Request::Shutdown.encode().unwrap();
+        assert!(matches!(send(shutdown), Reply::ShuttingDown { .. }));
+        let report = handle.join().expect("server thread");
+        assert_eq!(report.appended_points, 20, "lateness {lateness}");
+        bqs_tlog::verify_sharded(&root).expect("tree verifies");
+        let _ = std::fs::remove_dir_all(&root);
+    }
 }
 
 #[test]

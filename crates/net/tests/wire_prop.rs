@@ -10,7 +10,7 @@ use bqs_net::wire::{
     QueryReport, QuerySpec, Reply, Request, ShardStat, StatsReport, WireError, HEADER_BYTES,
     PROTOCOL_VERSION,
 };
-use bqs_tlog::codec::{encode_columns, encode_points};
+use bqs_tlog::codec::{encode_columns_with, encode_points_with, CodecProfile};
 use bqs_tlog::TrackSlice;
 use proptest::prelude::*;
 
@@ -254,8 +254,11 @@ proptest! {
     }
 
     /// The columnar fast path is byte-for-byte the row path, end to
-    /// end: codec blob, `Append` payload, and the decoded batch — for
-    /// arbitrary tracks and batch sizes (empty included).
+    /// end: codec blob (both profiles), `Append` payload, and the
+    /// decoded batch — for arbitrary tracks and batch sizes (empty
+    /// included). On an invalid batch — a backwards `t`, a NaN `t`, an
+    /// x off the quantized grid — both entry points refuse with the same
+    /// error and leave their output untouched.
     #[test]
     fn columnar_append_path_is_byte_identical_to_the_row_path(
         seed in 0u64..1_000_000,
@@ -265,19 +268,43 @@ proptest! {
         let pts = points(seed, n);
         let batch = ColumnarBatch::from_points(&pts);
 
-        // Codec layer: identical bytes.
-        let mut row = Vec::new();
-        encode_points(&pts, &mut row).expect("row encode");
-        let mut col = Vec::new();
-        encode_columns(&batch, &mut col).expect("columnar encode");
-        prop_assert_eq!(&row, &col);
+        let mut cases = vec![pts.clone()];
+        if n >= 2 {
+            let i = 1 + seed as usize % (n - 1);
+            let mut backwards = pts.clone();
+            backwards[i].t = pts[i - 1].t - 1.0;
+            let mut nan = pts.clone();
+            nan[i].t = f64::NAN;
+            let mut off_grid = pts.clone();
+            off_grid[i].pos.x = 1e300;
+            cases.extend([backwards, nan, off_grid]);
+        }
+        let prefix = vec![0xA5; seed as usize % 5];
+        for case in &cases {
+            let case_batch = ColumnarBatch::from_points(case);
+            // Codec layer: identical bytes, or identical refusals that
+            // write nothing.
+            for profile in [CodecProfile::Exact, CodecProfile::millimetre()] {
+                let mut row = prefix.clone();
+                let row_result = encode_points_with(profile, case, &mut row);
+                let mut col = prefix.clone();
+                let col_result = encode_columns_with(profile, &case_batch, &mut col);
+                prop_assert_eq!(row_result, col_result);
+                prop_assert_eq!(&row, &col);
+                if row_result.is_err() {
+                    prop_assert_eq!(&row, &prefix);
+                }
+            }
+            // Wire layer: identical `Append` payloads or refusals.
+            prop_assert_eq!(
+                Request::Append { track, points: case.clone() }.encode(),
+                encode_append_columns(track, &case_batch)
+            );
+        }
 
-        // Wire layer: identical `Append` payloads...
         let row_payload = Request::Append { track, points: pts.clone() }
             .encode()
             .expect("row payload");
-        let col_payload = encode_append_columns(track, &batch).expect("columnar payload");
-        prop_assert_eq!(&row_payload, &col_payload);
 
         // ...and the fast-path decoder recovers exactly the batch.
         let mut decoded = ColumnarBatch::new();

@@ -41,9 +41,28 @@
 //! self-describing independent of the segment container (see
 //! `docs/format.md` for the full wire format).
 //!
+//! ## One encoder, one decoder
+//!
+//! There is one encoder loop and one decoder loop; each profile is a
+//! match arm that hands the loop its mapping (the bit map or the grid),
+//! and the layouts are adapters over them. The encoder reads any
+//! iterator of points — a row slice ([`encode_points`]) or a
+//! [`ColumnarBatch`] ([`encode_columns`]) — so the two layouts produce
+//! the same bytes by construction. The decoder hands each point to an
+//! emitter closure, which pushes a row ([`decode_to_vec`],
+//! [`decode_points`]) or three columns ([`decode_columns_into`]).
+//! Neither side copies points into the other layout.
+//!
+//! ## Errors
+//!
 //! Encoding *rejects* streams whose timestamps go backwards or are not
 //! finite — the log's index and the reconstruction layer both rely on
-//! time-ordered records — with a typed [`CodecError`].
+//! time-ordered records — with a typed [`CodecError`]. [`check_time`] is
+//! that rule, and [`check_times`] applies it to a run that is checked
+//! without being encoded (the ingest server's batches). Every encoder
+//! entry point has one error contract: on any error, `out` is truncated
+//! back to the length it had on entry, so a refused stream leaves no
+//! prefix behind.
 
 use bqs_core::stream::Sink;
 use bqs_geo::{ColumnarBatch, TimedPoint};
@@ -290,6 +309,28 @@ pub fn read_varint(bytes: &[u8], pos: &mut usize) -> Result<u64, CodecError> {
     }
 }
 
+/// Appends a double as its raw IEEE-754 bits, little-endian (8 bytes) —
+/// the fixed-width field of codec anchors, profile scales and record
+/// headers.
+#[inline]
+pub fn write_f64(v: f64, out: &mut Vec<u8>) {
+    out.extend_from_slice(&v.to_bits().to_le_bytes());
+}
+
+/// Reads a double written by [`write_f64`] starting at `*pos`,
+/// advancing it.
+#[inline]
+pub fn read_f64(bytes: &[u8], pos: &mut usize) -> Result<f64, CodecError> {
+    let field = pos
+        .checked_add(8)
+        .and_then(|end| bytes.get(*pos..end))
+        .ok_or(CodecError::Truncated { offset: *pos })?;
+    let mut b = [0u8; 8];
+    b.copy_from_slice(field);
+    *pos += 8;
+    Ok(f64::from_bits(u64::from_le_bytes(b)))
+}
+
 /// Per-field delta-of-delta state in mapped-integer space.
 #[derive(Debug, Clone, Copy, Default)]
 struct FieldState {
@@ -329,18 +370,34 @@ impl FieldState {
     }
 }
 
-/// Validates the timestamp of point `index` against its predecessor.
+/// The codec's time-order rule for point `index`: its timestamp `t` must
+/// be finite and not below `prev`, its predecessor's (pass
+/// `f64::NEG_INFINITY` when there is none, which leaves only the
+/// finiteness check).
 #[inline]
-fn check_time(prev_t: f64, t: f64, index: usize) -> Result<(), CodecError> {
+pub fn check_time(prev: f64, t: f64, index: usize) -> Result<(), CodecError> {
     if !t.is_finite() {
         return Err(CodecError::NonFiniteTimestamp { index });
     }
-    if t < prev_t {
+    if t < prev {
         return Err(CodecError::NonMonotonicTimestamps {
             index,
-            prev: prev_t,
+            prev,
             next: t,
         });
+    }
+    Ok(())
+}
+
+/// Applies [`check_time`] to a whole timestamp run, the first one
+/// measured against `floor` (a track's accepted watermark, or
+/// `f64::NEG_INFINITY` for none) — for runs that are checked without
+/// being encoded. Indices in the error count from the run's start.
+pub fn check_times(times: impl IntoIterator<Item = f64>, floor: f64) -> Result<(), CodecError> {
+    let mut prev = floor;
+    for (index, t) in times.into_iter().enumerate() {
+        check_time(prev, t, index)?;
+        prev = t;
     }
     Ok(())
 }
@@ -348,7 +405,8 @@ fn check_time(prev_t: f64, t: f64, index: usize) -> Result<(), CodecError> {
 /// Encodes a point stream with the bit-lossless [`CodecProfile::Exact`]
 /// profile — the durable log's default. Timestamps must be finite and
 /// non-decreasing; positions may be any bit pattern. An empty stream
-/// encodes to just the version and mode bytes.
+/// encodes to just the version and mode bytes. On error, `out` is left
+/// as it was on entry.
 pub fn encode_points(points: &[TimedPoint], out: &mut Vec<u8>) -> Result<(), CodecError> {
     encode_points_with(CodecProfile::Exact, points, out)
 }
@@ -359,65 +417,7 @@ pub fn encode_points_with(
     points: &[TimedPoint],
     out: &mut Vec<u8>,
 ) -> Result<(), CodecError> {
-    profile.validate()?;
-    out.reserve(2 + points.len() * 8);
-    out.push(CODEC_VERSION);
-    match profile {
-        CodecProfile::Exact => {
-            out.push(MODE_EXACT);
-            let Some(first) = points.first() else {
-                return Ok(());
-            };
-            if !first.t.is_finite() {
-                return Err(CodecError::NonFiniteTimestamp { index: 0 });
-            }
-            out.extend_from_slice(&first.pos.x.to_bits().to_le_bytes());
-            out.extend_from_slice(&first.pos.y.to_bits().to_le_bytes());
-            out.extend_from_slice(&first.t.to_bits().to_le_bytes());
-
-            let mut x = FieldState::start(ulp_map(first.pos.x));
-            let mut y = FieldState::start(ulp_map(first.pos.y));
-            let mut t = FieldState::start(ulp_map(first.t));
-            let mut prev_t = first.t;
-            for (i, p) in points.iter().enumerate().skip(1) {
-                check_time(prev_t, p.t, i)?;
-                prev_t = p.t;
-                write_varint(x.encode(ulp_map(p.pos.x)), out);
-                write_varint(y.encode(ulp_map(p.pos.y)), out);
-                write_varint(t.encode(ulp_map(p.t)), out);
-            }
-        }
-        CodecProfile::Quantized { xy_scale, t_scale } => {
-            out.push(MODE_QUANTIZED);
-            out.extend_from_slice(&xy_scale.to_bits().to_le_bytes());
-            out.extend_from_slice(&t_scale.to_bits().to_le_bytes());
-            let Some(first) = points.first() else {
-                return Ok(());
-            };
-            if !first.t.is_finite() {
-                return Err(CodecError::NonFiniteTimestamp { index: 0 });
-            }
-            let kx = quantize(first.pos.x, xy_scale, 0)?;
-            let ky = quantize(first.pos.y, xy_scale, 0)?;
-            let kt = quantize(first.t, t_scale, 0)?;
-            write_varint(zigzag(kx), out);
-            write_varint(zigzag(ky), out);
-            write_varint(zigzag(kt), out);
-
-            let mut x = FieldState::start(kx as u64);
-            let mut y = FieldState::start(ky as u64);
-            let mut t = FieldState::start(kt as u64);
-            let mut prev_t = first.t;
-            for (i, p) in points.iter().enumerate().skip(1) {
-                check_time(prev_t, p.t, i)?;
-                prev_t = p.t;
-                write_varint(x.encode(quantize(p.pos.x, xy_scale, i)? as u64), out);
-                write_varint(y.encode(quantize(p.pos.y, xy_scale, i)? as u64), out);
-                write_varint(t.encode(quantize(p.t, t_scale, i)? as u64), out);
-            }
-        }
-    }
-    Ok(())
+    encode(profile, points.iter().copied(), points.len(), out)
 }
 
 /// Convenience wrapper returning a fresh buffer (exact profile).
@@ -437,130 +437,10 @@ pub fn encode_to_vec_with(
     Ok(out)
 }
 
-/// Decodes a payload produced by [`encode_points`], replaying every point
-/// straight into `sink` (any [`Sink`] — a `Vec`, a counting sink, or a
-/// live compressor's input adapter). Returns the number of points
-/// decoded. The payload must be exactly one encoded stream: trailing
-/// garbage surfaces as [`CodecError::Truncated`] mid-varint or a bogus
-/// point, never as silent acceptance.
-pub fn decode_points(bytes: &[u8], sink: &mut dyn Sink) -> Result<usize, CodecError> {
-    let mut pos = 0usize;
-    let &version = bytes.get(pos).ok_or(CodecError::Truncated { offset: 0 })?;
-    pos += 1;
-    if version != CODEC_VERSION {
-        return Err(CodecError::UnsupportedVersion { found: version });
-    }
-    let &mode = bytes
-        .get(pos)
-        .ok_or(CodecError::Truncated { offset: pos })?;
-    pos += 1;
-    let read_f64 = |pos: &mut usize| -> Result<f64, CodecError> {
-        let end = pos
-            .checked_add(8)
-            .filter(|&e| e <= bytes.len())
-            .ok_or(CodecError::Truncated { offset: *pos })?;
-        let mut b = [0u8; 8];
-        b.copy_from_slice(&bytes[*pos..end]);
-        *pos = end;
-        Ok(f64::from_bits(u64::from_le_bytes(b)))
-    };
-    match mode {
-        MODE_EXACT => {
-            if pos == bytes.len() {
-                return Ok(0);
-            }
-            let first = TimedPoint::new(
-                read_f64(&mut pos)?,
-                read_f64(&mut pos)?,
-                read_f64(&mut pos)?,
-            );
-            let mut x = FieldState::start(ulp_map(first.pos.x));
-            let mut y = FieldState::start(ulp_map(first.pos.y));
-            let mut t = FieldState::start(ulp_map(first.t));
-            sink.push(first);
-            let mut count = 1usize;
-            while pos < bytes.len() {
-                let px = ulp_unmap(x.decode(read_varint(bytes, &mut pos)?));
-                let py = ulp_unmap(y.decode(read_varint(bytes, &mut pos)?));
-                let pt = ulp_unmap(t.decode(read_varint(bytes, &mut pos)?));
-                sink.push(TimedPoint::new(px, py, pt));
-                count += 1;
-            }
-            Ok(count)
-        }
-        MODE_QUANTIZED => {
-            let xy_scale = read_f64(&mut pos)?;
-            let t_scale = read_f64(&mut pos)?;
-            (CodecProfile::Quantized { xy_scale, t_scale }).validate()?;
-            if pos == bytes.len() {
-                return Ok(0);
-            }
-            let kx = unzigzag(read_varint(bytes, &mut pos)?);
-            let ky = unzigzag(read_varint(bytes, &mut pos)?);
-            let kt = unzigzag(read_varint(bytes, &mut pos)?);
-            let dequant = |k: i64, scale: f64| k as f64 / scale;
-            let mut x = FieldState::start(kx as u64);
-            let mut y = FieldState::start(ky as u64);
-            let mut t = FieldState::start(kt as u64);
-            sink.push(TimedPoint::new(
-                dequant(kx, xy_scale),
-                dequant(ky, xy_scale),
-                dequant(kt, t_scale),
-            ));
-            let mut count = 1usize;
-            while pos < bytes.len() {
-                let px = dequant(x.decode(read_varint(bytes, &mut pos)?) as i64, xy_scale);
-                let py = dequant(y.decode(read_varint(bytes, &mut pos)?) as i64, xy_scale);
-                let pt = dequant(t.decode(read_varint(bytes, &mut pos)?) as i64, t_scale);
-                sink.push(TimedPoint::new(px, py, pt));
-                count += 1;
-            }
-            Ok(count)
-        }
-        other => Err(CodecError::UnsupportedMode { found: other }),
-    }
-}
-
-/// Convenience wrapper decoding into a fresh `Vec`.
-pub fn decode_to_vec(bytes: &[u8]) -> Result<Vec<TimedPoint>, CodecError> {
-    let mut out = Vec::new();
-    decode_points(bytes, &mut out)?;
-    Ok(out)
-}
-
-// --- columnar fast paths ---------------------------------------------
-
-/// Validates a whole timestamp run in one contiguous pass — the
-/// columnar codec's replacement for the per-point [`check_time`] calls
-/// interleaved through the row encoder's hot loop.
-#[inline]
-fn check_time_run(t: &[f64]) -> Result<(), CodecError> {
-    let mut prev = f64::NEG_INFINITY;
-    for (i, &v) in t.iter().enumerate() {
-        if !v.is_finite() {
-            return Err(CodecError::NonFiniteTimestamp { index: i });
-        }
-        if v < prev {
-            return Err(CodecError::NonMonotonicTimestamps {
-                index: i,
-                prev,
-                next: v,
-            });
-        }
-        prev = v;
-    }
-    Ok(())
-}
-
-/// Encodes a columnar batch with the exact profile, producing bytes
-/// **identical** to [`encode_points`] on the same points in row form.
-///
-/// The wire format interleaves x, y, t varints per point, but the
-/// columnar encoder reads each field from its own contiguous run and
-/// hoists the time validation out of the per-point loop
-/// (`check_time_run`) — the shape the ingest server's `Append` fast
-/// path feeds straight from the socket. Unlike the row encoder, nothing
-/// is written to `out` when the batch is invalid.
+/// Encodes a columnar batch with the exact profile: the bytes
+/// [`encode_points`] writes for the same points in row form, read
+/// straight from the three columns — the shape the ingest client's
+/// `Append` path holds. Same error contract as [`encode_points`].
 ///
 /// # Panics
 ///
@@ -570,9 +450,9 @@ pub fn encode_columns(batch: &ColumnarBatch, out: &mut Vec<u8>) -> Result<(), Co
     encode_columns_with(CodecProfile::Exact, batch, out)
 }
 
-/// Encodes a columnar batch with an explicit profile; bytes are
-/// identical to [`encode_points_with`] on the same points in row form.
-/// See [`encode_columns`] for the differences in error behaviour.
+/// Encodes a columnar batch with an explicit profile; the bytes of
+/// [`encode_points_with`] on the same points in row form. Panics like
+/// [`encode_columns`].
 pub fn encode_columns_with(
     profile: CodecProfile,
     batch: &ColumnarBatch,
@@ -582,162 +462,207 @@ pub fn encode_columns_with(
         batch.x.len() == batch.t.len() && batch.y.len() == batch.t.len(),
         "columnar batch columns differ in length"
     );
+    encode(profile, batch.iter(), batch.len(), out)
+}
+
+/// The encoder every entry point adapts: `len` points from `points`,
+/// appended to `out`, which is truncated back to its entry length on
+/// any error.
+fn encode(
+    profile: CodecProfile,
+    points: impl IntoIterator<Item = TimedPoint>,
+    len: usize,
+    out: &mut Vec<u8>,
+) -> Result<(), CodecError> {
+    let entry_len = out.len();
+    encode_stream(profile, points, len, out).inspect_err(|_| out.truncate(entry_len))
+}
+
+fn encode_stream(
+    profile: CodecProfile,
+    points: impl IntoIterator<Item = TimedPoint>,
+    len: usize,
+    out: &mut Vec<u8>,
+) -> Result<(), CodecError> {
     profile.validate()?;
-    check_time_run(&batch.t)?;
-    let n = batch.len();
-    out.reserve(2 + n * 8);
+    out.reserve(2 + len * 8);
     out.push(CODEC_VERSION);
     match profile {
-        CodecProfile::Exact => {
-            out.push(MODE_EXACT);
-            if n == 0 {
-                return Ok(());
-            }
-            out.extend_from_slice(&batch.x[0].to_bits().to_le_bytes());
-            out.extend_from_slice(&batch.y[0].to_bits().to_le_bytes());
-            out.extend_from_slice(&batch.t[0].to_bits().to_le_bytes());
-            let mut x = FieldState::start(ulp_map(batch.x[0]));
-            let mut y = FieldState::start(ulp_map(batch.y[0]));
-            let mut t = FieldState::start(ulp_map(batch.t[0]));
-            for i in 1..n {
-                write_varint(x.encode(ulp_map(batch.x[i])), out);
-                write_varint(y.encode(ulp_map(batch.y[i])), out);
-                write_varint(t.encode(ulp_map(batch.t[i])), out);
-            }
-        }
+        CodecProfile::Exact => out.push(MODE_EXACT),
         CodecProfile::Quantized { xy_scale, t_scale } => {
             out.push(MODE_QUANTIZED);
-            out.extend_from_slice(&xy_scale.to_bits().to_le_bytes());
-            out.extend_from_slice(&t_scale.to_bits().to_le_bytes());
-            if n == 0 {
-                return Ok(());
-            }
-            let kx = quantize(batch.x[0], xy_scale, 0)?;
-            let ky = quantize(batch.y[0], xy_scale, 0)?;
-            let kt = quantize(batch.t[0], t_scale, 0)?;
-            write_varint(zigzag(kx), out);
-            write_varint(zigzag(ky), out);
-            write_varint(zigzag(kt), out);
-            let mut x = FieldState::start(kx as u64);
-            let mut y = FieldState::start(ky as u64);
-            let mut t = FieldState::start(kt as u64);
-            for i in 1..n {
-                write_varint(x.encode(quantize(batch.x[i], xy_scale, i)? as u64), out);
-                write_varint(y.encode(quantize(batch.y[i], xy_scale, i)? as u64), out);
-                write_varint(t.encode(quantize(batch.t[i], t_scale, i)? as u64), out);
-            }
+            write_f64(xy_scale, out);
+            write_f64(t_scale, out);
         }
     }
+    let mut points = points.into_iter();
+    let Some(first) = points.next() else {
+        return Ok(());
+    };
+    check_time(f64::NEG_INFINITY, first.t, 0)?;
+    // One profile dispatch per stream: each arm writes its anchor and
+    // runs its own copy of the delta loop, with its mapping inlined.
+    match profile {
+        CodecProfile::Exact => {
+            let map = |p: TimedPoint, _| Ok([ulp_map(p.pos.x), ulp_map(p.pos.y), ulp_map(p.t)]);
+            write_f64(first.pos.x, out);
+            write_f64(first.pos.y, out);
+            write_f64(first.t, out);
+            encode_deltas(first.t, map(first, 0)?, points, map, out)
+        }
+        CodecProfile::Quantized { xy_scale, t_scale } => {
+            let map = |p: TimedPoint, index| {
+                Ok([
+                    quantize(p.pos.x, xy_scale, index)? as u64,
+                    quantize(p.pos.y, xy_scale, index)? as u64,
+                    quantize(p.t, t_scale, index)? as u64,
+                ])
+            };
+            let anchor = map(first, 0)?;
+            write_varint(zigzag(anchor[0] as i64), out);
+            write_varint(zigzag(anchor[1] as i64), out);
+            write_varint(zigzag(anchor[2] as i64), out);
+            encode_deltas(first.t, anchor, points, map, out)
+        }
+    }
+}
+
+/// The delta loop behind every encoder: each point after the anchor (at
+/// time `anchor_t`, mapped to `anchor`) as the zig-zagged delta-of-delta
+/// varints of the integers `map` gives it.
+fn encode_deltas(
+    anchor_t: f64,
+    anchor: [u64; 3],
+    rest: impl Iterator<Item = TimedPoint>,
+    map: impl Fn(TimedPoint, usize) -> Result<[u64; 3], CodecError>,
+    out: &mut Vec<u8>,
+) -> Result<(), CodecError> {
+    let [mut x, mut y, mut t] = anchor.map(FieldState::start);
+    let mut prev_t = anchor_t;
+    for (index, p) in (1..).zip(rest) {
+        check_time(prev_t, p.t, index)?;
+        prev_t = p.t;
+        let [ux, uy, ut] = map(p, index)?;
+        write_varint(x.encode(ux), out);
+        write_varint(y.encode(uy), out);
+        write_varint(t.encode(ut), out);
+    }
     Ok(())
+}
+
+/// Decodes a payload produced by [`encode_points`], replaying every point
+/// straight into `sink` (any [`Sink`] — a `Vec`, a counting sink, or a
+/// live compressor's input adapter). Returns the number of points
+/// decoded. The payload must be exactly one encoded stream: trailing
+/// garbage surfaces as [`CodecError::Truncated`] mid-varint or a bogus
+/// point, never as silent acceptance.
+pub fn decode_points(bytes: &[u8], sink: &mut dyn Sink) -> Result<usize, CodecError> {
+    decode(bytes, |x, y, t| sink.push(TimedPoint::new(x, y, t)))
+}
+
+/// Convenience wrapper decoding into a fresh `Vec`.
+pub fn decode_to_vec(bytes: &[u8]) -> Result<Vec<TimedPoint>, CodecError> {
+    let mut out = Vec::new();
+    decode(bytes, |x, y, t| out.push(TimedPoint::new(x, y, t)))?;
+    Ok(out)
 }
 
 /// Decodes a payload produced by any encoder in this module straight
 /// into a columnar batch, **appending** to whatever `batch` already
 /// holds (clear it first to reuse its allocations). Returns the number
 /// of points decoded. Accepts exactly the payloads [`decode_points`]
-/// accepts and produces the same values — but lands them in three
-/// contiguous runs with no per-point [`Sink`] dispatch. On an error the
-/// batch may hold a partially appended prefix.
+/// accepts and produces the same values, landed in three contiguous
+/// runs. On an error the batch may hold a prefix of whole points.
 pub fn decode_columns_into(bytes: &[u8], batch: &mut ColumnarBatch) -> Result<usize, CodecError> {
-    let mut pos = 0usize;
-    let &version = bytes.get(pos).ok_or(CodecError::Truncated { offset: 0 })?;
-    pos += 1;
-    if version != CODEC_VERSION {
-        return Err(CodecError::UnsupportedVersion { found: version });
-    }
-    let &mode = bytes
-        .get(pos)
-        .ok_or(CodecError::Truncated { offset: pos })?;
-    pos += 1;
-    let read_f64 = |pos: &mut usize| -> Result<f64, CodecError> {
-        let end = pos
-            .checked_add(8)
-            .filter(|&e| e <= bytes.len())
-            .ok_or(CodecError::Truncated { offset: *pos })?;
-        let mut b = [0u8; 8];
-        b.copy_from_slice(&bytes[*pos..end]);
-        *pos = end;
-        Ok(f64::from_bits(u64::from_le_bytes(b)))
-    };
-    // A point costs at least three varint bytes after the anchor;
-    // reserving the upper bound keeps the hot loop reallocation-free.
-    let reserve = (bytes.len().saturating_sub(pos)) / 3 + 1;
+    // A point costs at least three varint bytes after the version and
+    // mode bytes; reserving that bound keeps the loop reallocation-free.
+    let reserve = bytes.len().saturating_sub(2) / 3 + 1;
     batch.x.reserve(reserve);
     batch.y.reserve(reserve);
     batch.t.reserve(reserve);
-    match mode {
-        MODE_EXACT => {
-            if pos == bytes.len() {
-                return Ok(0);
-            }
-            let fx = read_f64(&mut pos)?;
-            let fy = read_f64(&mut pos)?;
-            let ft = read_f64(&mut pos)?;
-            let mut x = FieldState::start(ulp_map(fx));
-            let mut y = FieldState::start(ulp_map(fy));
-            let mut t = FieldState::start(ulp_map(ft));
-            batch.x.push(fx);
-            batch.y.push(fy);
-            batch.t.push(ft);
-            let mut count = 1usize;
-            while pos < bytes.len() {
-                batch
-                    .x
-                    .push(ulp_unmap(x.decode(read_varint(bytes, &mut pos)?)));
-                batch
-                    .y
-                    .push(ulp_unmap(y.decode(read_varint(bytes, &mut pos)?)));
-                batch
-                    .t
-                    .push(ulp_unmap(t.decode(read_varint(bytes, &mut pos)?)));
-                count += 1;
-            }
-            Ok(count)
-        }
+    decode(bytes, |x, y, t| {
+        batch.x.push(x);
+        batch.y.push(y);
+        batch.t.push(t);
+    })
+}
+
+/// The decoder every entry point adapts: hands each point's `x, y, t`
+/// to `emit`, in stream order, and returns how many it emitted.
+fn decode(bytes: &[u8], emit: impl FnMut(f64, f64, f64)) -> Result<usize, CodecError> {
+    let &version = bytes.first().ok_or(CodecError::Truncated { offset: 0 })?;
+    if version != CODEC_VERSION {
+        return Err(CodecError::UnsupportedVersion { found: version });
+    }
+    let &mode = bytes.get(1).ok_or(CodecError::Truncated { offset: 1 })?;
+    let mut pos = 2usize;
+    let profile = match mode {
+        MODE_EXACT => CodecProfile::Exact,
         MODE_QUANTIZED => {
-            let xy_scale = read_f64(&mut pos)?;
-            let t_scale = read_f64(&mut pos)?;
-            (CodecProfile::Quantized { xy_scale, t_scale }).validate()?;
-            if pos == bytes.len() {
-                return Ok(0);
-            }
-            let kx = unzigzag(read_varint(bytes, &mut pos)?);
-            let ky = unzigzag(read_varint(bytes, &mut pos)?);
-            let kt = unzigzag(read_varint(bytes, &mut pos)?);
-            let dequant = |k: i64, scale: f64| k as f64 / scale;
-            let mut x = FieldState::start(kx as u64);
-            let mut y = FieldState::start(ky as u64);
-            let mut t = FieldState::start(kt as u64);
-            batch.x.push(dequant(kx, xy_scale));
-            batch.y.push(dequant(ky, xy_scale));
-            batch.t.push(dequant(kt, t_scale));
-            let mut count = 1usize;
-            while pos < bytes.len() {
-                batch.x.push(dequant(
-                    x.decode(read_varint(bytes, &mut pos)?) as i64,
-                    xy_scale,
-                ));
-                batch.y.push(dequant(
-                    y.decode(read_varint(bytes, &mut pos)?) as i64,
-                    xy_scale,
-                ));
-                batch.t.push(dequant(
-                    t.decode(read_varint(bytes, &mut pos)?) as i64,
-                    t_scale,
-                ));
-                count += 1;
-            }
-            Ok(count)
+            let profile = CodecProfile::Quantized {
+                xy_scale: read_f64(bytes, &mut pos)?,
+                t_scale: read_f64(bytes, &mut pos)?,
+            };
+            profile.validate()?;
+            profile
         }
-        other => Err(CodecError::UnsupportedMode { found: other }),
+        found => return Err(CodecError::UnsupportedMode { found }),
+    };
+    if pos == bytes.len() {
+        return Ok(0);
+    }
+    // One profile dispatch per stream, as in the encoder.
+    match profile {
+        CodecProfile::Exact => {
+            let anchor = [
+                ulp_map(read_f64(bytes, &mut pos)?),
+                ulp_map(read_f64(bytes, &mut pos)?),
+                ulp_map(read_f64(bytes, &mut pos)?),
+            ];
+            let unmap = |[x, y, t]: [u64; 3]| (ulp_unmap(x), ulp_unmap(y), ulp_unmap(t));
+            decode_deltas(bytes, pos, anchor, unmap, emit)
+        }
+        CodecProfile::Quantized { xy_scale, t_scale } => {
+            let anchor = [
+                unzigzag(read_varint(bytes, &mut pos)?) as u64,
+                unzigzag(read_varint(bytes, &mut pos)?) as u64,
+                unzigzag(read_varint(bytes, &mut pos)?) as u64,
+            ];
+            let unmap = |[x, y, t]: [u64; 3]| {
+                (
+                    x as i64 as f64 / xy_scale,
+                    y as i64 as f64 / xy_scale,
+                    t as i64 as f64 / t_scale,
+                )
+            };
+            decode_deltas(bytes, pos, anchor, unmap, emit)
+        }
     }
 }
 
-/// Convenience wrapper decoding into a fresh columnar batch.
-pub fn decode_columns(bytes: &[u8]) -> Result<ColumnarBatch, CodecError> {
-    let mut batch = ColumnarBatch::new();
-    decode_columns_into(bytes, &mut batch)?;
-    Ok(batch)
+/// The delta loop behind every decoder: emits the anchor, then one point
+/// per three varints from `pos` to the end of `bytes`, each field's
+/// integer turned back into its value by `unmap`.
+fn decode_deltas(
+    bytes: &[u8],
+    mut pos: usize,
+    anchor: [u64; 3],
+    unmap: impl Fn([u64; 3]) -> (f64, f64, f64),
+    mut emit: impl FnMut(f64, f64, f64),
+) -> Result<usize, CodecError> {
+    let (px, py, pt) = unmap(anchor);
+    emit(px, py, pt);
+    let [mut x, mut y, mut t] = anchor.map(FieldState::start);
+    let mut count = 1usize;
+    while pos < bytes.len() {
+        let ux = x.decode(read_varint(bytes, &mut pos)?);
+        let uy = y.decode(read_varint(bytes, &mut pos)?);
+        let ut = t.decode(read_varint(bytes, &mut pos)?);
+        let (px, py, pt) = unmap([ux, uy, ut]);
+        emit(px, py, pt);
+        count += 1;
+    }
+    Ok(count)
 }
 
 #[cfg(test)]
@@ -1052,19 +977,15 @@ mod tests {
                 TimedPoint::new((a * 0.17).sin() * 812.0, a * 3.3 - 50.0, a * 5.0)
             })
             .collect();
-        let batch = ColumnarBatch::from_points(&points);
+        // Both profiles, and the empty and singleton anchors too.
         for profile in [CodecProfile::Exact, CodecProfile::millimetre()] {
-            let row = encode_to_vec_with(profile, &points).unwrap();
-            let mut col = Vec::new();
-            encode_columns_with(profile, &batch, &mut col).unwrap();
-            assert_eq!(col, row, "{profile:?}");
-        }
-        // Empty and singleton anchors too.
-        for prefix in [0usize, 1] {
-            let row = encode_to_vec(&points[..prefix]).unwrap();
-            let mut col = Vec::new();
-            encode_columns(&ColumnarBatch::from_points(&points[..prefix]), &mut col).unwrap();
-            assert_eq!(col, row, "{prefix} points");
+            for n in [0, 1, points.len()] {
+                let row = encode_to_vec_with(profile, &points[..n]).unwrap();
+                let batch = ColumnarBatch::from_points(&points[..n]);
+                let mut col = Vec::new();
+                encode_columns_with(profile, &batch, &mut col).unwrap();
+                assert_eq!(col, row, "{profile:?}, {n} points");
+            }
         }
     }
 
@@ -1076,52 +997,58 @@ mod tests {
                 TimedPoint::new(a * 1.25, 500.0 - a * 0.008, a * 5.0)
             })
             .collect();
+        // A cleared batch is reused without stale points.
+        let mut batch = ColumnarBatch::from_points(&points[..7]);
         for profile in [CodecProfile::Exact, CodecProfile::millimetre()] {
             let bytes = encode_to_vec_with(profile, &points).unwrap();
-            let batch = decode_columns(&bytes).unwrap();
+            batch.clear();
+            assert_eq!(decode_columns_into(&bytes, &mut batch).unwrap(), 300);
             assert_eq!(batch.to_points(), decode_to_vec(&bytes).unwrap());
         }
-        // Reuse path appends after clear without reallocating logic away.
-        let bytes = encode_to_vec(&points).unwrap();
-        let mut batch = ColumnarBatch::new();
-        assert_eq!(decode_columns_into(&bytes, &mut batch).unwrap(), 300);
-        batch.clear();
-        assert_eq!(decode_columns_into(&bytes, &mut batch).unwrap(), 300);
         assert_eq!(batch.to_points(), points);
     }
 
     #[test]
     fn columnar_encode_rejects_what_the_row_encoder_rejects() {
-        let backwards = ColumnarBatch::from_points(&[
+        let backwards = [
             TimedPoint::new(0.0, 0.0, 10.0),
             TimedPoint::new(1.0, 0.0, 9.0),
-        ]);
-        let mut out = Vec::new();
-        assert_eq!(
-            encode_columns(&backwards, &mut out),
-            Err(CodecError::NonMonotonicTimestamps {
-                index: 1,
-                prev: 10.0,
-                next: 9.0
-            })
-        );
-        assert!(out.is_empty(), "invalid batches write nothing");
-        let nan = ColumnarBatch::from_points(&[TimedPoint::new(0.0, 0.0, f64::NAN)]);
-        assert_eq!(
-            encode_columns(&nan, &mut out),
-            Err(CodecError::NonFiniteTimestamp { index: 0 })
-        );
+        ];
+        for points in [&backwards[..], &[TimedPoint::new(0.0, 0.0, f64::NAN)]] {
+            let mut out = Vec::new();
+            let col = encode_columns(&ColumnarBatch::from_points(points), &mut out);
+            assert_eq!(col, encode_to_vec(points).map(drop));
+            assert!(
+                col.is_err() && out.is_empty(),
+                "invalid batches write nothing"
+            );
+        }
         // Truncated payloads are typed errors on the columnar side too.
-        let bytes = encode_to_vec(&[
-            TimedPoint::new(0.0, 0.0, 0.0),
-            TimedPoint::new(5.0, 1.0, 1.0),
-        ])
-        .unwrap();
-        let mut batch = ColumnarBatch::new();
-        assert!(matches!(
-            decode_columns_into(&bytes[..bytes.len() - 1], &mut batch),
-            Err(CodecError::Truncated { .. })
-        ));
+        let bytes = encode_to_vec(&backwards[..1]).unwrap();
+        let cut = decode_columns_into(&bytes[..bytes.len() - 1], &mut ColumnarBatch::new());
+        assert!(matches!(cut, Err(CodecError::Truncated { .. })), "{cut:?}");
+    }
+
+    #[test]
+    fn every_encoder_leaves_out_untouched_on_error() {
+        let mut points: Vec<TimedPoint> = (0..6)
+            .map(|i| TimedPoint::new(i as f64, 2.0, i as f64))
+            .collect();
+        points[3].pos.x = f64::NAN;
+        let mm = CodecProfile::millimetre();
+        let mut out = vec![0xAB, 0xCD, 0xEF];
+        let row = encode_points_with(mm, &points, &mut out);
+        let col = encode_columns_with(mm, &ColumnarBatch::from_points(&points), &mut out);
+        for r in [row, col] {
+            let nan_at_3 =
+                matches!(r, Err(CodecError::Unquantizable { index: 3, value }) if value.is_nan());
+            assert!(nan_at_3, "{r:?}");
+        }
+        // The time rule and the exact profile keep the same contract.
+        points[3].pos.x = 3.0;
+        points[4].t = 1.0;
+        assert!(encode_points(&points, &mut out).is_err());
+        assert_eq!(out, [0xAB, 0xCD, 0xEF], "a refused stream left a prefix");
     }
 
     #[test]

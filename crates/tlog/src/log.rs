@@ -14,7 +14,7 @@
 //! rewrites the live records into fresh segments and physically drops
 //! dead data, copying frames verbatim so CRCs never need recomputing.
 
-use crate::codec::CodecError;
+use crate::codec;
 use crate::crc::crc32;
 use crate::error::TlogError;
 use crate::segment::{self, RecordKind, RecordSummary, ScanOutcome, SEGMENT_HEADER_LEN};
@@ -458,16 +458,8 @@ impl TrajectoryLog {
             .rev()
             .map(|&(si, ri)| &self.segments[si].records[ri])
             .find(|rec| rec.kind != RecordKind::Backfill)
-            .map(|rec| rec.t_max);
-        if let Some(prev_max) = prev_max {
-            if points[0].t < prev_max {
-                return Err(TlogError::Codec(CodecError::NonMonotonicTimestamps {
-                    index: 0,
-                    prev: prev_max,
-                    next: points[0].t,
-                }));
-            }
-        }
+            .map_or(f64::NEG_INFINITY, |rec| rec.t_max);
+        codec::check_time(prev_max, points[0].t, 0)?;
         let (frame, summary) = segment::build_points_frame(track, points)?;
         let (si, ri, offset) = self.write_frame(&frame, summary)?;
         self.index.entry(track).or_default().push((si, ri));
@@ -914,6 +906,7 @@ pub fn verify_dir(dir: impl AsRef<Path>) -> Result<VerifyReport, TlogError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::CodecError;
     use crate::TimeRange;
 
     fn temp_dir(name: &str) -> PathBuf {

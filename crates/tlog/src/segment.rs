@@ -17,7 +17,7 @@
 //! from a header scan without decoding any payload; the CRC covers the
 //! whole body, so a record is either fully trusted or fully rejected.
 
-use crate::codec::{self, CodecError};
+use crate::codec::{self, read_f64, write_f64, CodecError};
 use crate::crc::crc32;
 use bqs_core::fleet::TrackId;
 use bqs_geo::{Rect, TimedPoint};
@@ -123,21 +123,6 @@ pub enum RecordBody<'a> {
     },
 }
 
-fn put_f64(v: f64, out: &mut Vec<u8>) {
-    out.extend_from_slice(&v.to_bits().to_le_bytes());
-}
-
-fn get_f64(bytes: &[u8], pos: &mut usize) -> Result<f64, CodecError> {
-    let end = pos
-        .checked_add(8)
-        .filter(|&e| e <= bytes.len())
-        .ok_or(CodecError::Truncated { offset: *pos })?;
-    let mut b = [0u8; 8];
-    b.copy_from_slice(&bytes[*pos..end]);
-    *pos = end;
-    Ok(f64::from_bits(u64::from_le_bytes(b)))
-}
-
 /// Builds a complete points-record frame (prologue + body) and its
 /// summary (with `offset` left at 0 for the writer to fill in).
 pub fn build_points_frame(
@@ -174,12 +159,12 @@ fn build_data_frame(
     body.push(kind.to_byte());
     codec::write_varint(track, &mut body);
     codec::write_varint(points.len() as u64, &mut body);
-    put_f64(t_min, &mut body);
-    put_f64(t_max, &mut body);
-    put_f64(bbox.min.x, &mut body);
-    put_f64(bbox.min.y, &mut body);
-    put_f64(bbox.max.x, &mut body);
-    put_f64(bbox.max.y, &mut body);
+    write_f64(t_min, &mut body);
+    write_f64(t_max, &mut body);
+    write_f64(bbox.min.x, &mut body);
+    write_f64(bbox.min.y, &mut body);
+    write_f64(bbox.max.x, &mut body);
+    write_f64(bbox.max.y, &mut body);
     codec::encode_points(points, &mut body)?;
 
     let summary = RecordSummary {
@@ -241,10 +226,10 @@ pub fn parse_body(body: &[u8]) -> Result<RecordBody<'_>, CodecError> {
         RecordKind::Tombstone => Ok(RecordBody::Tombstone { track }),
         RecordKind::Points | RecordKind::Backfill => {
             let count = codec::read_varint(body, &mut pos)?;
-            let t_min = get_f64(body, &mut pos)?;
-            let t_max = get_f64(body, &mut pos)?;
-            let min = bqs_geo::Point2::new(get_f64(body, &mut pos)?, get_f64(body, &mut pos)?);
-            let max = bqs_geo::Point2::new(get_f64(body, &mut pos)?, get_f64(body, &mut pos)?);
+            let t_min = read_f64(body, &mut pos)?;
+            let t_max = read_f64(body, &mut pos)?;
+            let min = bqs_geo::Point2::new(read_f64(body, &mut pos)?, read_f64(body, &mut pos)?);
+            let max = bqs_geo::Point2::new(read_f64(body, &mut pos)?, read_f64(body, &mut pos)?);
             Ok(RecordBody::Points {
                 kind,
                 track,
