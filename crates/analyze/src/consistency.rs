@@ -6,7 +6,6 @@
 //! | `wire-protocol-doc` | `TAG_*` consts + `ErrorCode` arms in `crates/net/src/wire.rs` | opcode + error-code tables in `docs/protocol.md` |
 //! | `metrics-doc` | names passed to `.counter/.gauge/.histogram(` | the catalog tables in `docs/observability.md` |
 //! | `cli-usage-doc` | `--flag` literals + the `USAGE` const in `crates/cli/src/args.rs` | every `bqs …` mention in `README.md` |
-//! | `bench-baseline` | workload `name:` literals in `crates/cli/src/bench.rs` | the highest-numbered `BENCH_<N>.json` at the root |
 //!
 //! Every comparison is set equality with a named direction, so a rename
 //! on either side — code or spec — trips the gate.
@@ -19,12 +18,7 @@ use crate::lints::test_region_lines;
 use crate::Finding;
 
 /// The consistency-check ids, as accepted by `--lint`.
-pub const CONSISTENCY_IDS: &[&str] = &[
-    "wire-protocol-doc",
-    "metrics-doc",
-    "cli-usage-doc",
-    "bench-baseline",
-];
+pub const CONSISTENCY_IDS: &[&str] = &["wire-protocol-doc", "metrics-doc", "cli-usage-doc"];
 
 /// Registered metric names harvested from the source walk, with the
 /// `format!("…{k}…")` hole normalised to the catalog's `<k>`.
@@ -671,105 +665,6 @@ pub fn check_cli_usage(root: &Path, out: &mut Vec<Finding>) {
                 0,
                 ID,
                 format!("README mentions `bqs {name}` which is not a USAGE command"),
-            ));
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// bench-baseline
-// ---------------------------------------------------------------------
-
-/// Checks bench workload names against the pinned baseline keys.
-pub fn check_bench_baseline(root: &Path, out: &mut Vec<Finding>) {
-    const ID: &str = "bench-baseline";
-    const BENCH: &str = "crates/cli/src/bench.rs";
-    // The gate pins the newest committed baseline.
-    let mut best: Option<(u64, String)> = None;
-    if let Ok(entries) = std::fs::read_dir(root) {
-        for entry in entries.flatten() {
-            let name = entry.file_name().to_string_lossy().into_owned();
-            if let Some(n) = name
-                .strip_prefix("BENCH_")
-                .and_then(|r| r.strip_suffix(".json"))
-                .and_then(|r| r.parse::<u64>().ok())
-            {
-                if best.as_ref().is_none_or(|(b, _)| n > *b) {
-                    best = Some((n, name));
-                }
-            }
-        }
-    }
-    let Some((_, baseline)) = best else {
-        out.push(Finding::new(
-            "BENCH_*.json",
-            0,
-            ID,
-            "no BENCH_<N>.json baseline found at the workspace root",
-        ));
-        return;
-    };
-    let (Some(bench_text), Some(json_text)) =
-        (read(root, BENCH, ID, out), read(root, &baseline, ID, out))
-    else {
-        return;
-    };
-
-    let bench = scan(&bench_text);
-    let in_test = test_region_lines(&bench);
-    // `name: "…"` struct-literal fields are definitely workload names;
-    // the full non-test literal pool backs the reverse direction
-    // (workloads whose name flows through a tuple or variable).
-    let mut code_names: BTreeMap<String, usize> = BTreeMap::new();
-    let mut all_literals: BTreeSet<String> = BTreeSet::new();
-    for (idx, line) in bench.lines.iter().enumerate() {
-        if in_test[idx] {
-            continue;
-        }
-        all_literals.extend(line.strings.iter().cloned());
-        let code = line.code.trim_start();
-        if code.starts_with("name:") && !code.starts_with("name::") {
-            if let Some(name) = line.strings.first() {
-                code_names.insert(name.clone(), idx + 1);
-            }
-        }
-    }
-
-    // `"name": "<x>"` pairs in the baseline JSON.
-    let mut json_names: BTreeSet<String> = BTreeSet::new();
-    let mut rest = json_text.as_str();
-    while let Some(at) = rest.find("\"name\"") {
-        rest = &rest[at + "\"name\"".len()..];
-        let after = rest.trim_start();
-        if let Some(value) = after.strip_prefix(':') {
-            let value = value.trim_start();
-            if let Some(stripped) = value.strip_prefix('"') {
-                if let Some(end) = stripped.find('"') {
-                    json_names.insert(stripped[..end].to_string());
-                }
-            }
-        }
-    }
-
-    for (name, lineno) in &code_names {
-        if !json_names.contains(name) {
-            out.push(Finding::new(
-                BENCH,
-                *lineno,
-                ID,
-                format!(
-                    "workload `{name}` is produced by `bqs bench` but not pinned in {baseline}"
-                ),
-            ));
-        }
-    }
-    for name in &json_names {
-        if !code_names.contains_key(name) && !all_literals.contains(name) {
-            out.push(Finding::new(
-                &baseline,
-                0,
-                ID,
-                format!("baseline pins workload `{name}` which `bqs bench` no longer produces"),
             ));
         }
     }

@@ -8,9 +8,9 @@
 //!    written invariants (ordering justifications, SAFETY comments,
 //!    typed-error discipline, the obs timing helpers).
 //! 2. **Consistency checks** ([`consistency`]): the normative
-//!    documents — `docs/protocol.md`, `docs/observability.md`, the
-//!    README command surface, the pinned bench baseline — must agree
-//!    with the code they describe, exactly.
+//!    documents — `docs/protocol.md`, `docs/observability.md` and the
+//!    README command surface — must agree with the code they describe,
+//!    exactly.
 //!
 //! The crate is std-only and dependency-free: it runs in the offline
 //! CI image and anywhere `bqs` runs. See `docs/static-analysis.md`
@@ -145,9 +145,6 @@ pub fn run(config: &Config) -> io::Result<Report> {
     }
     if enabled("cli-usage-doc") {
         consistency::check_cli_usage(&config.root, &mut findings);
-    }
-    if enabled("bench-baseline") {
-        consistency::check_bench_baseline(&config.root, &mut findings);
     }
 
     findings

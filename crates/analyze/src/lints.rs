@@ -72,8 +72,8 @@ struct Scope {
     /// Vendored dependency stand-ins under `shims/`: concurrency lints
     /// only — they mirror external crates' panicking/printing APIs.
     shim: bool,
-    /// Integration tests, examples, or the bench crate: exempt from
-    /// the style lints, covered by the concurrency lints.
+    /// Integration tests or examples: exempt from the style lints,
+    /// covered by the concurrency lints.
     test_like: bool,
     /// `crates/cli` (and binaries): the one place allowed to print.
     cli: bool,
@@ -91,7 +91,6 @@ impl Scope {
             shim: rel.starts_with("shims/"),
             test_like: rel.contains("/tests/")
                 || rel.starts_with("tests/")
-                || rel.contains("/benches/")
                 || rel.contains("/examples/")
                 || rel.starts_with("examples/"),
             cli: rel.starts_with("crates/cli/") || rel.ends_with("/main.rs"),
@@ -362,7 +361,7 @@ pub fn lint_file(
 /// Per-line "inside a `#[cfg(test)]` item" flags, via brace-depth
 /// tracking over the comment/string-stripped code view. Shared with
 /// the consistency checks, which must not harvest names that test
-/// code registers (dummy metrics, the bench test's workload list).
+/// code registers (dummy metrics).
 pub fn test_region_lines(scan: &FileScan) -> Vec<bool> {
     let mut out = vec![false; scan.lines.len()];
     let mut depth: i64 = 0;

@@ -203,23 +203,6 @@ pub enum Command {
         /// Output path (stdout when `None`).
         out: Option<String>,
     },
-    /// `bqs bench [--quick] [--seed N] [--out FILE] [--compare BASELINE.json [--current RUN.json]]`
-    Bench {
-        /// Smaller workloads (CI-sized) instead of the full sweep.
-        quick: bool,
-        /// Base RNG seed for the generated workloads.
-        seed: u64,
-        /// Output path for the JSON report (stdout when `None`).
-        out: Option<String>,
-        /// Baseline report to gate against: any pinned workload whose
-        /// throughput regresses more than 15% fails the run (non-zero
-        /// exit).
-        compare: Option<String>,
-        /// With `--compare`: gate this existing report instead of
-        /// running the benchmarks (cheap re-checks and CI negative
-        /// tests).
-        current: Option<String>,
-    },
     /// `bqs metrics --addr HOST:PORT [--watch N | --prom]`
     Metrics {
         /// Server address, `host:port`.
@@ -283,8 +266,6 @@ USAGE:
   bqs subscribe --addr HOST:PORT [--track N] [--bbox X0,Y0,X1,Y1] [--out FILE]
   bqs metrics --addr HOST:PORT [--watch N | --prom]
   bqs trace --addr HOST:PORT [--last N] [--conn ID]
-  bqs bench [--quick] [--seed N] [--out FILE]
-            [--compare BASELINE.json [--current RUN.json]]
   bqs log append <dir> <trace.csv> --track N [--algorithm none|bqs|fbqs]
                  [--tolerance M]
   bqs log query <dir> [--track N] [--from T] [--to T] [--bbox X0,Y0,X1,Y1]
@@ -914,37 +895,6 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                 out,
             })
         }
-        "bench" => {
-            let mut quick = false;
-            let mut seed = 1u64;
-            let mut out: Option<String> = None;
-            let mut compare: Option<String> = None;
-            let mut current: Option<String> = None;
-            while let Some(arg) = it.next() {
-                match arg.as_str() {
-                    "--quick" => quick = true,
-                    "--out" => out = Some(take_value("--out", &mut it)?.clone()),
-                    "--compare" => compare = Some(take_value("--compare", &mut it)?.clone()),
-                    "--current" => current = Some(take_value("--current", &mut it)?.clone()),
-                    "--seed" => {
-                        seed = take_value("--seed", &mut it)?
-                            .parse()
-                            .map_err(|e| format!("bad --seed: {e}"))?;
-                    }
-                    other => return Err(format!("unexpected argument: {other}")),
-                }
-            }
-            if current.is_some() && compare.is_none() {
-                return Err("--current needs --compare (the baseline to gate against)".to_string());
-            }
-            Ok(Command::Bench {
-                quick,
-                seed,
-                out,
-                compare,
-                current,
-            })
-        }
         "metrics" => {
             let mut addr: Option<String> = None;
             let mut watch: Option<u64> = None;
@@ -1416,46 +1366,6 @@ mod tests {
     }
 
     #[test]
-    fn bench_parses_with_defaults_and_flags() {
-        assert_eq!(
-            parse(&args("bench")).unwrap(),
-            Command::Bench {
-                quick: false,
-                seed: 1,
-                out: None,
-                compare: None,
-                current: None
-            }
-        );
-        assert_eq!(
-            parse(&args("bench --quick --seed 7 --out BENCH.json")).unwrap(),
-            Command::Bench {
-                quick: true,
-                seed: 7,
-                out: Some("BENCH.json".into()),
-                compare: None,
-                current: None
-            }
-        );
-        assert_eq!(
-            parse(&args(
-                "bench --quick --compare BASE.json --current RUN.json"
-            ))
-            .unwrap(),
-            Command::Bench {
-                quick: true,
-                seed: 1,
-                out: None,
-                compare: Some("BASE.json".into()),
-                current: Some("RUN.json".into())
-            }
-        );
-        // Gating an existing report only makes sense against a baseline.
-        assert!(parse(&args("bench --current RUN.json")).is_err());
-        assert!(parse(&args("bench --frobnicate")).is_err());
-    }
-
-    #[test]
     fn metrics_parses_and_validates() {
         assert_eq!(
             parse(&args("metrics --addr 127.0.0.1:4750")).unwrap(),
@@ -1607,5 +1517,8 @@ mod tests {
     fn unknown_command_shows_usage() {
         let err = parse(&args("frobnicate")).unwrap_err();
         assert!(err.contains("USAGE"));
+        // The retired perf harness is unknown too; `benchmark/` measures.
+        let err = parse(&args("bench --quick")).unwrap_err();
+        assert!(err.contains("USAGE"), "{err}");
     }
 }

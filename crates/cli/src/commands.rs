@@ -6,7 +6,6 @@
 //! log, the network layer, invalid requests — are never `unwrap`s.
 
 use crate::args::{Command, USAGE};
-use crate::bench;
 use crate::error::CliError;
 use bqs_baselines::{
     BufferedDpCompressor, BufferedGreedyCompressor, DeadReckoningCompressor, DpCompressor,
@@ -156,19 +155,6 @@ pub fn execute(command: &Command) -> Result<String, CliError> {
             bbox,
             out,
         } => subscribe(addr, *track, *bbox, out.as_deref()),
-        Command::Bench {
-            quick,
-            seed,
-            out,
-            compare,
-            current,
-        } => bench::run(
-            *quick,
-            *seed,
-            out.as_deref(),
-            compare.as_deref(),
-            current.as_deref(),
-        ),
         Command::Metrics { addr, watch, prom } => metrics(addr, *watch, *prom),
         Command::Trace { addr, last, conn } => trace(addr, *last, *conn),
         Command::Analyze { deny, lints, root } => analyze(*deny, lints, root.as_deref()),
@@ -980,18 +966,6 @@ fn serve(run: ServeRun<'_>) -> Result<String, CliError> {
         evict_idle,
     } = run;
 
-    // The CLI server always carries a registry — `bqs metrics` against
-    // a `bqs serve` instance should never come back empty. (Library
-    // embedders opt in; see `ServerConfig::metrics`.)
-    let registry = bqs_obs::MetricsRegistry::new();
-    // The flight recorder rides along unconditionally: recording is a
-    // few relaxed stores per event, and `bqs trace` against a CLI
-    // server should never come back empty either.
-    let recorder = bqs_obs::FlightRecorder::with_counters(
-        65_536,
-        registry.counter("trace_events_recorded_total"),
-        registry.counter("trace_events_dropped_total"),
-    );
     // Malformed rules are refused before the listener even binds…
     let mut rules = Vec::new();
     for raw in alerts {
@@ -1006,14 +980,14 @@ fn serve(run: ServeRun<'_>) -> Result<String, CliError> {
         io_threads,
         max_connections,
         fallback_poller: false,
-        metrics: Some(registry.clone()),
         lateness,
-        trace: Some(recorder.clone()),
         prom_addr: prom_addr.map(String::from),
         evict_idle,
     })?;
     // …and unknown metric names or kind-mismatched stats right after
     // `bind` has registered the server's whole catalog.
+    let registry = server.metrics().clone();
+    let recorder = server.recorder().clone();
     for rule in &rules {
         rule.validate(&registry).map_err(CliError::Invalid)?;
     }

@@ -8,7 +8,6 @@
 #![deny(missing_docs)]
 
 pub mod args;
-pub mod bench;
 pub mod commands;
 pub mod error;
 

@@ -232,15 +232,14 @@ impl BqsClient {
     }
 
     /// The server's metrics catalog as sorted `name value` text lines
-    /// (see `docs/observability.md`). Empty when the server runs
-    /// without a metrics registry.
+    /// (see `docs/observability.md`).
     pub fn metrics(&mut self) -> Result<String, NetError> {
         self.metrics_text(false)
     }
 
     /// The server's metrics catalog in the Prometheus text exposition
     /// format — the same payload `bqs serve --prom-addr` serves over
-    /// HTTP. Empty when the server runs without a metrics registry.
+    /// HTTP.
     pub fn metrics_prom(&mut self) -> Result<String, NetError> {
         self.metrics_text(true)
     }
@@ -254,8 +253,7 @@ impl BqsClient {
 
     /// The server's flight-recorder contents as `(dropped, events)`,
     /// optionally truncated to the most recent `last` events and/or
-    /// filtered to one connection id. Empty when the server runs
-    /// without a recorder.
+    /// filtered to one connection id.
     pub fn trace_dump(
         &mut self,
         last: Option<u64>,

@@ -26,7 +26,10 @@
 //!   tree through the unified
 //!   [`QueryEngine`](bqs_tlog::QueryEngine); `Shutdown` drains
 //!   connections and leaves a spill tree `bqs log verify` accepts.
-//!   The pool is the only serving path; `--io-threads` sizes it.
+//!   The pool is the only serving path; `--io-threads` sizes it. Every
+//!   server instruments itself into the registry and flight recorder
+//!   it creates at bind time ([`Server::metrics`],
+//!   [`Server::recorder`]).
 //! * [`client`] — [`BqsClient`]: the blocking client library.
 //! * [`loadgen`] — seeded multi-connection load generation whose
 //!   workloads match `bqs fleet`'s exactly, so network ingest is

@@ -125,6 +125,10 @@ const SUB_BATCH_POINTS: usize = 512;
 /// before that subscriber is declared dead.
 const SUB_WRITE_TIMEOUT: Duration = Duration::from_secs(2);
 
+/// Events the server's flight recorder keeps before it overwrites the
+/// oldest.
+const TRACE_CAPACITY: usize = 65_536;
+
 /// Default I/O threads multiplexing the connections.
 pub const DEFAULT_IO_THREADS: usize = 4;
 
@@ -164,15 +168,6 @@ pub struct ServerConfig {
     /// offers epoll/kqueue — the knob tests use to cover the
     /// WouldBlock round-robin path on any host.
     pub fallback_poller: bool,
-    /// Metrics registry the server instruments itself into. `None`
-    /// (the default) skips all instrumentation — the hot path pays one
-    /// branch per site and nothing else.
-    pub metrics: Option<MetricsRegistry>,
-    /// Flight recorder the server emits structured trace events into
-    /// (accept, frame decode, fleet submit, spill, reply flush, reject,
-    /// eviction). `None` (the default) records nothing — each emission
-    /// site pays one branch and nothing else.
-    pub trace: Option<FlightRecorder>,
     /// Address for the std-only HTTP/1.1 Prometheus responder
     /// (`GET /metrics`); `None` (the default) serves no HTTP.
     pub prom_addr: Option<String>,
@@ -198,8 +193,6 @@ impl ServerConfig {
             io_threads: DEFAULT_IO_THREADS,
             max_connections: DEFAULT_MAX_CONNECTIONS,
             fallback_poller: false,
-            metrics: None,
-            trace: None,
             prom_addr: None,
             evict_idle: 0.0,
         }
@@ -313,20 +306,20 @@ struct SubHub {
     /// Live subscription count, readable without the lock.
     active: AtomicUsize,
     next_id: AtomicU64,
-    subscribers_gauge: Option<Gauge>,
-    queue_gauge: Option<Gauge>,
-    bytes_out: Option<Counter>,
+    subscribers_gauge: Gauge,
+    queue_gauge: Gauge,
+    bytes_out: Counter,
 }
 
 impl SubHub {
-    fn new(registry: Option<&MetricsRegistry>) -> SubHub {
+    fn new(registry: &MetricsRegistry) -> SubHub {
         SubHub {
             subs: Mutex::new(Vec::new()),
             active: AtomicUsize::new(0),
             next_id: AtomicU64::new(0),
-            subscribers_gauge: registry.map(|r| r.gauge("net_subscribers_live")),
-            queue_gauge: registry.map(|r| r.gauge("net_sub_queue_points")),
-            bytes_out: registry.map(|r| r.counter("net_bytes_out_total")),
+            subscribers_gauge: registry.gauge("net_subscribers_live"),
+            queue_gauge: registry.gauge("net_sub_queue_points"),
+            bytes_out: registry.counter("net_bytes_out_total"),
         }
     }
 
@@ -336,12 +329,9 @@ impl SubHub {
 
     fn update_gauges(&self, subs: &[Sub]) {
         self.active.store(subs.len(), Ordering::SeqCst); // ordering: seqcst count publish, ordered with the subs-lock mutation it mirrors
-        if let Some(g) = &self.subscribers_gauge {
-            g.set(subs.len() as u64);
-        }
-        if let Some(g) = &self.queue_gauge {
-            g.set(subs.iter().map(|s| s.queued_points as u64).sum());
-        }
+        self.subscribers_gauge.set(subs.len() as u64);
+        self.queue_gauge
+            .set(subs.iter().map(|s| s.queued_points as u64).sum());
     }
 
     /// Registers a handed-off connection as a subscriber.
@@ -396,9 +386,7 @@ impl SubHub {
             sub.queued_points += 1;
             queued_total += sub.queued_points as u64;
         }
-        if let Some(g) = &self.queue_gauge {
-            g.set(queued_total);
-        }
+        self.queue_gauge.set(queued_total);
     }
 
     /// Delivers every queued batch and reaps dead subscribers. The
@@ -439,11 +427,7 @@ impl SubHub {
                             Some((HEADER_BYTES + payload.len() + 4) as u64)
                         });
                 match frame_ok {
-                    Some(bytes) => {
-                        if let Some(c) = &self.bytes_out {
-                            c.add(bytes);
-                        }
-                    }
+                    Some(bytes) => self.bytes_out.add(bytes),
                     None => {
                         failed.push(id);
                         break;
@@ -464,9 +448,8 @@ impl SubHub {
         if let Ok(payload) = Reply::SubEnd.encode() {
             for sub in subs.iter_mut() {
                 if !sub.dead && write_frame(&mut sub.stream, &payload).is_ok() {
-                    if let Some(c) = &self.bytes_out {
-                        c.add((HEADER_BYTES + payload.len() + 4) as u64);
-                    }
+                    self.bytes_out
+                        .add((HEADER_BYTES + payload.len() + 4) as u64);
                 }
             }
         }
@@ -618,23 +601,19 @@ struct Shared {
     fallback_poller: bool,
     local_addr: SocketAddr,
     shutdown: AtomicBool,
-    /// Connections currently registered (admission gate).
+    /// Connections currently registered: the admission gate. The
+    /// `net_connections_live` gauge mirrors it for readers.
     active: AtomicUsize,
-    /// Most connections ever registered at once.
-    peak_active: AtomicUsize,
-    connections: AtomicU64,
-    rejected: AtomicU64,
-    frames: AtomicU64,
+    /// Points accepted into the fleet. Its registry cousin
+    /// `fleet_submitted_points_total` counts at the fleet boundary,
+    /// behind the reorder buffers.
     appended_points: AtomicU64,
-    late_points: AtomicU64,
-    backfill_points: AtomicU64,
-    too_late_points: AtomicU64,
     /// Stops the subscriber pump thread at finalization.
     pump_stop: AtomicBool,
     /// When the server was bound (drives the `Stats` uptime gauge).
     started: Instant,
-    metrics: Option<ServerMetrics>,
-    trace: Option<FlightRecorder>,
+    metrics: ServerMetrics,
+    trace: FlightRecorder,
     /// Ticket dispenser for per-connection trace ids; ids start at 1
     /// (0 marks events not tied to any one connection).
     next_conn_id: AtomicU64,
@@ -654,42 +633,32 @@ impl Shared {
     }
 
     /// Registers an accepted connection: the admission gate, the serve
-    /// totals, the peak watermark and (when present) the live gauge.
+    /// totals and the live gauge (whose peak is the high-water mark).
     /// Returns the connection's trace id.
     fn conn_admitted(&self) -> u64 {
         let live = self.active.fetch_add(1, Ordering::SeqCst) + 1; // ordering: seqcst admission count pairs with the acceptor capacity check
-        self.peak_active.fetch_max(live, Ordering::Relaxed); // ordering: relaxed peak watermark, approximate by design
-        self.connections.fetch_add(1, Ordering::Relaxed); // ordering: relaxed stat counter, read after join()
-        if let Some(m) = &self.metrics {
-            m.conns_admitted.inc();
-            m.conns_live.set(live as u64);
-        }
+        self.metrics.conns_admitted.inc();
+        // `add`/`sub` commute, so the acceptor and the I/O threads can
+        // never leave the gauge at a stale value (a `set(live)` could).
+        self.metrics.conns_live.add(1);
         let id = self.next_conn_id.fetch_add(1, Ordering::Relaxed); // ordering: relaxed unique-id ticket; only atomicity matters
-        if let Some(tr) = &self.trace {
-            tr.record(TraceEventKind::Accept, id, live as u64);
-        }
+        self.trace.record(TraceEventKind::Accept, id, live as u64);
         id
     }
 
     /// Unregisters a connection (served to completion, or admitted but
     /// dropped before service).
     fn conn_closed(&self) {
-        let live = self.active.fetch_sub(1, Ordering::SeqCst) - 1; // ordering: seqcst release pairs with conn_admitted so capacity checks see it
-        if let Some(m) = &self.metrics {
-            m.conns_closed.inc();
-            m.conns_live.set(live as u64);
-        }
+        self.active.fetch_sub(1, Ordering::SeqCst); // ordering: seqcst release pairs with conn_admitted so capacity checks see it
+        self.metrics.conns_closed.inc();
+        self.metrics.conns_live.sub(1);
     }
 
     /// Counts an over-capacity rejection.
     fn conn_rejected(&self) {
-        self.rejected.fetch_add(1, Ordering::Relaxed); // ordering: relaxed stat counter, read after join()
-        if let Some(m) = &self.metrics {
-            m.conns_rejected.inc();
-        }
-        if let Some(tr) = &self.trace {
-            tr.record(TraceEventKind::Reject, 0, self.max_connections as u64);
-        }
+        self.metrics.conns_rejected.inc();
+        self.trace
+            .record(TraceEventKind::Reject, 0, self.max_connections as u64);
     }
 }
 
@@ -771,25 +740,18 @@ impl Server {
                 .collect();
         let bqs_config = BqsConfig::new(config.tolerance)
             .map_err(|e| NetError::Config(format!("tolerance: {e}")))?;
-        // All instrumentation hangs off the optional registry: absent,
-        // the fleet, sinks and connection handlers run exactly the
-        // unmetered code paths.
-        let fleet_metrics = config.metrics.as_ref().map(|r| {
-            let fm = FleetMetrics::new(r, config.workers);
-            match &config.trace {
-                Some(tr) => fm.with_trace(tr.clone()),
-                None => fm,
-            }
-        });
-        let spill_metrics = config.metrics.as_ref().map(|r| {
-            let sm = SpillMetrics::new(r);
-            match &config.trace {
-                Some(tr) => sm.with_trace(tr.clone()),
-                None => sm,
-            }
-        });
-        let server_metrics = config.metrics.as_ref().map(ServerMetrics::new);
-        let hub = Arc::new(SubHub::new(config.metrics.as_ref()));
+        // The server always observes itself: one registry and one
+        // flight recorder shared by the connection handlers, the fleet
+        // and the spill sinks.
+        let registry = MetricsRegistry::new();
+        let trace = FlightRecorder::with_counters(
+            TRACE_CAPACITY,
+            registry.counter("trace_events_recorded_total"),
+            registry.counter("trace_events_dropped_total"),
+        );
+        let fleet_metrics = FleetMetrics::new(&registry, config.workers).with_trace(trace.clone());
+        let spill_metrics = SpillMetrics::new(&registry).with_trace(trace.clone());
+        let hub = Arc::new(SubHub::new(&registry));
         let sink_hub = Arc::clone(&hub);
         let fleet = ParallelFleet::with_metrics(
             ParallelConfig {
@@ -810,11 +772,11 @@ impl Server {
                 inner: SpillSink::with_metrics(
                     // bqs-analyze: allow(no-unwrap-in-lib) — invariant: one log per shard
                     logs[shard].take().expect("one log per shard"),
-                    spill_metrics.clone(),
+                    Some(spill_metrics.clone()),
                 ),
                 hub: Arc::clone(&sink_hub),
             },
-            fleet_metrics,
+            Some(fleet_metrics),
         );
         let listener = TcpListener::bind(&config.addr)
             .map_err(|e| NetError::io(format!("bind {}", config.addr), e))?;
@@ -855,18 +817,11 @@ impl Server {
                 local_addr,
                 shutdown: AtomicBool::new(false),
                 active: AtomicUsize::new(0),
-                peak_active: AtomicUsize::new(0),
-                connections: AtomicU64::new(0),
-                rejected: AtomicU64::new(0),
-                frames: AtomicU64::new(0),
                 appended_points: AtomicU64::new(0),
-                late_points: AtomicU64::new(0),
-                backfill_points: AtomicU64::new(0),
-                too_late_points: AtomicU64::new(0),
                 pump_stop: AtomicBool::new(false),
                 started: bqs_obs::now(),
-                metrics: server_metrics,
-                trace: config.trace,
+                metrics: ServerMetrics::new(&registry),
+                trace,
                 next_conn_id: AtomicU64::new(1),
                 evict_idle: config.evict_idle,
                 prom_addr,
@@ -883,6 +838,20 @@ impl Server {
     /// `None` unless the config set [`ServerConfig::prom_addr`].
     pub fn prom_addr(&self) -> Option<SocketAddr> {
         self.shared.prom_addr
+    }
+
+    /// The registry the server instruments itself into, with its whole
+    /// catalog (`docs/observability.md`) registered at bind time. Clone
+    /// it to read the live values while [`Server::run`] serves.
+    pub fn metrics(&self) -> &MetricsRegistry {
+        &self.shared.metrics.registry
+    }
+
+    /// The flight recorder the server emits trace events into: accept,
+    /// frame decode, fleet submit, spill, reply flush, reject and
+    /// eviction, in a 65 536-event ring.
+    pub fn recorder(&self) -> &FlightRecorder {
+        &self.shared.trace
     }
 
     /// Serves until a client sends `Shutdown`, then drains connections,
@@ -1036,9 +1005,7 @@ impl Server {
                     state.fleet.submit_run(track, points);
                 }
             }
-            if let Some(m) = &self.shared.metrics {
-                m.reorder_depth.set(0);
-            }
+            self.shared.metrics.reorder_depth.set(0);
         }
         let join = state.fleet.join();
         if let Some(failure) = join.failures.first() {
@@ -1087,14 +1054,15 @@ impl Server {
         } else {
             0
         };
+        let m = &self.shared.metrics;
         Ok(ServeReport {
-            connections: self.shared.connections.load(Ordering::Relaxed), // ordering: relaxed final read; all writers joined above
-            rejected_connections: self.shared.rejected.load(Ordering::Relaxed), // ordering: relaxed final read; all writers joined above
-            frames: self.shared.frames.load(Ordering::Relaxed), // ordering: relaxed final read; all writers joined above
+            connections: m.conns_admitted.get(),
+            rejected_connections: m.conns_rejected.get(),
+            frames: m.frames.get(),
             appended_points: self.shared.appended_points.load(Ordering::Relaxed), // ordering: relaxed final read; all writers joined above
-            late_points: self.shared.late_points.load(Ordering::Relaxed), // ordering: relaxed final read; all writers joined above
-            backfill_points: self.shared.backfill_points.load(Ordering::Relaxed), // ordering: relaxed final read; all writers joined above
-            too_late_points: self.shared.too_late_points.load(Ordering::Relaxed), // ordering: relaxed final read; all writers joined above
+            late_points: m.late_accepted.get(),
+            backfill_points: m.backfilled.get(),
+            too_late_points: m.too_late.get(),
             spilled_sessions,
             spilled_points,
             spilled_bytes,
@@ -1181,8 +1149,7 @@ fn prom_loop(listener: TcpListener, shared: &Shared) {
 }
 
 /// Answers one HTTP request: `GET /metrics` gets the Prometheus text
-/// exposition (0.0.4), anything else a 404. An unmetered server
-/// serves an empty 200 body, mirroring the wire `Metrics` reply.
+/// exposition (0.0.4), anything else a 404.
 fn serve_prom_conn(mut stream: TcpStream, shared: &Shared) {
     let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
     let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
@@ -1201,12 +1168,7 @@ fn serve_prom_conn(mut stream: TcpStream, shared: &Shared) {
     let line = std::str::from_utf8(line).unwrap_or("");
     let target = line.strip_prefix("GET ").and_then(|r| r.split(' ').next());
     let (status, body) = if target == Some("/metrics") {
-        let body = shared
-            .metrics
-            .as_ref()
-            .map(|m| m.registry.render_prometheus())
-            .unwrap_or_default();
-        ("200 OK", body)
+        ("200 OK", shared.metrics.registry.render_prometheus())
     } else {
         ("404 Not Found", String::new())
     };
@@ -1236,9 +1198,10 @@ fn reject_over_capacity(mut stream: TcpStream, shared: &Shared) {
     if let Ok(payload) = reply.encode() {
         let _ = stream.set_write_timeout(Some(POLL_INTERVAL));
         if write_frame(&mut stream, &payload).is_ok() {
-            if let Some(m) = &shared.metrics {
-                m.bytes_out.add((HEADER_BYTES + payload.len() + 4) as u64);
-            }
+            shared
+                .metrics
+                .bytes_out
+                .add((HEADER_BYTES + payload.len() + 4) as u64);
         }
     }
 }
@@ -1282,7 +1245,6 @@ struct Conn {
     eof: bool,
     /// Decode times of requests whose replies have not fully flushed —
     /// drained into the latency histograms when `outbuf` empties.
-    /// Unused (never pushed) without a metrics registry.
     pending: Vec<(Instant, ReqKind)>,
     /// A `Subscribe` was served: once the out queue drains, the socket
     /// moves to the subscriber hub instead of being polled further.
@@ -1381,10 +1343,8 @@ fn io_loop(rx: Receiver<(u64, TcpStream)>, wake_rx: TcpStream, shared: &Shared) 
         let _ = poller.wait(&mut events, Some(POOL_TICK));
         // Tick telemetry: how much readiness each wait delivers, and
         // how long this thread stays busy servicing it.
-        let tick_start = shared.metrics.as_ref().map(|m| {
-            m.io_ready_events.record(events.len() as u64);
-            bqs_obs::now()
-        });
+        shared.metrics.io_ready_events.record(events.len() as u64);
+        let tick_start = bqs_obs::now();
         for &ev in events.iter() {
             if ev.key == WAKE_KEY {
                 drain_wake(&wake_rx);
@@ -1417,9 +1377,7 @@ fn io_loop(rx: Receiver<(u64, TcpStream)>, wake_rx: TcpStream, shared: &Shared) 
                 let _ = poller.modify(source_of(&conn.stream), interest);
             }
         }
-        if let (Some(m), Some(t)) = (&shared.metrics, tick_start) {
-            m.io_tick_us.record(elapsed_us(t));
-        }
+        shared.metrics.io_tick_us.record(elapsed_us(tick_start));
     }
     // Streams the acceptor queued that were never admitted.
     for (_, stream) in rx.try_iter() {
@@ -1478,9 +1436,7 @@ fn service_conn(conn: &mut Conn, shared: &Shared, scratch: &mut ColumnarBatch) -
                 Ok(n) => {
                     conn.inbuf.extend_from_slice(&chunk[..n]);
                     read_this_tick += n;
-                    if let Some(m) = &shared.metrics {
-                        m.bytes_in.add(n as u64);
-                    }
+                    shared.metrics.bytes_in.add(n as u64);
                     if read_this_tick >= MAX_TICK_BYTES {
                         break;
                     }
@@ -1501,19 +1457,14 @@ fn service_conn(conn: &mut Conn, shared: &Shared, scratch: &mut ColumnarBatch) -
         match decode_frame(buf) {
             Ok((payload, used)) => {
                 conn.consumed += used;
-                shared.frames.fetch_add(1, Ordering::Relaxed); // ordering: relaxed stat counter, read after join()
-                if shared.metrics.is_some() || shared.trace.is_some() {
-                    let kind = ReqKind::of(&payload);
-                    if let Some(m) = &shared.metrics {
-                        m.on_frame(kind);
-                    }
-                    // The decode time also anchors the ReplyFlush
-                    // trace event's latency payload.
-                    conn.pending.push((bqs_obs::now(), kind));
-                }
-                if let Some(tr) = &shared.trace {
-                    tr.record(TraceEventKind::FrameDecode, conn.id, payload.len() as u64);
-                }
+                let kind = ReqKind::of(&payload);
+                shared.metrics.on_frame(kind);
+                // The decode time also anchors the ReplyFlush trace
+                // event's latency payload.
+                conn.pending.push((bqs_obs::now(), kind));
+                shared
+                    .trace
+                    .record(TraceEventKind::FrameDecode, conn.id, payload.len() as u64);
                 let (reply, after) =
                     handle_payload(&payload, shared, &mut conn.greeted, scratch, conn.id);
                 queue_reply(conn, &reply);
@@ -1561,9 +1512,7 @@ fn service_conn(conn: &mut Conn, shared: &Shared, scratch: &mut ColumnarBatch) -
             Ok(0) => return true,
             Ok(n) => {
                 conn.outpos += n;
-                if let Some(m) = &shared.metrics {
-                    m.bytes_out.add(n as u64);
-                }
+                shared.metrics.bytes_out.add(n as u64);
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
@@ -1577,12 +1526,8 @@ fn service_conn(conn: &mut Conn, shared: &Shared, scratch: &mut ColumnarBatch) -
         // requests' decode→flush latencies are final.
         for (start, kind) in conn.pending.drain(..) {
             let us = elapsed_us(start);
-            if let Some(m) = &shared.metrics {
-                m.request_us.get(kind).record(us);
-            }
-            if let Some(tr) = &shared.trace {
-                tr.record(TraceEventKind::ReplyFlush, conn.id, us);
-            }
+            shared.metrics.request_us.get(kind).record(us);
+            shared.trace.record(TraceEventKind::ReplyFlush, conn.id, us);
         }
         if conn.close_after_flush {
             return true;
@@ -1716,14 +1661,12 @@ fn handle_append_columns(
             Ok(()) => {
                 drop(guard);
                 shared.appended_points.fetch_add(n, Ordering::Relaxed); // ordering: relaxed stat counter, read after join()
-                if let Some(tr) = &shared.trace {
-                    tr.record(TraceEventKind::FleetSubmit, conn, n);
-                }
+                shared.trace.record(TraceEventKind::FleetSubmit, conn, n);
                 (Reply::Appended { track, points: n }, After::Continue)
             }
             Err(e) => {
                 drop(guard);
-                refused_too_late(n, shared);
+                shared.metrics.too_late.add(n);
                 (
                     Reply::Error {
                         code: ErrorCode::TooLate,
@@ -1743,18 +1686,8 @@ fn handle_append_columns(
     state.fleet.submit_run(track, batch.to_points());
     drop(guard);
     shared.appended_points.fetch_add(n, Ordering::Relaxed); // ordering: relaxed stat counter, read after join()
-    if let Some(tr) = &shared.trace {
-        tr.record(TraceEventKind::FleetSubmit, conn, n);
-    }
+    shared.trace.record(TraceEventKind::FleetSubmit, conn, n);
     (Reply::Appended { track, points: n }, After::Continue)
-}
-
-/// Counts a whole refused batch against the too-late totals.
-fn refused_too_late(points: u64, shared: &Shared) {
-    shared.too_late_points.fetch_add(points, Ordering::Relaxed); // ordering: relaxed stat counter, read after join()
-    if let Some(m) = &shared.metrics {
-        m.too_late.add(points);
-    }
 }
 
 /// Pushes an admissible batch through `track`'s reorder buffer and
@@ -1804,14 +1737,9 @@ fn submit_reordered(
         state.fleet.submit_run(track, released);
     }
     if late > 0 {
-        shared.late_points.fetch_add(late, Ordering::Relaxed); // ordering: relaxed stat counter, read after join()
+        shared.metrics.late_accepted.add(late);
     }
-    if let Some(m) = &shared.metrics {
-        if late > 0 {
-            m.late_accepted.add(late);
-        }
-        m.reorder_depth.set(depth);
-    }
+    shared.metrics.reorder_depth.set(depth);
     Ok(())
 }
 
@@ -1859,10 +1787,7 @@ fn handle_append_late(
             .or_default()
             .push(points.to_vec());
         drop(guard);
-        shared.backfill_points.fetch_add(n, Ordering::Relaxed); // ordering: relaxed stat counter, read after join()
-        if let Some(m) = &shared.metrics {
-            m.backfilled.add(n);
-        }
+        shared.metrics.backfilled.add(n);
         return (Reply::LateAppended { track, points: n }, After::Continue);
     }
     if state.reorder.is_none() {
@@ -1880,14 +1805,12 @@ fn handle_append_late(
         Ok(()) => {
             drop(guard);
             shared.appended_points.fetch_add(n, Ordering::Relaxed); // ordering: relaxed stat counter, read after join()
-            if let Some(tr) = &shared.trace {
-                tr.record(TraceEventKind::FleetSubmit, conn, n);
-            }
+            shared.trace.record(TraceEventKind::FleetSubmit, conn, n);
             (Reply::LateAppended { track, points: n }, After::Continue)
         }
         Err(e) => {
             drop(guard);
-            refused_too_late(n, shared);
+            shared.metrics.too_late.add(n);
             (
                 Reply::Error {
                     code: ErrorCode::TooLate,
@@ -1984,12 +1907,12 @@ fn handle_request(
                 Reply::StatsReply(StatsReport {
                     stats,
                     shards,
-                    connections: shared.connections.load(Ordering::Relaxed), // ordering: relaxed snapshot read; Stats tolerates small skew
+                    connections: shared.metrics.conns_admitted.get(),
                     appended_points: shared.appended_points.load(Ordering::Relaxed), // ordering: relaxed snapshot read; Stats tolerates small skew
                     uptime_s: shared.started.elapsed().as_secs(),
                     live_connections: shared.active.load(Ordering::SeqCst) as u64, // ordering: seqcst matches the admission-path accesses of `active`
-                    peak_connections: shared.peak_active.load(Ordering::Relaxed) as u64, // ordering: relaxed snapshot read of an approximate watermark
-                    rejected_connections: shared.rejected.load(Ordering::Relaxed), // ordering: relaxed snapshot read; Stats tolerates small skew
+                    peak_connections: shared.metrics.conns_live.peak(),
+                    rejected_connections: shared.metrics.conns_rejected.get(),
                 }),
                 After::Continue,
             )
@@ -1997,32 +1920,19 @@ fn handle_request(
         Request::Metrics { prom } => {
             // Renders the full catalog — native `name value` lines, or
             // the Prometheus text exposition when the client asked for
-            // it. An unmetered server answers with the documented empty
-            // exposition rather than an error, so scrapers need no
-            // special case.
-            let text = shared
-                .metrics
-                .as_ref()
-                .map(|m| {
-                    if prom {
-                        m.registry.render_prometheus()
-                    } else {
-                        m.registry.render()
-                    }
-                })
-                .unwrap_or_default();
+            // it.
+            let registry = &shared.metrics.registry;
+            let text = if prom {
+                registry.render_prometheus()
+            } else {
+                registry.render()
+            };
             (Reply::MetricsReply { text }, After::Continue)
         }
         Request::TraceDump { last, conn: want } => {
-            // A recorder-less server answers the documented empty dump;
-            // filters apply oldest-first so `last` keeps the newest.
-            let (dropped, mut events) = match &shared.trace {
-                Some(tr) => {
-                    let snap = tr.snapshot();
-                    (snap.dropped, snap.events)
-                }
-                None => (0, Vec::new()),
-            };
+            // Filters apply oldest-first so `last` keeps the newest.
+            let snapshot = shared.trace.snapshot();
+            let (dropped, mut events) = (snapshot.dropped, snapshot.events);
             if let Some(id) = want {
                 events.retain(|e| e.conn == id);
             }
@@ -2049,7 +1959,7 @@ fn handle_request(
             drop(TcpStream::connect(wake_addr(shared.local_addr)));
             (
                 Reply::ShuttingDown {
-                    connections: shared.connections.load(Ordering::Relaxed), // ordering: relaxed snapshot read for the farewell reply
+                    connections: shared.metrics.conns_admitted.get(),
                     appended_points: shared.appended_points.load(Ordering::Relaxed), // ordering: relaxed snapshot read for the farewell reply
                 },
                 After::Close,
@@ -2086,7 +1996,7 @@ fn wake_addr(local: SocketAddr) -> SocketAddr {
 /// its own revalidation logic makes a cached one no cheaper beside
 /// live writers.
 fn run_query(spec: &QuerySpec, shared: &Shared) -> Result<QueryReport, NetError> {
-    let start = shared.metrics.as_ref().map(|_| bqs_obs::now());
+    let start = bqs_obs::now();
     let snapshot = {
         let mut guard = shared.lock_fleet();
         let Some(state) = guard.as_mut() else {
@@ -2109,12 +2019,11 @@ fn run_query(spec: &QuerySpec, shared: &Shared) -> Result<QueryReport, NetError>
         }
         None => engine.query_time_range(spec.track, range)?,
     };
-    if let (Some(m), Some(t)) = (&shared.metrics, start) {
-        m.query_us.record(elapsed_us(t));
-        m.query_shards_pruned.add(output.shards_pruned as u64);
-        m.query_shards_opened
-            .add((output.shards.len() - output.shards_pruned) as u64);
-    }
+    let m = &shared.metrics;
+    m.query_us.record(elapsed_us(start));
+    m.query_shards_pruned.add(output.shards_pruned as u64);
+    m.query_shards_opened
+        .add((output.shards.len() - output.shards_pruned) as u64);
     Ok(QueryReport {
         slices: output.slices,
         shards_pruned: output.shards_pruned as u64,

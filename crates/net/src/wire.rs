@@ -401,13 +401,12 @@ pub enum Reply {
     StatsReply(StatsReport),
     /// A metrics snapshot: the registry's sorted `name value` text
     /// exposition, or the Prometheus text format when the request asked
-    /// for it (empty when the server runs without a registry).
+    /// for it.
     MetricsReply {
         /// The exposition text; see `docs/observability.md`.
         text: String,
     },
-    /// The flight recorder's contents, oldest surviving event first
-    /// (empty when the server runs without a recorder).
+    /// The flight recorder's contents, oldest surviving event first.
     TraceReply {
         /// Events overwritten by the ring before this dump.
         dropped: u64,

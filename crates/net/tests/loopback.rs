@@ -6,6 +6,7 @@ use bqs_core::stream::compress_all;
 use bqs_core::{BqsConfig, FastBqsCompressor};
 use bqs_net::wire::{frame_to_vec, read_frame, write_frame, ErrorCode, Reply};
 use bqs_net::{BqsClient, NetError, Server, ServerConfig};
+use bqs_obs::TraceEventKind;
 use bqs_tlog::codec::{ulp_map, write_f64, write_varint, zigzag};
 use bqs_tlog::{LogConfig, TrajectoryLog};
 use std::io::Write;
@@ -215,18 +216,104 @@ fn bad_batches_and_bad_frames_get_typed_errors() {
 #[test]
 fn shutdown_drains_idle_connections() {
     let root = temp_root("drain");
-    let (addr, server) = start(2, &root);
+    let server = Server::bind(ServerConfig::new("127.0.0.1:0", 2, &root)).expect("bind");
+    let registry = server.metrics().clone();
+    let addr = server.local_addr();
+    let server = std::thread::spawn(move || server.run().expect("serve"));
     // An idle client that never sends anything must not wedge shutdown.
     let idle = BqsClient::connect(addr).expect("idle connect");
     let mut active = BqsClient::connect(addr).expect("active connect");
     active.append(1, &wave(1, 50)).expect("append");
+
+    // A server built from a bare `ServerConfig` observes itself: the
+    // catalog is live and the recorder holds one Accept per connection.
+    let text = active.metrics().expect("metrics");
+    assert!(
+        text.lines().any(|l| l.starts_with("net_frames_total ")),
+        "{text}"
+    );
+    let (_, events) = active.trace_dump(None, None).expect("trace dump");
+    let accepts = events
+        .iter()
+        .filter(|e| e.kind == TraceEventKind::Accept)
+        .count();
+    assert_eq!(accepts, 2);
+
     active.shutdown().expect("shutdown");
     let report = server
         .join()
         .expect("server drains despite the idle client");
     assert_eq!(report.connections, 2);
     assert_eq!(report.spilled_sessions, 1);
+    // Two Hellos, Append, Metrics, TraceDump, Shutdown.
+    assert_eq!(report.frames, 6);
+    // The report reads the same counters the catalog exposes.
+    for (name, value) in [
+        ("net_connections_admitted_total", report.connections),
+        (
+            "net_connections_rejected_total",
+            report.rejected_connections,
+        ),
+        ("net_frames_total", report.frames),
+        ("net_late_accepted_points_total", report.late_points),
+        ("net_backfilled_points_total", report.backfill_points),
+        ("net_too_late_points_total", report.too_late_points),
+    ] {
+        assert_eq!(registry.counter(name).get(), value, "{name}");
+    }
     drop(idle);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn the_live_connection_gauge_settles_under_concurrent_admits_and_closes() {
+    const THREADS: usize = 8;
+    const ROUNDS: usize = 25;
+    let root = temp_root("conn-churn");
+    let server = Server::bind(ServerConfig::new("127.0.0.1:0", 1, &root)).expect("bind");
+    let live = server.metrics().gauge("net_connections_live");
+    let addr = server.local_addr();
+    let handle = std::thread::spawn(move || server.run().expect("serve"));
+
+    // The acceptor admits while the I/O threads close: both sides move
+    // the gauge at once.
+    let start = std::sync::Barrier::new(THREADS);
+    std::thread::scope(|scope| {
+        for _ in 0..THREADS {
+            let start = &start;
+            scope.spawn(move || {
+                start.wait();
+                for _ in 0..ROUNDS {
+                    drop(BqsClient::connect(addr).expect("connect"));
+                }
+            });
+        }
+    });
+
+    // The pool notices each EOF asynchronously: once only the probe is
+    // left, the gauge must agree with the admission count.
+    let mut probe = BqsClient::connect(addr).expect("probe");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    loop {
+        let stats = probe.stats().expect("stats");
+        if stats.live_connections == 1 && live.get() == 1 {
+            break;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "gauge {} vs {} live connection(s)",
+            live.get(),
+            stats.live_connections
+        );
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+    let opened = (THREADS * ROUNDS + 1) as u64;
+    assert!(live.peak() <= opened, "peak {} > {opened}", live.peak());
+
+    probe.shutdown().expect("shutdown");
+    let report = handle.join().expect("server thread");
+    assert_eq!(report.connections, opened);
+    assert_eq!(live.get(), 0);
     let _ = std::fs::remove_dir_all(&root);
 }
 

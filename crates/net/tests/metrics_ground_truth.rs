@@ -28,17 +28,11 @@ fn counter(registry: &MetricsRegistry, name: &str) -> u64 {
 fn server_counters_equal_loadgen_ground_truth() {
     let io_threads = 2usize;
     let root = temp_root(&format!("truth-{io_threads}"));
-    let registry = MetricsRegistry::new();
-    let recorder = FlightRecorder::with_counters(
-        4096,
-        registry.counter("trace_events_recorded_total"),
-        registry.counter("trace_events_dropped_total"),
-    );
     let mut config = ServerConfig::new("127.0.0.1:0", 2, &root);
     config.io_threads = io_threads;
-    config.metrics = Some(registry.clone());
-    config.trace = Some(recorder.clone());
     let server = Server::bind(config).expect("bind");
+    let registry = server.metrics().clone();
+    let recorder = server.recorder().clone();
     let addr = server.local_addr();
     let handle = std::thread::spawn(move || server.run().expect("serve"));
 
@@ -100,7 +94,7 @@ fn server_counters_equal_loadgen_ground_truth() {
     // flushed — loadgen's 34 frames plus the probe's Hello, Metrics
     // and TraceDump, with exactly the first two replies flushed.
     let (dropped, events) = probe.trace_dump(None, None).expect("trace dump");
-    assert_eq!(dropped, 0, "{tag}: nothing may overflow a 4096 ring");
+    assert_eq!(dropped, 0, "{tag}: nothing may overflow the ring");
     let kind_count = |events: &[bqs_obs::TraceEvent], kind: TraceEventKind| {
         events.iter().filter(|e| e.kind == kind).count() as u64
     };

@@ -23,9 +23,10 @@
 //!   are `Arc`-backed and lock-free. [`MetricsRegistry::render`]
 //!   produces a sorted `name value` text exposition.
 //!
-//! Instrumented code holds `Option<…handles…>`: when no registry was
-//! installed the per-event cost is a branch on `None`, so the disabled
-//! path is effectively free.
+//! The fleet and spill layers hold `Option<…handles…>`: when no
+//! registry was installed the per-event cost is a branch on `None`, so
+//! the disabled path is effectively free. The network server always
+//! holds its handles.
 
 #![deny(missing_docs)]
 

@@ -26,7 +26,6 @@
 use bqs::core::fleet::{worker_of, ParallelConfig, ParallelFleet, TrackId};
 use bqs::core::{BqsConfig, FastBqsCompressor};
 use bqs::net::{loadgen, BqsClient, LoadgenConfig, Server, ServerConfig};
-use bqs::obs::MetricsRegistry;
 use bqs::tlog::{prepare_spill_logs, LogConfig, SpillSink, TrajectoryLog};
 use bqs_cli::Command;
 use proptest::prelude::*;
@@ -360,11 +359,9 @@ proptest! {
 
             for io_threads in [1usize, 2] {
                 let root = temp_root("net-late");
-                let registry = MetricsRegistry::new();
                 let mut config = ServerConfig::new("127.0.0.1:0", workers, &root);
                 config.io_threads = io_threads;
                 config.lateness = WINDOW;
-                config.metrics = Some(registry.clone());
                 let server = Server::bind(config).expect("bind");
                 let addr = server.local_addr();
                 let handle = std::thread::spawn(move || server.run().expect("serve"));
