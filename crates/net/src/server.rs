@@ -35,9 +35,10 @@
 //!   gracefully, instead of hanging in a backlog.
 //! * **Queries are hot + cold** — `Query` takes a consistent
 //!   [`ParallelFleet::snapshot`] (every point submitted before the
-//!   request is visible) and merges it with the spill tree through
-//!   [`QueryEngine`]; a mid-run answer for a closed track is exactly
-//!   the answer the finished tree will give.
+//!   request is visible) and merges it with the spill tree through the
+//!   server's one [`QueryEngine`], opened at bind and caught up by the
+//!   bytes spilled since the previous query; a mid-run answer for a
+//!   closed track is exactly the answer the finished tree will give.
 //! * **Graceful shutdown** — `Shutdown` stops the acceptor and starts
 //!   the drain: in-flight frames complete (mid-frame connections get
 //!   a 5 s `DRAIN_GRACE`), idle connections close, the fleet joins, every
@@ -543,6 +544,8 @@ struct ServerMetrics {
     query_us: Histogram,
     query_shards_pruned: Counter,
     query_shards_opened: Counter,
+    query_refresh_bytes: Counter,
+    query_reopens: Counter,
 }
 
 impl ServerMetrics {
@@ -581,6 +584,8 @@ impl ServerMetrics {
             query_us: h("tlog_query_us"),
             query_shards_pruned: c("tlog_query_shards_pruned_total"),
             query_shards_opened: c("tlog_query_shards_opened_total"),
+            query_refresh_bytes: c("tlog_query_refresh_bytes_total"),
+            query_reopens: c("tlog_query_reopens_total"),
         }
     }
 
@@ -593,6 +598,11 @@ impl ServerMetrics {
 
 struct Shared {
     fleet: FleetSlot,
+    /// The read side: one engine over the spill tree for the server's
+    /// whole life, caught up by appended bytes at every query. Locked
+    /// only to prepare a query (never while `fleet` is held); queries
+    /// run unlocked.
+    engine: Mutex<QueryEngine>,
     hub: Arc<SubHub>,
     spill: PathBuf,
     workers: usize,
@@ -630,6 +640,12 @@ impl Shared {
     /// which `join` reports — instead of panicking every later caller.
     fn lock_fleet(&self) -> std::sync::MutexGuard<'_, Option<FleetState>> {
         self.fleet.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Locks the query engine; a poisoned lock still yields it — every
+    /// query refreshes the engine from disk before answering.
+    fn lock_engine(&self) -> std::sync::MutexGuard<'_, QueryEngine> {
+        self.engine.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Registers an accepted connection: the admission gate, the serve
@@ -738,6 +754,7 @@ impl Server {
                 .into_iter()
                 .map(Some)
                 .collect();
+        let engine = QueryEngine::open(&config.spill)?;
         let bqs_config = BqsConfig::new(config.tolerance)
             .map_err(|e| NetError::Config(format!("tolerance: {e}")))?;
         // The server always observes itself: one registry and one
@@ -808,6 +825,7 @@ impl Server {
                     backfill: HashMap::new(),
                     max_t: f64::NEG_INFINITY,
                 })),
+                engine: Mutex::new(engine),
                 hub,
                 spill: config.spill,
                 workers: config.workers,
@@ -1991,10 +2009,11 @@ fn wake_addr(local: SocketAddr) -> SocketAddr {
     }
 }
 
-/// Serves one query: consistent live snapshot first, then the unified
-/// engine over (snapshot + spill tree). The engine is opened per query;
-/// its own revalidation logic makes a cached one no cheaper beside
-/// live writers.
+/// Serves one query: consistent live snapshot first, under the fleet
+/// lock alone; then the server's long-lived engine catches up with
+/// everything spilled since, under the engine lock alone, so
+/// durable-wins merging stays gap-free; then the prepared query reads
+/// and merges under no lock, beside any other connection's query.
 fn run_query(spec: &QuerySpec, shared: &Shared) -> Result<QueryReport, NetError> {
     let start = bqs_obs::now();
     let snapshot = {
@@ -2007,23 +2026,19 @@ fn run_query(spec: &QuerySpec, shared: &Shared) -> Result<QueryReport, NetError>
         };
         state.fleet.snapshot()
     };
-    let mut engine = QueryEngine::open(&shared.spill)?.with_snapshot(snapshot);
     let range = TimeRange::new(spec.from, spec.to);
-    let output = match spec.bbox {
-        Some([x0, y0, x1, y1]) => {
-            let area = bqs_geo::Rect::from_corners(
-                bqs_geo::Point2::new(x0, y0),
-                bqs_geo::Point2::new(x1, y1),
-            );
-            engine.query_bbox(spec.track, area, Some(range))?
-        }
-        None => engine.query_time_range(spec.track, range)?,
-    };
+    let area = spec.bbox.map(|[x0, y0, x1, y1]| {
+        bqs_geo::Rect::from_corners(bqs_geo::Point2::new(x0, y0), bqs_geo::Point2::new(x1, y1))
+    });
+    let prepared = shared.lock_engine().prepare(spec.track, range, area)?;
+    let output = prepared.run(Some(&snapshot))?;
     let m = &shared.metrics;
     m.query_us.record(elapsed_us(start));
     m.query_shards_pruned.add(output.shards_pruned as u64);
     m.query_shards_opened
         .add((output.shards.len() - output.shards_pruned) as u64);
+    m.query_refresh_bytes.add(output.refreshed_bytes);
+    m.query_reopens.add(output.reopened_shards as u64);
     Ok(QueryReport {
         slices: output.slices,
         shards_pruned: output.shards_pruned as u64,

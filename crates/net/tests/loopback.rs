@@ -141,6 +141,69 @@ fn single_worker_spills_a_flat_log() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
+/// The server keeps one query engine for its life: idle queries read no
+/// segment byte and reopen nothing, and an eviction between two queries
+/// is caught up by its appended bytes alone — with the evicted track's
+/// answer still exactly the finished tree's.
+#[test]
+fn queries_reuse_one_engine_caught_up_by_appended_bytes() {
+    let root = temp_root("engine-cache");
+    let mut config = ServerConfig::new("127.0.0.1:0", 2, &root);
+    config.evict_idle = 100.0;
+    let server = Server::bind(config).expect("bind");
+    let registry = server.metrics().clone();
+    let addr = server.local_addr();
+    let handle = std::thread::spawn(move || server.run().expect("serve"));
+    let bytes = registry.counter("tlog_query_refresh_bytes_total");
+    let reopens = registry.counter("tlog_query_reopens_total");
+    let evicted = registry.counter("fleet_evicted_sessions_total");
+
+    let mut client = BqsClient::connect(addr).expect("connect");
+    client.append(1, &wave(1, 80)).expect("append"); // t ∈ [0, 4740]
+    let all = |client: &mut BqsClient, track| {
+        client
+            .query_time_range(track, f64::NEG_INFINITY, f64::INFINITY)
+            .expect("query")
+    };
+    let first = all(&mut client, Some(1));
+    assert!(first.hot_points > 0, "nothing spilled yet");
+    let (bytes0, reopens0) = (bytes.get(), reopens.get());
+    assert_eq!(reopens0, 2, "the engine opened each shard once, at bind");
+
+    for i in 0..50 {
+        all(&mut client, if i % 2 == 0 { Some(1) } else { None });
+    }
+    assert_eq!(bytes.get(), bytes0, "idle queries read no segment byte");
+    assert_eq!(reopens.get(), reopens0, "idle queries reopen nothing");
+
+    // Track 2 moves stream time 5000 s past track 1's last point, so the
+    // next eviction tick spills track 1.
+    let late: Vec<_> = wave(2, 10)
+        .into_iter()
+        .map(|p| bqs_geo::TimedPoint::at(p.pos, p.t + 10_000.0))
+        .collect();
+    client.append(2, &late).expect("append");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while evicted.get() == 0 {
+        assert!(std::time::Instant::now() < deadline, "no eviction");
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+    let after = all(&mut client, Some(1));
+    assert!(bytes.get() > bytes0, "the spill was read");
+    assert_eq!(reopens.get(), reopens0, "…as appended bytes, not a reopen");
+    assert_eq!(after.hot_points, 0, "track 1 is durable now");
+
+    client.shutdown().expect("shutdown");
+    handle.join().expect("server thread");
+    let mut finished = bqs_tlog::QueryEngine::open(&root).expect("finished tree");
+    let expected = finished
+        .query_time_range(Some(1), bqs_tlog::TimeRange::all())
+        .expect("tree query");
+    assert_eq!(after.slices, expected.slices);
+    assert_eq!(first.slices, expected.slices, "hot then cold, one answer");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 #[test]
 fn bad_batches_and_bad_frames_get_typed_errors() {
     let root = temp_root("errors");

@@ -14,9 +14,9 @@
 //! [`QueryEngine`] answers time-range and bounding-box queries over all
 //! three. Cold shards are opened **read-only** (no locks — safe next to
 //! a live writer, see [`TrajectoryLog::open_read_only`]) and queried in
-//! parallel threads, one per shard; the hot side arrives as a
-//! [`FleetSnapshot`] taken from the live fleet
-//! ([`bqs_core::fleet::ParallelFleet::snapshot`]).
+//! parallel, one thread per shard but one, which runs on the calling
+//! thread; the hot side arrives as a [`FleetSnapshot`] taken from the
+//! live fleet ([`bqs_core::fleet::ParallelFleet::snapshot`]).
 //!
 //! **Pruning.** A tree's [`Manifest`] (per shard: live track set, time
 //! spans, bounding boxes) lets the engine skip — never even open —
@@ -29,15 +29,23 @@
 //! are admitted only *after* the track's durable time span
 //! (`t > durable t_max`), so a point that was both spilled and still
 //! sitting in a stale snapshot is counted once, from disk. Take the
-//! snapshot *before* constructing the engine (or before each query, on
-//! a long-lived engine) and anything spilled in between is simply seen
-//! cold instead of hot.
+//! snapshot *before* the query is prepared and anything spilled in
+//! between is simply seen cold instead of hot.
 //!
-//! **Liveness.** An engine may outlive many writer appends: every query
-//! starts by re-checking each shard's on-disk fingerprint (segment
-//! count + bytes) and drops stale cached logs and manifests, so a
-//! long-lived engine never prunes away — or double-counts against its
-//! snapshot — data spilled after it was opened.
+//! **Liveness.** One engine may serve a whole run beside live writers.
+//! A query runs in two steps. [`QueryEngine::prepare`] (`&mut self`)
+//! catches each opened shard log up with [`TrajectoryLog::refresh`] —
+//! only the bytes appended since the previous query, nothing at all on
+//! an idle tree, a whole rescan only after a compaction or repair —
+//! brings every changed shard's manifest entry in line with its log,
+//! prunes, and pins the surviving logs. [`PreparedQuery::run`] then
+//! reads only what it pinned, so it needs no access to the engine: a
+//! server holds its engine lock for the catch-up alone and runs
+//! concurrent queries side by side. A log still pinned by a running
+//! query is caught up on a copy, never under the reader's feet. A
+//! long-lived engine therefore never prunes away — or double-counts
+//! against its snapshot — data spilled after it was opened, and answers
+//! exactly as a freshly opened engine would (`tests/query_unified.rs`).
 //!
 //! The consistency guarantee, proved end to end by the hot/cold
 //! equivalence property test: *snapshot + cold query ≡ the query you
@@ -46,13 +54,14 @@
 
 use crate::error::TlogError;
 use crate::log::{LogConfig, TrajectoryLog};
-use crate::manifest::Manifest;
+use crate::manifest::{shard_fingerprint, Manifest, ManifestShard};
 use crate::query::{QueryOutput, QueryStats, TimeRange, TrackSlice};
 use crate::sharded::{is_sharded_tree, shard_dirs};
 use bqs_core::fleet::{FleetSnapshot, TrackId};
 use bqs_geo::{Rect, TimedPoint};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// What one cold shard contributed to a query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,7 +69,7 @@ pub struct ShardQuery {
     /// The shard index; `None` for a flat (unsharded) log.
     pub shard: Option<usize>,
     /// `true` when the manifest proved the shard irrelevant and it was
-    /// never opened or scanned.
+    /// not queried (nor opened, if it was not open yet).
     pub skipped: bool,
     /// The shard's work counters (all zero when skipped).
     pub stats: QueryStats,
@@ -76,12 +85,20 @@ pub struct UnifiedOutput {
     pub stats: QueryStats,
     /// Per-shard breakdown, ascending by shard.
     pub shards: Vec<ShardQuery>,
-    /// Shards skipped via the manifest without being opened.
+    /// Shards skipped via the manifest without being queried.
     pub shards_pruned: usize,
     /// Matching points contributed by the live snapshot.
     pub hot_points: usize,
     /// Tracks with at least one hot matching point.
     pub hot_tracks: usize,
+    /// Segment-file bytes read to catch the cold side up since the
+    /// previous query: appended tails, plus whole logs opened or
+    /// rescanned. 0 when nothing changed on disk.
+    pub refreshed_bytes: u64,
+    /// Shard logs scanned whole since the previous query: first opens
+    /// (those of [`QueryEngine::open`] itself are reported by its first
+    /// query) and rescans after a compaction or repair.
+    pub reopened_shards: usize,
 }
 
 impl UnifiedOutput {
@@ -91,51 +108,131 @@ impl UnifiedOutput {
     }
 }
 
-/// One cold source: a shard (or flat) log, opened read-only on first
-/// use, cached while its on-disk fingerprint is unchanged.
+/// What catching cold logs up cost: bytes read, and logs scanned whole.
+#[derive(Debug, Clone, Copy, Default)]
+struct CatchUp {
+    bytes: u64,
+    reopens: usize,
+}
+
+impl CatchUp {
+    fn add(&mut self, other: CatchUp) {
+        self.bytes += other.bytes;
+        self.reopens += other.reopens;
+    }
+}
+
+/// Runs `work` over every item in parallel — each item but the first on
+/// its own scoped thread, the first on the calling thread, so a lone
+/// item costs no spawn — and returns the results in item order.
+fn fan_out<T: Send, R: Send>(items: Vec<T>, work: impl Fn(T) -> R + Sync) -> Vec<R> {
+    let mut items = items.into_iter();
+    let Some(first) = items.next() else {
+        return Vec::new();
+    };
+    let work = &work;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = items.map(|item| scope.spawn(move || work(item))).collect();
+        let mut results = Vec::with_capacity(handles.len() + 1);
+        results.push(work(first));
+        results.extend(handles.into_iter().map(|handle| {
+            // bqs-analyze: allow(no-unwrap-in-lib) — propagate a worker panic instead of masking it
+            handle.join().expect("shard thread panicked")
+        }));
+        results
+    })
+}
+
+/// One cold source: a shard (or flat) log, opened read-only on first use
+/// and caught up before every query from then on.
 #[derive(Debug)]
 struct ShardSlot {
     shard: Option<usize>,
     dir: PathBuf,
-    log: Option<TrajectoryLog>,
-    /// Segment count + byte total the cached `log` (and, for trees, the
-    /// manifest entry) corresponds to; `None` until first observed.
-    fingerprint: Option<(usize, u64)>,
+    /// Shared with the prepared queries still reading it.
+    log: Option<Arc<TrajectoryLog>>,
+    /// `(seq, length)` of every segment the shard's manifest entry
+    /// describes: the directory listing the entry was checked against
+    /// while the log is unopened, the log's indexed segments once the
+    /// entry was rebuilt from it. Comparing state, not what the last
+    /// catch-up reported, keeps a catch-up that failed half-way from
+    /// leaving the entry stale.
+    described: Vec<(u64, u64)>,
 }
 
 impl ShardSlot {
-    /// Opens the slot's log read-only if it is not open yet, then runs
-    /// the query against it.
-    fn query(
-        &mut self,
-        config: LogConfig,
-        track: Option<TrackId>,
-        range: TimeRange,
-        area: Option<Rect>,
-    ) -> Result<QueryOutput, TlogError> {
-        if self.log.is_none() {
-            let (log, _) = TrajectoryLog::open_read_only(&self.dir, config)?;
-            self.log = Some(log);
+    /// Opens the slot's log read-only: one scan of every segment byte.
+    fn open(&mut self, config: LogConfig) -> Result<CatchUp, TlogError> {
+        let (log, scan) = TrajectoryLog::scan_read_only(self.dir.clone(), config)?;
+        self.log = Some(Arc::new(log));
+        Ok(CatchUp {
+            bytes: scan.bytes,
+            reopens: 1,
+        })
+    }
+
+    /// Catches the slot up with its directory, reading nothing when the
+    /// listing shows no change. An opened log is refreshed — in place
+    /// when no prepared query pins it, on a copy otherwise; an unopened
+    /// shard whose listing moved away from its manifest entry is opened.
+    fn catch_up(&mut self, config: LogConfig) -> Result<CatchUp, TlogError> {
+        let listing = shard_fingerprint(&self.dir)?;
+        let Some(shared) = &mut self.log else {
+            return if listing == self.described {
+                Ok(CatchUp::default())
+            } else {
+                self.open(config)
+            };
+        };
+        if listing == shared.segment_lengths() {
+            return Ok(CatchUp::default());
         }
-        // bqs-analyze: allow(no-unwrap-in-lib) — invariant: just opened
-        let log = self.log.as_ref().expect("just opened");
-        match area {
-            Some(area) => log.query_bbox(track, area, Some(range)),
-            None => log.query_time_range(track, range),
+        if Arc::get_mut(shared).is_none() {
+            *shared = Arc::new(shared.read_only_copy());
         }
+        // bqs-analyze: allow(no-unwrap-in-lib) — invariant: unshared just above
+        let log = Arc::get_mut(shared).expect("unshared");
+        let scan = log.refresh()?;
+        Ok(CatchUp {
+            bytes: scan.bytes,
+            reopens: usize::from(scan.rescanned),
+        })
+    }
+
+    /// Rebuilds the slot's manifest entry from its log's record headers
+    /// when the log has read other segment bytes than the entry
+    /// describes (always, with `force`).
+    fn sync_entry(&mut self, manifest: &mut Option<Arc<Manifest>>, force: bool) {
+        let (Some(manifest), Some(shard), Some(log)) = (manifest, self.shard, &self.log) else {
+            return;
+        };
+        let segments = log.segment_lengths();
+        if !force && segments == self.described {
+            return;
+        }
+        let entry = ManifestShard::of_log(shard, log, &segments);
+        let shards = &mut Arc::make_mut(manifest).shards;
+        match shards.iter_mut().find(|s| s.shard == shard) {
+            Some(old) => *old = entry,
+            None => shards.push(entry),
+        }
+        self.described = segments;
     }
 }
 
 /// The unified hot/cold query engine. See the module docs for the
-/// design; construct with [`QueryEngine::open`] and attach a live view
-/// with [`QueryEngine::with_snapshot`].
+/// design; construct with [`QueryEngine::open`], attach a live view with
+/// [`QueryEngine::with_snapshot`], or hand each query its own snapshot
+/// through [`QueryEngine::prepare`] and [`PreparedQuery::run`].
 #[derive(Debug)]
 pub struct QueryEngine {
     shards: Vec<ShardSlot>,
-    manifest: Option<Manifest>,
+    manifest: Option<Arc<Manifest>>,
     hot: Option<FleetSnapshot>,
     config: LogConfig,
     pruning: bool,
+    /// Catch-up work not yet reported by a query's output.
+    unreported: CatchUp,
 }
 
 impl QueryEngine {
@@ -158,10 +255,19 @@ impl QueryEngine {
     /// directory that holds no log at all, here rather than as an
     /// eerily empty first query.
     pub fn open_flat(dir: impl Into<PathBuf>) -> Result<QueryEngine, TlogError> {
+        let mut slot = ShardSlot {
+            shard: None,
+            dir: dir.into(),
+            log: None,
+            described: Vec::new(),
+        };
         let config = LogConfig::default();
-        let dir = dir.into();
-        let (log, _) = TrajectoryLog::open_read_only(&dir, config)?;
-        if log.footprint().segments == 0 {
+        let opened = slot.open(config)?;
+        if slot
+            .log
+            .as_ref()
+            .is_some_and(|l| l.footprint().segments == 0)
+        {
             // A real flat log always has at least one segment (the
             // writer bootstraps one on creation); an existing directory
             // without any is a wrong path, not an empty dataset.
@@ -169,31 +275,27 @@ impl QueryEngine {
                 format!(
                     "{} holds no trajectory log (no seg-*.tlg files and no shard-<k> \
                      directories)",
-                    dir.display()
+                    slot.dir.display()
                 ),
                 std::io::Error::new(std::io::ErrorKind::NotFound, "not a trajectory log"),
             ));
         }
-        let fingerprint = crate::manifest::shard_fingerprint(&dir)?;
         Ok(QueryEngine {
-            shards: vec![ShardSlot {
-                shard: None,
-                dir,
-                log: Some(log),
-                fingerprint: Some(fingerprint),
-            }],
+            shards: vec![slot],
             manifest: None,
             hot: None,
             config,
             pruning: true,
+            unreported: opened,
         })
     }
 
-    /// An engine over a `shard-<k>/` spill tree. The tree's `MANIFEST`
-    /// is loaded (or the shards are header-scanned when it is missing,
-    /// unparseable or stale — see [`Manifest::load_or_scan`]); shard
-    /// logs themselves are opened lazily, only when a query survives
-    /// manifest pruning.
+    /// An engine over a `shard-<k>/` spill tree. When the tree's
+    /// `MANIFEST` parses and matches every shard directory, shard logs
+    /// are opened lazily, only when a query survives manifest pruning.
+    /// Otherwise (missing, damaged or stale) every shard is scanned now,
+    /// the manifest is folded from the scan, and the opened logs are
+    /// kept for the queries to come.
     pub fn open_tree(root: impl AsRef<Path>) -> Result<QueryEngine, TlogError> {
         let root = root.as_ref();
         let dirs = shard_dirs(root)?;
@@ -203,59 +305,39 @@ impl QueryEngine {
                 std::io::Error::new(std::io::ErrorKind::NotFound, "not a sharded spill tree"),
             ));
         }
-        let manifest = Manifest::load_or_scan(root)?;
         let config = LogConfig::default();
-        Ok(QueryEngine {
+        // A damaged manifest is never trusted: it is simply not used.
+        let loaded = Manifest::load(root).ok().flatten();
+        let listings = dirs
+            .iter()
+            .map(|(_, dir)| shard_fingerprint(dir))
+            .collect::<Result<Vec<_>, _>>()?;
+        let fresh = loaded.filter(|m| m.describes(&dirs, &listings));
+        let mut engine = QueryEngine {
             shards: dirs
                 .into_iter()
-                .map(|(shard, dir)| ShardSlot {
+                .zip(listings)
+                .map(|((shard, dir), described)| ShardSlot {
                     shard: Some(shard),
-                    // The manifest is fresh right now, so its recorded
-                    // fingerprints describe the current directories.
-                    fingerprint: manifest
-                        .shards
-                        .iter()
-                        .find(|s| s.shard == shard)
-                        .map(|s| (s.segments, s.bytes)),
                     dir,
                     log: None,
+                    described,
                 })
                 .collect(),
-            manifest: Some(manifest),
+            manifest: fresh.map(Arc::new),
             hot: None,
             config,
             pruning: true,
-        })
-    }
-
-    /// Re-checks every shard's on-disk fingerprint (segment count +
-    /// byte total) and drops whatever the check invalidates: a changed
-    /// shard's cached log is reopened on next use, and a tree's
-    /// manifest is rescanned. This is what lets one engine serve many
-    /// queries *beside a live writer* without pruning away (or
-    /// double-counting against the hot snapshot) data spilled after the
-    /// engine was opened; it runs automatically at the start of every
-    /// query.
-    fn revalidate(&mut self) -> Result<(), TlogError> {
-        let mut changed = false;
-        for slot in &mut self.shards {
-            let fingerprint = crate::manifest::shard_fingerprint(&slot.dir)?;
-            if slot.fingerprint != Some(fingerprint) {
-                slot.fingerprint = Some(fingerprint);
-                slot.log = None;
-                changed = true;
+            unreported: CatchUp::default(),
+        };
+        if engine.manifest.is_none() {
+            engine.manifest = Some(Arc::default());
+            for slot in &mut engine.shards {
+                engine.unreported.add(slot.open(config)?);
+                slot.sync_entry(&mut engine.manifest, true);
             }
         }
-        if changed && self.manifest.is_some() {
-            let root = self.shards[0]
-                .dir
-                .parent()
-                // bqs-analyze: allow(no-unwrap-in-lib) — invariant: shard dirs live under the tree root
-                .expect("shard dirs live under the tree root")
-                .to_path_buf();
-            self.manifest = Some(Manifest::scan(root)?);
-        }
-        Ok(())
+        Ok(engine)
     }
 
     /// Attaches a live fleet snapshot: subsequent queries merge its
@@ -264,11 +346,6 @@ impl QueryEngine {
     pub fn with_snapshot(mut self, snapshot: FleetSnapshot) -> QueryEngine {
         self.hot = Some(snapshot);
         self
-    }
-
-    /// Replaces (or clears) the attached live snapshot in place.
-    pub fn set_snapshot(&mut self, snapshot: Option<FleetSnapshot>) {
-        self.hot = snapshot;
     }
 
     /// Disables or re-enables manifest pruning — every shard is then
@@ -283,9 +360,11 @@ impl QueryEngine {
         self.shards.len()
     }
 
-    /// The tree manifest in use, when the engine was opened over a tree.
+    /// The tree manifest in use, when the engine was opened over a tree:
+    /// loaded from `MANIFEST` or folded from a scan, with the entries of
+    /// shards that changed since rebuilt from their logs.
     pub fn manifest(&self) -> Option<&Manifest> {
-        self.manifest.as_ref()
+        self.manifest.as_deref()
     }
 
     /// Points of `track` (or of every track when `None`) whose
@@ -295,7 +374,7 @@ impl QueryEngine {
         track: Option<TrackId>,
         range: TimeRange,
     ) -> Result<UnifiedOutput, TlogError> {
-        self.query(track, range, None)
+        self.prepare(track, range, None)?.run(self.hot.as_ref())
     }
 
     /// Points of `track` (or of every track when `None`) inside `area`
@@ -306,31 +385,37 @@ impl QueryEngine {
         area: Rect,
         range: Option<TimeRange>,
     ) -> Result<UnifiedOutput, TlogError> {
-        self.query(track, range.unwrap_or_else(TimeRange::all), Some(area))
+        self.prepare(track, range.unwrap_or_else(TimeRange::all), Some(area))?
+            .run(self.hot.as_ref())
     }
 
-    /// The latest durable timestamp of `track` across all cold sources
-    /// — the watermark below which hot points are duplicates.
-    fn durable_t_max(&self, track: TrackId) -> Option<f64> {
-        if let Some(manifest) = &self.manifest {
-            return manifest.track_time_span(track).map(|(_, hi)| hi);
-        }
-        self.shards
-            .iter()
-            .filter_map(|s| s.log.as_ref())
-            .filter_map(|log| log.track_time_span(track).map(|(_, hi)| hi))
-            .reduce(f64::max)
-    }
-
-    fn query(
+    /// The first half of a query: catches every cold source up with what
+    /// writers did since the last query, decides from the manifest which
+    /// shards can contribute, opens those not open yet, and pins them.
+    ///
+    /// An opened log is refreshed by its appended bytes (rescanned whole
+    /// only after a compaction or repair); an unopened shard whose
+    /// directory listing moved since its manifest entry was checked is
+    /// opened. Every shard whose log read other bytes than its manifest
+    /// entry describes rebuilds *that entry alone* from its log's record
+    /// headers. On an idle tree this reads no segment byte. It is what
+    /// lets one engine serve many queries beside live writers without
+    /// pruning away (or double-counting against the hot snapshot) data
+    /// spilled after the engine was opened.
+    ///
+    /// The returned query holds no borrow of the engine: run it after
+    /// releasing whatever lock guards the engine.
+    pub fn prepare(
         &mut self,
         track: Option<TrackId>,
         range: TimeRange,
         area: Option<Rect>,
-    ) -> Result<UnifiedOutput, TlogError> {
-        // Writers may have appended, compacted or spilled since the
-        // last query: invalidate whatever changed on disk first.
-        self.revalidate()?;
+    ) -> Result<PreparedQuery, TlogError> {
+        let config = self.config;
+        for slot in &mut self.shards {
+            self.unreported.add(slot.catch_up(config)?);
+            slot.sync_entry(&mut self.manifest, false);
+        }
         // Plan: decide per shard, from the manifest alone, whether it
         // can possibly contribute. Flat logs and manifest-less engines
         // are never pruned.
@@ -346,43 +431,99 @@ impl QueryEngine {
                 _ => false,
             })
             .collect();
+        // Open the surviving shards not open yet, then bring their
+        // entries up to date: the hot merge reads durable watermarks
+        // there.
+        let unopened: Vec<&mut ShardSlot> = self
+            .shards
+            .iter_mut()
+            .zip(&skip)
+            .filter(|(slot, &skipped)| !skipped && slot.log.is_none())
+            .map(|(slot, _)| slot)
+            .collect();
+        for opened in fan_out(unopened, |slot| slot.open(config)) {
+            self.unreported.add(opened?);
+        }
+        for slot in &mut self.shards {
+            slot.sync_entry(&mut self.manifest, false);
+        }
+        Ok(PreparedQuery {
+            track,
+            range,
+            area,
+            shards: self
+                .shards
+                .iter()
+                .zip(&skip)
+                .map(|(slot, &skipped)| (slot.shard, slot.log.clone().filter(|_| !skipped)))
+                .collect(),
+            manifest: self.manifest.clone(),
+            catch_up: std::mem::take(&mut self.unreported),
+        })
+    }
+}
 
-        // Fan out: every surviving shard is opened (read-only, if not
-        // cached yet) and queried on its own thread.
-        let config = self.config;
-        let mut results: Vec<(usize, Result<QueryOutput, TlogError>)> = Vec::new();
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for (i, slot) in self.shards.iter_mut().enumerate() {
-                if skip[i] {
-                    continue;
-                }
-                handles.push((
-                    i,
-                    scope.spawn(move || slot.query(config, track, range, area)),
-                ));
-            }
-            for (i, handle) in handles {
-                // bqs-analyze: allow(no-unwrap-in-lib) — propagate a worker panic instead of masking it
-                results.push((i, handle.join().expect("shard query thread panicked")));
-            }
+/// A query whose cold side is caught up and pinned by
+/// [`QueryEngine::prepare`]: the surviving shards' logs and the manifest
+/// as they stood then. Running it touches nothing else.
+#[derive(Debug)]
+pub struct PreparedQuery {
+    track: Option<TrackId>,
+    range: TimeRange,
+    area: Option<Rect>,
+    /// Per shard, ascending: its index and, unless pruned, its log.
+    shards: Vec<(Option<usize>, Option<Arc<TrajectoryLog>>)>,
+    manifest: Option<Arc<Manifest>>,
+    catch_up: CatchUp,
+}
+
+impl PreparedQuery {
+    /// The latest durable timestamp of `track` across all cold sources
+    /// — the watermark below which hot points are duplicates.
+    fn durable_t_max(&self, track: TrackId) -> Option<f64> {
+        if let Some(manifest) = &self.manifest {
+            return manifest.track_time_span(track).map(|(_, hi)| hi);
+        }
+        self.shards
+            .iter()
+            .filter_map(|(_, log)| log.as_ref())
+            .filter_map(|log| log.track_time_span(track).map(|(_, hi)| hi))
+            .reduce(f64::max)
+    }
+
+    /// The second half of a query: queries every pinned shard in
+    /// parallel and merges the answer with `hot`, a live snapshot taken
+    /// before the query was prepared (durable wins on overlap).
+    pub fn run(self, hot: Option<&FleetSnapshot>) -> Result<UnifiedOutput, TlogError> {
+        let (track, range, area) = (self.track, self.range, self.area);
+        let surviving: Vec<(usize, &TrajectoryLog)> = self
+            .shards
+            .iter()
+            .enumerate()
+            .filter_map(|(i, (_, log))| Some((i, log.as_deref()?)))
+            .collect();
+        let results = fan_out(surviving, |(i, log)| {
+            let output = match area {
+                Some(area) => log.query_bbox(track, area, Some(range)),
+                None => log.query_time_range(track, range),
+            };
+            (i, output)
         });
 
         // Fold the cold side.
         let mut shard_reports: Vec<ShardQuery> = self
             .shards
             .iter()
-            .zip(&skip)
-            .map(|(slot, &skipped)| ShardQuery {
-                shard: slot.shard,
-                skipped,
+            .map(|(shard, log)| ShardQuery {
+                shard: *shard,
+                skipped: log.is_none(),
                 stats: QueryStats::default(),
             })
             .collect();
         let mut stats = QueryStats::default();
         let mut per_track: BTreeMap<TrackId, Vec<Vec<TimedPoint>>> = BTreeMap::new();
         for (i, result) in results {
-            let output = result?;
+            let output: QueryOutput = result?;
             shard_reports[i].stats = output.stats;
             stats.candidate_records += output.stats.candidate_records;
             stats.decoded_records += output.stats.decoded_records;
@@ -397,25 +538,22 @@ impl QueryEngine {
         // points are admitted only past its durable time span.
         let mut hot_points = 0usize;
         let mut hot_tracks = 0usize;
-        if let Some(snapshot) = self.hot.take() {
-            for t in &snapshot.tracks {
-                if track.is_some_and(|wanted| wanted != t.track) {
-                    continue;
-                }
-                let watermark = self.durable_t_max(t.track);
-                let fresh: Vec<TimedPoint> = t
-                    .points()
-                    .into_iter()
-                    .filter(|p| watermark.is_none_or(|hi| p.t > hi))
-                    .filter(|p| range.contains(p.t) && area.is_none_or(|a| a.contains(p.pos)))
-                    .collect();
-                if !fresh.is_empty() {
-                    hot_points += fresh.len();
-                    hot_tracks += 1;
-                    per_track.entry(t.track).or_default().push(fresh);
-                }
+        for t in hot.iter().flat_map(|snapshot| &snapshot.tracks) {
+            if track.is_some_and(|wanted| wanted != t.track) {
+                continue;
             }
-            self.hot = Some(snapshot);
+            let watermark = self.durable_t_max(t.track);
+            let fresh: Vec<TimedPoint> = t
+                .points()
+                .into_iter()
+                .filter(|p| watermark.is_none_or(|hi| p.t > hi))
+                .filter(|p| range.contains(p.t) && area.is_none_or(|a| a.contains(p.pos)))
+                .collect();
+            if !fresh.is_empty() {
+                hot_points += fresh.len();
+                hot_tracks += 1;
+                per_track.entry(t.track).or_default().push(fresh);
+            }
         }
 
         // Assemble slices: one per track, sources merged in time order.
@@ -436,10 +574,12 @@ impl QueryEngine {
         Ok(UnifiedOutput {
             slices,
             stats,
-            shards_pruned: skip.iter().filter(|&&s| s).count(),
+            shards_pruned: shard_reports.iter().filter(|s| s.skipped).count(),
             shards: shard_reports,
             hot_points,
             hot_tracks,
+            refreshed_bytes: self.catch_up.bytes,
+            reopened_shards: self.catch_up.reopens,
         })
     }
 }
@@ -644,13 +784,17 @@ mod tests {
             .slices
             .is_empty());
 
+        // Every log is open now; an idle tree costs no segment byte.
+        let idle = engine.query_time_range(None, TimeRange::all()).unwrap();
+        assert_eq!((idle.refreshed_bytes, idle.reopened_shards), (0, 0));
+
         // A writer appends a brand-new track to shard 1 (stale manifest,
         // stale cached log, stale watermark — all three must refresh).
-        {
+        let appended = {
             let (mut log, _) =
                 TrajectoryLog::open(root.join("shard-1"), LogConfig::default()).unwrap();
-            log.append(9, &points(9, 25, 10_000.0)).unwrap();
-        }
+            log.append(9, &points(9, 25, 10_000.0)).unwrap().bytes
+        };
         let after = engine.query_time_range(Some(9), TimeRange::all()).unwrap();
         assert_eq!(
             after.slices.len(),
@@ -658,6 +802,16 @@ mod tests {
             "stale manifest must not prune track 9"
         );
         assert_eq!(after.slices[0].points, points(9, 25, 10_000.0));
+        assert_eq!(
+            (after.refreshed_bytes, after.reopened_shards),
+            (appended, 0),
+            "caught up by the appended bytes alone"
+        );
+        assert_eq!(
+            engine.manifest().unwrap(),
+            &Manifest::scan(&root).unwrap(),
+            "only shard 1's entry was rebuilt, and it matches a full scan"
+        );
         assert_eq!(
             engine
                 .query_time_range(None, TimeRange::all())
@@ -676,9 +830,116 @@ mod tests {
                 live: true,
             }],
         };
-        engine.set_snapshot(Some(snapshot));
-        let deduped = engine.query_time_range(Some(9), TimeRange::all()).unwrap();
+        let deduped = engine
+            .prepare(Some(9), TimeRange::all(), None)
+            .unwrap()
+            .run(Some(&snapshot))
+            .unwrap();
         assert_eq!(deduped.hot_points, 0, "durable wins after revalidation");
         assert_eq!(deduped.slices[0].points, points(9, 25, 10_000.0));
+    }
+
+    #[test]
+    fn a_no_op_compaction_does_not_strand_a_cached_log() {
+        // Compacting a log with nothing to drop rewrites identical bytes
+        // under new segment numbers: same segment count, same byte
+        // total. A cached log must still notice the old files are gone.
+        let root = temp_root("noop-compact");
+        build_tree(&root);
+        let mut engine = QueryEngine::open(&root).unwrap();
+        let before = engine.query_time_range(Some(0), TimeRange::all()).unwrap();
+        assert_eq!(before.slices[0].points, points(0, 50, 0.0));
+        {
+            let (mut log, _) =
+                TrajectoryLog::open(root.join("shard-0"), LogConfig::default()).unwrap();
+            let report = log.compact().unwrap();
+            assert_eq!((report.segments_before, report.segments_after), (1, 1));
+            assert_eq!(report.bytes_before, report.bytes_after);
+            assert_eq!(report.records_dropped, 0);
+        }
+        let after = engine.query_time_range(Some(0), TimeRange::all()).unwrap();
+        assert_eq!(after.slices, before.slices);
+        assert_eq!(
+            after.reopened_shards, 1,
+            "new segment numbers force a rescan"
+        );
+        // Shard 2 was never opened: its new listing voids its manifest
+        // entry, so the next query opens it instead of trusting it.
+        {
+            let (mut log, _) =
+                TrajectoryLog::open(root.join("shard-2"), LogConfig::default()).unwrap();
+            log.compact().unwrap();
+        }
+        let all = engine.query_time_range(None, TimeRange::all()).unwrap();
+        assert_eq!(
+            all.reopened_shards, 3,
+            "shard 2 on its new listing, 1 and 3 lazily"
+        );
+        let mut fresh = QueryEngine::open(&root).unwrap();
+        let expected = fresh.query_time_range(None, TimeRange::all()).unwrap();
+        assert_eq!(all.slices, expected.slices);
+        assert_eq!(all.total_points(), 200);
+    }
+
+    #[test]
+    fn a_catch_up_that_fails_half_way_still_rebuilds_the_entry() {
+        // The catch-up indexes shard 1's appended tail, then fails on a
+        // new segment whose header is garbage. Once the header is fixed
+        // the next catch-up finds no new record, yet shard 1's manifest
+        // entry must still follow its log, or it prunes track 9 away.
+        let root = temp_root("failed-catch-up");
+        build_tree(&root);
+        let mut engine = QueryEngine::open(&root).unwrap();
+        engine.query_time_range(None, TimeRange::all()).unwrap();
+        {
+            let (mut log, _) =
+                TrajectoryLog::open(root.join("shard-1"), LogConfig::default()).unwrap();
+            log.append(9, &points(9, 25, 10_000.0)).unwrap();
+        }
+        let next = root.join("shard-1").join("seg-000002.tlg");
+        std::fs::write(&next, [0xff; 8]).unwrap();
+        let err = engine
+            .query_time_range(Some(9), TimeRange::all())
+            .unwrap_err();
+        assert!(matches!(err, TlogError::Corrupt { .. }), "{err}");
+
+        std::fs::write(&next, crate::segment::segment_header()).unwrap();
+        let mut fresh = QueryEngine::open(&root).unwrap();
+        for track in [Some(9), Some(1), None] {
+            let held = engine.query_time_range(track, TimeRange::all()).unwrap();
+            let expected = fresh.query_time_range(track, TimeRange::all()).unwrap();
+            assert_eq!(held.slices, expected.slices, "track {track:?}");
+            assert_eq!(held.shards_pruned, expected.shards_pruned);
+        }
+        assert_eq!(engine.manifest(), fresh.manifest());
+    }
+
+    #[test]
+    fn a_prepared_query_keeps_its_view_while_the_engine_catches_up() {
+        let root = temp_root("pinned");
+        build_tree(&root);
+        let mut engine = QueryEngine::open(&root).unwrap();
+        let first = engine.prepare(Some(2), TimeRange::all(), None).unwrap();
+        let appended = points(2, 10, 10_000.0);
+        {
+            let (mut log, _) =
+                TrajectoryLog::open(root.join("shard-2"), LogConfig::default()).unwrap();
+            log.append(2, &appended).unwrap();
+        }
+        // `first` still pins shard 2's log, so this catch-up refreshes a
+        // copy: neither query sees the other's view.
+        let second = engine.prepare(Some(2), TimeRange::all(), None).unwrap();
+        let (old, new) = (first.run(None).unwrap(), second.run(None).unwrap());
+        assert_eq!(old.slices[0].points, points(2, 50, 0.0));
+        let mut expected = points(2, 50, 0.0);
+        expected.extend_from_slice(&appended);
+        assert_eq!(new.slices[0].points, expected);
+        assert!(new.refreshed_bytes > 0);
+        assert_eq!(new.reopened_shards, 0, "a copy is caught up, not rescanned");
+
+        // The engine kept the caught-up copy.
+        let idle = engine.query_time_range(Some(2), TimeRange::all()).unwrap();
+        assert_eq!(idle.slices, new.slices);
+        assert_eq!((idle.refreshed_bytes, idle.reopened_shards), (0, 0));
     }
 }

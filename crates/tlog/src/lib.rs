@@ -15,8 +15,9 @@
 //!   the tail-tolerant scanner behind crash recovery.
 //! * [`log`] — [`TrajectoryLog`]: an append-only segmented log with
 //!   rotation, a per-track sparse time index rebuilt from record
-//!   headers, tombstone deletes, compaction, and torn-tail repair on
-//!   reopen.
+//!   headers, tombstone deletes, compaction, torn-tail repair on
+//!   reopen, and [`TrajectoryLog::refresh`], which catches a read-only
+//!   log up by the bytes appended since it last looked.
 //! * [`query`] — time-range and bounding-box queries that prune via the
 //!   index before decoding, plus point-in-time reconstruction through
 //!   [`bqs_core::reconstruct`].
@@ -36,10 +37,13 @@
 //!   `bqs log verify`).
 //! * [`engine`] — [`QueryEngine`]: the unified hot/cold read path.
 //!   Fans queries out across shard logs in parallel (read-only,
-//!   lock-free opens that are safe beside a live writer), prunes via
-//!   the manifest, and merges the result with a live fleet's
+//!   lock-free opens that are safe beside a live writer, kept and
+//!   refreshed across queries), prunes via the manifest, and merges the
+//!   result with a live fleet's
 //!   [`FleetSnapshot`](bqs_core::fleet::FleetSnapshot) — durable data
-//!   wins on overlap.
+//!   wins on overlap. [`QueryEngine::prepare`] splits a query into the
+//!   catch-up, which needs the engine, and a [`PreparedQuery`] that
+//!   runs without it, so a shared engine serves concurrent queries.
 //!
 //! The on-disk format is specified in `docs/format.md`; `bqs query`
 //! and `bqs log append|query|compact|verify` expose the subsystem on
@@ -80,11 +84,11 @@ pub mod sharded;
 pub mod spill;
 
 pub use codec::{CodecError, CODEC_VERSION, NAIVE_POINT_BYTES};
-pub use engine::{QueryEngine, ShardQuery, UnifiedOutput};
+pub use engine::{PreparedQuery, QueryEngine, ShardQuery, UnifiedOutput};
 pub use error::TlogError;
 pub use log::{
     verify_dir, AppendReceipt, CompactReport, LogConfig, LogFootprint, RecoveryReport,
-    TrackSummary, TrajectoryLog, VerifyReport,
+    RefreshReport, TrackSummary, TrajectoryLog, VerifyReport,
 };
 pub use manifest::{Manifest, ManifestShard, MANIFEST_FILE};
 pub use query::{QueryOutput, QueryStats, TimeRange, TrackSlice};

@@ -60,6 +60,27 @@ pub struct RecoveryReport {
     pub truncated_bytes: u64,
 }
 
+/// What one catch-up scan of a log's segment files read: an open (from
+/// nothing) or a [`TrajectoryLog::refresh`] (from what was already
+/// indexed).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RefreshReport {
+    /// Segment-file bytes read: the appended tail of the last known
+    /// segment plus every new segment, or every file after a rescan.
+    pub bytes: u64,
+    /// Whole records newly indexed, tombstones included.
+    pub records: usize,
+    /// `true` when the known segments no longer matched the directory —
+    /// one vanished or shrank, or a segment appeared below the newest
+    /// known one (compaction, repair) — and the log was rescanned from
+    /// scratch.
+    pub rescanned: bool,
+    /// Segments whose scan stopped at a torn or still-in-flight tail.
+    pub torn_segments: usize,
+    /// Bytes past those tails, left for the next refresh to rescan.
+    pub torn_bytes: u64,
+}
+
 /// Where an append landed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AppendReceipt {
@@ -122,12 +143,44 @@ pub struct TrackSummary {
     pub bbox: Option<bqs_geo::Rect>,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct SegmentInfo {
     seq: u64,
     path: PathBuf,
+    /// Length of the valid prefix: the header plus every whole record
+    /// indexed so far (0 while a read-only log has not yet seen a whole
+    /// header).
     len: u64,
     records: Vec<RecordSummary>,
+}
+
+/// One `seg-*.tlg` file as listed in a log directory.
+pub(crate) struct ListedSegment {
+    pub(crate) seq: u64,
+    pub(crate) path: PathBuf,
+    /// File length at listing time, torn tail included.
+    pub(crate) len: u64,
+}
+
+/// Lists `dir`'s segment files with their current lengths, ascending by
+/// sequence number — file metadata only, no segment byte is read.
+pub(crate) fn list_segments(dir: &Path) -> Result<Vec<ListedSegment>, TlogError> {
+    let mut listed = Vec::new();
+    let entries = fs::read_dir(dir).map_err(io_err(format!("read dir {}", dir.display())))?;
+    for entry in entries {
+        let entry = entry.map_err(io_err("read dir entry"))?;
+        let Some(seq) = entry.file_name().to_str().and_then(parse_segment_name) else {
+            continue;
+        };
+        let path = entry.path();
+        let len = entry
+            .metadata()
+            .map_err(io_err(format!("stat {}", path.display())))?
+            .len();
+        listed.push(ListedSegment { seq, path, len });
+    }
+    listed.sort_unstable_by_key(|s| s.seq);
+    Ok(listed)
 }
 
 /// The durable, queryable trajectory log. See the module docs.
@@ -144,8 +197,9 @@ pub struct TrajectoryLog {
     /// directory, released automatically even if the process dies. One
     /// process owns a log at a time — a second writable `open` fails
     /// fast instead of interleaving appends or compacting files out
-    /// from under a writer. Read-only opens take no lock.
-    _lock: Option<File>,
+    /// from under a writer. Read-only opens take no lock, so `Some`
+    /// also marks the owner, the one opener allowed to repair torn tails.
+    lock: Option<File>,
     /// Per-track sparse time index: live records in append order, as
     /// `(segment index, record index)` into `segments`.
     index: BTreeMap<TrackId, Vec<(usize, usize)>>,
@@ -177,6 +231,17 @@ fn create_segment(dir: &Path, seq: u64) -> Result<(PathBuf, File), TlogError> {
     Ok((path, file))
 }
 
+/// An opening scan's outcome in the terms of crash recovery.
+fn recovered((log, scan): (TrajectoryLog, RefreshReport)) -> (TrajectoryLog, RecoveryReport) {
+    let report = RecoveryReport {
+        segments: log.segments.len(),
+        records: scan.records,
+        truncated_segments: scan.torn_segments,
+        truncated_bytes: scan.torn_bytes,
+    };
+    (log, report)
+}
+
 impl TrajectoryLog {
     /// Opens (or creates) the log at `dir`, repairing any torn tail and
     /// rebuilding the index from the record headers.
@@ -184,7 +249,7 @@ impl TrajectoryLog {
         dir: impl Into<PathBuf>,
         config: LogConfig,
     ) -> Result<(TrajectoryLog, RecoveryReport), TlogError> {
-        TrajectoryLog::open_inner(dir.into(), config, false)
+        TrajectoryLog::open_inner(dir.into(), config, false).map(recovered)
     }
 
     /// Opens an *existing* log at `dir` for reading only: no advisory
@@ -196,20 +261,31 @@ impl TrajectoryLog {
     /// prefix of the log — at worst the writer's in-flight tail frame,
     /// which the CRC scan ignores exactly like crash recovery would
     /// (the ignored bytes are counted in the [`RecoveryReport`], but
-    /// the file is left untouched). `bqs-tlog`'s `QueryEngine` opens
-    /// every log this way.
+    /// the file is left untouched). It is an empty log caught up by
+    /// [`TrajectoryLog::refresh`], so a reader that keeps the log and
+    /// refreshes it later sees exactly what a fresh open would.
+    /// `bqs-tlog`'s `QueryEngine` opens every log this way.
     pub fn open_read_only(
         dir: impl Into<PathBuf>,
         config: LogConfig,
     ) -> Result<(TrajectoryLog, RecoveryReport), TlogError> {
-        TrajectoryLog::open_inner(dir.into(), config, true)
+        TrajectoryLog::scan_read_only(dir.into(), config).map(recovered)
+    }
+
+    /// [`TrajectoryLog::open_read_only`], reporting what the opening
+    /// scan read.
+    pub(crate) fn scan_read_only(
+        dir: PathBuf,
+        config: LogConfig,
+    ) -> Result<(TrajectoryLog, RefreshReport), TlogError> {
+        TrajectoryLog::open_inner(dir, config, true)
     }
 
     fn open_inner(
         dir: PathBuf,
         config: LogConfig,
         read_only: bool,
-    ) -> Result<(TrajectoryLog, RecoveryReport), TlogError> {
+    ) -> Result<(TrajectoryLog, RefreshReport), TlogError> {
         let lock = if read_only {
             None
         } else {
@@ -227,98 +303,35 @@ impl TrajectoryLog {
             })?;
             Some(lock)
         };
-
-        let mut seqs: Vec<(u64, PathBuf)> = Vec::new();
-        let entries = fs::read_dir(&dir).map_err(io_err(format!("read dir {}", dir.display())))?;
-        for entry in entries {
-            let entry = entry.map_err(io_err("read dir entry"))?;
-            if let Some(seq) = entry.file_name().to_str().and_then(parse_segment_name) {
-                seqs.push((seq, entry.path()));
+        let mut log = TrajectoryLog {
+            dir,
+            config,
+            segments: Vec::new(),
+            writer: None,
+            lock,
+            index: BTreeMap::new(),
+        };
+        let scan = log.catch_up()?;
+        if !read_only {
+            if log.segments.is_empty() {
+                let (path, _) = create_segment(&log.dir, 1)?;
+                log.segments.push(SegmentInfo {
+                    seq: 1,
+                    path,
+                    len: SEGMENT_HEADER_LEN,
+                    records: Vec::new(),
+                });
             }
-        }
-        seqs.sort_unstable_by_key(|(seq, _)| *seq);
-
-        let mut report = RecoveryReport::default();
-        let mut segments = Vec::with_capacity(seqs.len());
-        for (seq, path) in seqs {
-            let bytes = fs::read(&path).map_err(io_err(format!("read {}", path.display())))?;
-            let ScanOutcome {
-                records,
-                valid_len,
-                fault,
-            } = segment::scan_segment(&bytes);
-            if let Some((offset, fault)) = fault {
-                // A header that never finished writing means the segment
-                // holds nothing; re-initialise it. A *wrong* header on a
-                // non-empty file is not a torn tail — refuse to guess.
-                if offset == 0 && bytes.len() >= SEGMENT_HEADER_LEN as usize {
-                    return Err(TlogError::Corrupt {
-                        path,
-                        offset,
-                        reason: fault.to_string(),
-                    });
-                }
-                if !read_only {
-                    let file = OpenOptions::new()
-                        .write(true)
-                        .open(&path)
-                        .map_err(io_err(format!("open for repair {}", path.display())))?;
-                    file.set_len(valid_len)
-                        .map_err(io_err(format!("truncate {}", path.display())))?;
-                    if valid_len == 0 {
-                        let mut file = file;
-                        file.write_all(&segment::segment_header())
-                            .map_err(io_err(format!("rewrite header {}", path.display())))?;
-                    }
-                }
-                // Read-only: the torn tail is *ignored*, not repaired;
-                // the report still counts it so callers can see it.
-                report.truncated_segments += 1;
-                report.truncated_bytes += bytes.len() as u64 - valid_len;
-            }
-            report.records += records.len();
-            segments.push(SegmentInfo {
-                seq,
-                path,
-                len: valid_len.max(SEGMENT_HEADER_LEN),
-                records,
-            });
-        }
-
-        if segments.is_empty() && !read_only {
-            let (path, _) = create_segment(&dir, 1)?;
-            segments.push(SegmentInfo {
-                seq: 1,
-                path,
-                len: SEGMENT_HEADER_LEN,
-                records: Vec::new(),
-            });
-        }
-        report.segments = segments.len();
-
-        let writer = if read_only {
-            None
-        } else {
             // bqs-analyze: allow(no-unwrap-in-lib) — invariant: at least one segment
-            let last = segments.last().expect("at least one segment");
-            Some(
+            let last = log.segments.last().expect("at least one segment");
+            log.writer = Some(
                 OpenOptions::new()
                     .append(true)
                     .open(&last.path)
                     .map_err(io_err(format!("open for append {}", last.path.display())))?,
-            )
-        };
-
-        let mut log = TrajectoryLog {
-            dir,
-            config,
-            segments,
-            writer,
-            _lock: lock,
-            index: BTreeMap::new(),
-        };
-        log.rebuild_index();
-        Ok((log, report))
+            );
+        }
+        Ok((log, scan))
     }
 
     /// `true` when the log was opened with
@@ -327,20 +340,141 @@ impl TrajectoryLog {
         self.writer.is_none()
     }
 
-    fn rebuild_index(&mut self) {
-        self.index.clear();
-        for (si, seg) in self.segments.iter().enumerate() {
-            for (ri, rec) in seg.records.iter().enumerate() {
-                match rec.kind {
-                    RecordKind::Points | RecordKind::Backfill => {
-                        self.index.entry(rec.track).or_default().push((si, ri));
-                    }
-                    RecordKind::Tombstone => {
-                        self.index.remove(&rec.track);
-                    }
+    /// Catches a read-only log up with what writers did since it was
+    /// opened or last refreshed, reading only bytes it has not indexed:
+    /// the tail of its last known segment past the valid prefix, and
+    /// any new higher-numbered segment. New records extend the index in
+    /// log order, and tombstones remove entries. A torn or in-flight
+    /// tail is skipped, as at open, and rescanned from the valid prefix
+    /// next time. When a known segment vanished or shrank, or a segment
+    /// appeared below the newest known one — compaction or repair — the
+    /// log is rescanned from scratch.
+    ///
+    /// On a writable log this is a no-op: its index already holds every
+    /// record it wrote, and its lock keeps every other writer out.
+    pub fn refresh(&mut self) -> Result<RefreshReport, TlogError> {
+        if self.writer.is_some() {
+            return Ok(RefreshReport::default());
+        }
+        self.catch_up()
+    }
+
+    /// `(seq, valid length)` of every indexed segment, ascending: exactly
+    /// the bytes this log has read. It equals a listing of the directory
+    /// (see `list_segments`) whenever nothing was appended, torn or
+    /// rewritten since.
+    pub(crate) fn segment_lengths(&self) -> Vec<(u64, u64)> {
+        self.segments.iter().map(|s| (s.seq, s.len)).collect()
+    }
+
+    /// A read-only copy of this log's indexed view (no writer, no lock),
+    /// for a reader that must catch up while an earlier view of the same
+    /// log is still being queried.
+    pub(crate) fn read_only_copy(&self) -> TrajectoryLog {
+        TrajectoryLog {
+            dir: self.dir.clone(),
+            config: self.config,
+            segments: self.segments.clone(),
+            writer: None,
+            lock: None,
+            index: self.index.clone(),
+        }
+    }
+
+    /// The one scan path behind every open and every refresh: lists the
+    /// segment files and indexes every whole record past what is already
+    /// indexed. Writers only ever append to the newest segment and add
+    /// higher ones, so anything else means the indexed view is void.
+    fn catch_up(&mut self) -> Result<RefreshReport, TlogError> {
+        let listed = list_segments(&self.dir)?;
+        let mut report = RefreshReport::default();
+        let intact = listed.len() >= self.segments.len()
+            && self
+                .segments
+                .iter()
+                .zip(&listed)
+                .all(|(seg, file)| seg.seq == file.seq && file.len >= seg.len);
+        if !intact {
+            self.segments.clear();
+            self.index.clear();
+            report.rescanned = true;
+        }
+        let known = self.segments.len();
+        if known > 0 && listed[known - 1].len > self.segments[known - 1].len {
+            self.scan_tail(known - 1, &mut report)?;
+        }
+        for file in listed.into_iter().skip(known) {
+            self.segments.push(SegmentInfo {
+                seq: file.seq,
+                path: file.path,
+                len: 0,
+                records: Vec::new(),
+            });
+            self.scan_tail(self.segments.len() - 1, &mut report)?;
+        }
+        Ok(report)
+    }
+
+    /// Reads segment `si` from its valid length to the end of the file
+    /// and indexes every whole record found there. A fault stops the
+    /// scan: the owner truncates the torn tail away (re-writing a header
+    /// that never finished), a reader ignores it and leaves the file
+    /// untouched. A *wrong* header on a file long enough to hold one is
+    /// not a torn tail — that is refused, not guessed at.
+    fn scan_tail(&mut self, si: usize, report: &mut RefreshReport) -> Result<(), TlogError> {
+        let seg = &mut self.segments[si];
+        let start = seg.len;
+        let context = format!("read {}", seg.path.display());
+        let mut bytes = Vec::new();
+        let mut file = File::open(&seg.path).map_err(io_err(context.clone()))?;
+        file.seek(SeekFrom::Start(start))
+            .and_then(|_| file.read_to_end(&mut bytes))
+            .map_err(io_err(context))?;
+        report.bytes += bytes.len() as u64;
+        let ScanOutcome {
+            records,
+            valid_len,
+            fault,
+        } = segment::scan_segment(&bytes, start);
+        seg.len = valid_len;
+        if let Some((offset, fault)) = fault {
+            let file_len = start + bytes.len() as u64;
+            if offset == 0 && file_len >= SEGMENT_HEADER_LEN {
+                return Err(TlogError::Corrupt {
+                    path: seg.path.clone(),
+                    offset,
+                    reason: fault.to_string(),
+                });
+            }
+            report.torn_segments += 1;
+            report.torn_bytes += file_len - valid_len;
+            if self.lock.is_some() {
+                let repair = |e| TlogError::io(format!("repair {}", seg.path.display()), e);
+                let mut file = OpenOptions::new()
+                    .write(true)
+                    .open(&seg.path)
+                    .map_err(repair)?;
+                file.set_len(valid_len).map_err(repair)?;
+                if valid_len == 0 {
+                    file.write_all(&segment::segment_header()).map_err(repair)?;
+                    seg.len = SEGMENT_HEADER_LEN;
                 }
             }
         }
+        let first = seg.records.len();
+        report.records += records.len();
+        seg.records.extend(records);
+        for (ri, rec) in seg.records.iter().enumerate().skip(first) {
+            match rec.kind {
+                RecordKind::Points | RecordKind::Backfill => {
+                    self.index.entry(rec.track).or_default().push((si, ri));
+                }
+                RecordKind::Tombstone => {
+                    self.index.remove(&rec.track);
+                }
+            }
+        }
+        Ok(())
     }
 
     /// The directory this log lives in.
@@ -683,7 +817,7 @@ impl TrajectoryLog {
         let config = self.config;
         // Release our advisory lock first: the reopen takes its own (a
         // second fd on the same LOCK file would conflict).
-        if let Some(lock) = &self._lock {
+        if let Some(lock) = &self.lock {
             let _ = lock.unlock();
         }
         let (fresh, _) = TrajectoryLog::open(dir, config)?;
@@ -829,21 +963,10 @@ impl VerifyReport {
 /// timestamp monotonicity and the indexed summaries. Any fault — torn
 /// tail included — is an error here, where `open` would repair it.
 pub fn verify_dir(dir: impl AsRef<Path>) -> Result<VerifyReport, TlogError> {
-    let dir = dir.as_ref();
-    let mut seqs: Vec<(u64, PathBuf)> = Vec::new();
-    let entries = fs::read_dir(dir).map_err(io_err(format!("read dir {}", dir.display())))?;
-    for entry in entries {
-        let entry = entry.map_err(io_err("read dir entry"))?;
-        if let Some(seq) = entry.file_name().to_str().and_then(parse_segment_name) {
-            seqs.push((seq, entry.path()));
-        }
-    }
-    seqs.sort_unstable_by_key(|(seq, _)| *seq);
-
     let mut report = VerifyReport::default();
-    for (_, path) in seqs {
+    for ListedSegment { path, .. } in list_segments(dir.as_ref())? {
         let bytes = fs::read(&path).map_err(io_err(format!("read {}", path.display())))?;
-        let scan = segment::scan_segment(&bytes);
+        let scan = segment::scan_segment(&bytes, 0);
         if let Some((offset, fault)) = scan.fault {
             return Err(TlogError::Corrupt {
                 path,

@@ -16,8 +16,9 @@
 //! * it is rebuilt from lock-free header scans ([`Manifest::scan`])
 //!   whenever it is missing, unparseable, CRC-invalid, or stale;
 //! * staleness is detected by comparing each shard's recorded segment
-//!   count and byte total against the live directory
-//!   ([`Manifest::is_fresh`]);
+//!   count and byte total against the live directory (a reader that
+//!   finds it stale scans instead, and never writes the scan back —
+//!   only writers persist manifests);
 //! * `bqs log verify` cross-checks a present manifest against a fresh
 //!   scan and fails the tree on any disagreement.
 //!
@@ -26,7 +27,7 @@
 
 use crate::crc::crc32;
 use crate::error::TlogError;
-use crate::log::{LogConfig, TrackSummary, TrajectoryLog};
+use crate::log::{list_segments, LogConfig, TrackSummary, TrajectoryLog};
 use crate::query::TimeRange;
 use crate::sharded::shard_dirs;
 use bqs_core::fleet::TrackId;
@@ -56,6 +57,29 @@ pub struct ManifestShard {
 }
 
 impl ManifestShard {
+    /// Shard `shard`'s entry, folded from its open log's record headers,
+    /// fingerprinted by `segments` — `(seq, length)` per segment file,
+    /// listed *before* the log was scanned, so that an append racing the
+    /// scan leaves the entry stale rather than wrongly fresh.
+    pub(crate) fn of_log(
+        shard: usize,
+        log: &TrajectoryLog,
+        segments: &[(u64, u64)],
+    ) -> ManifestShard {
+        ManifestShard {
+            shard,
+            segments: segments.len(),
+            bytes: segments.iter().map(|&(_, len)| len).sum(),
+            tracks: log.track_summaries(),
+        }
+    }
+
+    /// Whether the recorded fingerprint (segment count and byte total)
+    /// matches a directory listing.
+    pub(crate) fn matches(&self, listing: &[(u64, u64)]) -> bool {
+        self.segments == listing.len() && self.bytes == listing.iter().map(|&(_, len)| len).sum()
+    }
+
     /// Live records across the shard's tracks.
     pub fn records(&self) -> usize {
         self.tracks.iter().map(|t| t.records).sum()
@@ -97,26 +121,16 @@ pub struct Manifest {
     pub shards: Vec<ManifestShard>,
 }
 
-/// Segment count and byte total of one shard directory, from file
-/// metadata alone (no log open) — the staleness fingerprint.
-pub(crate) fn shard_fingerprint(dir: &Path) -> Result<(usize, u64), TlogError> {
-    let mut segments = 0usize;
-    let mut bytes = 0u64;
-    let entries = std::fs::read_dir(dir)
-        .map_err(|e| TlogError::io(format!("read dir {}", dir.display()), e))?;
-    for entry in entries {
-        let entry = entry.map_err(|e| TlogError::io("read dir entry", e))?;
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        if name.starts_with("seg-") && name.ends_with(".tlg") {
-            segments += 1;
-            bytes += entry
-                .metadata()
-                .map_err(|e| TlogError::io(format!("stat {name}"), e))?
-                .len();
-        }
-    }
-    Ok((segments, bytes))
+/// The segment listing of one shard directory — `(seq, file length)`
+/// per segment file, ascending — from file metadata alone (no log
+/// open). A manifest entry records only its count and byte total; a
+/// reader holding the whole listing also sees a compaction that
+/// rewrote identical bytes under new sequence numbers.
+pub(crate) fn shard_fingerprint(dir: &Path) -> Result<Vec<(u64, u64)>, TlogError> {
+    Ok(list_segments(dir)?
+        .into_iter()
+        .map(|s| (s.seq, s.len))
+        .collect())
 }
 
 impl Manifest {
@@ -134,36 +148,26 @@ impl Manifest {
         }
         let mut shards = Vec::with_capacity(dirs.len());
         for (shard, dir) in dirs {
-            let (segments, bytes) = shard_fingerprint(&dir)?;
+            let listing = shard_fingerprint(&dir)?;
             let (log, _) = TrajectoryLog::open_read_only(&dir, LogConfig::default())?;
-            shards.push(ManifestShard {
-                shard,
-                segments,
-                bytes,
-                tracks: log.track_summaries(),
-            });
+            shards.push(ManifestShard::of_log(shard, &log, &listing));
         }
         Ok(Manifest { shards })
     }
 
-    /// `true` when every shard's recorded fingerprint (segment count and
-    /// byte total) still matches the directory — i.e. nothing was
-    /// appended, compacted or deleted since the manifest was written.
-    pub fn is_fresh(&self, root: impl AsRef<Path>) -> Result<bool, TlogError> {
-        let root = root.as_ref();
-        let dirs = shard_dirs(root)?;
-        if dirs.len() != self.shards.len() {
-            return Ok(false);
-        }
-        for ((shard, dir), entry) in dirs.iter().zip(&self.shards) {
-            if *shard != entry.shard {
-                return Ok(false);
-            }
-            if shard_fingerprint(dir)? != (entry.segments, entry.bytes) {
-                return Ok(false);
-            }
-        }
-        Ok(true)
+    /// `true` when the manifest holds exactly the shards `dirs` lists, in
+    /// order, each recorded fingerprint (segment count and byte total)
+    /// matching its directory listing — i.e. nothing was appended,
+    /// compacted or deleted since the manifest was written.
+    pub(crate) fn describes(
+        &self,
+        dirs: &[(usize, PathBuf)],
+        listings: &[Vec<(u64, u64)>],
+    ) -> bool {
+        self.shards.len() == dirs.len()
+            && self.shards.iter().zip(dirs.iter().zip(listings)).all(
+                |(entry, ((shard, _), listing))| entry.shard == *shard && entry.matches(listing),
+            )
     }
 
     /// The live time span of `track` across all shards (a track lives in
@@ -362,20 +366,6 @@ impl Manifest {
         Manifest::parse(&text, &path).map(Some)
     }
 
-    /// The read path's entry point: the manifest at `root` if present,
-    /// parseable and fresh; otherwise a fresh scan (which is *not*
-    /// written back — only writers persist manifests, so a pure reader
-    /// never mutates the tree).
-    pub fn load_or_scan(root: impl AsRef<Path>) -> Result<Manifest, TlogError> {
-        let root = root.as_ref();
-        if let Ok(Some(manifest)) = Manifest::load(root) {
-            if manifest.is_fresh(root)? {
-                return Ok(manifest);
-            }
-        }
-        Manifest::scan(root)
-    }
-
     /// Rebuilds the manifest from a fresh scan and writes it at the
     /// root — what a writer calls after finishing a spill run.
     pub fn rebuild(root: impl AsRef<Path>) -> Result<Manifest, TlogError> {
@@ -389,7 +379,17 @@ impl Manifest {
 mod tests {
     use super::*;
     use crate::sharded::open_shard_logs;
+    use crate::QueryEngine;
     use bqs_geo::TimedPoint;
+
+    fn is_fresh(manifest: &Manifest, root: &Path) -> bool {
+        let dirs = shard_dirs(root).unwrap();
+        let listings: Vec<_> = dirs
+            .iter()
+            .map(|(_, dir)| shard_fingerprint(dir).unwrap())
+            .collect();
+        manifest.describes(&dirs, &listings)
+    }
 
     fn temp_root(name: &str) -> PathBuf {
         let dir = std::env::temp_dir()
@@ -431,8 +431,13 @@ mod tests {
         scanned.write(&root).unwrap();
         let loaded = Manifest::load(&root).unwrap().unwrap();
         assert_eq!(loaded, scanned);
-        assert!(loaded.is_fresh(&root).unwrap());
-        assert_eq!(Manifest::load_or_scan(&root).unwrap(), scanned);
+        assert!(is_fresh(&loaded, &root));
+        let engine = QueryEngine::open(&root).unwrap();
+        assert_eq!(
+            engine.manifest(),
+            Some(&scanned),
+            "a fresh manifest is used"
+        );
     }
 
     #[test]
@@ -445,10 +450,34 @@ mod tests {
                 TrajectoryLog::open(root.join("shard-0"), LogConfig::default()).unwrap();
             log.append(500, &points(500, 5, 90_000.0)).unwrap();
         }
-        assert!(!manifest.is_fresh(&root).unwrap());
-        // load_or_scan falls back to a fresh scan that sees the append.
-        let fresh = Manifest::load_or_scan(&root).unwrap();
+        assert!(!is_fresh(&manifest, &root));
+        // A reader falls back to a fresh scan that sees the append.
+        let engine = QueryEngine::open(&root).unwrap();
+        let fresh = engine.manifest().unwrap();
         assert!(fresh.shards[0].tracks.iter().any(|t| t.track == 500));
+    }
+
+    #[test]
+    fn a_manifest_written_over_a_torn_tail_still_describes_its_tree() {
+        // The fingerprint is file sizes, torn bytes included: what the
+        // next reader's directory listing will show, not what the scan
+        // managed to index.
+        let root = temp_root("torn");
+        build_tree(&root, 2);
+        let segment = root.join("shard-0").join("seg-000001.tlg");
+        let mut bytes = std::fs::read(&segment).unwrap();
+        bytes.extend_from_slice(&[0x2a; 5]);
+        std::fs::write(&segment, &bytes).unwrap();
+        let manifest = Manifest::rebuild(&root).unwrap();
+        assert_eq!(manifest.shards[0].bytes, bytes.len() as u64);
+        assert!(is_fresh(&manifest, &root));
+
+        // So a reader trusts it and opens only the shard a query needs.
+        let mut engine = QueryEngine::open(&root).unwrap();
+        assert_eq!(engine.manifest(), Some(&manifest));
+        let out = engine.query_time_range(Some(1), TimeRange::all()).unwrap();
+        assert_eq!(out.slices[0].points, points(1, 40, 0.0));
+        assert_eq!((out.shards_pruned, out.reopened_shards), (1, 1));
     }
 
     #[test]
@@ -465,8 +494,8 @@ mod tests {
             TlogError::Corrupt { .. }
         ));
         // The read path silently falls back to scanning.
-        let fresh = Manifest::load_or_scan(&root).unwrap();
-        assert_eq!(fresh, Manifest::scan(&root).unwrap());
+        let engine = QueryEngine::open(&root).unwrap();
+        assert_eq!(engine.manifest(), Some(&Manifest::scan(&root).unwrap()));
     }
 
     #[test]

@@ -284,35 +284,42 @@ pub struct ScanOutcome {
     pub fault: Option<(u64, TailFault)>,
 }
 
-/// Scans a whole segment image, collecting record summaries until the
-/// first invalid frame. Never panics on arbitrary bytes; the caller
-/// decides whether a fault means "truncate the tail" (recovery) or
-/// "refuse the file" (strict verification).
-pub fn scan_segment(bytes: &[u8]) -> ScanOutcome {
+/// Scans a segment image, collecting record summaries until the first
+/// invalid frame. `bytes` is the file from byte `offset` on: offset 0
+/// means the image opens with the segment header, any other offset must
+/// be a frame boundary (a log catching up on appended bytes passes its
+/// valid length). Offsets and `valid_len` in the outcome are absolute
+/// file positions. Never panics on arbitrary bytes; the caller decides
+/// whether a fault means "truncate the tail" (recovery) or "refuse the
+/// file" (strict verification).
+pub fn scan_segment(bytes: &[u8], offset: u64) -> ScanOutcome {
     let mut records = Vec::new();
-    if bytes.len() < SEGMENT_HEADER_LEN as usize
-        || bytes[..4] != MAGIC
-        || u16::from_le_bytes([bytes[4], bytes[5]]) != FORMAT_VERSION
-    {
-        return ScanOutcome {
-            records,
-            valid_len: 0,
-            fault: Some((0, TailFault::BadHeader)),
-        };
+    let mut pos = 0usize;
+    if offset == 0 {
+        if bytes.len() < SEGMENT_HEADER_LEN as usize
+            || bytes[..4] != MAGIC
+            || u16::from_le_bytes([bytes[4], bytes[5]]) != FORMAT_VERSION
+        {
+            return ScanOutcome {
+                records,
+                valid_len: 0,
+                fault: Some((0, TailFault::BadHeader)),
+            };
+        }
+        pos = SEGMENT_HEADER_LEN as usize;
     }
-    let mut pos = SEGMENT_HEADER_LEN as usize;
     loop {
         if pos == bytes.len() {
             return ScanOutcome {
                 records,
-                valid_len: pos as u64,
+                valid_len: offset + pos as u64,
                 fault: None,
             };
         }
         let fault = |records: Vec<RecordSummary>, pos: usize, f: TailFault| ScanOutcome {
             records,
-            valid_len: pos as u64,
-            fault: Some((pos as u64, f)),
+            valid_len: offset + pos as u64,
+            fault: Some((offset + pos as u64, f)),
         };
         if bytes.len() - pos < FRAME_PROLOGUE_LEN as usize {
             return fault(records, pos, TailFault::ShortPrologue);
@@ -343,7 +350,7 @@ pub fn scan_segment(bytes: &[u8]) -> ScanOutcome {
                 bbox,
                 ..
             }) => RecordSummary {
-                offset: pos as u64,
+                offset: offset + pos as u64,
                 frame_len: (8 + len) as u64,
                 kind,
                 track,
@@ -353,7 +360,7 @@ pub fn scan_segment(bytes: &[u8]) -> ScanOutcome {
                 bbox,
             },
             Ok(RecordBody::Tombstone { track }) => RecordSummary {
-                offset: pos as u64,
+                offset: offset + pos as u64,
                 frame_len: (8 + len) as u64,
                 kind: RecordKind::Tombstone,
                 track,
@@ -422,7 +429,7 @@ mod tests {
         let (frame, summary) = build_points_frame(9, &points).unwrap();
         assert_eq!(frame.len() as u64, summary.frame_len);
         let seg = segment_with(&[&frame]);
-        let scan = scan_segment(&seg);
+        let scan = scan_segment(&seg, 0);
         assert!(scan.fault.is_none());
         assert_eq!(scan.records.len(), 1);
         let r = scan.records[0];
@@ -447,7 +454,7 @@ mod tests {
         // Cut anywhere inside the second frame: the first must survive.
         for cut in 1..f2.len() {
             let torn = &full[..full.len() - cut];
-            let scan = scan_segment(torn);
+            let scan = scan_segment(torn, 0);
             assert_eq!(scan.records.len(), 1, "cut {cut}");
             assert_eq!(
                 scan.valid_len,
@@ -458,6 +465,30 @@ mod tests {
     }
 
     #[test]
+    fn scanning_a_suffix_from_a_frame_boundary_equals_the_whole_scan() {
+        let (f1, _) = build_points_frame(1, &pts(20)).unwrap();
+        let (f2, _) = build_points_frame(2, &pts(30)).unwrap();
+        let (f3, _) = build_tombstone_frame(1);
+        let full = segment_with(&[&f1, &f2, &f3]);
+        let whole = scan_segment(&full, 0);
+        assert!(whole.fault.is_none());
+        let boundary = SEGMENT_HEADER_LEN as usize + f1.len();
+        let suffix = scan_segment(&full[boundary..], boundary as u64);
+        assert_eq!(suffix.records, whole.records[1..]);
+        assert_eq!(suffix.valid_len, whole.valid_len);
+        // A torn suffix reports absolute positions too.
+        let torn = scan_segment(&full[boundary..full.len() - 1], boundary as u64);
+        let f3_at = (boundary + f2.len()) as u64;
+        assert_eq!(torn.records, whole.records[1..2]);
+        assert_eq!(torn.valid_len, f3_at);
+        assert_eq!(torn.fault.map(|(at, _)| at), Some(f3_at));
+        // Nothing past the boundary is a clean, empty scan.
+        let none = scan_segment(&[], full.len() as u64);
+        assert!(none.records.is_empty() && none.fault.is_none());
+        assert_eq!(none.valid_len, full.len() as u64);
+    }
+
+    #[test]
     fn scan_rejects_bit_flips_via_crc() {
         let (frame, _) = build_points_frame(3, &pts(25)).unwrap();
         let seg = segment_with(&[&frame]);
@@ -465,18 +496,18 @@ mod tests {
         let mut bad = seg.clone();
         let idx = seg.len() - 3;
         bad[idx] ^= 0x10;
-        let scan = scan_segment(&bad);
+        let scan = scan_segment(&bad, 0);
         assert_eq!(scan.records.len(), 0);
         assert_eq!(scan.fault.map(|(_, f)| f), Some(TailFault::CrcMismatch));
     }
 
     #[test]
     fn scan_rejects_bad_header() {
-        let scan = scan_segment(b"nope");
+        let scan = scan_segment(b"nope", 0);
         assert_eq!(scan.fault, Some((0, TailFault::BadHeader)));
         let mut seg = segment_header().to_vec();
         seg[5] = 0x7F; // absurd version
-        assert_eq!(scan_segment(&seg).fault, Some((0, TailFault::BadHeader)));
+        assert_eq!(scan_segment(&seg, 0).fault, Some((0, TailFault::BadHeader)));
     }
 
     #[test]
@@ -484,7 +515,7 @@ mod tests {
         let (frame, summary) = build_tombstone_frame(77);
         assert_eq!(summary.kind, RecordKind::Tombstone);
         let seg = segment_with(&[&frame]);
-        let scan = scan_segment(&seg);
+        let scan = scan_segment(&seg, 0);
         assert!(scan.fault.is_none());
         assert_eq!(scan.records[0].kind, RecordKind::Tombstone);
         assert_eq!(scan.records[0].track, 77);
@@ -496,7 +527,7 @@ mod tests {
         let (frame, summary) = build_backfill_frame(5, &points).unwrap();
         assert_eq!(summary.kind, RecordKind::Backfill);
         let seg = segment_with(&[&frame]);
-        let scan = scan_segment(&seg);
+        let scan = scan_segment(&seg, 0);
         assert!(scan.fault.is_none());
         let r = scan.records[0];
         assert_eq!(r.kind, RecordKind::Backfill);
@@ -520,7 +551,7 @@ mod tests {
         body[0] = 9; // unknown kind byte
         let bad = frame_from_body(body);
         let seg = segment_with(&[&bad]);
-        let scan = scan_segment(&seg);
+        let scan = scan_segment(&seg, 0);
         assert_eq!(scan.records.len(), 0);
         assert_eq!(scan.fault.map(|(_, f)| f), Some(TailFault::MalformedBody));
     }
@@ -528,7 +559,7 @@ mod tests {
     #[test]
     fn empty_segment_is_valid() {
         let seg = segment_header().to_vec();
-        let scan = scan_segment(&seg);
+        let scan = scan_segment(&seg, 0);
         assert!(scan.fault.is_none());
         assert!(scan.records.is_empty());
         assert_eq!(scan.valid_len, SEGMENT_HEADER_LEN);

@@ -350,6 +350,75 @@ fn recovery_after_any_truncation_preserves_full_records() {
     }
 }
 
+/// A reader that opened the log mid-append and later refreshes sees
+/// exactly what a fresh read-only open sees: cut the segment at *every*
+/// byte offset (an in-flight append, as a concurrent reader finds it),
+/// open read-only, restore the whole image, let the writer append a
+/// record, roll a segment and write a tombstone, then `refresh()`.
+/// Every cut rereads the image, so the sweep is quadratic in its size;
+/// CI runs it in release mode.
+#[test]
+fn refresh_after_any_cut_equals_a_fresh_read_only_open() {
+    let dir = temp_dir("refresh-cut-sweep");
+    let batches: Vec<Vec<TimedPoint>> = (0..4).map(|t| wave(t, 25)).collect();
+    let (mut log, _) = TrajectoryLog::open(&dir, LogConfig::default()).unwrap();
+    for (t, batch) in batches.iter().enumerate() {
+        log.append(t as TrackId, batch).unwrap();
+    }
+    drop(log);
+    let seg_path = dir.join("seg-000001.tlg");
+    let pristine = std::fs::read(&seg_path).unwrap();
+    let extra = wave(1, 30)
+        .into_iter()
+        .map(|p| TimedPoint::at(p.pos, p.t + 100_000.0))
+        .collect::<Vec<_>>();
+    let (frame, _) = bqs_tlog::segment::build_points_frame(1, &extra).unwrap();
+    // The extra record still fits the first segment; the next one rolls.
+    let config = LogConfig {
+        segment_max_bytes: (pristine.len() + frame.len()) as u64,
+        ..LogConfig::default()
+    };
+
+    for cut in 0..=pristine.len() {
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(&seg_path, &pristine[..cut]).unwrap();
+        let (mut reader, _) = TrajectoryLog::open_read_only(&dir, LogConfig::default()).unwrap();
+
+        std::fs::write(&seg_path, &pristine).unwrap();
+        {
+            let (mut writer, _) = TrajectoryLog::open(&dir, config).unwrap();
+            writer.append(1, &extra).unwrap();
+            let rolled = writer.append(4, &wave(4, 40)).unwrap();
+            assert_eq!(rolled.segment, 2, "cut at {cut}: the second append rolls");
+            assert!(writer.delete_track(2).unwrap());
+        }
+
+        let report = reader.refresh().unwrap();
+        assert!(
+            !report.rescanned,
+            "cut at {cut}: appends never force a rescan"
+        );
+        let (fresh, _) = TrajectoryLog::open_read_only(&dir, LogConfig::default()).unwrap();
+        assert_eq!(
+            reader.track_summaries(),
+            fresh.track_summaries(),
+            "cut at {cut}"
+        );
+        assert_eq!(reader.footprint(), fresh.footprint(), "cut at {cut}");
+        assert_eq!(reader.tracks(), vec![0, 1, 3, 4], "cut at {cut}");
+        for track in 0..=4 {
+            assert_eq!(
+                reader.read_track(track).unwrap(),
+                fresh.read_track(track).unwrap(),
+                "cut at {cut}: track {track}"
+            );
+        }
+        assert_eq!(reader.refresh().unwrap().bytes, 0, "cut at {cut}: idle");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 fn wave(track: u64, n: usize) -> Vec<TimedPoint> {
     (0..n)
         .map(|i| {

@@ -218,6 +218,92 @@ proptest! {
         prop_assert_eq!(&answers[0], &answers[2]);
     }
 
+    /// A long-lived engine ≡ a fresh one: one engine held across a
+    /// random interleaving of pushes, evictions (which spill), manifest
+    /// rewrites and queries answers every query exactly as an engine
+    /// opened just then, given the same snapshot — for 1/2/8 workers.
+    #[test]
+    fn a_long_lived_engine_answers_like_a_fresh_one(
+        seed in 0u64..1_000_000,
+        sessions in 4usize..9,
+        per_track in 30usize..60,
+        batch in 1usize..16,
+        ops in proptest::collection::vec(0u8..10, 8..24),
+    ) {
+        let traces: Vec<Vec<TimedPoint>> =
+            (0..sessions).map(|t| track_trace(t as u64, seed, per_track)).collect();
+        let records = interleave(&traces, seed.wrapping_add(3));
+        let chunk = records.len() / ops.len() + 1;
+        for workers in [1usize, 2, 8] {
+            let root = temp_root("long-lived");
+            let mut fleet = spilling_fleet(&root, workers, 10.0, batch);
+            let mut held = QueryEngine::open(&root).expect("open the held engine");
+            let mut cursor = 0usize;
+            for (step, &op) in ops.iter().enumerate() {
+                match op {
+                    0..=3 => {
+                        let end = (cursor + chunk).min(records.len());
+                        for &(track, p) in &records[cursor..end] {
+                            fleet.push(track, p);
+                        }
+                        cursor = end;
+                    }
+                    4..=5 => fleet.evict_idle(1e12),
+                    6 => {
+                        // Workers may still be spilling: a manifest
+                        // written now can be stale, which readers must
+                        // detect rather than trust.
+                        Manifest::rebuild(&root).expect("manifest");
+                    }
+                    _ => {
+                        let snapshot = fleet.snapshot();
+                        let mut fresh = QueryEngine::open(&root)
+                            .expect("open a fresh engine")
+                            .with_snapshot(snapshot.clone());
+                        let probe = (seed.wrapping_add(step as u64) % sessions as u64) as TrackId;
+                        let window = TimeRange::new(
+                            per_track as f64 * 2.0,
+                            per_track as f64 * 2.0 + step as f64 * 40.0,
+                        );
+                        let area = bqs::geo::Rect::from_corners(
+                            bqs::geo::Point2::new(-400.0, -400.0),
+                            bqs::geo::Point2::new(400.0, 400.0),
+                        );
+                        // The held engine answers the way a server does:
+                        // prepared under its lock, run with the snapshot.
+                        let (track, range, area, b) = match op % 3 {
+                            0 => (None, window, None, fresh.query_time_range(None, window)),
+                            1 => (
+                                Some(probe),
+                                TimeRange::all(),
+                                None,
+                                fresh.query_time_range(Some(probe), TimeRange::all()),
+                            ),
+                            _ => (
+                                None,
+                                TimeRange::all(),
+                                Some(area),
+                                fresh.query_bbox(None, area, None),
+                            ),
+                        };
+                        let a = held
+                            .prepare(track, range, area)
+                            .and_then(|prepared| prepared.run(Some(&snapshot)));
+                        let (a, b) = (a.expect("held query"), b.expect("fresh query"));
+                        prop_assert_eq!(
+                            &a.slices, &b.slices,
+                            "step {} (op {}) at {} workers", step, op, workers
+                        );
+                        prop_assert_eq!(a.hot_points, b.hot_points);
+                        prop_assert_eq!(a.shards_pruned, b.shards_pruned);
+                    }
+                }
+            }
+            drop(fleet);
+            let _ = std::fs::remove_dir_all(&root);
+        }
+    }
+
     /// Narrow time-window and bbox queries through the unified engine
     /// agree with brute-force filtering of the full per-track answer.
     #[test]
