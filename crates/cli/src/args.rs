@@ -45,7 +45,7 @@ pub enum Command {
         /// Paper-size data when true.
         full: bool,
     },
-    /// `bqs fleet [--sessions N] [--points N] [--tolerance M] [--algorithm bqs|fbqs] [--shards N] [--workers N] [--seed N] [--spill DIR] [--query-after FROM,TO|all]`
+    /// `bqs fleet [--sessions N] [--points N] [--tolerance M] [--algorithm bqs|fbqs] [--workers N] [--seed N] [--spill DIR] [--query-after FROM,TO|all]`
     Fleet {
         /// Concurrent simulated trackers.
         sessions: usize,
@@ -55,9 +55,6 @@ pub enum Command {
         tolerance: f64,
         /// Compressor family: "bqs" or "fbqs".
         algorithm: String,
-        /// Session shards inside each engine (rounded up to a power of
-        /// two).
-        shards: usize,
         /// Parallel worker threads; each owns a private engine (and,
         /// with `--spill`, a private `shard-<k>/` log).
         workers: usize,
@@ -128,7 +125,7 @@ pub enum Command {
         /// Log directory.
         dir: String,
     },
-    /// `bqs serve --spill DIR [--addr HOST:PORT] [--workers N] [--tolerance M] [--shards N] [--io-threads N] [--max-connections N] [--port-file FILE]`
+    /// `bqs serve --spill DIR [--addr HOST:PORT] [--workers N] [--tolerance M] [--io-threads N] [--max-connections N] [--port-file FILE]`
     Serve {
         /// Bind address, `host:port` (`:0` picks an ephemeral port).
         addr: String,
@@ -139,8 +136,6 @@ pub enum Command {
         spill: String,
         /// Error tolerance in metres.
         tolerance: f64,
-        /// Session shards inside each worker's engine.
-        shards: usize,
         /// I/O threads multiplexing the connections (≥ 1).
         io_threads: usize,
         /// Cap on concurrently served connections; accepts beyond it
@@ -251,14 +246,13 @@ USAGE:
   bqs experiments [fig3|fig6|fig7|fig8a|fig8b|table1|table2|table3|ablation|
                    extended|all]... [--full]
   bqs fleet [--sessions N] [--points N] [--tolerance M] [--algorithm bqs|fbqs]
-            [--shards N] [--workers N] [--seed N] [--spill DIR]
-            [--query-after FROM,TO|all]
+            [--workers N] [--seed N] [--spill DIR] [--query-after FROM,TO|all]
   bqs query <dir> [--track N] [--from T] [--to T] [--bbox X0,Y0,X1,Y1]
             [--out FILE]
   bqs serve --spill DIR [--addr HOST:PORT] [--workers N] [--tolerance M]
-            [--shards N] [--io-threads N] [--max-connections N]
-            [--port-file FILE] [--metrics-interval N] [--lateness S]
-            [--alert RULE]... [--prom-addr HOST:PORT] [--evict-idle S]
+            [--io-threads N] [--max-connections N] [--port-file FILE]
+            [--metrics-interval N] [--lateness S] [--alert RULE]...
+            [--prom-addr HOST:PORT] [--evict-idle S]
   bqs loadgen --addr HOST:PORT [--sessions N] [--points N] [--seed N]
               [--connections N] [--batch N] [--disorder S] [--backfill]
               [--shutdown]
@@ -567,7 +561,6 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             let mut points = 500usize;
             let mut tolerance = 10.0f64;
             let mut algorithm = "fbqs".to_string();
-            let mut shards = 16usize;
             let mut workers = 1usize;
             let mut seed = 1u64;
             let mut spill = None;
@@ -614,11 +607,6 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                     "--algorithm" => {
                         algorithm = take_value("--algorithm", &mut it)?.clone();
                     }
-                    "--shards" => {
-                        shards = take_value("--shards", &mut it)?
-                            .parse()
-                            .map_err(|e| format!("bad --shards: {e}"))?;
-                    }
                     "--workers" => {
                         workers = take_value("--workers", &mut it)?
                             .parse()
@@ -632,7 +620,6 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             for (flag, value) in [
                 ("--sessions", sessions),
                 ("--points", points),
-                ("--shards", shards),
                 ("--workers", workers),
             ] {
                 if value == 0 {
@@ -653,7 +640,6 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                 points,
                 tolerance,
                 algorithm,
-                shards,
                 workers,
                 seed,
                 spill,
@@ -700,7 +686,6 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             let mut workers = 4usize;
             let mut spill: Option<String> = None;
             let mut tolerance = 10.0f64;
-            let mut shards = 16usize;
             let mut io_threads = 4usize;
             let mut max_connections = 4096usize;
             let mut port_file: Option<String> = None;
@@ -733,11 +718,6 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                             .parse()
                             .map_err(|e| format!("bad --workers: {e}"))?;
                     }
-                    "--shards" => {
-                        shards = take_value("--shards", &mut it)?
-                            .parse()
-                            .map_err(|e| format!("bad --shards: {e}"))?;
-                    }
                     "--io-threads" => {
                         io_threads = take_value("--io-threads", &mut it)?
                             .parse()
@@ -753,7 +733,6 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
             }
             for (flag, value) in [
                 ("--workers", workers),
-                ("--shards", shards),
                 ("--io-threads", io_threads),
                 ("--max-connections", max_connections),
             ] {
@@ -783,7 +762,6 @@ pub fn parse(argv: &[String]) -> Result<Command, String> {
                 workers,
                 spill: spill.ok_or("serve needs --spill DIR (the durable output)")?,
                 tolerance,
-                shards,
                 io_threads,
                 max_connections,
                 port_file,
@@ -1119,7 +1097,6 @@ mod tests {
                 points: 500,
                 tolerance: 10.0,
                 algorithm: "fbqs".into(),
-                shards: 16,
                 workers: 1,
                 seed: 1,
                 spill: None,
@@ -1128,8 +1105,8 @@ mod tests {
         );
         assert_eq!(
             parse(&args(
-                "fleet --sessions 8 --points 50 --tolerance 5 --algorithm bqs --shards 4 \
-                 --workers 4 --seed 99 --spill /tmp/l --query-after 10,600"
+                "fleet --sessions 8 --points 50 --tolerance 5 --algorithm bqs --workers 4 \
+                 --seed 99 --spill /tmp/l --query-after 10,600"
             ))
             .unwrap(),
             Command::Fleet {
@@ -1137,7 +1114,6 @@ mod tests {
                 points: 50,
                 tolerance: 5.0,
                 algorithm: "bqs".into(),
-                shards: 4,
                 workers: 4,
                 seed: 99,
                 spill: Some("/tmp/l".into()),
@@ -1169,8 +1145,8 @@ mod tests {
     #[test]
     fn every_zero_count_is_rejected_with_a_uniform_message() {
         // A zero for any counted quantity would mean an empty or
-        // nonsense run; all four flags fail the same way.
-        for flag in ["--sessions", "--points", "--shards", "--workers"] {
+        // nonsense run; all three flags fail the same way.
+        for flag in ["--sessions", "--points", "--workers"] {
             let err = parse(&args(&format!("fleet {flag} 0"))).unwrap_err();
             assert_eq!(err, format!("fleet needs {flag} ≥ 1, got 0"));
         }
@@ -1303,7 +1279,6 @@ mod tests {
                 workers: 4,
                 spill: "/tmp/tree".into(),
                 tolerance: 10.0,
-                shards: 16,
                 io_threads: 4,
                 max_connections: 4096,
                 port_file: None,
@@ -1317,7 +1292,7 @@ mod tests {
         assert_eq!(
             parse(&args(
                 "serve --addr 0.0.0.0:4750 --workers 8 --spill /tmp/t --tolerance 5 \
-                 --shards 4 --io-threads 2 --max-connections 64 --port-file /tmp/port \
+                 --io-threads 2 --max-connections 64 --port-file /tmp/port \
                  --metrics-interval 10 --lateness 2.5 --alert append_latency_us:p99>5000 \
                  --alert fleet_queue_depth:peak>48 --prom-addr 127.0.0.1:9100 \
                  --evict-idle 30"
@@ -1328,7 +1303,6 @@ mod tests {
                 workers: 8,
                 spill: "/tmp/t".into(),
                 tolerance: 5.0,
-                shards: 4,
                 io_threads: 2,
                 max_connections: 64,
                 port_file: Some("/tmp/port".into()),
@@ -1520,5 +1494,17 @@ mod tests {
         // The retired perf harness is unknown too; `benchmark/` measures.
         let err = parse(&args("bench --quick")).unwrap_err();
         assert!(err.contains("USAGE"), "{err}");
+    }
+
+    #[test]
+    fn retired_shards_flag_is_an_unexpected_argument() {
+        // Each engine holds one session table; there is nothing to shard.
+        for line in ["fleet --shards 4", "serve --spill d --shards 4"] {
+            assert_eq!(
+                parse(&args(line)).unwrap_err(),
+                "unexpected argument: --shards",
+                "{line}"
+            );
+        }
     }
 }

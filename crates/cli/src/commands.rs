@@ -12,8 +12,7 @@ use bqs_baselines::{
     MbrCompressor, SquishECompressor,
 };
 use bqs_core::fleet::{
-    worker_of, FleetConfig, FleetJoin, FleetSink, ParallelConfig, ParallelFleet, SessionReport,
-    TrackId,
+    worker_of, FleetJoin, FleetSink, ParallelConfig, ParallelFleet, SessionReport, TrackId,
 };
 use bqs_core::stream::{compress_all, HasDecisionStats, StreamCompressor};
 use bqs_core::{BqsCompressor, BqsConfig, FastBqsCompressor};
@@ -57,7 +56,6 @@ pub fn execute(command: &Command) -> Result<String, CliError> {
             points,
             tolerance,
             algorithm,
-            shards,
             workers,
             seed,
             spill,
@@ -67,7 +65,6 @@ pub fn execute(command: &Command) -> Result<String, CliError> {
             points: *points,
             tolerance: *tolerance,
             algorithm,
-            shards: *shards,
             workers: *workers,
             seed: *seed,
             spill: spill.as_deref(),
@@ -104,7 +101,6 @@ pub fn execute(command: &Command) -> Result<String, CliError> {
             workers,
             spill,
             tolerance,
-            shards,
             io_threads,
             max_connections,
             port_file,
@@ -118,7 +114,6 @@ pub fn execute(command: &Command) -> Result<String, CliError> {
             workers: *workers,
             spill,
             tolerance: *tolerance,
-            shards: *shards,
             io_threads: *io_threads,
             max_connections: *max_connections,
             port_file: port_file.as_deref(),
@@ -390,7 +385,6 @@ struct FleetRun<'a> {
     points: usize,
     tolerance: f64,
     algorithm: &'a str,
-    shards: usize,
     workers: usize,
     seed: u64,
     spill: Option<&'a str>,
@@ -418,7 +412,6 @@ fn fleet(run: FleetRun<'_>) -> Result<String, CliError> {
         points,
         tolerance,
         algorithm,
-        shards,
         workers,
         seed,
         spill,
@@ -455,10 +448,6 @@ fn fleet(run: FleetRun<'_>) -> Result<String, CliError> {
 
     let parallel_config = ParallelConfig {
         workers,
-        fleet: FleetConfig {
-            shards,
-            ..FleetConfig::default()
-        },
         ..ParallelConfig::default()
     };
     let (join, elapsed) = match algorithm {
@@ -623,7 +612,7 @@ fn fleet(run: FleetRun<'_>) -> Result<String, CliError> {
     let kept: usize = tagged.values().map(Vec::len).sum();
     Ok(format!(
         "fleet: {sessions} sessions × {points} points \
-         ({algorithm}, {tolerance} m, {shards} shards, {workers} workers, seed {seed})\n\
+         ({algorithm}, {tolerance} m, {workers} workers, seed {seed})\n\
          {total} → {kept} points (rate {:.2}%), pruning power {:.4}\n\
          {shard_table}{session_table}\
          throughput {:.2} Mpts/s\n\
@@ -931,7 +920,6 @@ struct ServeRun<'a> {
     workers: usize,
     spill: &'a str,
     tolerance: f64,
-    shards: usize,
     io_threads: usize,
     max_connections: usize,
     port_file: Option<&'a str>,
@@ -955,7 +943,6 @@ fn serve(run: ServeRun<'_>) -> Result<String, CliError> {
         workers,
         spill,
         tolerance,
-        shards,
         io_threads,
         max_connections,
         port_file,
@@ -976,7 +963,6 @@ fn serve(run: ServeRun<'_>) -> Result<String, CliError> {
         workers,
         spill: spill.into(),
         tolerance,
-        shards,
         io_threads,
         max_connections,
         fallback_poller: false,
@@ -1044,7 +1030,7 @@ fn serve(run: ServeRun<'_>) -> Result<String, CliError> {
     };
     Ok(format!(
         "served {} connection(s), {} frame(s), {} points \
-         ({workers} workers, {io_threads} io-threads, {tolerance} m, {shards} shards)\n\
+         ({workers} workers, {io_threads} io-threads, {tolerance} m)\n\
          {rejected_line}\
          {lateness_line}\
          spilled {} sessions, {} points, {} B ({:.2} B/point) to {spill}\n\
@@ -1483,7 +1469,6 @@ mod tests {
             points: 120,
             tolerance: 10.0,
             algorithm: "fbqs".into(),
-            shards: 4,
             workers: 1,
             seed: 1,
             spill: None,
@@ -1497,7 +1482,6 @@ mod tests {
             points: 80,
             tolerance: 8.0,
             algorithm: "bqs".into(),
-            shards: 2,
             workers: 2,
             seed: 1,
             spill: None,
@@ -1515,7 +1499,6 @@ mod tests {
             points: 100,
             tolerance: 10.0,
             algorithm: "fbqs".into(),
-            shards: 4,
             workers: 1,
             seed,
             spill: None,
@@ -1546,7 +1529,6 @@ mod tests {
             points: 150,
             tolerance: 10.0,
             algorithm: "fbqs".into(),
-            shards: 4,
             workers: 1,
             seed: 3,
             spill: Some(dir.clone()),
@@ -1577,7 +1559,6 @@ mod tests {
             points: 150,
             tolerance: 10.0,
             algorithm: "fbqs".into(),
-            shards: 4,
             workers: 1,
             seed: 3,
             spill: Some(dir),
@@ -1595,7 +1576,6 @@ mod tests {
                 points: 150,
                 tolerance: 10.0,
                 algorithm: "fbqs".into(),
-                shards: 4,
                 workers,
                 seed: 5,
                 spill: None,
@@ -1633,7 +1613,6 @@ mod tests {
             points: 100,
             tolerance: 10.0,
             algorithm: "fbqs".into(),
-            shards: 4,
             workers: 3,
             seed: 9,
             spill: None,
@@ -1675,7 +1654,6 @@ mod tests {
             points: 120,
             tolerance: 10.0,
             algorithm: "fbqs".into(),
-            shards: 4,
             workers: 4,
             seed: 3,
             spill: Some(dir.clone()),
@@ -1702,7 +1680,6 @@ mod tests {
             points: 120,
             tolerance: 10.0,
             algorithm: "fbqs".into(),
-            shards: 4,
             workers: 2,
             seed: 3,
             spill: Some(dir.clone()),
@@ -1777,7 +1754,6 @@ mod tests {
             points: 150,
             tolerance: 10.0,
             algorithm: "fbqs".into(),
-            shards: 4,
             workers,
             seed: 21,
             spill: Some(dir.to_string()),
@@ -1835,7 +1811,6 @@ mod tests {
             points: 100,
             tolerance: 10.0,
             algorithm: "fbqs".into(),
-            shards: 4,
             workers: 2,
             seed: 5,
             spill: Some(dir),
@@ -1857,7 +1832,6 @@ mod tests {
             points: 80,
             tolerance: 10.0,
             algorithm: "fbqs".into(),
-            shards: 4,
             workers,
             seed: 2,
             spill: Some(spill),
@@ -1973,7 +1947,6 @@ mod tests {
             workers: 2,
             spill: dir.clone(),
             tolerance: 10.0,
-            shards: 4,
             io_threads: 2,
             max_connections: 64,
             port_file: Some(port_file.clone()),
@@ -2050,7 +2023,6 @@ mod tests {
             workers: 2,
             spill: dir,
             tolerance: 10.0,
-            shards: 4,
             io_threads: 4,
             max_connections: 4096,
             port_file: None,

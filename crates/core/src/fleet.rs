@@ -4,21 +4,16 @@
 //! thousands of vehicles, each producing an independent GPS stream that
 //! must be compressed on the go. A single [`StreamCompressor`] holds the
 //! state of one stream; [`FleetEngine`] multiplexes any number of
-//! concurrent streams ("sessions", keyed by [`TrackId`]) over per-session
-//! compressor state while sharing everything that can be shared:
+//! concurrent streams ("sessions", keyed by [`TrackId`]) in one session
+//! table, each session owning a fresh compressor; the [`parallel`]
+//! submodule scales the same design across cores by giving each worker
+//! thread a private engine:
 //!
-//! * **Hash sharding** — sessions live in power-of-two shards, routed by
-//!   [`track_hash`]; the [`parallel`] submodule scales the same design
-//!   across cores by giving each worker thread a private engine.
-//! * **Compressor recycling** — finished sessions return their compressor
-//!   (with its warm-up and scan buffers) to a bounded pool, so a fleet
-//!   with churn allocates per *track lifetime*, not per track-restart.
 //! * **Idle eviction** — trackers disappear (dead battery, out of range);
 //!   [`FleetEngine::evict_idle`] finalises sessions that have not pushed
 //!   for a configurable stream-time window and reclaims their state.
 //! * **Merged statistics** — [`FleetEngine::stats`] aggregates
-//!   [`DecisionStats`] across live and retired sessions, attributing a
-//!   recycled compressor's monotonic counters to the right session.
+//!   [`DecisionStats`] across live and retired sessions.
 //!
 //! Emission goes through the same [`Sink`] layer as single-stream
 //! compression: `push` routes a track's kept points to the caller's sink
@@ -64,10 +59,10 @@ pub type TrackId = u64;
 /// The fleet routing hash: a SplitMix64 finaliser over the track id.
 ///
 /// Cheap, and it decorrelates sequential ids so load stays even for the
-/// common `0..n` track-id layout. Both [`FleetEngine`]'s internal session
-/// shards and [`ParallelFleet`]'s worker routing derive from this one
-/// function, so a track always lands in a stable, predictable place for
-/// a given shard/worker count.
+/// common `0..n` track-id layout. [`ParallelFleet`]'s worker routing
+/// ([`worker_of`]) derives from this one function, so a track always lands
+/// on the same worker — and in the same on-disk spill shard — for a given
+/// worker count.
 pub fn track_hash(track: TrackId) -> u64 {
     let mut z = track.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -126,25 +121,6 @@ pub struct CountingFleetSink {
 impl FleetSink for CountingFleetSink {
     fn accept(&mut self, _track: TrackId, _point: TimedPoint) {
         self.count += 1;
-    }
-}
-
-/// Invokes a callback per tagged kept point.
-#[derive(Debug)]
-pub struct FnFleetSink<F> {
-    f: F,
-}
-
-impl<F> FnFleetSink<F> {
-    /// Wraps a callback `f(track, point)`.
-    pub fn new(f: F) -> FnFleetSink<F> {
-        FnFleetSink { f }
-    }
-}
-
-impl<F: FnMut(TrackId, TimedPoint)> FleetSink for FnFleetSink<F> {
-    fn accept(&mut self, track: TrackId, point: TimedPoint) {
-        (self.f)(track, point);
     }
 }
 
@@ -213,24 +189,16 @@ impl Sink for TrackSink<'_> {
 /// Fleet-engine tuning knobs.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FleetConfig {
-    /// Number of session shards; rounded up to a power of two, minimum 1.
-    /// Shards bound the reach of any single rehash and are the future
-    /// parallelism seam.
-    pub shards: usize,
     /// Stream-time seconds without a push after which a session is
     /// eligible for [`FleetEngine::evict_idle`].
     pub idle_timeout: f64,
-    /// Maximum retired compressors kept for reuse across all shards.
-    pub max_pooled: usize,
 }
 
 impl Default for FleetConfig {
     fn default() -> FleetConfig {
         FleetConfig {
-            shards: 16,
             // One hour of GPS silence: generous for 1 fix/min trackers.
             idle_timeout: 3600.0,
-            max_pooled: 1024,
         }
     }
 }
@@ -331,18 +299,10 @@ impl FleetSnapshot {
 #[derive(Debug)]
 struct Session<C> {
     compressor: C,
-    /// `decision_stats()` snapshot at session start; the compressor may be
-    /// recycled, so its counters are offsets, not absolutes.
-    baseline: DecisionStats,
     /// Stream time of the most recent push.
     last_active: f64,
     /// Points ingested by this session.
     points: u64,
-}
-
-#[derive(Debug, Default)]
-struct Shard<C> {
-    sessions: HashMap<TrackId, Session<C>>,
 }
 
 /// Multiplexes many concurrent track sessions over per-session compressor
@@ -350,10 +310,7 @@ struct Shard<C> {
 pub struct FleetEngine<C, F> {
     factory: F,
     config: FleetConfig,
-    shard_mask: u64,
-    shards: Vec<Shard<C>>,
-    /// Retired-but-reusable compressors (bounded by `config.max_pooled`).
-    pool: Vec<C>,
+    sessions: HashMap<TrackId, Session<C>>,
     /// Stats of sessions that have already been finalised.
     retired_stats: DecisionStats,
     /// Sessions finalised so far.
@@ -369,20 +326,13 @@ where
     C: StreamCompressor + HasDecisionStats,
     F: Fn() -> C,
 {
-    /// Creates an engine; `factory` builds one compressor per new session
-    /// (recycled instances are reused first).
+    /// Creates an engine; `factory` builds one fresh compressor per new
+    /// session.
     pub fn new(config: FleetConfig, factory: F) -> FleetEngine<C, F> {
-        let shards = config.shards.max(1).next_power_of_two();
         FleetEngine {
             factory,
             config,
-            shard_mask: (shards - 1) as u64,
-            shards: (0..shards)
-                .map(|_| Shard {
-                    sessions: HashMap::new(),
-                })
-                .collect(),
-            pool: Vec::new(),
+            sessions: HashMap::new(),
             retired_stats: DecisionStats::default(),
             retired_sessions: 0,
             evicted_sessions: 0,
@@ -400,24 +350,9 @@ where
         &self.config
     }
 
-    /// Number of shards (power of two).
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Live sessions across all shards.
+    /// Live sessions.
     pub fn active_sessions(&self) -> usize {
-        self.shards.iter().map(|s| s.sessions.len()).sum()
-    }
-
-    /// Live sessions per shard, for load-skew observability.
-    pub fn shard_loads(&self) -> Vec<usize> {
-        self.shards.iter().map(|s| s.sessions.len()).collect()
-    }
-
-    /// Retired compressors currently available for reuse.
-    pub fn pooled_compressors(&self) -> usize {
-        self.pool.len()
+        self.sessions.len()
     }
 
     /// Sessions finalised so far (finish or eviction).
@@ -439,38 +374,22 @@ where
     /// Decision statistics merged across retired and live sessions.
     pub fn stats(&self) -> DecisionStats {
         let mut total = self.retired_stats;
-        for shard in &self.shards {
-            for session in shard.sessions.values() {
-                total.merge(&session.compressor.decision_stats().since(&session.baseline));
-            }
+        for session in self.sessions.values() {
+            total.merge(&session.compressor.decision_stats());
         }
         total
     }
 
-    fn shard_of(&self, track: TrackId) -> usize {
-        (track_hash(track) & self.shard_mask) as usize
-    }
-
     /// Feeds the next point of `track`'s stream, emitting that track's
-    /// finalised key points into `out`. A session is created on the first
-    /// push of an unknown track (reusing a pooled compressor when one is
-    /// available).
+    /// finalised key points into `out`. A session, with a fresh compressor
+    /// from the factory, is created on the first push of an unknown track.
     pub fn push(&mut self, track: TrackId, p: TimedPoint, out: &mut dyn Sink) {
         self.latest_time = self.latest_time.max(p.t);
-        let shard = self.shard_of(track);
-        // Split borrows: the pool and factory are needed while the shard
-        // map entry is held.
-        let pool = &mut self.pool;
         let factory = &self.factory;
-        let session = self.shards[shard].sessions.entry(track).or_insert_with(|| {
-            let compressor = pool.pop().unwrap_or_else(factory);
-            let baseline = compressor.decision_stats();
-            Session {
-                compressor,
-                baseline,
-                last_active: p.t,
-                points: 0,
-            }
+        let session = self.sessions.entry(track).or_insert_with(|| Session {
+            compressor: factory(),
+            last_active: p.t,
+            points: 0,
         });
         session.compressor.push(p, out);
         session.last_active = session.last_active.max(p.t);
@@ -526,14 +445,11 @@ where
         out: &mut dyn Sink,
     ) -> SessionReport {
         session.compressor.finish(out);
-        let stats = session.compressor.decision_stats().since(&session.baseline);
+        let stats = session.compressor.decision_stats();
         self.retired_stats.merge(&stats);
         self.retired_sessions += 1;
         if reason == FlushReason::Evicted {
             self.evicted_sessions += 1;
-        }
-        if self.pool.len() < self.config.max_pooled {
-            self.pool.push(session.compressor);
         }
         SessionReport {
             track,
@@ -544,16 +460,15 @@ where
     }
 
     /// Ends `track`'s stream: flushes its final key point into `out`,
-    /// merges its statistics, recycles its compressor, and removes the
-    /// session. `None` when the track has no live session.
+    /// merges its statistics, and removes the session. `None` when the
+    /// track has no live session.
     ///
     /// The point-level sink cannot receive a
     /// [`FleetSink::session_closed`] notification; sinks that act on
     /// session close (e.g. durable spill layers) should be driven through
     /// [`FleetEngine::finish_track_tagged`] instead.
     pub fn finish_track(&mut self, track: TrackId, out: &mut dyn Sink) -> Option<SessionReport> {
-        let shard = self.shard_of(track);
-        let session = self.shards[shard].sessions.remove(&track)?;
+        let session = self.sessions.remove(&track)?;
         Some(self.retire(session, track, FlushReason::Finished, out))
     }
 
@@ -578,30 +493,13 @@ where
     /// merged away silently.
     pub fn evict_idle(&mut self, now: f64, out: &mut dyn FleetSink) -> Vec<SessionReport> {
         let cutoff = now - self.config.idle_timeout;
-        let mut reports = Vec::new();
-        for shard in 0..self.shards.len() {
-            // Collect first: retiring mutates the pool and stats, so the
-            // shard map cannot stay borrowed.
-            let idle: Vec<TrackId> = self.shards[shard]
-                .sessions
-                .iter()
-                .filter(|(_, s)| s.last_active < cutoff)
-                .map(|(t, _)| *t)
-                .collect();
-            for track in idle {
-                if let Some(session) = self.shards[shard].sessions.remove(&track) {
-                    let report = self.retire(
-                        session,
-                        track,
-                        FlushReason::Evicted,
-                        &mut TrackSink::new(out, track),
-                    );
-                    out.session_closed(&report);
-                    reports.push(report);
-                }
-            }
-        }
-        reports
+        let idle: Vec<TrackId> = self
+            .sessions
+            .iter()
+            .filter(|(_, s)| s.last_active < cutoff)
+            .map(|(t, _)| *t)
+            .collect();
+        self.close_all(idle, FlushReason::Evicted, out)
     }
 
     /// Convenience: [`FleetEngine::evict_idle`] at the fleet's own stream
@@ -628,17 +526,15 @@ where
         let mut emitted: HashMap<TrackId, Vec<TimedPoint>> =
             sink.live_buffered().into_iter().collect();
         let mut tracks: Vec<TrackSnapshot> = Vec::new();
-        for shard in &self.shards {
-            for (&track, session) in &shard.sessions {
-                let mut pending: Vec<TimedPoint> = Vec::new();
-                session.compressor.pending_tail(&mut pending);
-                tracks.push(TrackSnapshot {
-                    track,
-                    emitted: emitted.remove(&track).unwrap_or_default(),
-                    pending,
-                    live: true,
-                });
-            }
+        for (&track, session) in &self.sessions {
+            let mut pending: Vec<TimedPoint> = Vec::new();
+            session.compressor.pending_tail(&mut pending);
+            tracks.push(TrackSnapshot {
+                track,
+                emitted: emitted.remove(&track).unwrap_or_default(),
+                pending,
+                live: true,
+            });
         }
         // Buffers without a live session: output awaiting a retried
         // hand-off (e.g. a spill whose append failed). Still hot data.
@@ -657,20 +553,24 @@ where
     /// Ends every live session (tagged emission), notifying the sink per
     /// session; returns one [`SessionReport`] per finalised session.
     pub fn finish_all(&mut self, out: &mut dyn FleetSink) -> Vec<SessionReport> {
-        let mut reports = Vec::new();
-        for shard in 0..self.shards.len() {
-            let tracks: Vec<TrackId> = self.shards[shard].sessions.keys().copied().collect();
-            for track in tracks {
-                if let Some(session) = self.shards[shard].sessions.remove(&track) {
-                    let report = self.retire(
-                        session,
-                        track,
-                        FlushReason::Finished,
-                        &mut TrackSink::new(out, track),
-                    );
-                    out.session_closed(&report);
-                    reports.push(report);
-                }
+        let tracks: Vec<TrackId> = self.sessions.keys().copied().collect();
+        self.close_all(tracks, FlushReason::Finished, out)
+    }
+
+    /// Retires each of `tracks`' live sessions (tagged emission), notifying
+    /// the sink per session.
+    fn close_all(
+        &mut self,
+        tracks: Vec<TrackId>,
+        reason: FlushReason,
+        out: &mut dyn FleetSink,
+    ) -> Vec<SessionReport> {
+        let mut reports = Vec::with_capacity(tracks.len());
+        for track in tracks {
+            if let Some(session) = self.sessions.remove(&track) {
+                let report = self.retire(session, track, reason, &mut TrackSink::new(out, track));
+                out.session_closed(&report);
+                reports.push(report);
             }
         }
         reports
@@ -761,7 +661,7 @@ mod tests {
     }
 
     #[test]
-    fn idle_sessions_are_evicted_and_compressors_recycled() {
+    fn idle_sessions_are_evicted_and_flushed() {
         let mut fleet = engine(10.0);
         let mut out: Vec<(TrackId, TimedPoint)> = Vec::new();
         // Track 1 stops at t=600; track 2 keeps going to t=6000.
@@ -780,18 +680,13 @@ mod tests {
         assert_eq!(evicted[0].points, 11);
         assert_eq!(fleet.evicted_sessions(), 1);
         assert_eq!(fleet.active_sessions(), 1);
-        assert_eq!(fleet.pooled_compressors(), 1);
         // Track 1's tail point must have been flushed on eviction.
         let track1_last = out.iter().rev().find(|(t, _)| *t == 1).unwrap().1;
         assert_eq!(track1_last.t, 600.0);
-
-        // A new session reuses the pooled compressor.
-        fleet.push_tagged(3, TimedPoint::new(0.0, 0.0, 7000.0), &mut out);
-        assert_eq!(fleet.pooled_compressors(), 0);
     }
 
     #[test]
-    fn recycled_compressors_attribute_stats_to_the_right_session() {
+    fn successive_sessions_attribute_stats_to_the_right_session() {
         let mut fleet = engine(10.0);
         let mut out: Vec<(TrackId, TimedPoint)> = Vec::new();
         let trace = wave(0, 100);
@@ -804,33 +699,30 @@ mod tests {
         assert_eq!(r1.points, 100);
         assert_eq!(r1.stats.points, 100);
 
-        // Second session on a recycled compressor: counters must restart.
+        // A second session after the first retired: its counters start at
+        // zero, and the fleet total covers both.
         for p in &trace {
             fleet.push_tagged(11, *p, &mut out);
         }
         let r2 = fleet
             .finish_track(11, &mut TrackSink::new(&mut out, 11))
             .unwrap();
-        assert_eq!(
-            r2.stats.points, 100,
-            "baseline offset must isolate sessions"
-        );
+        assert_eq!(r2.stats, r1.stats, "same points, same decisions");
         assert_eq!(fleet.stats().points, 200);
     }
 
+    /// The per-session compressor footprint on 64-bit targets. A session
+    /// owns one of these plus its heap (warm-up buffer, hull scratch), so
+    /// this constant is the floor of the server's bytes per live session.
+    #[cfg(target_pointer_width = "64")]
     #[test]
-    fn sharding_spreads_sequential_ids() {
-        let mut fleet = engine(10.0);
-        let mut out = CountingFleetSink::default();
-        for t in 0..256u64 {
-            fleet.push_tagged(t, TimedPoint::new(0.0, 0.0, 0.0), &mut out);
-        }
-        let loads = fleet.shard_loads();
-        assert_eq!(loads.iter().sum::<usize>(), 256);
-        let max = *loads.iter().max().unwrap();
-        // 256 ids over 16 shards: a uniform hash keeps the worst shard far
-        // below a pathological pile-up.
-        assert!(max <= 40, "shard skew too high: {loads:?}");
+    fn fast_bqs_compressor_footprint_is_pinned() {
+        assert_eq!(
+            std::mem::size_of::<FastBqsCompressor>(),
+            1160,
+            "FastBqsCompressor changed size: update this constant on purpose \
+             and record why (and the new bytes per session) in CHANGES.md"
+        );
     }
 
     #[test]
@@ -934,23 +826,5 @@ mod tests {
         let mut fleet = engine(10.0);
         let mut out: Vec<TimedPoint> = Vec::new();
         assert!(fleet.finish_track(99, &mut out).is_none());
-    }
-
-    #[test]
-    fn pool_is_bounded() {
-        let config = BqsConfig::new(10.0).unwrap();
-        let mut fleet = FleetEngine::new(
-            FleetConfig {
-                max_pooled: 4,
-                ..FleetConfig::default()
-            },
-            move || FastBqsCompressor::new(config),
-        );
-        let mut out: Vec<(TrackId, TimedPoint)> = Vec::new();
-        for t in 0..32u64 {
-            fleet.push_tagged(t, TimedPoint::new(0.0, 0.0, t as f64), &mut out);
-        }
-        fleet.finish_all(&mut out);
-        assert_eq!(fleet.pooled_compressors(), 4);
     }
 }

@@ -75,13 +75,11 @@ use std::thread::JoinHandle;
 
 /// The worker shard `track` is routed to in a fleet of `workers`.
 ///
-/// Routes on the *high* 32 bits of [`track_hash`], while the engine
-/// inside each worker picks its session shard from the low bits
-/// (`track_hash & mask`). Using disjoint bit ranges keeps the two
-/// levels uncorrelated: with `% workers` over the same low bits, a
-/// power-of-two worker count would pin every track of worker `k` to
-/// the engine shards congruent to `k`, collapsing each engine onto a
-/// fraction of its shard map.
+/// Routes on the *high* 32 bits of [`track_hash`]. Keep it that way:
+/// spill trees on disk are routed by this exact function (each worker
+/// writes `shard-<k>/`, and `docs/format.md` specifies the rule), so any
+/// other routing — low bits included — would send every existing tree's
+/// tracks to the wrong shard.
 pub fn worker_of(track: TrackId, workers: usize) -> usize {
     ((track_hash(track) >> 32) % workers.max(1) as u64) as usize
 }
@@ -89,8 +87,9 @@ pub fn worker_of(track: TrackId, workers: usize) -> usize {
 /// Tuning knobs for the parallel runtime.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ParallelConfig {
-    /// Worker shards (threads), minimum 1. Unlike the engine's internal
-    /// session shards this need not be a power of two.
+    /// Worker shards (threads), minimum 1; any count, not only powers of
+    /// two. A spill tree must be reopened with the count it was written
+    /// with, since [`worker_of`] routes by it.
     pub workers: usize,
     /// Points per channel message. Larger batches amortise channel
     /// synchronisation; smaller batches reduce end-to-end latency.
@@ -936,7 +935,6 @@ mod tests {
                 channel_batches: 2,
                 fleet: FleetConfig {
                     idle_timeout: 100.0,
-                    ..FleetConfig::default()
                 },
             },
             move || FastBqsCompressor::new(config),
@@ -1111,22 +1109,24 @@ mod tests {
     }
 
     #[test]
-    fn worker_routing_is_uncorrelated_with_engine_session_shards() {
-        // 4 workers, 16 engine shards: the tracks routed to one worker
-        // must still spread across (nearly) all of that worker's engine
-        // shards — routing on the same bits would pin them to 4 of 16.
-        let workers = 4usize;
-        let engine_mask = 15u64;
-        let mut shards_seen: Vec<HashSet<u64>> = vec![HashSet::new(); workers];
-        for track in 0..2_000u64 {
-            shards_seen[worker_of(track, workers)].insert(track_hash(track) & engine_mask);
-        }
-        for (k, seen) in shards_seen.iter().enumerate() {
-            assert!(
-                seen.len() >= 12,
-                "worker {k} maps onto only {} of 16 engine shards",
-                seen.len()
-            );
+    fn worker_routing_is_pinned_by_golden_values() {
+        // Spill trees on disk are routed by `worker_of`; these values come
+        // from the routing every existing tree was written with. A change
+        // here misroutes every such tree.
+        let golden: [(TrackId, u64, [usize; 5]); 7] = [
+            (0, 0xE220_A839_7B1D_CDAF, [0, 1, 0, 1, 9]),
+            (1, 0x910A_2DEC_8902_5CC1, [0, 0, 1, 0, 12]),
+            (2, 0x9758_35DE_1C97_56CE, [0, 0, 1, 2, 14]),
+            (7, 0x63CB_E1E4_5932_0DD7, [0, 0, 2, 0, 4]),
+            (42, 0xBDD7_3226_2FEB_6E95, [0, 0, 0, 2, 6]),
+            (1000, 0x3C1E_BA8B_4DCC_C148, [0, 1, 1, 3, 11]),
+            (u64::MAX, 0xE4D9_7177_1B65_2C20, [0, 1, 2, 3, 7]),
+        ];
+        for (track, hash, workers) in golden {
+            assert_eq!(track_hash(track), hash, "track_hash({track})");
+            for (n, want) in [1, 2, 3, 4, 16].into_iter().zip(workers) {
+                assert_eq!(worker_of(track, n), want, "worker_of({track}, {n})");
+            }
         }
     }
 

@@ -23,8 +23,8 @@
 //!   (`Vec`, counting, callback, chord and page adapters — zero-allocation
 //!   output paths), plus decision statistics from which pruning power is
 //!   computed.
-//! * [`fleet`] — the multi-session [`FleetEngine`]: hash-sharded sessions
-//!   keyed by track id, per-session compressor state with recycling,
+//! * [`fleet`] — the multi-session [`FleetEngine`]: one session table
+//!   keyed by track id, a fresh compressor per session,
 //!   idle-session eviction and merged decision statistics — plus
 //!   [`fleet::parallel`], the multi-threaded sharded runtime
 //!   ([`ParallelFleet`]) that scales the engine across cores.

@@ -284,23 +284,6 @@ impl DecisionStats {
         1.0 - (undecided as f64) / (self.points as f64)
     }
 
-    /// Counter-wise difference `self − baseline`, saturating at zero.
-    /// Used by the fleet layer to attribute a recycled compressor's
-    /// monotonic counters to the session that actually produced them.
-    pub fn since(&self, baseline: &DecisionStats) -> DecisionStats {
-        DecisionStats {
-            points: self.points.saturating_sub(baseline.points),
-            trivial: self.trivial.saturating_sub(baseline.trivial),
-            by_bounds: self.by_bounds.saturating_sub(baseline.by_bounds),
-            full_scans: self.full_scans.saturating_sub(baseline.full_scans),
-            warmup_scans: self.warmup_scans.saturating_sub(baseline.warmup_scans),
-            aggressive_cuts: self
-                .aggressive_cuts
-                .saturating_sub(baseline.aggressive_cuts),
-            segments: self.segments.saturating_sub(baseline.segments),
-        }
-    }
-
     /// Merges counters from another stream (for multi-trace aggregates).
     pub fn merge(&mut self, other: &DecisionStats) {
         self.points += other.points;

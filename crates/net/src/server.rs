@@ -156,8 +156,6 @@ pub struct ServerConfig {
     /// behind the track's watermark (older is a typed `TooLate`) and
     /// releases points to the compressor in timestamp order.
     pub lateness: f64,
-    /// Session shards inside each worker's engine.
-    pub shards: usize,
     /// I/O threads multiplexing the connections
     /// ([`DEFAULT_IO_THREADS`]); must be ≥ 1.
     pub io_threads: usize,
@@ -179,8 +177,8 @@ pub struct ServerConfig {
 }
 
 impl ServerConfig {
-    /// A config with the workspace defaults (10 m tolerance, 16 engine
-    /// shards, [`DEFAULT_IO_THREADS`] I/O threads,
+    /// A config with the workspace defaults (10 m tolerance,
+    /// [`DEFAULT_IO_THREADS`] I/O threads,
     /// [`DEFAULT_MAX_CONNECTIONS`] connections) for the given bind
     /// address, worker count and spill dir.
     pub fn new(addr: impl Into<String>, workers: usize, spill: impl Into<PathBuf>) -> ServerConfig {
@@ -190,7 +188,6 @@ impl ServerConfig {
             spill: spill.into(),
             tolerance: 10.0,
             lateness: 0.0,
-            shards: 16,
             io_threads: DEFAULT_IO_THREADS,
             max_connections: DEFAULT_MAX_CONNECTIONS,
             fallback_poller: false,
@@ -774,13 +771,11 @@ impl Server {
             ParallelConfig {
                 workers: config.workers,
                 fleet: FleetConfig {
-                    shards: config.shards,
                     idle_timeout: if config.evict_idle > 0.0 {
                         config.evict_idle
                     } else {
                         FleetConfig::default().idle_timeout
                     },
-                    ..FleetConfig::default()
                 },
                 ..ParallelConfig::default()
             },

@@ -462,7 +462,6 @@ fn fleet_spill_round_trip_survives_crash_and_compaction() {
         let mut fleet = FleetEngine::new(
             FleetConfig {
                 idle_timeout: 1_800.0,
-                ..FleetConfig::default()
             },
             move || FastBqsCompressor::new(config),
         );

@@ -4,15 +4,25 @@
 //!    [`FleetEngine`] in an arbitrary interleaving yields output
 //!    byte-identical to compressing each track alone with a fresh
 //!    compressor. Session state must never leak across tracks, even with
-//!    evictions and compressor recycling in the mix.
+//!    evictions in the mix.
 //! 2. **Per-session error bound** — every session's output independently
 //!    satisfies the configured deviation tolerance.
-//! 3. **Zero-allocation counting path** — a whole trace compresses through
+//! 3. **No silent closes** — under any mix of pushes, evictions, single
+//!    finishes and `finish_all`, with track ids reopening after a close,
+//!    every session opened is closed exactly once: one returned
+//!    [`SessionReport`] and one `session_closed` call, carrying that
+//!    session's own statistics, which sum to [`FleetEngine::stats`].
+//! 4. **Zero-allocation counting path** — a whole trace compresses through
 //!    [`CountingSink`] without materialising any output storage.
 
-use bqs::core::fleet::{CountingFleetSink, FleetConfig, FleetEngine, TrackId};
+use bqs::core::fleet::{
+    CountingFleetSink, FleetConfig, FleetEngine, FleetSink, FlushReason, SessionReport, TrackId,
+};
 use bqs::core::metrics::DeviationMetric;
-use bqs::core::stream::{compress_all, compress_into, CountingSink};
+use bqs::core::stream::{
+    compress_all, compress_all_with_stats, compress_into, CountingSink, DecisionStats,
+    HasDecisionStats, StreamCompressor,
+};
 use bqs::core::{BqsCompressor, BqsConfig, FastBqsCompressor};
 use bqs::eval::verify_deviation_bound;
 use bqs::geo::TimedPoint;
@@ -67,8 +77,163 @@ fn interleave(traces: &[Vec<TimedPoint>], seed: u64) -> Vec<(TrackId, TimedPoint
     records
 }
 
+/// A fleet sink that keeps every `session_closed` report, in call order.
+#[derive(Default)]
+struct CloseLog {
+    closed: Vec<SessionReport>,
+}
+
+impl FleetSink for CloseLog {
+    fn accept(&mut self, _track: TrackId, _point: TimedPoint) {}
+
+    fn session_closed(&mut self, report: &SessionReport) {
+        self.closed.push(*report);
+    }
+}
+
+/// Decision statistics of one session's points compressed alone by a
+/// fresh compressor: finished (a closed session) or not (a live one).
+fn solo_stats<C, F>(factory: &F, points: &[TimedPoint], finished: bool) -> DecisionStats
+where
+    C: StreamCompressor + HasDecisionStats,
+    F: Fn() -> C,
+{
+    let mut compressor = factory();
+    if finished {
+        return compress_all_with_stats(&mut compressor, points.iter().copied()).1;
+    }
+    let mut sink = CountingSink::new();
+    for p in points {
+        compressor.push(*p, &mut sink);
+    }
+    compressor.decision_stats()
+}
+
+/// Drives one engine through `ops` seeded calls — `push_tagged` (mostly),
+/// `evict_idle_now`, `finish_track_tagged` and `finish_all`, then a final
+/// `finish_all` — over a handful of track ids that keep reopening after
+/// they close, against a model of each live session's points. Checks the
+/// "No silent closes" invariant after every close and at the end.
+fn check_no_silent_closes<C, F>(factory: F, seed: u64, ops: usize)
+where
+    C: StreamCompressor + HasDecisionStats,
+    F: Fn() -> C + Clone,
+{
+    const TRACKS: u64 = 8;
+    const IDLE: f64 = 60.0;
+    let mut fleet = FleetEngine::new(FleetConfig { idle_timeout: IDLE }, factory.clone());
+    let mut sink = CloseLog::default();
+    let mut live: HashMap<TrackId, Vec<TimedPoint>> = HashMap::new();
+    let mut reports: Vec<SessionReport> = Vec::new();
+    let (mut opened, mut clock, mut s) = (0usize, 0.0f64, seed | 1);
+    let mut next = move |n: u64| {
+        s = s
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (s >> 33) % n
+    };
+    let mut pos = [(0.0f64, 0.0f64); TRACKS as usize];
+    for op in 0..=ops {
+        let pick = if op == ops { 19 } else { next(20) };
+        // Each close op yields what it returned and the tracks it must close.
+        let (returned, mut expected, reason): (Vec<SessionReport>, Vec<TrackId>, _) = match pick {
+            0..=14 => {
+                let track = next(TRACKS);
+                clock += 1.0 + next(20) as f64;
+                let (x, y) = &mut pos[track as usize];
+                *x += next(50) as f64 - 20.0;
+                *y += next(50) as f64 - 25.0;
+                let p = TimedPoint::new(*x, *y, clock);
+                live.entry(track)
+                    .or_insert_with(|| {
+                        opened += 1;
+                        Vec::new()
+                    })
+                    .push(p);
+                fleet.push_tagged(track, p, &mut sink);
+                continue;
+            }
+            15 | 16 => (
+                fleet.evict_idle_now(&mut sink),
+                live.iter()
+                    .filter(|(_, points)| points.last().unwrap().t < clock - IDLE)
+                    .map(|(track, _)| *track)
+                    .collect(),
+                FlushReason::Evicted,
+            ),
+            17 | 18 => {
+                let track = next(TRACKS);
+                (
+                    fleet
+                        .finish_track_tagged(track, &mut sink)
+                        .into_iter()
+                        .collect(),
+                    live.contains_key(&track)
+                        .then_some(track)
+                        .into_iter()
+                        .collect(),
+                    FlushReason::Finished,
+                )
+            }
+            _ => (
+                fleet.finish_all(&mut sink),
+                live.keys().copied().collect(),
+                FlushReason::Finished,
+            ),
+        };
+        let mut got: Vec<TrackId> = returned.iter().map(|r| r.track).collect();
+        got.sort_unstable();
+        expected.sort_unstable();
+        assert_eq!(got, expected, "closed tracks ({reason:?})");
+        for report in returned {
+            let points = live.remove(&report.track).expect("closed a live session");
+            assert_eq!(
+                (report.reason, report.points),
+                (reason, points.len() as u64)
+            );
+            assert_eq!(
+                report.stats,
+                solo_stats(&factory, &points, true),
+                "track {}: report stats are not this session's alone",
+                report.track
+            );
+            reports.push(report);
+        }
+        let mut want = DecisionStats::default();
+        let live_stats = live
+            .values()
+            .map(|points| solo_stats(&factory, points, false));
+        for stats in reports.iter().map(|r| r.stats).chain(live_stats) {
+            want.merge(&stats);
+        }
+        assert_eq!(fleet.stats(), want, "fleet stats ≠ reports + live sessions");
+        assert_eq!(fleet.active_sessions(), live.len());
+    }
+    assert!(live.is_empty());
+    assert_eq!(reports.len(), opened, "sessions opened ≠ reports returned");
+    assert_eq!(
+        sink.closed, reports,
+        "session_closed calls ≠ reports returned"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// "No silent closes", for both compressor families: sessions opened
+    /// = reports returned = `session_closed` calls, each report's stats
+    /// are its session's alone, and the fleet total is their sum plus
+    /// the live sessions.
+    #[test]
+    fn every_session_closes_exactly_once_with_its_own_stats(
+        seed in 0u64..1_000_000,
+        tol in 2.0f64..40.0,
+        ops in 200usize..400,
+    ) {
+        let config = BqsConfig::new(tol).unwrap();
+        check_no_silent_closes(move || FastBqsCompressor::new(config), seed, ops);
+        check_no_silent_closes(move || BqsCompressor::new(config), seed, ops);
+    }
 
     /// ≥ 100 concurrent sessions, arbitrary interleaving, arbitrary
     /// tolerance: fleet output ≡ solo output, per track, byte for byte.
@@ -171,7 +336,7 @@ proptest! {
 
         let config = BqsConfig::new(tol).unwrap();
         let mut fleet = FleetEngine::new(
-            FleetConfig { idle_timeout: 100.0, ..FleetConfig::default() },
+            FleetConfig { idle_timeout: 100.0 },
             move || FastBqsCompressor::new(config),
         );
         let mut tagged: HashMap<TrackId, Vec<TimedPoint>> = HashMap::new();

@@ -102,7 +102,6 @@ fn spilling_fleet(
             fleet: FleetConfig {
                 // Tight timeout so a mid-run evict_idle really evicts.
                 idle_timeout: 50.0,
-                ..FleetConfig::default()
             },
         },
         move || FastBqsCompressor::new(config),
