@@ -20,9 +20,12 @@
 //!   *identical* to the single-threaded engine (and to solo compression),
 //!   regardless of the worker count — the equivalence property enforced
 //!   by `tests/parallel_fleet.rs`.
-//! * **Batched submission** — points are buffered per worker and shipped
-//!   in batches ([`ParallelConfig::batch_points`]) to amortise channel
-//!   synchronisation over many points.
+//! * **Batched submission** — one buffer per worker is the only point
+//!   transport: [`ParallelFleet::push`] fills it and ships it once it
+//!   holds [`ParallelConfig::batch_points`], while
+//!   [`ParallelFleet::submit_run`] appends a whole run and ships at once.
+//!   Either way channel synchronisation is amortised over many points,
+//!   and a track's points leave in submission order.
 //! * **Backpressure** — channels are bounded
 //!   ([`ParallelConfig::channel_batches`]); when a worker falls behind,
 //!   [`ParallelFleet::push`] blocks instead of buffering unboundedly.
@@ -91,7 +94,9 @@ pub struct ParallelConfig {
     /// two. A spill tree must be reopened with the count it was written
     /// with, since [`worker_of`] routes by it.
     pub workers: usize,
-    /// Points per channel message. Larger batches amortise channel
+    /// Points [`ParallelFleet::push`] buffers per worker before the
+    /// buffer ships as one channel message ([`ParallelFleet::submit_run`]
+    /// ships at once, whatever the fill). Larger batches amortise channel
     /// synchronisation; smaller batches reduce end-to-end latency.
     pub batch_points: usize,
     /// Bounded channel depth in batches per worker — the backpressure
@@ -313,11 +318,6 @@ impl<S: FleetSink> FleetSink for MeteredSink<S> {
 
 enum Msg {
     Batch(Vec<(TrackId, TimedPoint)>),
-    /// Whole per-track runs, shipped in one send — the frame-grained
-    /// submission path ([`ParallelFleet::submit_batch`]). The worker
-    /// replays each run point by point through the same engine call as
-    /// [`Msg::Batch`], so per-track output is byte-identical.
-    Runs(Vec<(TrackId, Vec<TimedPoint>)>),
     Evict(f64),
     /// Snapshot request: the worker answers with a consistent view of
     /// its engine + sink state after all previously queued work.
@@ -436,7 +436,7 @@ where
             if let Some(t) = idle_from {
                 m.idle_us.add(elapsed_us(t));
             }
-            if matches!(msg, Msg::Batch(_) | Msg::Runs(_)) {
+            if matches!(msg, Msg::Batch(_)) {
                 m.depth.sub(1);
             }
             bqs_obs::now()
@@ -445,13 +445,6 @@ where
             Msg::Batch(batch) => {
                 for (track, p) in batch {
                     engine.push_tagged(track, p, &mut sink);
-                }
-            }
-            Msg::Runs(runs) => {
-                for (track, points) in runs {
-                    for p in points {
-                        engine.push_tagged(track, p, &mut sink);
-                    }
                 }
             }
             Msg::Evict(now) => reports.extend(engine.evict_idle(now, &mut sink)),
@@ -586,75 +579,33 @@ impl<S: FleetSink + Send + 'static> ParallelFleet<S> {
         }
     }
 
-    /// Submits one track's time-ordered run as a single channel send —
-    /// the frame-grained fast path: no per-point hashing, no per-point
-    /// buffer copies. Equivalent to `points.into_iter().for_each(|p|
-    /// self.push(track, p))` byte for byte (the worker replays the run
-    /// through the same engine call), including its ordering with
-    /// interleaved [`ParallelFleet::push`] calls and its backpressure
-    /// (the send blocks while the shard's channel is full).
-    pub fn submit_run(&mut self, track: TrackId, points: Vec<TimedPoint>) {
-        self.submit_batch(std::iter::once((track, points)));
-    }
-
-    /// Submits whole per-track runs, grouped so each worker shard gets
-    /// **one** channel send no matter how many runs route to it. Runs
-    /// for one track are processed in submission order relative to both
-    /// other `submit_batch` calls and per-point pushes: any points the
-    /// shard has buffered from [`ParallelFleet::push`] are flushed ahead
-    /// of the runs, preserving the fleet's per-track order guarantee.
-    pub fn submit_batch(&mut self, runs: impl IntoIterator<Item = (TrackId, Vec<TimedPoint>)>) {
+    /// Submits one track's time-ordered run and ships it at once: the
+    /// track is routed once, the run joins the shard's buffer behind any
+    /// points [`ParallelFleet::push`] left there, and the buffer leaves
+    /// in one channel send. Equivalent to `points.into_iter().for_each(|p|
+    /// self.push(track, p))` followed by a flush of that shard, byte for
+    /// byte — including its ordering with interleaved pushes and its
+    /// backpressure (the send blocks while the shard's channel is full).
+    pub fn submit_run(&mut self, track: TrackId, points: impl IntoIterator<Item = TimedPoint>) {
+        let shard = self.shard_of(track);
         let batch_points = self.batch_points;
-        let mut grouped: Vec<Vec<(TrackId, Vec<TimedPoint>)>> = Vec::new();
-        for (track, points) in runs {
-            let shard = self.shard_of(track);
-            let worker = &mut self.workers[shard];
-            worker.tracks.insert(track);
-            worker.submitted_points += points.len() as u64;
-            if let Some(m) = &worker.metrics {
-                m.on_submitted(points.len() as u64);
-            }
-            if worker.dead || points.is_empty() {
-                if worker.dead {
-                    if let Some(m) = &worker.metrics {
-                        m.on_dropped(points.len() as u64);
-                    }
-                }
-                continue;
-            }
-            // Order with previously buffered per-point submissions.
-            worker.flush(batch_points);
-            if grouped.len() <= shard {
-                grouped.resize_with(shard + 1, Vec::new);
-            }
-            grouped[shard].push((track, points));
-        }
-        for (shard, runs) in grouped.into_iter().enumerate() {
-            if runs.is_empty() {
-                continue;
-            }
-            let worker = &mut self.workers[shard];
-            // bqs-analyze: allow(no-unwrap-in-lib) — sender is only taken in join(), which consumes self
-            let sender = worker.sender.as_ref().expect("sender lives until join");
-            // Raised before the send so the worker's decrement-on-receipt
-            // can never observe (and wrap) a zero gauge.
-            if let Some(m) = &worker.metrics {
-                m.depth.add(1);
-            }
-            match sender.send(Msg::Runs(runs)) {
-                Ok(()) => {}
-                Err(SendError(msg)) => {
-                    worker.dead = true;
-                    if let Some(m) = &worker.metrics {
-                        m.depth.sub(1);
-                        if let Msg::Runs(lost) = msg {
-                            let points: u64 = lost.iter().map(|(_, pts)| pts.len() as u64).sum();
-                            m.on_dropped(points);
-                        }
-                    }
-                }
+        let worker = &mut self.workers[shard];
+        worker.tracks.insert(track);
+        let n = if worker.dead {
+            points.into_iter().count() as u64
+        } else {
+            let before = worker.buffer.len();
+            worker.buffer.extend(points.into_iter().map(|p| (track, p)));
+            (worker.buffer.len() - before) as u64
+        };
+        worker.submitted_points += n;
+        if let Some(m) = &worker.metrics {
+            m.on_submitted(n);
+            if worker.dead {
+                m.on_dropped(n);
             }
         }
+        worker.flush(batch_points);
     }
 
     /// Ships every partially filled batch now. Useful before a pause;
@@ -1058,16 +1009,15 @@ mod tests {
             }
             let expected = merged(pushed.join());
 
-            // Runs submitted frame by frame, interleaved across tracks.
+            // Per-track runs submitted frame by frame, interleaved across
+            // tracks.
             let mut batched = parallel(workers, 10.0);
             let chunk = 13usize; // awkward on purpose: partial tail runs
-            let mut offset = 0usize;
-            while offset < 150 {
-                batched.submit_batch(traces.iter().enumerate().map(|(t, trace)| {
+            for offset in (0..150).step_by(chunk) {
+                for (t, trace) in traces.iter().enumerate() {
                     let end = (offset + chunk).min(trace.len());
-                    (t as u64, trace[offset..end].to_vec())
-                }));
-                offset += chunk;
+                    batched.submit_run(t as u64, trace[offset..end].iter().copied());
+                }
             }
             assert_eq!(merged(batched.join()), expected, "{workers} workers");
         }
@@ -1093,6 +1043,85 @@ mod tests {
         let mut solo = FastBqsCompressor::new(config);
         let expected = compress_all(&mut solo, trace.iter().copied());
         assert_eq!(all[&5], expected);
+    }
+
+    #[test]
+    fn points_routed_to_a_dead_shard_are_counted_dropped_exactly() {
+        let registry = MetricsRegistry::new();
+        let config = BqsConfig::new(10.0).unwrap();
+        let mut fleet = ParallelFleet::with_metrics(
+            ParallelConfig {
+                workers: 2,
+                batch_points: 4,
+                channel_batches: 2,
+                fleet: FleetConfig::default(),
+            },
+            move || Poisonable(FastBqsCompressor::new(config)),
+            |_| HashMap::<TrackId, Vec<TimedPoint>>::new(),
+            Some(FleetMetrics::new(&registry, 2)),
+        );
+        let dead_shard = fleet.shard_of(0);
+        let (dead_tracks, live_tracks): (Vec<TrackId>, Vec<TrackId>) =
+            (0..8u64).partition(|&t| fleet.shard_of(t) == dead_shard);
+        assert!(dead_tracks.len() >= 2 && !live_tracks.is_empty());
+        // The poison is the only point the shard sees before it dies; the
+        // flush leaves its buffer empty, so nothing is in flight.
+        fleet.push(dead_tracks[0], TimedPoint::new(f64::NAN, 0.0, 0.0));
+        fleet.flush();
+        // A stats round-trip notices the death without carrying points.
+        for _ in 0..5000 {
+            if fleet.shard_counters()[dead_shard].dead {
+                break;
+            }
+            fleet.live_stats();
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        assert!(fleet.shard_counters()[dead_shard].dead, "shard never died");
+        // Both entry points, an empty run included, after the death.
+        let mut after = 0u64;
+        for &t in &dead_tracks {
+            for p in wave(t, 5) {
+                fleet.push(t, p);
+            }
+            fleet.submit_run(t, wave(t, 9));
+            fleet.submit_run(t, Vec::new());
+            after += 5 + 9;
+        }
+        for &t in &live_tracks {
+            fleet.submit_run(t, wave(t, 30));
+            for p in wave(t, 60).into_iter().skip(30) {
+                fleet.push(t, p);
+            }
+        }
+        let counter = |name: &str| registry.counter(name).get();
+        let join = fleet.join();
+        assert_eq!(join.failures.len(), 1);
+        let failure = &join.failures[0];
+        assert_eq!(failure.shard, dead_shard);
+        assert_eq!(failure.tracks, dead_tracks);
+        assert_eq!(failure.submitted_points, 1 + after);
+        let live_shard = 1 - dead_shard;
+        assert_eq!(
+            counter(&format!("fleet_shard{dead_shard}_dropped_points_total")),
+            after
+        );
+        assert_eq!(
+            counter(&format!("fleet_shard{live_shard}_dropped_points_total")),
+            0
+        );
+        assert_eq!(counter("fleet_dropped_points_total"), after);
+        assert_eq!(
+            counter("fleet_submitted_points_total"),
+            1 + after + 60 * live_tracks.len() as u64
+        );
+        // The healthy shard is untouched by its sibling's death.
+        let all = merged(join);
+        assert_eq!(all.len(), live_tracks.len());
+        for &t in &live_tracks {
+            let mut solo = FastBqsCompressor::new(config);
+            let expected = compress_all(&mut solo, wave(t, 60));
+            assert_eq!(all[&t], expected, "surviving track {t}");
+        }
     }
 
     #[test]

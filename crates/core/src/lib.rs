@@ -32,8 +32,6 @@
 //!   (Eqs. 1–3), with uniform and online-fitted Gaussian progress models.
 //! * [`bqs3d`] — the 3-D BQS (§V-G): bounding prisms, Θ/Φ bounding planes
 //!   and a 3-D streaming compressor for altitude or time-sensitive errors.
-//! * [`bqs4d`] — a 4-D BQS over ⟨x, y, altitude, scaled time⟩, the §VII
-//!   future-work sketch made concrete.
 //!
 //! ## Quick example
 //!
@@ -59,7 +57,6 @@
 pub mod bounds;
 pub mod bqs;
 pub mod bqs3d;
-pub mod bqs4d;
 pub mod config;
 pub mod engine;
 pub mod fbqs;
@@ -74,7 +71,6 @@ pub mod stream;
 pub use bounds::DeviationBounds;
 pub use bqs::BqsCompressor;
 pub use bqs3d::{Bqs3dCompressor, Bqs3dConfig, OctantBounds};
-pub use bqs4d::{Bqs4dCompressor, Bqs4dConfig};
 pub use config::{BoundsMode, BqsConfig, ConfigError, RotationMode};
 pub use fbqs::FastBqsCompressor;
 pub use fleet::{

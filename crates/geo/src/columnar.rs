@@ -87,7 +87,7 @@ impl ColumnarBatch {
     }
 
     /// Iterates the batch as rows, front to back.
-    pub fn iter(&self) -> impl Iterator<Item = TimedPoint> + '_ {
+    pub fn iter(&self) -> impl Iterator<Item = TimedPoint> + Clone + '_ {
         self.x
             .iter()
             .zip(&self.y)

@@ -24,12 +24,10 @@
 pub mod angle;
 pub mod columnar;
 pub mod frechet;
-pub mod geodesic;
 pub mod hull;
 pub mod line;
 pub mod plane;
 pub mod point;
-pub mod point4;
 pub mod polyline;
 pub mod prism;
 pub mod proj;
@@ -40,12 +38,10 @@ pub mod vec2;
 pub use angle::{normalize_angle, Quadrant};
 pub use columnar::ColumnarBatch;
 pub use frechet::{discrete_frechet, frechet_similar};
-pub use geodesic::{destination, haversine_m, initial_bearing_deg};
 pub use hull::convex_hull;
 pub use line::{point_to_line_distance, point_to_segment_distance, Line2, Line3, Segment2};
 pub use plane::Plane;
 pub use point::{LocationPoint, Point2, Point3, TimedPoint};
-pub use point4::{Box4, Line4, Point4};
 pub use polyline::{
     max_deviation, max_deviation_segment, max_deviation_to_chord, max_deviation_to_chord_segment,
     path_length, verify_error_bound,

@@ -19,9 +19,10 @@
 //!   `handle_payload`, with [`decode_frame`] the one server-side frame
 //!   parser. An `Append` frame is decoded straight into a columnar
 //!   batch ([`decode_append_columns`]) — timestamps validated in one
-//!   contiguous pass — and submitted as a whole run in **one** channel
-//!   send ([`ParallelFleet::submit_run`]): no per-point hashing, no
-//!   per-point dispatch, no thread per connection.
+//!   contiguous pass — and its columns go straight into the owning
+//!   worker's buffer as a whole run, shipped in **one** channel send
+//!   ([`ParallelFleet::submit_run`]): no row copy, no per-point
+//!   hashing, no thread per connection.
 //! * **Backpressure end to end** — an I/O thread submits while holding
 //!   the fleet lock; when a worker shard's bounded channel is full the
 //!   send blocks, the I/O thread stops reading *all* its sockets, the
@@ -1634,7 +1635,8 @@ fn handle_payload(
 }
 
 /// The `Append` fast path: timestamps validated in one pass over the
-/// contiguous run, then the whole run submitted in one channel send.
+/// contiguous run, then the columns submitted as one run, in one
+/// channel send, without a row copy.
 fn handle_append_columns(
     track: u64,
     batch: &ColumnarBatch,
@@ -1670,7 +1672,7 @@ fn handle_append_columns(
         );
     }
     if state.reorder.is_some() {
-        return match submit_reordered(state, track, &batch.to_points(), shared) {
+        return match submit_reordered(state, track, batch.iter(), shared) {
             Ok(()) => {
                 drop(guard);
                 shared.appended_points.fetch_add(n, Ordering::Relaxed); // ordering: relaxed stat counter, read after join()
@@ -1696,7 +1698,7 @@ fn handle_append_columns(
     }
     // Backpressure: this send blocks (fleet lock held, sockets unread)
     // when the track's worker shard is saturated.
-    state.fleet.submit_run(track, batch.to_points());
+    state.fleet.submit_run(track, batch.iter());
     drop(guard);
     shared.appended_points.fetch_add(n, Ordering::Relaxed); // ordering: relaxed stat counter, read after join()
     shared.trace.record(TraceEventKind::FleetSubmit, conn, n);
@@ -1710,7 +1712,7 @@ fn handle_append_columns(
 fn submit_reordered(
     state: &mut FleetState,
     track: u64,
-    points: &[TimedPoint],
+    points: impl Iterator<Item = TimedPoint> + Clone,
     shared: &Shared,
 ) -> Result<(), TooLate> {
     let (late, released, depth, wm) = {
@@ -1722,7 +1724,7 @@ fn submit_reordered(
         // parked.
         let mut wm = reorder.watermark(track).unwrap_or(f64::NEG_INFINITY);
         let mut late = 0u64;
-        for p in points {
+        for p in points.clone() {
             if p.t < wm - window {
                 return Err(TooLate {
                     t: p.t,
@@ -1739,7 +1741,7 @@ fn submit_reordered(
         let mut released = Vec::new();
         for p in points {
             reorder
-                .push(track, *p, &mut released)
+                .push(track, p, &mut released)
                 // bqs-analyze: allow(no-unwrap-in-lib) — invariant: admission pre-checked the whole batch
                 .expect("admission pre-checked the whole batch");
         }
@@ -1814,7 +1816,7 @@ fn handle_append_late(
             After::Continue,
         );
     }
-    match submit_reordered(state, track, points, shared) {
+    match submit_reordered(state, track, points.iter().copied(), shared) {
         Ok(()) => {
             drop(guard);
             shared.appended_points.fetch_add(n, Ordering::Relaxed); // ordering: relaxed stat counter, read after join()
