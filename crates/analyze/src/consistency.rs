@@ -5,7 +5,7 @@
 //! |---|---|---|
 //! | `wire-protocol-doc` | `TAG_*` consts + `ErrorCode` arms in `crates/net/src/wire.rs` | opcode + error-code tables in `docs/protocol.md` |
 //! | `metrics-doc` | names passed to `.counter/.gauge/.histogram(` | the catalog tables in `docs/observability.md` |
-//! | `cli-usage-doc` | `--flag` literals + the `USAGE` const in `crates/cli/src/args.rs` | every `bqs …` mention in `README.md` |
+//! | `cli-usage-doc` | the rows of the `COMMANDS` table in `crates/cli/src/args.rs`, from which the parser and `bqs help` are derived | every `bqs …` mention in `README.md` |
 //!
 //! Every comparison is set equality with a named direction, so a rename
 //! on either side — code or spec — trips the gate.
@@ -506,7 +506,53 @@ fn collect_mentions(text: &str, per: &mut BTreeMap<String, BTreeSet<String>>) {
     }
 }
 
-/// Checks the CLI surface: parser `--flag` literals ↔ `USAGE` ↔ README.
+/// The command table's constructors that can make a flag; the string
+/// literal they open with is the argument's name, a flag when it starts
+/// `--`.
+const ARG_CONSTRUCTORS: &[&str] = &["opt(", "choice(", "switch(", "repeat("];
+
+/// Reads the command table (`const COMMANDS` in `crates/cli/src/args.rs`)
+/// into per-command flag sets. Each string literal is read by the code
+/// just before it: `name:` opens a row, an argument constructor names
+/// one of its arguments, and `aliases: &[` its first alias (`--help`,
+/// which the README shows like a flag). Only `--` names are kept.
+fn table_rows(args: &FileScan) -> BTreeMap<String, BTreeSet<String>> {
+    let mut rows: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
+    let mut row: Option<String> = None;
+    let mut in_table = false;
+    for line in &args.lines {
+        in_table |= line.code.contains("const COMMANDS");
+        if !in_table {
+            continue;
+        }
+        // The lexer blanks every literal to `""`, in `strings` order.
+        let mut rest = line.code.as_str();
+        for literal in &line.strings {
+            let Some(at) = rest.find("\"\"") else { break };
+            let lead = rest[..at].trim_end();
+            rest = &rest[at + 2..];
+            if lead.ends_with("name:") {
+                rows.entry(literal.clone()).or_default();
+                row = Some(literal.clone());
+            } else if literal.starts_with("--")
+                && (ARG_CONSTRUCTORS.iter().any(|c| lead.ends_with(c))
+                    || lead.ends_with("aliases: &["))
+            {
+                if let Some(name) = &row {
+                    rows.entry(name.clone())
+                        .or_default()
+                        .insert(literal.clone());
+                }
+            }
+        }
+        if line.code.trim() == "];" {
+            break;
+        }
+    }
+    rows
+}
+
+/// Checks the CLI surface: the command table's rows ↔ README.
 pub fn check_cli_usage(root: &Path, out: &mut Vec<Finding>) {
     const ID: &str = "cli-usage-doc";
     const ARGS: &str = "crates/cli/src/args.rs";
@@ -516,82 +562,10 @@ pub fn check_cli_usage(root: &Path, out: &mut Vec<Finding>) {
     else {
         return;
     };
-    let args = scan(&args_text);
-
-    // The USAGE const: the big multi-line literal on its declaring line.
-    let mut usage: Option<&str> = None;
-    for line in &args.lines {
-        if line.code.contains("const USAGE") {
-            usage = line.strings.first().map(String::as_str);
-            break;
-        }
-    }
-    let Some(usage) = usage else {
-        out.push(Finding::new(ARGS, 0, ID, "no `const USAGE` string found"));
+    let table = table_rows(&scan(&args_text));
+    if table.is_empty() {
+        out.push(Finding::new(ARGS, 0, ID, "no `const COMMANDS` table found"));
         return;
-    };
-
-    // USAGE side: commands + flags. A line starting `bqs ` opens a
-    // command; indented lines continue it.
-    let mut usage_cmds: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
-    let mut current: Option<String> = None;
-    for raw in usage.lines() {
-        let line = raw.trim_start();
-        if let Some(rest) = line.strip_prefix("bqs ") {
-            let mut words = rest.split_whitespace();
-            let Some(first) = words.next() else { continue };
-            if !first.chars().all(|c| c.is_ascii_lowercase()) {
-                continue; // the `bqs — <title>` banner line
-            }
-            let mut name = first.to_string();
-            if name == "log" {
-                if let Some(sub) = words.next() {
-                    name.push(' ');
-                    name.push_str(sub);
-                }
-            }
-            usage_cmds
-                .entry(name.clone())
-                .or_default()
-                .extend(flags_in(rest));
-            current = Some(name);
-        } else if let Some(name) = current.clone() {
-            if raw.starts_with(' ') || raw.starts_with('\t') {
-                usage_cmds.entry(name).or_default().extend(flags_in(line));
-            } else {
-                current = None;
-            }
-        }
-    }
-
-    // Parser side: every whole-literal `--flag` in args.rs.
-    let mut parser_flags: BTreeSet<String> = BTreeSet::new();
-    for line in &args.lines {
-        for s in &line.strings {
-            if s.starts_with("--")
-                && s.len() > 2
-                && s[2..].chars().all(|c| c.is_ascii_lowercase() || c == '-')
-            {
-                parser_flags.insert(s.clone());
-            }
-        }
-    }
-    let usage_flags: BTreeSet<String> = usage_cmds.values().flatten().cloned().collect();
-    for flag in parser_flags.difference(&usage_flags) {
-        out.push(Finding::new(
-            ARGS,
-            0,
-            ID,
-            format!("parser accepts `{flag}` but USAGE never mentions it"),
-        ));
-    }
-    for flag in usage_flags.difference(&parser_flags) {
-        out.push(Finding::new(
-            ARGS,
-            0,
-            ID,
-            format!("USAGE advertises `{flag}` but no parser literal matches it"),
-        ));
     }
 
     // README side: every `bqs …` mention in code spans and fenced
@@ -631,13 +605,13 @@ pub fn check_cli_usage(root: &Path, out: &mut Vec<Finding>) {
         }
     }
 
-    for (name, flags) in &usage_cmds {
+    for (name, flags) in &table {
         let Some(readme_flags) = readme_cmds.get(name) else {
             out.push(Finding::new(
                 README,
                 0,
                 ID,
-                format!("`bqs {name}` is in USAGE but never shown in the README"),
+                format!("`bqs {name}` is in the command table but never shown in the README"),
             ));
             continue;
         };
@@ -654,17 +628,17 @@ pub fn check_cli_usage(root: &Path, out: &mut Vec<Finding>) {
                 README,
                 0,
                 ID,
-                format!("README shows `bqs {name} {flag}` but USAGE does not have that flag"),
+                format!("README shows `bqs {name} {flag}` but its table row has no such flag"),
             ));
         }
     }
     for name in readme_cmds.keys() {
-        if !usage_cmds.contains_key(name) && name != "help" {
+        if !table.contains_key(name) {
             out.push(Finding::new(
                 README,
                 0,
                 ID,
-                format!("README mentions `bqs {name}` which is not a USAGE command"),
+                format!("README mentions `bqs {name}` which is not in the command table"),
             ));
         }
     }

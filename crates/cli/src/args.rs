@@ -1,11 +1,20 @@
-//! Hand-rolled argument parsing for the `bqs` binary.
+//! Argument parsing for the `bqs` binary, driven by one table.
+//!
+//! `COMMANDS` declares every command once: its positionals and, for each
+//! flag, the name, value placeholder, default, arity and domain. [`parse`]
+//! is one generic loop over that table and applies every domain check;
+//! [`usage`] renders the synopsis from the same rows; and the
+//! `cli-usage-doc` check of `bqs analyze` reads the rows to hold the
+//! README's command reference to them. A flag therefore exists, parses,
+//! validates and is documented in one place.
 
 use bqs_eval::experiments;
+use Domain::*;
 
 /// A parsed invocation.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Command {
-    /// `bqs generate <dataset> [--seed N] [--scale quick|full] [--out FILE]`
+    /// `bqs generate`: write a dataset's trace as CSV.
     Generate {
         /// Dataset name: bat, vehicle or synthetic.
         dataset: String,
@@ -16,7 +25,7 @@ pub enum Command {
         /// Output path (stdout when `None`).
         out: Option<String>,
     },
-    /// `bqs compress <algorithm> <input> [--tolerance M] [--buffer N] [--out FILE]`
+    /// `bqs compress`: run one compressor over a trace.
     Compress {
         /// Algorithm label.
         algorithm: String,
@@ -29,7 +38,7 @@ pub enum Command {
         /// Output path (stdout when `None`).
         out: Option<String>,
     },
-    /// `bqs verify <original> <compressed> --tolerance M`
+    /// `bqs verify`: check every original point against its kept segment.
     Verify {
         /// Original trace CSV.
         original: String,
@@ -38,14 +47,14 @@ pub enum Command {
         /// Tolerance to verify against.
         tolerance: f64,
     },
-    /// `bqs experiments [names...] [--full]`
+    /// `bqs experiments`: reproduce the paper's §VI artefacts.
     Experiments {
         /// Experiment names from [`experiments::names`]; empty means all.
         names: Vec<String>,
         /// Paper-size data when true.
         full: bool,
     },
-    /// `bqs fleet [--sessions N] [--points N] [--tolerance M] [--algorithm bqs|fbqs] [--workers N] [--seed N] [--spill DIR] [--query-after FROM,TO|all]`
+    /// `bqs fleet`: many simulated sessions through the parallel fleet.
     Fleet {
         /// Concurrent simulated trackers.
         sessions: usize,
@@ -68,7 +77,7 @@ pub enum Command {
         /// `--query-after all` covers everything). Needs `--spill`.
         query_after: Option<[f64; 2]>,
     },
-    /// `bqs query <dir> [--track N] [--from T] [--to T] [--bbox X0,Y0,X1,Y1] [--out FILE]`
+    /// `bqs query`: read a flat log or a spill tree, never writing to it.
     Query {
         /// A flat log directory or a `shard-<k>/` spill-tree root.
         dir: String,
@@ -80,10 +89,13 @@ pub enum Command {
         to: Option<f64>,
         /// Spatial filter `x0,y0,x1,y1` (any two opposite corners).
         bbox: Option<[f64; 4]>,
+        /// Reconstruct the track's position at this time (needs `track`;
+        /// excludes the range and area filters).
+        at: Option<f64>,
         /// Output path (stdout when `None`).
         out: Option<String>,
     },
-    /// `bqs log append <dir> <trace.csv> --track N [--algorithm none|bqs|fbqs] [--tolerance M]`
+    /// `bqs log append`: compress a trace and append it to a flat log.
     LogAppend {
         /// Log directory.
         dir: String,
@@ -96,36 +108,19 @@ pub enum Command {
         /// Error tolerance in metres (compressing algorithms only).
         tolerance: f64,
     },
-    /// `bqs log query <dir> [--track N] [--from T] [--to T] [--bbox X0,Y0,X1,Y1] [--at T] [--out FILE]`
-    LogQuery {
-        /// Log directory.
-        dir: String,
-        /// Restrict to one track.
-        track: Option<u64>,
-        /// Inclusive lower time bound.
-        from: Option<f64>,
-        /// Inclusive upper time bound.
-        to: Option<f64>,
-        /// Spatial filter `x0,y0,x1,y1` (any two opposite corners).
-        bbox: Option<[f64; 4]>,
-        /// Reconstruct the track's position at this time (needs --track).
-        at: Option<f64>,
-        /// Output path (stdout when `None`).
-        out: Option<String>,
-    },
-    /// `bqs log compact <dir> [--drop TRACK]...`
+    /// `bqs log compact`: tombstone tracks and rewrite a flat log.
     LogCompact {
         /// Log directory.
         dir: String,
         /// Tracks to tombstone before compacting.
         drop: Vec<u64>,
     },
-    /// `bqs log verify <dir>`
+    /// `bqs log verify`: strict scan of a flat log or a spill tree.
     LogVerify {
         /// Log directory.
         dir: String,
     },
-    /// `bqs serve --spill DIR [--addr HOST:PORT] [--workers N] [--tolerance M] [--io-threads N] [--max-connections N] [--port-file FILE]`
+    /// `bqs serve`: the framed TCP ingest/query server.
     Serve {
         /// Bind address, `host:port` (`:0` picks an ephemeral port).
         addr: String,
@@ -162,7 +157,7 @@ pub enum Command {
         /// seconds (0 disables eviction).
         evict_idle: f64,
     },
-    /// `bqs loadgen --addr HOST:PORT [--sessions N] [--points N] [--seed N] [--connections N] [--batch N] [--disorder S] [--backfill] [--shutdown]`
+    /// `bqs loadgen`: seeded multi-connection load against a server.
     Loadgen {
         /// Server address, `host:port`.
         addr: String,
@@ -187,7 +182,7 @@ pub enum Command {
         /// backfill path after its live remainder.
         backfill: bool,
     },
-    /// `bqs subscribe --addr HOST:PORT [--track N] [--bbox X0,Y0,X1,Y1] [--out FILE]`
+    /// `bqs subscribe`: stream a server's kept points live.
     Subscribe {
         /// Server address, `host:port`.
         addr: String,
@@ -198,7 +193,7 @@ pub enum Command {
         /// Output path (stdout when `None`).
         out: Option<String>,
     },
-    /// `bqs metrics --addr HOST:PORT [--watch N | --prom]`
+    /// `bqs metrics`: fetch a server's metric catalog.
     Metrics {
         /// Server address, `host:port`.
         addr: String,
@@ -209,7 +204,7 @@ pub enum Command {
         /// `name value` catalog (mutually exclusive with `--watch`).
         prom: bool,
     },
-    /// `bqs trace --addr HOST:PORT [--last N] [--conn ID]`
+    /// `bqs trace`: dump a server's flight recorder.
     Trace {
         /// Server address, `host:port`.
         addr: String,
@@ -218,7 +213,7 @@ pub enum Command {
         /// Only events belonging to one connection id.
         conn: Option<u64>,
     },
-    /// `bqs analyze [--deny] [--lint ID]... [ROOT]`
+    /// `bqs analyze`: the workspace's static analysis pass.
     Analyze {
         /// Exit non-zero when any finding is produced (the CI gate).
         deny: bool,
@@ -234,727 +229,643 @@ pub enum Command {
     Help,
 }
 
-/// Usage text.
-pub const USAGE: &str = "\
-bqs — Bounded Quadrant System trajectory compression
-
-USAGE:
-  bqs generate <bat|vehicle|synthetic> [--seed N] [--scale quick|full] [--out FILE]
-  bqs compress <bqs|fbqs|bdp|bgd|dp|dr|squish-e|mbr> <trace.csv>
-               [--tolerance M] [--buffer N] [--out FILE]
-  bqs verify <original.csv> <compressed.csv> --tolerance M
-  bqs experiments [fig3|fig6|fig7|fig8a|fig8b|table1|table2|table3|ablation|
-                   extended|all]... [--full]
-  bqs fleet [--sessions N] [--points N] [--tolerance M] [--algorithm bqs|fbqs]
-            [--workers N] [--seed N] [--spill DIR] [--query-after FROM,TO|all]
-  bqs query <dir> [--track N] [--from T] [--to T] [--bbox X0,Y0,X1,Y1]
-            [--out FILE]
-  bqs serve --spill DIR [--addr HOST:PORT] [--workers N] [--tolerance M]
-            [--io-threads N] [--max-connections N] [--port-file FILE]
-            [--metrics-interval N] [--lateness S] [--alert RULE]...
-            [--prom-addr HOST:PORT] [--evict-idle S]
-  bqs loadgen --addr HOST:PORT [--sessions N] [--points N] [--seed N]
-              [--connections N] [--batch N] [--disorder S] [--backfill]
-              [--shutdown]
-              (--sessions 0 --shutdown = no ingest, just shut down)
-  bqs subscribe --addr HOST:PORT [--track N] [--bbox X0,Y0,X1,Y1] [--out FILE]
-  bqs metrics --addr HOST:PORT [--watch N | --prom]
-  bqs trace --addr HOST:PORT [--last N] [--conn ID]
-  bqs log append <dir> <trace.csv> --track N [--algorithm none|bqs|fbqs]
-                 [--tolerance M]
-  bqs log query <dir> [--track N] [--from T] [--to T] [--bbox X0,Y0,X1,Y1]
-                [--at T] [--out FILE]
-  bqs log compact <dir> [--drop TRACK]...
-  bqs log verify <dir>
-  bqs analyze [--deny] [--lint ID]... [ROOT]
-  bqs info
-  bqs help (alias: --help, -h)
-";
-
-fn take_value<'a>(flag: &str, it: &mut std::slice::Iter<'a, String>) -> Result<&'a String, String> {
-    it.next().ok_or_else(|| format!("{flag} requires a value"))
+/// The values an argument accepts; [`Domain::read`] checks them.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Domain {
+    /// Any text: paths, addresses, rules.
+    Text,
+    /// Any unsigned integer: seeds, track and connection ids.
+    Id,
+    /// A count ≥ 1.
+    Count,
+    /// A count ≥ 1, or 0 when the named switch is given too.
+    CountOrZeroWith(&'static str),
+    /// Any number: time bounds.
+    Real,
+    /// A finite number > 0.
+    Positive,
+    /// A finite number ≥ 0.
+    NonNegative,
+    /// One word of a fixed set.
+    OneOf(&'static [&'static str]),
+    /// One of [`experiments::names`].
+    Experiment,
+    /// `X0,Y0,X1,Y1`.
+    Bbox,
+    /// `FROM,TO`, or `all` for the whole time axis.
+    Span,
 }
 
-fn parse_f64(flag: &str, it: &mut std::slice::Iter<'_, String>) -> Result<f64, String> {
-    take_value(flag, it)?
-        .parse()
-        .map_err(|e| format!("bad {flag}: {e}"))
+/// Whether an argument must, may or may repeatedly be given.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Kind {
+    Required,
+    Optional,
+    /// Optional, parsed from this text when absent.
+    Default(&'static str),
+    /// A flag without a value.
+    Switch,
+    /// Given any number of times; a repeated positional takes every
+    /// remaining one.
+    Repeat,
 }
 
-fn parse_bbox(it: &mut std::slice::Iter<'_, String>) -> Result<[f64; 4], String> {
-    let raw = take_value("--bbox", it)?;
-    let parts: Vec<f64> = raw
-        .split(',')
-        .map(|s| s.trim().parse::<f64>())
-        .collect::<Result<_, _>>()
-        .map_err(|e| format!("bad --bbox: {e}"))?;
-    let [x0, y0, x1, y1] = parts[..] else {
-        return Err("--bbox needs exactly x0,y0,x1,y1".to_string());
-    };
-    Ok([x0, y0, x1, y1])
+/// One argument of a command row: a flag when its name starts with
+/// `--`, else a positional, filled from the loose words in row order.
+#[derive(Debug, Clone, Copy)]
+struct Arg {
+    /// The flag, or the positional's name in messages.
+    name: &'static str,
+    /// What `usage` shows for the value, unless the domain lists its
+    /// words.
+    placeholder: &'static str,
+    domain: Domain,
+    kind: Kind,
 }
 
-/// Parses the `bqs log <append|query|compact|verify>` family.
-fn parse_log(it: &mut std::slice::Iter<'_, String>) -> Result<Command, String> {
-    let sub = it.next().ok_or("log needs a subcommand")?;
-    match sub.as_str() {
-        "append" => {
-            let mut positional: Vec<String> = Vec::new();
-            let mut track: Option<u64> = None;
-            let mut algorithm = "none".to_string();
-            let mut tolerance = 10.0f64;
-            while let Some(arg) = it.next() {
-                match arg.as_str() {
-                    "--track" => {
-                        track = Some(
-                            take_value("--track", it)?
-                                .parse()
-                                .map_err(|e| format!("bad --track: {e}"))?,
-                        );
-                    }
-                    "--algorithm" => algorithm = take_value("--algorithm", it)?.clone(),
-                    "--tolerance" => tolerance = parse_f64("--tolerance", it)?,
-                    other if !other.starts_with('-') => positional.push(other.to_string()),
-                    other => return Err(format!("unexpected argument: {other}")),
-                }
-            }
-            if positional.len() != 2 {
-                return Err("log append needs <dir> <trace.csv>".to_string());
-            }
-            if !["none", "bqs", "fbqs"].contains(&algorithm.as_str()) {
-                return Err(format!(
-                    "log append supports none|bqs|fbqs, got {algorithm}"
-                ));
-            }
-            if !(tolerance.is_finite() && tolerance > 0.0) {
-                return Err(format!("tolerance must be > 0, got {tolerance}"));
-            }
-            Ok(Command::LogAppend {
-                dir: positional.remove(0),
-                input: positional.remove(0),
-                track: track.ok_or("log append needs --track")?,
-                algorithm,
-                tolerance,
-            })
-        }
-        "query" => {
-            let mut dir: Option<String> = None;
-            let mut track: Option<u64> = None;
-            let mut from: Option<f64> = None;
-            let mut to: Option<f64> = None;
-            let mut bbox: Option<[f64; 4]> = None;
-            let mut at: Option<f64> = None;
-            let mut out: Option<String> = None;
-            while let Some(arg) = it.next() {
-                match arg.as_str() {
-                    "--track" => {
-                        track = Some(
-                            take_value("--track", it)?
-                                .parse()
-                                .map_err(|e| format!("bad --track: {e}"))?,
-                        );
-                    }
-                    "--from" => from = Some(parse_f64("--from", it)?),
-                    "--to" => to = Some(parse_f64("--to", it)?),
-                    "--at" => at = Some(parse_f64("--at", it)?),
-                    "--out" => out = Some(take_value("--out", it)?.clone()),
-                    "--bbox" => bbox = Some(parse_bbox(it)?),
-                    other if !other.starts_with('-') && dir.is_none() => {
-                        dir = Some(other.to_string());
-                    }
-                    other => return Err(format!("unexpected argument: {other}")),
-                }
-            }
-            if at.is_some() && track.is_none() {
-                return Err("--at requires --track".to_string());
-            }
-            if at.is_some() && (from.is_some() || to.is_some() || bbox.is_some()) {
-                return Err("--at cannot be combined with --from/--to/--bbox".to_string());
-            }
-            Ok(Command::LogQuery {
-                dir: dir.ok_or("log query needs <dir>")?,
-                track,
-                from,
-                to,
-                bbox,
-                at,
-                out,
-            })
-        }
-        "compact" => {
-            let mut dir: Option<String> = None;
-            let mut drop = Vec::new();
-            while let Some(arg) = it.next() {
-                match arg.as_str() {
-                    "--drop" => {
-                        drop.push(
-                            take_value("--drop", it)?
-                                .parse()
-                                .map_err(|e| format!("bad --drop: {e}"))?,
-                        );
-                    }
-                    other if !other.starts_with('-') && dir.is_none() => {
-                        dir = Some(other.to_string());
-                    }
-                    other => return Err(format!("unexpected argument: {other}")),
-                }
-            }
-            Ok(Command::LogCompact {
-                dir: dir.ok_or("log compact needs <dir>")?,
-                drop,
-            })
-        }
-        "verify" => {
-            let mut dir: Option<String> = None;
-            for arg in it {
-                match arg.as_str() {
-                    other if !other.starts_with('-') && dir.is_none() => {
-                        dir = Some(other.to_string());
-                    }
-                    other => return Err(format!("unexpected argument: {other}")),
-                }
-            }
-            Ok(Command::LogVerify {
-                dir: dir.ok_or("log verify needs <dir>")?,
-            })
-        }
-        other => Err(format!("unknown log subcommand: {other}\n\n{USAGE}")),
+/// A required positional.
+const fn pos(name: &'static str, domain: Domain) -> Arg {
+    Arg {
+        name,
+        placeholder: name,
+        domain,
+        kind: Kind::Required,
     }
+}
+
+/// An optional argument; `None` when absent.
+const fn opt(name: &'static str, placeholder: &'static str, domain: Domain) -> Arg {
+    Arg {
+        kind: Kind::Optional,
+        placeholder,
+        ..pos(name, domain)
+    }
+}
+
+/// A flag taking one word of `set`, shown as `a|b|c`.
+const fn choice(name: &'static str, set: &'static [&'static str]) -> Arg {
+    opt(name, "", OneOf(set))
+}
+
+const fn switch(name: &'static str) -> Arg {
+    Arg {
+        kind: Kind::Switch,
+        ..pos(name, Text)
+    }
+}
+
+const fn repeat(name: &'static str, placeholder: &'static str, domain: Domain) -> Arg {
+    Arg {
+        kind: Kind::Repeat,
+        ..opt(name, placeholder, domain)
+    }
+}
+
+impl Arg {
+    const fn or(self, default: &'static str) -> Arg {
+        Arg {
+            kind: Kind::Default(default),
+            ..self
+        }
+    }
+
+    const fn required(self) -> Arg {
+        Arg {
+            kind: Kind::Required,
+            ..self
+        }
+    }
+
+    fn is_flag(&self) -> bool {
+        self.name.starts_with("--")
+    }
+
+    fn usage(&self) -> String {
+        let value = self
+            .domain
+            .choices()
+            .map_or(self.placeholder.to_string(), |words| words.join("|"));
+        match (self.is_flag(), self.kind) {
+            (true, Kind::Switch) => format!("[{}]", self.name),
+            (true, Kind::Required) => format!("{} {value}", self.name),
+            (true, Kind::Repeat) => format!("[{} {value}]...", self.name),
+            (true, _) => format!("[{} {value}]", self.name),
+            (false, Kind::Required) => format!("<{value}>"),
+            (false, Kind::Repeat) => format!("[{value}]..."),
+            (false, _) => format!("[{value}]"),
+        }
+    }
+}
+
+/// A cross-flag condition of one command.
+#[derive(Debug, Clone, Copy)]
+enum Rule {
+    /// The first flag is meaningless without the second (reason).
+    Needs(&'static str, &'static str, &'static str),
+    /// The two flags cannot be combined (reason).
+    Excludes(&'static str, &'static str, &'static str),
+}
+
+/// One command row: everything the parser, `usage` and the README check
+/// know about a command.
+struct Spec {
+    /// One word, or a group and its subcommand (`log append`).
+    name: &'static str,
+    /// Other spellings of a one-word command.
+    aliases: &'static [&'static str],
+    args: &'static [Arg],
+    rules: &'static [Rule],
+    /// An extra `usage` line under the synopsis.
+    note: &'static str,
+    /// Builds the command from the row's values, in row order.
+    build: fn(&mut Values) -> Result<Command, String>,
+}
+
+const BLANK: Spec = Spec {
+    name: "",
+    aliases: &[],
+    args: &[],
+    rules: &[],
+    note: "",
+    build: |_| Ok(Command::Help),
+};
+
+/// A row's builder: `Command::$variant` with each field taken from the
+/// row's values in order.
+macro_rules! build {
+    ($variant:ident { $($field:ident),* }) => {
+        |v| Ok(Command::$variant { $($field: v.take()?),* })
+    };
+}
+
+/// Every command of the `bqs` binary, in `usage` order.
+const COMMANDS: &[Spec] = &[
+    Spec {
+        name: "generate",
+        args: &[
+            pos("dataset", OneOf(&["bat", "vehicle", "synthetic"])),
+            opt("--seed", "N", Id).or("42"),
+            choice("--scale", &["quick", "full"]).or("quick"),
+            opt("--out", "FILE", Text),
+        ],
+        build: |v| {
+            Ok(Command::Generate {
+                dataset: v.take()?,
+                seed: v.take()?,
+                full: v.take::<String>()? == "full",
+                out: v.take()?,
+            })
+        },
+        ..BLANK
+    },
+    Spec {
+        name: "compress",
+        args: &[
+            pos(
+                "algorithm",
+                OneOf(&["bqs", "fbqs", "bdp", "bgd", "dp", "dr", "squish-e", "mbr"]),
+            ),
+            pos("trace.csv", Text),
+            opt("--tolerance", "M", Positive).or("10"),
+            opt("--buffer", "N", Count).or("32"),
+            opt("--out", "FILE", Text),
+        ],
+        build: build! { Compress { algorithm, input, tolerance, buffer, out } },
+        ..BLANK
+    },
+    Spec {
+        name: "verify",
+        args: &[
+            pos("original.csv", Text),
+            pos("compressed.csv", Text),
+            opt("--tolerance", "M", Positive).required(),
+        ],
+        build: build! { Verify { original, compressed, tolerance } },
+        ..BLANK
+    },
+    Spec {
+        name: "experiments",
+        args: &[repeat("experiment", "", Experiment), switch("--full")],
+        build: build! { Experiments { names, full } },
+        ..BLANK
+    },
+    Spec {
+        name: "fleet",
+        args: &[
+            opt("--sessions", "N", Count).or("100"),
+            opt("--points", "N", Count).or("500"),
+            opt("--tolerance", "M", Positive).or("10"),
+            choice("--algorithm", &["bqs", "fbqs"]).or("fbqs"),
+            opt("--workers", "N", Count).or("1"),
+            opt("--seed", "N", Id).or("1"),
+            opt("--spill", "DIR", Text),
+            opt("--query-after", "FROM,TO|all", Span),
+        ],
+        rules: &[Rule::Needs(
+            "--query-after",
+            "--spill",
+            "it queries the spilled log",
+        )],
+        build: build! { Fleet {
+            sessions, points, tolerance, algorithm, workers, seed, spill, query_after
+        } },
+        ..BLANK
+    },
+    Spec {
+        name: "query",
+        args: &[
+            pos("dir", Text),
+            opt("--track", "N", Id),
+            opt("--from", "T", Real),
+            opt("--to", "T", Real),
+            opt("--bbox", "X0,Y0,X1,Y1", Bbox),
+            opt("--at", "T", Real),
+            opt("--out", "FILE", Text),
+        ],
+        rules: &[
+            Rule::Needs("--at", "--track", "it reconstructs one track"),
+            Rule::Excludes("--at", "--from", "--at answers one instant"),
+            Rule::Excludes("--at", "--to", "--at answers one instant"),
+            Rule::Excludes("--at", "--bbox", "--at answers one instant"),
+        ],
+        build: build! { Query { dir, track, from, to, bbox, at, out } },
+        ..BLANK
+    },
+    Spec {
+        name: "serve",
+        args: &[
+            opt("--spill", "DIR", Text).required(),
+            opt("--addr", "HOST:PORT", Text).or("127.0.0.1:0"),
+            opt("--workers", "N", Count).or("4"),
+            opt("--tolerance", "M", Positive).or("10"),
+            opt("--io-threads", "N", Count).or("4"),
+            opt("--max-connections", "N", Count).or("4096"),
+            opt("--port-file", "FILE", Text),
+            opt("--metrics-interval", "N", Count),
+            opt("--lateness", "S", NonNegative).or("0"),
+            repeat("--alert", "RULE", Text),
+            opt("--prom-addr", "HOST:PORT", Text),
+            opt("--evict-idle", "S", NonNegative).or("0"),
+        ],
+        rules: &[Rule::Needs(
+            "--alert",
+            "--metrics-interval",
+            "the reporter evaluates the rules",
+        )],
+        build: build! { Serve {
+            spill, addr, workers, tolerance, io_threads, max_connections, port_file,
+            metrics_interval, lateness, alerts, prom_addr, evict_idle
+        } },
+        ..BLANK
+    },
+    Spec {
+        name: "loadgen",
+        args: &[
+            opt("--addr", "HOST:PORT", Text).required(),
+            opt("--sessions", "N", CountOrZeroWith("--shutdown")).or("100"),
+            opt("--points", "N", CountOrZeroWith("--shutdown")).or("500"),
+            opt("--seed", "N", Id).or("1"),
+            opt("--connections", "N", Count).or("1"),
+            opt("--batch", "N", Count).or("64"),
+            opt("--disorder", "S", NonNegative).or("0"),
+            switch("--backfill"),
+            switch("--shutdown"),
+        ],
+        note: "(--sessions 0 --shutdown = no ingest, just shut down)",
+        build: build! { Loadgen {
+            addr, sessions, points, seed, connections, batch, disorder, backfill, shutdown
+        } },
+        ..BLANK
+    },
+    Spec {
+        name: "subscribe",
+        args: &[
+            opt("--addr", "HOST:PORT", Text).required(),
+            opt("--track", "N", Id),
+            opt("--bbox", "X0,Y0,X1,Y1", Bbox),
+            opt("--out", "FILE", Text),
+        ],
+        build: build! { Subscribe { addr, track, bbox, out } },
+        ..BLANK
+    },
+    Spec {
+        name: "metrics",
+        args: &[
+            opt("--addr", "HOST:PORT", Text).required(),
+            opt("--watch", "N", Count),
+            switch("--prom"),
+        ],
+        rules: &[Rule::Excludes(
+            "--prom",
+            "--watch",
+            "--prom is a one-shot scrape; --watch prints native-format deltas",
+        )],
+        build: build! { Metrics { addr, watch, prom } },
+        ..BLANK
+    },
+    Spec {
+        name: "trace",
+        args: &[
+            opt("--addr", "HOST:PORT", Text).required(),
+            opt("--last", "N", Count),
+            opt("--conn", "ID", Id),
+        ],
+        build: build! { Trace { addr, last, conn } },
+        ..BLANK
+    },
+    Spec {
+        name: "log append",
+        args: &[
+            pos("dir", Text),
+            pos("trace.csv", Text),
+            opt("--track", "N", Id).required(),
+            choice("--algorithm", &["none", "bqs", "fbqs"]).or("none"),
+            opt("--tolerance", "M", Positive).or("10"),
+        ],
+        build: build! { LogAppend { dir, input, track, algorithm, tolerance } },
+        ..BLANK
+    },
+    Spec {
+        name: "log compact",
+        args: &[pos("dir", Text), repeat("--drop", "TRACK", Id)],
+        build: build! { LogCompact { dir, drop } },
+        ..BLANK
+    },
+    Spec {
+        name: "log verify",
+        args: &[pos("dir", Text)],
+        build: build! { LogVerify { dir } },
+        ..BLANK
+    },
+    Spec {
+        name: "analyze",
+        args: &[
+            opt("ROOT", "ROOT", Text),
+            switch("--deny"),
+            repeat("--lint", "ID", Text),
+        ],
+        build: build! { Analyze { root, deny, lints } },
+        ..BLANK
+    },
+    Spec {
+        name: "info",
+        build: |_| Ok(Command::Info),
+        ..BLANK
+    },
+    Spec {
+        name: "help",
+        aliases: &["--help", "-h"],
+        ..BLANK
+    },
+];
+
+/// A checked argument, typed by its domain.
+#[derive(Debug, Clone, PartialEq)]
+enum Value {
+    /// An optional argument that was not given.
+    Absent,
+    Text(String),
+    Int(u64),
+    Real(f64),
+    Switch(bool),
+    Bbox([f64; 4]),
+    Span([f64; 2]),
+    List(Vec<Value>),
+}
+
+/// Conversion from a checked [`Value`] into a `Command` field; `None`
+/// when the row's domain and the builder's field type disagree.
+trait FromValue: Sized {
+    fn from_value(value: Value) -> Option<Self>;
+}
+
+macro_rules! from_value {
+    ($($ty:ty => $variant:ident),*) => {$(
+        impl FromValue for $ty {
+            fn from_value(value: Value) -> Option<Self> {
+                match value {
+                    Value::$variant(x) => Some(x),
+                    _ => None,
+                }
+            }
+        }
+    )*};
+}
+
+from_value!(String => Text, u64 => Int, f64 => Real, bool => Switch, [f64; 4] => Bbox, [f64; 2] => Span);
+
+impl FromValue for usize {
+    fn from_value(value: Value) -> Option<Self> {
+        u64::from_value(value).and_then(|n| usize::try_from(n).ok())
+    }
+}
+
+impl<T: FromValue> FromValue for Option<T> {
+    fn from_value(value: Value) -> Option<Self> {
+        match value {
+            Value::Absent => Some(None),
+            other => T::from_value(other).map(Some),
+        }
+    }
+}
+
+impl<T: FromValue> FromValue for Vec<T> {
+    fn from_value(value: Value) -> Option<Self> {
+        match value {
+            Value::List(items) => items.into_iter().map(T::from_value).collect(),
+            _ => None,
+        }
+    }
+}
+
+/// A row's checked values, handed to its builder in row order.
+struct Values(std::vec::IntoIter<Value>);
+
+impl Values {
+    fn take<T: FromValue>(&mut self) -> Result<T, String> {
+        self.0
+            .next()
+            .and_then(T::from_value)
+            .ok_or_else(|| "internal: a command row and its builder disagree".to_string())
+    }
+}
+
+impl Domain {
+    /// The accepted words, for the enumerated domains.
+    fn choices(self) -> Option<Vec<&'static str>> {
+        match self {
+            OneOf(set) => Some(set.to_vec()),
+            Experiment => Some(experiments::names().collect()),
+            _ => None,
+        }
+    }
+
+    /// Parses and checks one raw value of argument `label` of command
+    /// `cmd`. `zero_ok` lifts the ≥ 1 check of `CountOrZeroWith`.
+    fn read(self, cmd: &str, label: &str, raw: &str, zero_ok: bool) -> Result<Value, String> {
+        let number = |s: &str| -> Result<f64, String> {
+            s.trim().parse().map_err(|e| format!("bad {label}: {e}"))
+        };
+        let numbers = |s: &str| -> Result<Vec<f64>, String> { s.split(',').map(number).collect() };
+        let named = label.trim_start_matches('-');
+        match self {
+            Text => Ok(Value::Text(raw.to_string())),
+            OneOf(_) | Experiment => {
+                let words = self.choices().unwrap_or_default();
+                if !words.contains(&raw) {
+                    let words = words.join(" ");
+                    return Err(format!("unknown {label} {raw:?}; expected one of {words}"));
+                }
+                Ok(Value::Text(raw.to_string()))
+            }
+            Id | Count | CountOrZeroWith(_) => {
+                let n: u64 = raw.parse().map_err(|e| format!("bad {label}: {e}"))?;
+                if n == 0 && self != Id && !zero_ok {
+                    return Err(format!("{cmd} needs {label} ≥ 1, got 0"));
+                }
+                Ok(Value::Int(n))
+            }
+            Real => number(raw).map(Value::Real),
+            Positive => match number(raw)? {
+                x if x.is_finite() && x > 0.0 => Ok(Value::Real(x)),
+                x => Err(format!("{named} must be > 0, got {x}")),
+            },
+            NonNegative => match number(raw)? {
+                x if x.is_finite() && x >= 0.0 => Ok(Value::Real(x)),
+                x => Err(format!("{named} must be ≥ 0, got {x}")),
+            },
+            Bbox => match numbers(raw)?[..] {
+                [x0, y0, x1, y1] => Ok(Value::Bbox([x0, y0, x1, y1])),
+                _ => Err(format!("{label} needs exactly x0,y0,x1,y1")),
+            },
+            Span if raw == "all" => Ok(Value::Span([f64::NEG_INFINITY, f64::INFINITY])),
+            Span => match numbers(raw)?[..] {
+                [from, to] => Ok(Value::Span([from, to])),
+                _ => Err(format!("{label} needs FROM,TO or \"all\"")),
+            },
+        }
+    }
+}
+
+impl Spec {
+    /// Parses the words after the command name. Value checks run before
+    /// presence checks, so a bad value is reported as such even when a
+    /// required argument is missing too.
+    fn parse(&self, argv: &[String]) -> Result<Command, String> {
+        let mut given: Vec<Vec<&str>> = vec![Vec::new(); self.args.len()];
+        let mut loose: Vec<&str> = Vec::new();
+        let mut words = argv.iter();
+        while let Some(word) = words.next() {
+            let flag = self.args.iter().position(|a| a.is_flag() && a.name == word);
+            match flag {
+                Some(i) if self.args[i].kind == Kind::Switch => given[i].push(""),
+                Some(i) => given[i].push(
+                    words
+                        .next()
+                        .ok_or_else(|| format!("{word} requires a value"))?,
+                ),
+                None if word.starts_with('-') => {
+                    return Err(format!("unexpected argument: {word}"))
+                }
+                None => loose.push(word),
+            }
+        }
+        let mut loose = loose.into_iter();
+        for (arg, raws) in self.args.iter().zip(&mut given) {
+            match arg.kind {
+                _ if arg.is_flag() => {}
+                Kind::Repeat => raws.extend(loose.by_ref()),
+                _ => raws.extend(loose.next()),
+            }
+        }
+        if let Some(extra) = loose.next() {
+            return Err(format!("unexpected argument: {extra}"));
+        }
+        let is_given = |name: &str| {
+            let mut args = self.args.iter().zip(&given);
+            args.any(|(a, raws)| a.name == name && !raws.is_empty())
+        };
+
+        let mut values = Vec::with_capacity(self.args.len());
+        for (arg, raws) in self.args.iter().zip(&given) {
+            let zero_ok = matches!(arg.domain, CountOrZeroWith(with) if is_given(with));
+            let read = |raw: &str| arg.domain.read(self.name, arg.name, raw, zero_ok);
+            values.push(match (arg.kind, raws.last()) {
+                (Kind::Switch, _) => Value::Switch(!raws.is_empty()),
+                (Kind::Repeat, _) => {
+                    Value::List(raws.iter().map(|r| read(r)).collect::<Result<_, _>>()?)
+                }
+                (_, Some(raw)) => read(raw)?,
+                (Kind::Default(raw), None) => read(raw)?,
+                (_, None) => Value::Absent,
+            });
+        }
+        let mut args = self.args.iter().zip(&given);
+        if let Some((arg, _)) = args.find(|(a, raws)| a.kind == Kind::Required && raws.is_empty()) {
+            return Err(format!("{} needs {}", self.name, arg.usage()));
+        }
+        for rule in self.rules {
+            match *rule {
+                Rule::Needs(a, b, why) if is_given(a) && !is_given(b) => {
+                    return Err(format!("{a} needs {b} ({why})"));
+                }
+                Rule::Excludes(a, b, why) if is_given(a) && is_given(b) => {
+                    return Err(format!("{a} and {b} are mutually exclusive ({why})"));
+                }
+                _ => {}
+            }
+        }
+        (self.build)(&mut Values(values.into_iter()))
+    }
+}
+
+/// The synopsis `bqs help` prints, rendered from the command table.
+pub fn usage() -> String {
+    const WIDTH: usize = 80;
+    let mut out = String::from("bqs — Bounded Quadrant System trajectory compression\n\nUSAGE:\n");
+    for spec in COMMANDS {
+        let mut line = format!("  bqs {}", spec.name);
+        let indent = " ".repeat(line.len());
+        let mut words: Vec<String> = spec.args.iter().map(Arg::usage).collect();
+        if !spec.aliases.is_empty() {
+            words.push(format!("(alias: {})", spec.aliases.join(", ")));
+        }
+        for word in words {
+            if line.len() + 1 + word.len() > WIDTH && line.len() > indent.len() {
+                out.push_str(&line);
+                out.push('\n');
+                line.clone_from(&indent);
+            }
+            line.push(' ');
+            line.push_str(&word);
+        }
+        out.push_str(&line);
+        out.push('\n');
+        if !spec.note.is_empty() {
+            out.push_str(&format!("{indent} {}\n", spec.note));
+        }
+    }
+    out
 }
 
 /// Parses `argv` (without the program name).
 pub fn parse(argv: &[String]) -> Result<Command, String> {
-    let mut it = argv.iter();
-    let Some(cmd) = it.next() else {
+    let Some(first) = argv.first() else {
         return Ok(Command::Help);
     };
-    match cmd.as_str() {
-        "help" | "--help" | "-h" => Ok(Command::Help),
-        "info" => Ok(Command::Info),
-        "generate" => {
-            let mut dataset: Option<String> = None;
-            let mut seed = 42u64;
-            let mut full = false;
-            let mut out = None;
-            while let Some(arg) = it.next() {
-                match arg.as_str() {
-                    "--seed" => {
-                        seed = take_value("--seed", &mut it)?
-                            .parse()
-                            .map_err(|e| format!("bad --seed: {e}"))?;
-                    }
-                    "--scale" => {
-                        full = match take_value("--scale", &mut it)?.as_str() {
-                            "full" => true,
-                            "quick" => false,
-                            other => return Err(format!("bad --scale: {other}")),
-                        };
-                    }
-                    "--out" => out = Some(take_value("--out", &mut it)?.clone()),
-                    other if !other.starts_with('-') && dataset.is_none() => {
-                        dataset = Some(other.to_string());
-                    }
-                    other => return Err(format!("unexpected argument: {other}")),
-                }
-            }
-            let dataset = dataset.ok_or("generate needs a dataset name")?;
-            if !["bat", "vehicle", "synthetic"].contains(&dataset.as_str()) {
-                return Err(format!("unknown dataset: {dataset}"));
-            }
-            Ok(Command::Generate {
-                dataset,
-                seed,
-                full,
-                out,
-            })
-        }
-        "compress" => {
-            let mut positional: Vec<String> = Vec::new();
-            let mut tolerance = 10.0f64;
-            let mut buffer = 32usize;
-            let mut out = None;
-            while let Some(arg) = it.next() {
-                match arg.as_str() {
-                    "--tolerance" => {
-                        tolerance = take_value("--tolerance", &mut it)?
-                            .parse()
-                            .map_err(|e| format!("bad --tolerance: {e}"))?;
-                    }
-                    "--buffer" => {
-                        buffer = take_value("--buffer", &mut it)?
-                            .parse()
-                            .map_err(|e| format!("bad --buffer: {e}"))?;
-                    }
-                    "--out" => out = Some(take_value("--out", &mut it)?.clone()),
-                    other if !other.starts_with('-') => positional.push(other.to_string()),
-                    other => return Err(format!("unexpected argument: {other}")),
-                }
-            }
-            if positional.len() != 2 {
-                return Err("compress needs <algorithm> <input.csv>".to_string());
-            }
-            if !(tolerance.is_finite() && tolerance > 0.0) {
-                return Err(format!("tolerance must be > 0, got {tolerance}"));
-            }
-            let algorithm = positional.remove(0);
-            let known = ["bqs", "fbqs", "bdp", "bgd", "dp", "dr", "squish-e", "mbr"];
-            if !known.contains(&algorithm.as_str()) {
-                return Err(format!("unknown algorithm: {algorithm}"));
-            }
-            Ok(Command::Compress {
-                algorithm,
-                input: positional.remove(0),
-                tolerance,
-                buffer,
-                out,
-            })
-        }
-        "verify" => {
-            let mut positional: Vec<String> = Vec::new();
-            let mut tolerance: Option<f64> = None;
-            while let Some(arg) = it.next() {
-                match arg.as_str() {
-                    "--tolerance" => {
-                        tolerance = Some(
-                            take_value("--tolerance", &mut it)?
-                                .parse()
-                                .map_err(|e| format!("bad --tolerance: {e}"))?,
-                        );
-                    }
-                    other if !other.starts_with('-') => positional.push(other.to_string()),
-                    other => return Err(format!("unexpected argument: {other}")),
-                }
-            }
-            if positional.len() != 2 {
-                return Err("verify needs <original.csv> <compressed.csv>".to_string());
-            }
-            let tolerance = tolerance.ok_or("verify needs --tolerance")?;
-            Ok(Command::Verify {
-                original: positional.remove(0),
-                compressed: positional.remove(0),
-                tolerance,
-            })
-        }
-        "experiments" => {
-            let mut names = Vec::new();
-            let mut full = false;
-            for arg in it {
-                match arg.as_str() {
-                    "--full" => full = true,
-                    other if experiments::names().any(|n| n == other) => {
-                        names.push(other.to_string());
-                    }
-                    other if !other.starts_with('-') => {
-                        let known: Vec<&str> = experiments::names().collect();
-                        return Err(format!(
-                            "unknown experiment {other:?}; expected one of {}",
-                            known.join(" ")
-                        ));
-                    }
-                    other => return Err(format!("unexpected argument: {other}")),
-                }
-            }
-            Ok(Command::Experiments { names, full })
-        }
-        "fleet" => {
-            let mut sessions = 100usize;
-            let mut points = 500usize;
-            let mut tolerance = 10.0f64;
-            let mut algorithm = "fbqs".to_string();
-            let mut workers = 1usize;
-            let mut seed = 1u64;
-            let mut spill = None;
-            let mut query_after = None;
-            while let Some(arg) = it.next() {
-                match arg.as_str() {
-                    "--seed" => {
-                        seed = take_value("--seed", &mut it)?
-                            .parse()
-                            .map_err(|e| format!("bad --seed: {e}"))?;
-                    }
-                    "--spill" => spill = Some(take_value("--spill", &mut it)?.clone()),
-                    "--query-after" => {
-                        let raw = take_value("--query-after", &mut it)?;
-                        query_after = Some(if raw == "all" {
-                            [f64::NEG_INFINITY, f64::INFINITY]
-                        } else {
-                            let parts: Vec<f64> = raw
-                                .split(',')
-                                .map(|s| s.trim().parse::<f64>())
-                                .collect::<Result<_, _>>()
-                                .map_err(|e| format!("bad --query-after: {e}"))?;
-                            let [from, to] = parts[..] else {
-                                return Err("--query-after needs FROM,TO or \"all\"".to_string());
-                            };
-                            [from, to]
-                        });
-                    }
-                    "--sessions" => {
-                        sessions = take_value("--sessions", &mut it)?
-                            .parse()
-                            .map_err(|e| format!("bad --sessions: {e}"))?;
-                    }
-                    "--points" => {
-                        points = take_value("--points", &mut it)?
-                            .parse()
-                            .map_err(|e| format!("bad --points: {e}"))?;
-                    }
-                    "--tolerance" => {
-                        tolerance = take_value("--tolerance", &mut it)?
-                            .parse()
-                            .map_err(|e| format!("bad --tolerance: {e}"))?;
-                    }
-                    "--algorithm" => {
-                        algorithm = take_value("--algorithm", &mut it)?.clone();
-                    }
-                    "--workers" => {
-                        workers = take_value("--workers", &mut it)?
-                            .parse()
-                            .map_err(|e| format!("bad --workers: {e}"))?;
-                    }
-                    other => return Err(format!("unexpected argument: {other}")),
-                }
-            }
-            // Every counted quantity is validated the same way: a zero
-            // produces an empty or nonsense run, never a report.
-            for (flag, value) in [
-                ("--sessions", sessions),
-                ("--points", points),
-                ("--workers", workers),
-            ] {
-                if value == 0 {
-                    return Err(format!("fleet needs {flag} ≥ 1, got 0"));
-                }
-            }
-            if !(tolerance.is_finite() && tolerance > 0.0) {
-                return Err(format!("tolerance must be > 0, got {tolerance}"));
-            }
-            if !["bqs", "fbqs"].contains(&algorithm.as_str()) {
-                return Err(format!("fleet supports bqs|fbqs, got {algorithm}"));
-            }
-            if query_after.is_some() && spill.is_none() {
-                return Err("--query-after needs --spill (it queries the spilled log)".to_string());
-            }
-            Ok(Command::Fleet {
-                sessions,
-                points,
-                tolerance,
-                algorithm,
-                workers,
-                seed,
-                spill,
-                query_after,
-            })
-        }
-        "query" => {
-            let mut dir: Option<String> = None;
-            let mut track: Option<u64> = None;
-            let mut from: Option<f64> = None;
-            let mut to: Option<f64> = None;
-            let mut bbox: Option<[f64; 4]> = None;
-            let mut out: Option<String> = None;
-            while let Some(arg) = it.next() {
-                match arg.as_str() {
-                    "--track" => {
-                        track = Some(
-                            take_value("--track", &mut it)?
-                                .parse()
-                                .map_err(|e| format!("bad --track: {e}"))?,
-                        );
-                    }
-                    "--from" => from = Some(parse_f64("--from", &mut it)?),
-                    "--to" => to = Some(parse_f64("--to", &mut it)?),
-                    "--bbox" => bbox = Some(parse_bbox(&mut it)?),
-                    "--out" => out = Some(take_value("--out", &mut it)?.clone()),
-                    other if !other.starts_with('-') && dir.is_none() => {
-                        dir = Some(other.to_string());
-                    }
-                    other => return Err(format!("unexpected argument: {other}")),
-                }
-            }
-            Ok(Command::Query {
-                dir: dir.ok_or("query needs <dir>")?,
-                track,
-                from,
-                to,
-                bbox,
-                out,
-            })
-        }
-        "serve" => {
-            let mut addr = "127.0.0.1:0".to_string();
-            let mut workers = 4usize;
-            let mut spill: Option<String> = None;
-            let mut tolerance = 10.0f64;
-            let mut io_threads = 4usize;
-            let mut max_connections = 4096usize;
-            let mut port_file: Option<String> = None;
-            let mut metrics_interval: Option<u64> = None;
-            let mut lateness = 0.0f64;
-            let mut alerts: Vec<String> = Vec::new();
-            let mut prom_addr: Option<String> = None;
-            let mut evict_idle = 0.0f64;
-            while let Some(arg) = it.next() {
-                match arg.as_str() {
-                    "--addr" => addr = take_value("--addr", &mut it)?.clone(),
-                    "--lateness" => lateness = parse_f64("--lateness", &mut it)?,
-                    "--alert" => alerts.push(take_value("--alert", &mut it)?.clone()),
-                    "--prom-addr" => prom_addr = Some(take_value("--prom-addr", &mut it)?.clone()),
-                    "--evict-idle" => evict_idle = parse_f64("--evict-idle", &mut it)?,
-                    "--spill" => spill = Some(take_value("--spill", &mut it)?.clone()),
-                    "--port-file" => port_file = Some(take_value("--port-file", &mut it)?.clone()),
-                    "--metrics-interval" => {
-                        let n: u64 = take_value("--metrics-interval", &mut it)?
-                            .parse()
-                            .map_err(|e| format!("bad --metrics-interval: {e}"))?;
-                        if n == 0 {
-                            return Err("serve needs --metrics-interval ≥ 1, got 0".to_string());
-                        }
-                        metrics_interval = Some(n);
-                    }
-                    "--tolerance" => tolerance = parse_f64("--tolerance", &mut it)?,
-                    "--workers" => {
-                        workers = take_value("--workers", &mut it)?
-                            .parse()
-                            .map_err(|e| format!("bad --workers: {e}"))?;
-                    }
-                    "--io-threads" => {
-                        io_threads = take_value("--io-threads", &mut it)?
-                            .parse()
-                            .map_err(|e| format!("bad --io-threads: {e}"))?;
-                    }
-                    "--max-connections" => {
-                        max_connections = take_value("--max-connections", &mut it)?
-                            .parse()
-                            .map_err(|e| format!("bad --max-connections: {e}"))?;
-                    }
-                    other => return Err(format!("unexpected argument: {other}")),
-                }
-            }
-            for (flag, value) in [
-                ("--workers", workers),
-                ("--io-threads", io_threads),
-                ("--max-connections", max_connections),
-            ] {
-                if value == 0 {
-                    return Err(format!("serve needs {flag} ≥ 1, got 0"));
-                }
-            }
-            if !(tolerance.is_finite() && tolerance > 0.0) {
-                return Err(format!("tolerance must be > 0, got {tolerance}"));
-            }
-            if !(lateness.is_finite() && lateness >= 0.0) {
-                return Err(format!("--lateness must be ≥ 0 seconds, got {lateness}"));
-            }
-            if !(evict_idle.is_finite() && evict_idle >= 0.0) {
-                return Err(format!(
-                    "--evict-idle must be ≥ 0 seconds, got {evict_idle}"
-                ));
-            }
-            if !alerts.is_empty() && metrics_interval.is_none() {
-                return Err(
-                    "--alert needs --metrics-interval (the reporter evaluates the rules)"
-                        .to_string(),
-                );
-            }
-            Ok(Command::Serve {
-                addr,
-                workers,
-                spill: spill.ok_or("serve needs --spill DIR (the durable output)")?,
-                tolerance,
-                io_threads,
-                max_connections,
-                port_file,
-                metrics_interval,
-                lateness,
-                alerts,
-                prom_addr,
-                evict_idle,
-            })
-        }
-        "loadgen" => {
-            let mut addr: Option<String> = None;
-            let mut sessions = 100usize;
-            let mut points = 500usize;
-            let mut seed = 1u64;
-            let mut connections = 1usize;
-            let mut batch = 64usize;
-            let mut shutdown = false;
-            let mut disorder = 0.0f64;
-            let mut backfill = false;
-            while let Some(arg) = it.next() {
-                match arg.as_str() {
-                    "--addr" => addr = Some(take_value("--addr", &mut it)?.clone()),
-                    "--shutdown" => shutdown = true,
-                    "--backfill" => backfill = true,
-                    "--disorder" => disorder = parse_f64("--disorder", &mut it)?,
-                    "--seed" => {
-                        seed = take_value("--seed", &mut it)?
-                            .parse()
-                            .map_err(|e| format!("bad --seed: {e}"))?;
-                    }
-                    "--sessions" => {
-                        sessions = take_value("--sessions", &mut it)?
-                            .parse()
-                            .map_err(|e| format!("bad --sessions: {e}"))?;
-                    }
-                    "--points" => {
-                        points = take_value("--points", &mut it)?
-                            .parse()
-                            .map_err(|e| format!("bad --points: {e}"))?;
-                    }
-                    "--connections" => {
-                        connections = take_value("--connections", &mut it)?
-                            .parse()
-                            .map_err(|e| format!("bad --connections: {e}"))?;
-                    }
-                    "--batch" => {
-                        batch = take_value("--batch", &mut it)?
-                            .parse()
-                            .map_err(|e| format!("bad --batch: {e}"))?;
-                    }
-                    other => return Err(format!("unexpected argument: {other}")),
-                }
-            }
-            // `--sessions 0 --shutdown` (or `--points 0`) is the
-            // pure-shutdown mode: no ingest, one Shutdown connection.
-            let shutdown_only = shutdown && (sessions == 0 || points == 0);
-            if !shutdown_only {
-                for (flag, value) in [
-                    ("--sessions", sessions),
-                    ("--points", points),
-                    ("--connections", connections),
-                    ("--batch", batch),
-                ] {
-                    if value == 0 {
-                        return Err(format!("loadgen needs {flag} ≥ 1, got 0"));
-                    }
-                }
-            }
-            if !(disorder.is_finite() && disorder >= 0.0) {
-                return Err(format!("--disorder must be ≥ 0 seconds, got {disorder}"));
-            }
-            Ok(Command::Loadgen {
-                addr: addr.ok_or("loadgen needs --addr HOST:PORT (a running bqs serve)")?,
-                sessions,
-                points,
-                seed,
-                connections,
-                batch,
-                shutdown,
-                disorder,
-                backfill,
-            })
-        }
-        "subscribe" => {
-            let mut addr: Option<String> = None;
-            let mut track: Option<u64> = None;
-            let mut bbox: Option<[f64; 4]> = None;
-            let mut out: Option<String> = None;
-            while let Some(arg) = it.next() {
-                match arg.as_str() {
-                    "--addr" => addr = Some(take_value("--addr", &mut it)?.clone()),
-                    "--track" => {
-                        track = Some(
-                            take_value("--track", &mut it)?
-                                .parse()
-                                .map_err(|e| format!("bad --track: {e}"))?,
-                        );
-                    }
-                    "--bbox" => bbox = Some(parse_bbox(&mut it)?),
-                    "--out" => out = Some(take_value("--out", &mut it)?.clone()),
-                    other => return Err(format!("unexpected argument: {other}")),
-                }
-            }
-            Ok(Command::Subscribe {
-                addr: addr.ok_or("subscribe needs --addr HOST:PORT (a running bqs serve)")?,
-                track,
-                bbox,
-                out,
-            })
-        }
-        "metrics" => {
-            let mut addr: Option<String> = None;
-            let mut watch: Option<u64> = None;
-            let mut prom = false;
-            while let Some(arg) = it.next() {
-                match arg.as_str() {
-                    "--addr" => addr = Some(take_value("--addr", &mut it)?.clone()),
-                    "--prom" => prom = true,
-                    "--watch" => {
-                        let n: u64 = take_value("--watch", &mut it)?
-                            .parse()
-                            .map_err(|e| format!("bad --watch: {e}"))?;
-                        if n == 0 {
-                            return Err("metrics needs --watch ≥ 1, got 0".to_string());
-                        }
-                        watch = Some(n);
-                    }
-                    other => return Err(format!("unexpected argument: {other}")),
-                }
-            }
-            if prom && watch.is_some() {
-                return Err("--prom and --watch are mutually exclusive \
-                     (--prom is a one-shot scrape; --watch prints native-format deltas)"
-                    .to_string());
-            }
-            Ok(Command::Metrics {
-                addr: addr.ok_or("metrics needs --addr HOST:PORT (a running bqs serve)")?,
-                watch,
-                prom,
-            })
-        }
-        "trace" => {
-            let mut addr: Option<String> = None;
-            let mut last: Option<u64> = None;
-            let mut conn: Option<u64> = None;
-            while let Some(arg) = it.next() {
-                match arg.as_str() {
-                    "--addr" => addr = Some(take_value("--addr", &mut it)?.clone()),
-                    "--last" => {
-                        let n: u64 = take_value("--last", &mut it)?
-                            .parse()
-                            .map_err(|e| format!("bad --last: {e}"))?;
-                        if n == 0 {
-                            return Err("trace needs --last ≥ 1, got 0".to_string());
-                        }
-                        last = Some(n);
-                    }
-                    "--conn" => {
-                        conn = Some(
-                            take_value("--conn", &mut it)?
-                                .parse()
-                                .map_err(|e| format!("bad --conn: {e}"))?,
-                        );
-                    }
-                    other => return Err(format!("unexpected argument: {other}")),
-                }
-            }
-            Ok(Command::Trace {
-                addr: addr.ok_or("trace needs --addr HOST:PORT (a running bqs serve)")?,
-                last,
-                conn,
-            })
-        }
-        "analyze" => {
-            let mut deny = false;
-            let mut lints: Vec<String> = Vec::new();
-            let mut root: Option<String> = None;
-            while let Some(arg) = it.next() {
-                match arg.as_str() {
-                    "--deny" => deny = true,
-                    "--lint" => lints.push(take_value("--lint", &mut it)?.clone()),
-                    other if !other.starts_with('-') && root.is_none() => {
-                        root = Some(other.to_string());
-                    }
-                    other => return Err(format!("unexpected argument: {other}")),
-                }
-            }
-            Ok(Command::Analyze { deny, lints, root })
-        }
-        "log" => parse_log(&mut it),
-        other => Err(format!("unknown command: {other}\n\n{USAGE}")),
-    }
+    // A group word (`log`) takes its subcommand into the name.
+    let group = COMMANDS.iter().any(|s| {
+        s.name
+            .strip_prefix(first.as_str())
+            .is_some_and(|r| r.starts_with(' '))
+    });
+    let words = if group { argv.len().min(2) } else { 1 };
+    let name = argv[..words].join(" ");
+    let spec = COMMANDS
+        .iter()
+        .find(|s| s.name == name || s.aliases.contains(&name.as_str()))
+        .ok_or_else(|| format!("unknown command: {name}\n\n{}", usage()))?;
+    spec.parse(&argv[words..])
 }
 
 #[cfg(test)]
@@ -1026,11 +937,15 @@ mod tests {
         assert!(parse(&args("compress fbqs")).is_err());
         assert!(parse(&args("compress warp in.csv")).is_err());
         assert!(parse(&args("compress fbqs in.csv --tolerance -3")).is_err());
+        assert!(parse(&args("compress fbqs in.csv extra.csv")).is_err());
     }
 
     #[test]
     fn verify_requires_tolerance() {
-        assert!(parse(&args("verify a.csv b.csv")).is_err());
+        assert_eq!(
+            parse(&args("verify a.csv b.csv")).unwrap_err(),
+            "verify needs --tolerance M"
+        );
         assert_eq!(
             parse(&args("verify a.csv b.csv --tolerance 5")).unwrap(),
             Command::Verify {
@@ -1076,7 +991,7 @@ mod tests {
 
     #[test]
     fn usage_lists_exactly_the_experiment_names() {
-        let synopsis: String = USAGE
+        let synopsis: String = usage()
             .split("bqs experiments [")
             .nth(1)
             .and_then(|rest| rest.split(']').next())
@@ -1145,10 +1060,73 @@ mod tests {
     #[test]
     fn every_zero_count_is_rejected_with_a_uniform_message() {
         // A zero for any counted quantity would mean an empty or
-        // nonsense run; all three flags fail the same way.
-        for flag in ["--sessions", "--points", "--workers"] {
-            let err = parse(&args(&format!("fleet {flag} 0"))).unwrap_err();
-            assert_eq!(err, format!("fleet needs {flag} ≥ 1, got 0"));
+        // nonsense run; every counted flag of every command fails the
+        // same way (`compress --buffer 0` used to keep every point).
+        let mut checked = 0;
+        for spec in COMMANDS {
+            for flag in spec.args {
+                if matches!(flag.domain, Count | CountOrZeroWith(_)) {
+                    let line = format!("{} {} 0", spec.name, flag.name);
+                    let err = parse(&args(&line)).unwrap_err();
+                    assert_eq!(err, format!("{} needs {} ≥ 1, got 0", spec.name, flag.name));
+                    checked += 1;
+                }
+            }
+        }
+        assert_eq!(checked, 14, "counted flags in the table");
+        assert_eq!(
+            parse(&args("fleet --sessions 0")).unwrap_err(),
+            "fleet needs --sessions ≥ 1, got 0"
+        );
+    }
+
+    #[test]
+    fn every_tolerance_must_be_finite_and_positive() {
+        // `verify` once accepted any tolerance, so `--tolerance inf`
+        // passed every trace; all five commands share one check now.
+        let lines = [
+            "compress fbqs in.csv",
+            "verify a.csv b.csv",
+            "fleet",
+            "serve --spill /tmp/t",
+            "log append /tmp/log t.csv --track 1",
+        ];
+        for line in lines {
+            for bad in ["inf", "nan", "0", "-1"] {
+                let err = parse(&args(&format!("{line} --tolerance {bad}"))).unwrap_err();
+                let shown = bad.parse::<f64>().unwrap();
+                assert_eq!(err, format!("tolerance must be > 0, got {shown}"), "{line}");
+            }
+            assert!(
+                parse(&args(&format!("{line} --tolerance 0.5"))).is_ok(),
+                "{line}"
+            );
+        }
+        let with_tolerance = COMMANDS
+            .iter()
+            .filter(|s| s.args.iter().any(|a| a.name == "--tolerance"))
+            .count();
+        assert_eq!(with_tolerance, lines.len());
+    }
+
+    #[test]
+    fn no_flag_leaks_into_a_command_whose_row_lacks_it() {
+        let every: std::collections::BTreeSet<&str> = COMMANDS
+            .iter()
+            .flat_map(|s| s.args.iter().filter(|a| a.is_flag()).map(|a| a.name))
+            .collect();
+        for spec in COMMANDS {
+            for flag in every
+                .iter()
+                .filter(|f| spec.args.iter().all(|a| a.name != **f))
+            {
+                let line = format!("{} {flag} 1", spec.name);
+                assert_eq!(
+                    parse(&args(&line)).unwrap_err(),
+                    format!("unexpected argument: {flag}"),
+                    "{line}"
+                );
+            }
         }
     }
 
@@ -1165,6 +1143,7 @@ mod tests {
                 from: Some(10.0),
                 to: Some(99.5),
                 bbox: Some([0.0, 0.0, 50.0, 50.0]),
+                at: None,
                 out: Some("q.csv".into())
             }
         );
@@ -1176,6 +1155,7 @@ mod tests {
                 from: None,
                 to: None,
                 bbox: None,
+                at: None,
                 out: None
             }
         );
@@ -1215,25 +1195,10 @@ mod tests {
     }
 
     #[test]
-    fn log_query_parses_filters() {
+    fn query_at_needs_a_track_and_no_range() {
         assert_eq!(
-            parse(&args(
-                "log query /tmp/log --track 3 --from 10 --to 99.5 --bbox 0,0,50,50"
-            ))
-            .unwrap(),
-            Command::LogQuery {
-                dir: "/tmp/log".into(),
-                track: Some(3),
-                from: Some(10.0),
-                to: Some(99.5),
-                bbox: Some([0.0, 0.0, 50.0, 50.0]),
-                at: None,
-                out: None
-            }
-        );
-        assert_eq!(
-            parse(&args("log query /tmp/log --track 3 --at 42")).unwrap(),
-            Command::LogQuery {
+            parse(&args("query /tmp/log --track 3 --at 42")).unwrap(),
+            Command::Query {
                 dir: "/tmp/log".into(),
                 track: Some(3),
                 from: None,
@@ -1243,12 +1208,16 @@ mod tests {
                 out: None
             }
         );
-        assert!(parse(&args("log query")).is_err());
-        assert!(
-            parse(&args("log query /tmp/log --at 5")).is_err(),
-            "--at needs --track"
-        );
-        assert!(parse(&args("log query /tmp/log --bbox 1,2,3")).is_err());
+        let err = parse(&args("query /tmp/log --at 5")).unwrap_err();
+        assert!(err.starts_with("--at needs --track"), "{err}");
+        for range in ["--from 1", "--to 1", "--bbox 0,0,1,1"] {
+            let err =
+                parse(&args(&format!("query /tmp/log --track 3 --at 5 {range}"))).unwrap_err();
+            assert!(err.contains("mutually exclusive"), "{err}");
+        }
+        // `bqs log query` folded into `bqs query`.
+        let err = parse(&args("log query /tmp/log --track 3 --at 42")).unwrap_err();
+        assert!(err.starts_with("unknown command: log query"), "{err}");
     }
 
     #[test]
@@ -1314,6 +1283,28 @@ mod tests {
                 ],
                 prom_addr: Some("127.0.0.1:9100".into()),
                 evict_idle: 30.0
+            }
+        );
+        // The benchmark's server command line.
+        assert_eq!(
+            parse(&args(
+                "serve --addr 127.0.0.1:0 --workers 2 --spill /b/tree --port-file /b/addr \
+                 --evict-idle 20 --lateness 5"
+            ))
+            .unwrap(),
+            Command::Serve {
+                addr: "127.0.0.1:0".into(),
+                workers: 2,
+                spill: "/b/tree".into(),
+                tolerance: 10.0,
+                io_threads: 4,
+                max_connections: 4096,
+                port_file: Some("/b/addr".into()),
+                metrics_interval: None,
+                lateness: 5.0,
+                alerts: vec![],
+                prom_addr: None,
+                evict_idle: 20.0
             }
         );
         // The pool needs at least one I/O thread; 0 is refused here

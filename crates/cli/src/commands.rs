@@ -5,7 +5,7 @@
 //! place. User-reachable failures — I/O on named paths, the durable
 //! log, the network layer, invalid requests — are never `unwrap`s.
 
-use crate::args::{Command, USAGE};
+use crate::args::{usage, Command};
 use crate::error::CliError;
 use bqs_baselines::{
     BufferedDpCompressor, BufferedGreedyCompressor, DeadReckoningCompressor, DpCompressor,
@@ -30,7 +30,7 @@ pub fn run(command: &Command) -> Result<String, String> {
 /// Runs a parsed command with typed errors.
 pub fn execute(command: &Command) -> Result<String, CliError> {
     match command {
-        Command::Help => Ok(USAGE.to_string()),
+        Command::Help => Ok(usage()),
         Command::Info => Ok(info()),
         Command::Generate {
             dataset,
@@ -76,6 +76,22 @@ pub fn execute(command: &Command) -> Result<String, CliError> {
             from,
             to,
             bbox,
+            at: Some(t),
+            ..
+        } => match (track, from, to, bbox) {
+            // Also parser rules; re-checked because `run` is public.
+            (Some(track), None, None, None) => reconstruct_at(dir, *track, *t),
+            _ => Err(CliError::invalid(
+                "--at needs --track and excludes --from/--to/--bbox",
+            )),
+        },
+        Command::Query {
+            dir,
+            track,
+            from,
+            to,
+            bbox,
+            at: None,
             out,
         } => unified_query(dir, *track, *from, *to, *bbox, out.as_deref()),
         Command::LogAppend {
@@ -85,15 +101,6 @@ pub fn execute(command: &Command) -> Result<String, CliError> {
             algorithm,
             tolerance,
         } => log_append(dir, input, *track, algorithm, *tolerance),
-        Command::LogQuery {
-            dir,
-            track,
-            from,
-            to,
-            bbox,
-            at,
-            out,
-        } => log_query(dir, *track, *from, *to, *bbox, *at, out.as_deref()),
         Command::LogCompact { dir, drop } => log_compact(dir, drop),
         Command::LogVerify { dir } => log_verify(dir),
         Command::Serve {
@@ -218,10 +225,9 @@ fn write_or_return(csv: String, out: Option<&str>, summary: String) -> Result<St
     }
 }
 
-/// The one formatter for `track,x,y,t` point rows. Both query commands
-/// (`bqs query` over the unified engine, `bqs log query` over a flat
-/// log) and the fleet's `--query-after` output build their CSV here, so
-/// the formats can never drift apart.
+/// The one formatter for `track,x,y,t` point rows. `bqs query` and the
+/// fleet's `--query-after` output build their CSV here, so the formats
+/// can never drift apart.
 fn slices_csv(slices: &[bqs_tlog::TrackSlice]) -> String {
     let mut csv = String::from("track,x,y,t\n");
     for slice in slices {
@@ -596,7 +602,7 @@ fn fleet(run: FleetRun<'_>) -> Result<String, CliError> {
         } else {
             bqs_tlog::shard_dir(dir, worker_of(probe, workers))
         };
-        let (log, _) = TrajectoryLog::open(probe_dir, LogConfig::default())?;
+        let (log, _) = TrajectoryLog::open_read_only(probe_dir, LogConfig::default())?;
         let from_disk = log.read_track(probe)?;
         if from_disk != solo {
             return Err(CliError::Invalid(format!(
@@ -704,6 +710,33 @@ fn unified_query(
     }
 }
 
+/// `bqs query --at`: the track's position at `t`, reconstructed by the
+/// one log that holds the track — the flat log itself, or the owning
+/// shard of a tree. Each candidate is opened read-only, and only the
+/// records bracketing `t` are decoded.
+fn reconstruct_at(dir: &str, track: u64, t: f64) -> Result<String, CliError> {
+    use bqs_tlog::{LogConfig, TrajectoryLog};
+
+    let logs = if bqs_tlog::is_sharded_tree(dir) {
+        bqs_tlog::shard_dirs(dir)?
+            .into_iter()
+            .map(|(_, shard)| shard)
+            .collect()
+    } else {
+        vec![std::path::PathBuf::from(dir)]
+    };
+    for log_dir in logs {
+        let (log, _) = TrajectoryLog::open_read_only(log_dir, LogConfig::default())?;
+        if let Some(p) = log.reconstruct_at(track, t)? {
+            return Ok(format!(
+                "track {track} at t={t}: x={:.3} y={:.3}\n",
+                p.pos.x, p.pos.y
+            ));
+        }
+    }
+    Err(CliError::Invalid(format!("track {track} has no data")))
+}
+
 /// `bqs log append`: optionally compress a trace, then append it to the
 /// log under the given track id.
 fn log_append(
@@ -760,76 +793,6 @@ fn recovery_line(recovery: &bqs_tlog::RecoveryReport) -> String {
             "recovered: truncated {} torn segment tail(s), {} B dropped\n",
             recovery.truncated_segments, recovery.truncated_bytes
         )
-    }
-}
-
-/// `bqs log query`: time-range / bounding-box queries and point-in-time
-/// reconstruction, CSV output.
-fn log_query(
-    dir: &str,
-    track: Option<u64>,
-    from: Option<f64>,
-    to: Option<f64>,
-    bbox: Option<[f64; 4]>,
-    at: Option<f64>,
-    out: Option<&str>,
-) -> Result<String, CliError> {
-    use bqs_tlog::{LogConfig, TimeRange, TrajectoryLog};
-
-    reject_sharded_root(dir)?;
-    // Also guarded in the argument parser; re-checked here because
-    // `run` is a public entry point.
-    if at.is_some() && track.is_none() {
-        return Err(CliError::invalid("--at requires --track"));
-    }
-    if at.is_some() && (from.is_some() || to.is_some() || bbox.is_some()) {
-        return Err(CliError::invalid(
-            "--at cannot be combined with --from/--to/--bbox",
-        ));
-    }
-
-    let (log, recovery) = TrajectoryLog::open(dir, LogConfig::default())?;
-    let recovered = recovery_line(&recovery);
-
-    if let (Some(t), Some(track)) = (at, track) {
-        return match log.reconstruct_at(track, t)? {
-            Some(p) => Ok(format!(
-                "{recovered}track {track} at t={t}: x={:.3} y={:.3}\n",
-                p.pos.x, p.pos.y
-            )),
-            None => Err(CliError::Invalid(format!("track {track} has no data"))),
-        };
-    }
-
-    let range = TimeRange::new(
-        from.unwrap_or(f64::NEG_INFINITY),
-        to.unwrap_or(f64::INFINITY),
-    );
-    let result = match bbox {
-        Some([x0, y0, x1, y1]) => {
-            let area = bqs_geo::Rect::from_corners(
-                bqs_geo::Point2::new(x0, y0),
-                bqs_geo::Point2::new(x1, y1),
-            );
-            log.query_bbox(track, area, Some(range))?
-        }
-        None => log.query_time_range(track, range)?,
-    };
-
-    let csv = slices_csv(&result.slices);
-    let summary = format!(
-        "{} tracks, {} points (decoded {} of {} records via the index)\n",
-        result.slices.len(),
-        result.total_points(),
-        result.stats.decoded_records,
-        result.stats.candidate_records,
-    );
-    match out {
-        Some(path) => {
-            std::fs::write(path, csv).map_err(|e| CliError::io("write", path, e))?;
-            Ok(format!("{recovered}{summary}"))
-        }
-        None => Ok(format!("{recovered}{csv}{summary}")),
     }
 }
 
@@ -1540,7 +1503,7 @@ mod tests {
         let verdict = run(&Command::LogVerify { dir: dir.clone() }).unwrap();
         assert!(verdict.starts_with("OK"), "{verdict}");
 
-        let listing = run(&Command::LogQuery {
+        let listing = run(&Command::Query {
             dir: dir.clone(),
             track: None,
             from: None,
@@ -1688,10 +1651,10 @@ mod tests {
         .unwrap_err();
         assert!(err.contains("fresh directory"), "{err}");
 
-        // Flat-log commands must not open the tree root as an (empty)
-        // flat log — query would lie, append would write a rogue segment
-        // invisible to tree tooling.
-        let err = run(&Command::LogQuery {
+        // `bqs query` reads the tree root as a tree; the flat-log writers
+        // must not open it as an (empty) flat log — append would write a
+        // rogue segment invisible to tree tooling.
+        let listing = run(&Command::Query {
             dir: dir.clone(),
             track: Some(1),
             from: None,
@@ -1700,8 +1663,8 @@ mod tests {
             at: None,
             out: None,
         })
-        .unwrap_err();
-        assert!(err.contains("sharded spill tree"), "{err}");
+        .unwrap();
+        assert!(listing.contains("1 tracks"), "{listing}");
         let err = run(&Command::LogCompact {
             dir: dir.clone(),
             drop: vec![],
@@ -1730,7 +1693,7 @@ mod tests {
             .join("shard-0")
             .to_string_lossy()
             .into_owned();
-        let listing = run(&Command::LogQuery {
+        let listing = run(&Command::Query {
             dir: shard0,
             track: None,
             from: None,
@@ -1769,6 +1732,7 @@ mod tests {
             from: Some(0.0),
             to: Some(600.0),
             bbox: None,
+            at: None,
             out: None,
         };
         // Identical data lines; only the shard breakdown differs.
@@ -1791,6 +1755,7 @@ mod tests {
             from: None,
             to: None,
             bbox: None,
+            at: None,
             out: None,
         })
         .unwrap();
@@ -1854,6 +1819,95 @@ mod tests {
     }
 
     #[test]
+    fn query_at_on_a_tree_root_asks_the_owning_shard() {
+        use bqs_tlog::{LogConfig, TrajectoryLog};
+
+        let tree = tmp("at-tree");
+        let _ = std::fs::remove_dir_all(&tree);
+        run(&Command::Fleet {
+            sessions: 8,
+            points: 150,
+            tolerance: 10.0,
+            algorithm: "fbqs".into(),
+            workers: 4,
+            seed: 5,
+            spill: Some(tree.clone()),
+            query_after: None,
+        })
+        .unwrap();
+        let at = |track: u64, t: f64| Command::Query {
+            dir: tree.clone(),
+            track: Some(track),
+            from: None,
+            to: None,
+            bbox: None,
+            at: Some(t),
+            out: None,
+        };
+        for track in [0, 3, 6] {
+            let shard = bqs_tlog::shard_dir(&tree, worker_of(track, 4));
+            let (log, _) = TrajectoryLog::open_read_only(shard, LogConfig::default()).unwrap();
+            let p = log.reconstruct_at(track, 333.0).unwrap().unwrap();
+            assert_eq!(
+                run(&at(track, 333.0)).unwrap(),
+                format!(
+                    "track {track} at t=333: x={:.3} y={:.3}\n",
+                    p.pos.x, p.pos.y
+                )
+            );
+        }
+        let err = run(&at(99, 333.0)).unwrap_err();
+        assert!(err.contains("track 99 has no data"), "{err}");
+    }
+
+    #[test]
+    fn query_never_writes_to_the_log_it_reads() {
+        // A torn tail is the next writer's to repair: a reader that
+        // truncated it would race a live writer.
+        let dir = tmp("ro-query");
+        let _ = std::fs::remove_dir_all(&dir);
+        let trace_path = tmp("ro-query-trace.csv");
+        run(&Command::Generate {
+            dataset: "synthetic".into(),
+            seed: 3,
+            full: false,
+            out: Some(trace_path.clone()),
+        })
+        .unwrap();
+        run(&Command::LogAppend {
+            dir: dir.clone(),
+            input: trace_path,
+            track: 1,
+            algorithm: "fbqs".into(),
+            tolerance: 10.0,
+        })
+        .unwrap();
+        let segment = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .find(|p| p.extension().is_some_and(|e| e == "tlg"))
+            .unwrap();
+        let mut bytes = std::fs::read(&segment).unwrap();
+        bytes.extend_from_slice(&[0xA5; 17]);
+        std::fs::write(&segment, &bytes).unwrap();
+
+        let query = |at: Option<f64>| Command::Query {
+            dir: dir.clone(),
+            track: Some(1),
+            from: None,
+            to: None,
+            bbox: None,
+            at,
+            out: None,
+        };
+        let listing = run(&query(None)).unwrap();
+        assert!(listing.contains("1 tracks"), "{listing}");
+        let position = run(&query(Some(30.0))).unwrap();
+        assert!(position.contains("track 1 at t=30"), "{position}");
+        assert_eq!(std::fs::read(&segment).unwrap(), bytes, "torn tail kept");
+    }
+
+    #[test]
     fn log_append_query_compact_verify_round_trip() {
         let dir = tmp("log-cli");
         let _ = std::fs::remove_dir_all(&dir);
@@ -1885,7 +1939,7 @@ mod tests {
         .unwrap();
 
         let csv_path = tmp("log-cli-query.csv");
-        let summary = run(&Command::LogQuery {
+        let summary = run(&Command::Query {
             dir: dir.clone(),
             track: Some(2),
             from: Some(0.0),
@@ -1899,7 +1953,7 @@ mod tests {
         let csv = std::fs::read_to_string(&csv_path).unwrap();
         assert!(csv.starts_with("track,x,y,t"), "{}", &csv[..40]);
 
-        let at = run(&Command::LogQuery {
+        let at = run(&Command::Query {
             dir: dir.clone(),
             track: Some(1),
             from: None,
@@ -1922,7 +1976,7 @@ mod tests {
         assert!(verdict.starts_with("OK"), "{verdict}");
 
         // Track 2 is gone, track 1 remains.
-        let listing = run(&Command::LogQuery {
+        let listing = run(&Command::Query {
             dir,
             track: None,
             from: None,
@@ -2006,6 +2060,7 @@ mod tests {
             from: None,
             to: None,
             bbox: None,
+            at: None,
             out: None,
         })
         .unwrap();

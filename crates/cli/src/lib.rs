@@ -1,9 +1,10 @@
 //! # bqs-cli — command-line front end for the BQS workspace
 //!
-//! The command synopsis is [`args::USAGE`], the text `bqs help` prints.
+//! The command synopsis is [`args::usage`], the text `bqs help` prints.
 //! Traces are the `x,y,t` CSV format of [`bqs_sim::Trace`]. Argument
-//! parsing is hand-rolled (no CLI dependency) and unit-tested here; the
-//! thin binary in `main.rs` just forwards `std::env::args` and exit codes.
+//! parsing is driven by one command table (no CLI dependency) and
+//! unit-tested here; the thin binary in `main.rs` just forwards
+//! `std::env::args` and exit codes.
 
 #![deny(missing_docs)]
 

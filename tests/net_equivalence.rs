@@ -103,6 +103,7 @@ fn query_csv(root: &std::path::Path) -> String {
         from: None,
         to: None,
         bbox: None,
+        at: None,
         out: None,
     })
     .expect("bqs query");
