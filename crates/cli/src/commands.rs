@@ -200,7 +200,7 @@ fn analyze(deny: bool, lints: &[String], root: Option<&str>) -> Result<String, C
 }
 
 fn info() -> String {
-    let spec = bqs_device::CamazotzSpec::paper();
+    let spec = bqs_eval::device::CamazotzSpec::paper();
     format!(
         "bqs — Bounded Quadrant System (Liu et al., ICDE 2015) reproduction\n\
          target platform: Camazotz (CC430F5137): {} B RAM, {} KB flash,\n\
@@ -210,8 +210,8 @@ fn info() -> String {
         spec.flash_bytes / 1024,
         spec.gps_budget_bytes / 1024,
         spec.gps_interval_s,
-        bqs_device::estimate_operational_days(1.0).unwrap_or(0),
-        bqs_device::estimate_operational_days(0.05).unwrap_or(0),
+        bqs_eval::device::estimate_operational_days(1.0).unwrap_or(0),
+        bqs_eval::device::estimate_operational_days(0.05).unwrap_or(0),
     )
 }
 

@@ -646,6 +646,15 @@ impl<S: FleetSink + Send + 'static> ParallelFleet<S> {
     /// before any reply is awaited. Tracks on a panicked shard are
     /// absent (their loss is reported at [`ParallelFleet::join`]).
     pub fn snapshot(&mut self) -> FleetSnapshot {
+        FleetSnapshot::merge(self.ask_all(Msg::Snapshot))
+    }
+
+    /// Flushes every partially filled batch, then sends `request` to
+    /// each live worker — ordered behind the work already in its
+    /// channel — and collects the replies. All requests go out before
+    /// any reply is awaited. A failed send marks the worker dead; a
+    /// worker that dies before answering contributes nothing.
+    fn ask_all<T>(&mut self, request: fn(SyncSender<T>) -> Msg) -> Vec<T> {
         self.flush();
         let mut replies = Vec::with_capacity(self.workers.len());
         for worker in &mut self.workers {
@@ -655,13 +664,16 @@ impl<S: FleetSink + Send + 'static> ParallelFleet<S> {
             let (tx, rx) = sync_channel(1);
             // bqs-analyze: allow(no-unwrap-in-lib) — sender is only taken in join(), which consumes self
             let sender = worker.sender.as_ref().expect("sender lives until join");
-            if sender.send(Msg::Snapshot(tx)).is_err() {
+            if sender.send(request(tx)).is_err() {
                 worker.dead = true;
                 continue;
             }
             replies.push(rx);
         }
-        FleetSnapshot::merge(replies.into_iter().filter_map(|rx| rx.recv().ok()))
+        replies
+            .into_iter()
+            .filter_map(|rx| rx.recv().ok())
+            .collect()
     }
 
     /// Submission-side counters per worker shard: tracks routed, points
@@ -688,26 +700,9 @@ impl<S: FleetSink + Send + 'static> ParallelFleet<S> {
     /// contribute nothing (their loss surfaces at
     /// [`ParallelFleet::join`]).
     pub fn live_stats(&mut self) -> DecisionStats {
-        self.flush();
-        let mut replies = Vec::with_capacity(self.workers.len());
-        for worker in &mut self.workers {
-            if worker.dead {
-                continue;
-            }
-            let (tx, rx) = sync_channel(1);
-            // bqs-analyze: allow(no-unwrap-in-lib) — sender is only taken in join(), which consumes self
-            let sender = worker.sender.as_ref().expect("sender lives until join");
-            if sender.send(Msg::Stats(tx)).is_err() {
-                worker.dead = true;
-                continue;
-            }
-            replies.push(rx);
-        }
         let mut stats = DecisionStats::default();
-        for rx in replies {
-            if let Ok(shard) = rx.recv() {
-                stats.merge(&shard);
-            }
+        for shard in self.ask_all(Msg::Stats) {
+            stats.merge(&shard);
         }
         stats
     }

@@ -20,6 +20,11 @@
 //!
 //! Points sharing a timestamp are released in arrival order (insertion
 //! is stable), matching what a stable sort of the input would produce.
+//!
+//! A [`ReorderBuffer::drain`] releases points the watermark has not yet
+//! cleared, so it raises the buffer's *floor* to the newest point it
+//! released: from then on a point below the floor is [`TooLate`] even
+//! inside the window, and the released stream stays time-ordered.
 
 use super::TrackId;
 use bqs_geo::TimedPoint;
@@ -58,6 +63,9 @@ pub struct ReorderBuffer {
     watermark: f64,
     /// Parked points, sorted by `t` with stable (arrival-order) ties.
     pending: VecDeque<TimedPoint>,
+    /// Newest point a [`ReorderBuffer::drain`] released; `-inf` before
+    /// any drain. Nothing below it may be accepted again.
+    floor: f64,
 }
 
 impl ReorderBuffer {
@@ -71,6 +79,7 @@ impl ReorderBuffer {
             window,
             watermark: f64::NEG_INFINITY,
             pending: VecDeque::new(),
+            floor: f64::NEG_INFINITY,
         }
     }
 
@@ -96,19 +105,32 @@ impl ReorderBuffer {
 
     /// Whether a point with timestamp `t` would be accepted right now.
     pub fn admits(&self, t: f64) -> bool {
-        t >= self.watermark - self.window
+        self.check(t, self.watermark).is_ok()
+    }
+
+    /// Refuses `t` if it lies below the acceptance horizon at watermark
+    /// `watermark`: `watermark − W`, raised to the floor after a drain
+    /// (the error's `window` then shrinks to the distance to the floor).
+    fn check(&self, t: f64, watermark: f64) -> Result<(), TooLate> {
+        let (horizon, window) = if self.floor > watermark - self.window {
+            (self.floor, watermark - self.floor)
+        } else {
+            (watermark - self.window, self.window)
+        };
+        if t < horizon {
+            return Err(TooLate {
+                t,
+                watermark,
+                window,
+            });
+        }
+        Ok(())
     }
 
     /// Accepts one point (or refuses it with [`TooLate`]), appending any
     /// newly releasable points — in timestamp order — to `out`.
     pub fn push(&mut self, p: TimedPoint, out: &mut Vec<TimedPoint>) -> Result<(), TooLate> {
-        if !self.admits(p.t) {
-            return Err(TooLate {
-                t: p.t,
-                watermark: self.watermark,
-                window: self.window,
-            });
-        }
+        self.check(p.t, self.watermark)?;
         // Stable insert: after every parked point with `t <= p.t`.
         let at = self.pending.partition_point(|q| q.t <= p.t);
         self.pending.insert(at, p);
@@ -126,9 +148,13 @@ impl ReorderBuffer {
     }
 
     /// Releases every parked point (in timestamp order) — the
-    /// end-of-stream flush. The watermark is kept, so a stream can
-    /// continue pushing afterwards.
+    /// end-of-stream flush. The watermark is kept and the floor rises to
+    /// the newest released point, so a stream can continue pushing
+    /// afterwards without going back behind what was released.
     pub fn drain(&mut self) -> Vec<TimedPoint> {
+        if let Some(last) = self.pending.back() {
+            self.floor = last.t;
+        }
         self.pending.drain(..).collect()
     }
 }
@@ -173,6 +199,29 @@ impl FleetReorder {
         self.tracks.get(&track).is_none_or(|b| b.admits(t))
     }
 
+    /// Decides a whole batch of `track` without parking anything: the
+    /// watermark is simulated over the batch in arrival order, so a
+    /// caller can refuse the batch atomically. Returns how many points
+    /// arrive behind the (simulated) watermark, or the first refusal.
+    pub fn admit_batch(
+        &self,
+        track: TrackId,
+        points: impl IntoIterator<Item = TimedPoint>,
+    ) -> Result<u64, TooLate> {
+        let unseen = ReorderBuffer::new(self.window);
+        let buffer = self.tracks.get(&track).unwrap_or(&unseen);
+        let mut wm = buffer.watermark;
+        let mut late = 0u64;
+        for p in points {
+            buffer.check(p.t, wm)?;
+            if wm.is_finite() && p.t < wm {
+                late += 1;
+            }
+            wm = wm.max(p.t);
+        }
+        Ok(late)
+    }
+
     /// Pushes one point of `track`, appending released points to `out`.
     pub fn push(
         &mut self,
@@ -194,14 +243,25 @@ impl FleetReorder {
     /// Drains every track's parked points (each in timestamp order),
     /// ascending by track id — the shutdown flush.
     pub fn drain_all(&mut self) -> Vec<(TrackId, Vec<TimedPoint>)> {
+        self.drain_idle(f64::INFINITY)
+    }
+
+    /// Drains the parked points of every track whose release horizon
+    /// `watermark − W` lies before `cutoff` (each in timestamp order),
+    /// ascending by track id — the idle-eviction flush: such a track's
+    /// session is about to be evicted, and its tail must go with it.
+    /// Each drained track refuses points below its drained watermark
+    /// from then on (see [`ReorderBuffer::drain`]).
+    pub fn drain_idle(&mut self, cutoff: f64) -> Vec<(TrackId, Vec<TimedPoint>)> {
+        let window = self.window;
         let mut out: Vec<(TrackId, Vec<TimedPoint>)> = self
             .tracks
             .iter_mut()
-            .filter(|(_, b)| !b.is_empty())
+            .filter(|(_, b)| !b.is_empty() && b.watermark - window < cutoff)
             .map(|(&track, b)| (track, b.drain()))
             .collect();
         out.sort_by_key(|(track, _)| *track);
-        self.depth = 0;
+        self.depth -= out.iter().map(|(_, points)| points.len()).sum::<usize>();
         out
     }
 }
@@ -311,5 +371,41 @@ mod tests {
         assert_eq!(times(&drained[0].1), vec![50.0]);
         assert_eq!(times(&drained[1].1), vec![1000.0]);
         assert_eq!(fleet.depth(), 0);
+    }
+
+    #[test]
+    fn drain_idle_takes_only_stale_tracks_and_raises_their_floor() {
+        let mut fleet = FleetReorder::new(30.0);
+        let mut out = Vec::new();
+        for t in 0..=100 {
+            fleet.push(1, p(f64::from(t)), &mut out).unwrap();
+        }
+        fleet.push(2, p(300.0), &mut out).unwrap();
+        out.clear();
+        // Horizons: track 1 at 70, track 2 at 270; cut-off 240.
+        let drained = fleet.drain_idle(240.0);
+        assert_eq!(drained.len(), 1);
+        assert_eq!(drained[0].0, 1);
+        assert_eq!(
+            times(&drained[0].1),
+            (70..=100).map(f64::from).collect::<Vec<_>>()
+        );
+        assert_eq!(fleet.depth(), 1);
+        // Inside the window, but behind what the drain released.
+        assert!(!fleet.admits(1, 99.0));
+        assert!(fleet.admits(1, 100.0));
+        let err = fleet.admit_batch(1, [p(101.0), p(90.0)]).unwrap_err();
+        assert_eq!(
+            err,
+            TooLate {
+                t: 90.0,
+                watermark: 101.0,
+                window: 1.0
+            }
+        );
+        assert_eq!(fleet.push(1, p(90.0), &mut out).unwrap_err().window, 0.0);
+        // Once the watermark moves a window past the floor, the window rules again.
+        assert_eq!(fleet.admit_batch(1, [p(140.0), p(111.0)]), Ok(1));
+        assert!(fleet.admit_batch(2, [p(280.0)]).is_ok());
     }
 }

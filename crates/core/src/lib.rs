@@ -20,9 +20,8 @@
 //!   (§IV and Eq. 11).
 //! * [`stream`] — the streaming-compressor trait all algorithms (including
 //!   the baselines crate) implement, the [`Sink`] emission layer
-//!   (`Vec`, counting, callback, chord and page adapters — zero-allocation
-//!   output paths), plus decision statistics from which pruning power is
-//!   computed.
+//!   (`Vec`, and [`CountingSink`] for the zero-allocation path), plus
+//!   decision statistics from which pruning power is computed.
 //! * [`fleet`] — the multi-session [`FleetEngine`]: one session table
 //!   keyed by track id, a fresh compressor per session,
 //!   idle-session eviction and merged decision statistics — plus
@@ -65,7 +64,6 @@ pub mod metrics;
 pub mod quadrant;
 pub mod reconstruct;
 pub mod rotation;
-pub mod segments;
 pub mod stream;
 
 pub use bounds::DeviationBounds;
@@ -79,7 +77,6 @@ pub use fleet::{
 };
 pub use metrics::DeviationMetric;
 pub use quadrant::QuadrantBounds;
-pub use segments::{segments, summarize, SegmentView, TrajectorySummary};
 pub use stream::{
     compress_all, compress_all_with_stats, compress_into, CountingSink, DecisionStats, Sink,
     StreamCompressor,

@@ -12,28 +12,17 @@
 //!
 //! Early versions hard-coded `&mut Vec<TimedPoint>` as the output channel,
 //! which forced every consumer to materialize the kept points even when it
-//! only wanted a count (compression-rate sweeps), a running callback
-//! (flash writers, network offload), or per-segment chords (the store).
-//! [`Sink`] generalizes the channel while keeping the hot path
-//! monomorphizable: `&mut Vec<TimedPoint>` coerces to `&mut dyn Sink`
-//! unchanged at every existing call site, and the adapters below cover the
-//! zero-allocation paths.
-//!
-//! * [`CountingSink`] — counts emissions; compresses a trace with **zero**
-//!   output allocation.
-//! * [`FnSink`] — invokes a callback per kept point (flash/radio writers).
-//! * [`ChordSink`] — pairs consecutive kept points into segment chords
-//!   (the shape store-style consumers ingest).
-//! * [`PageSink`] — batches kept points into fixed-size pages, modelling a
-//!   tracker's flash-page writes.
-//! * [`LastSink`] — retains only the most recent kept point.
-//! * [`TeeSink`] — duplicates emissions into two sinks.
+//! only wanted a count (compression-rate sweeps). [`Sink`] generalizes the
+//! channel while keeping the hot path monomorphizable: `&mut Vec<TimedPoint>`
+//! coerces to `&mut dyn Sink` unchanged at every existing call site, and
+//! [`CountingSink`] counts emissions, compressing a trace with **zero**
+//! output allocation.
 
 use bqs_geo::TimedPoint;
 
 /// A destination for finalised key points (or any other streamed item).
 ///
-/// Implemented by `Vec<T>` (append) and by the adapters in this module.
+/// Implemented here by `Vec<T>` (append) and [`CountingSink`].
 /// Compressors write through `&mut dyn Sink`, so sinks must be
 /// object-safe.
 pub trait Sink<T = TimedPoint> {
@@ -73,140 +62,6 @@ impl CountingSink {
 impl<T> Sink<T> for CountingSink {
     fn push(&mut self, _item: T) {
         self.count += 1;
-    }
-}
-
-/// Invokes a callback for every emitted item (flash writers, radio
-/// offload, live dashboards).
-#[derive(Debug)]
-pub struct FnSink<F> {
-    f: F,
-}
-
-impl<F> FnSink<F> {
-    /// Wraps a callback.
-    pub fn new(f: F) -> FnSink<F> {
-        FnSink { f }
-    }
-}
-
-impl<T, F: FnMut(T)> Sink<T> for FnSink<F> {
-    fn push(&mut self, item: T) {
-        (self.f)(item);
-    }
-}
-
-/// Retains only the most recent emitted item.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LastSink<T> {
-    /// The most recent item, if any was emitted.
-    pub last: Option<T>,
-    /// Total number of items seen.
-    pub count: usize,
-}
-
-impl<T> LastSink<T> {
-    /// An empty sink.
-    pub fn new() -> LastSink<T> {
-        LastSink {
-            last: None,
-            count: 0,
-        }
-    }
-}
-
-impl<T> Sink<T> for LastSink<T> {
-    fn push(&mut self, item: T) {
-        self.last = Some(item);
-        self.count += 1;
-    }
-}
-
-/// Pairs consecutive kept points into segment chords — the per-segment
-/// view a chord consumer (e.g. a trajectory store) can ingest directly.
-#[derive(Debug)]
-pub struct ChordSink<T, F> {
-    prev: Option<T>,
-    f: F,
-}
-
-impl<T, F> ChordSink<T, F> {
-    /// Wraps a chord callback `f(start, end)`.
-    pub fn new(f: F) -> ChordSink<T, F> {
-        ChordSink { prev: None, f }
-    }
-}
-
-impl<T: Copy, F: FnMut(T, T)> Sink<T> for ChordSink<T, F> {
-    fn push(&mut self, item: T) {
-        if let Some(prev) = self.prev {
-            (self.f)(prev, item);
-        }
-        self.prev = Some(item);
-    }
-}
-
-/// Batches emitted items into fixed-size pages, flushing each full page to
-/// a callback — the shape of a tracker's flash-page writer. Call
-/// [`PageSink::flush`] after `finish` to hand over the final partial page.
-#[derive(Debug)]
-pub struct PageSink<T, F> {
-    page: Vec<T>,
-    page_len: usize,
-    f: F,
-}
-
-impl<T, F: FnMut(&[T])> PageSink<T, F> {
-    /// A sink flushing every `page_len` items. `page_len` must be > 0.
-    pub fn new(page_len: usize, f: F) -> PageSink<T, F> {
-        assert!(page_len > 0, "page length must be positive");
-        PageSink {
-            page: Vec::with_capacity(page_len),
-            page_len,
-            f,
-        }
-    }
-
-    /// Flushes the current partial page (no-op when empty).
-    pub fn flush(&mut self) {
-        if !self.page.is_empty() {
-            (self.f)(&self.page);
-            self.page.clear();
-        }
-    }
-}
-
-impl<T, F: FnMut(&[T])> Sink<T> for PageSink<T, F> {
-    fn push(&mut self, item: T) {
-        self.page.push(item);
-        if self.page.len() >= self.page_len {
-            self.flush();
-        }
-    }
-}
-
-/// Duplicates every emission into two sinks.
-pub struct TeeSink<'a, T> {
-    a: &'a mut dyn Sink<T>,
-    b: &'a mut dyn Sink<T>,
-}
-
-impl<'a, T> TeeSink<'a, T> {
-    /// Fans emissions out to `a` and `b` (in that order).
-    pub fn new(a: &'a mut dyn Sink<T>, b: &'a mut dyn Sink<T>) -> TeeSink<'a, T> {
-        TeeSink { a, b }
-    }
-}
-
-impl<T: Copy> Sink<T> for TeeSink<'_, T> {
-    fn push(&mut self, item: T) {
-        self.a.push(item);
-        self.b.push(item);
-    }
-
-    fn reserve_hint(&mut self, n: usize) {
-        self.a.reserve_hint(n);
-        self.b.reserve_hint(n);
     }
 }
 
@@ -445,62 +300,6 @@ mod tests {
         let mut sink = CountingSink::new();
         compress_into(&mut c, pts(100).iter().copied(), &mut sink);
         assert_eq!(sink.count, 100);
-    }
-
-    #[test]
-    fn fn_sink_sees_every_point() {
-        let mut seen = Vec::new();
-        {
-            let mut sink = FnSink::new(|p: TimedPoint| seen.push(p.t));
-            let mut c = Identity;
-            compress_into(&mut c, pts(5).iter().copied(), &mut sink);
-        }
-        assert_eq!(seen, vec![0.0, 1.0, 2.0, 3.0, 4.0]);
-    }
-
-    #[test]
-    fn chord_sink_pairs_consecutive_points() {
-        let mut chords = Vec::new();
-        {
-            let mut sink = ChordSink::new(|a: TimedPoint, b: TimedPoint| chords.push((a.t, b.t)));
-            let mut c = Identity;
-            compress_into(&mut c, pts(4).iter().copied(), &mut sink);
-        }
-        assert_eq!(chords, vec![(0.0, 1.0), (1.0, 2.0), (2.0, 3.0)]);
-    }
-
-    #[test]
-    fn page_sink_batches_and_flushes() {
-        let mut pages: Vec<usize> = Vec::new();
-        {
-            let mut sink = PageSink::new(3, |page: &[TimedPoint]| pages.push(page.len()));
-            let mut c = Identity;
-            compress_into(&mut c, pts(7).iter().copied(), &mut sink);
-            sink.flush();
-        }
-        assert_eq!(pages, vec![3, 3, 1]);
-    }
-
-    #[test]
-    fn last_sink_retains_only_the_tail() {
-        let mut sink = LastSink::new();
-        let mut c = Identity;
-        compress_into(&mut c, pts(9).iter().copied(), &mut sink);
-        assert_eq!(sink.count, 9);
-        assert_eq!(sink.last.map(|p| p.t), Some(8.0));
-    }
-
-    #[test]
-    fn tee_sink_duplicates() {
-        let mut all: Vec<TimedPoint> = Vec::new();
-        let mut counter = CountingSink::new();
-        {
-            let mut tee = TeeSink::new(&mut all, &mut counter);
-            let mut c = Identity;
-            compress_into(&mut c, pts(6).iter().copied(), &mut tee);
-        }
-        assert_eq!(all.len(), 6);
-        assert_eq!(counter.count, 6);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! recording the peak working set (significant points + scan buffer) and
 //! translates it into bytes against the 4 KB RAM budget.
 
-use crate::camazotz::CamazotzSpec;
+use super::camazotz::CamazotzSpec;
 use bqs_core::stream::StreamCompressor;
 use bqs_core::{BqsConfig, FastBqsCompressor};
 use bqs_geo::TimedPoint;

@@ -1,10 +1,10 @@
-//! # bqs-device — the Camazotz tracking-platform model
+//! The Camazotz tracking-platform model behind Table II and `bqs info`.
 //!
 //! The paper's motivating hardware (§III-A) is the Camazotz collar: a TI
 //! CC430F5137 SoC with **32 KB ROM and 4 KB RAM**, **1 MB external flash**,
 //! a ublox MAX6 GPS, solar-charged Li-ion power, and a 900 MHz short-range
 //! radio for offloading at congregation areas. Those constraints are the
-//! whole reason BQS exists, so this crate models them explicitly:
+//! whole reason BQS exists, so this module models them explicitly:
 //!
 //! * [`camazotz`] — the platform constants and sampling schedule;
 //! * [`storage`] — the 12-byte GPS record codec and a flash-budget
@@ -14,23 +14,17 @@
 //! * [`memory`] — a working-set probe that verifies the FBQS constant-space
 //!   claim (≤ 32 significant points + no buffer) against the 4 KB RAM
 //!   budget;
-//! * [`energy`] — a duty-cycle energy model for GPS/CPU/radio, extending
-//!   the paper's operational-time argument to the power domain;
 //! * [`offload`] — an event-driven base-station contact simulation that
 //!   turns the steady-state Table II estimate into a loss/no-loss check
 //!   against realistic congregation-area contact schedules.
 
-#![deny(missing_docs)]
-
 pub mod camazotz;
-pub mod energy;
 pub mod memory;
 pub mod offload;
 pub mod operational;
 pub mod storage;
 
 pub use camazotz::CamazotzSpec;
-pub use energy::EnergyModel;
 pub use memory::{probe_working_set, WorkingSetReport};
 pub use offload::{simulate_offload, OffloadReport};
 pub use operational::{estimate_operational_days, OperationalModel};

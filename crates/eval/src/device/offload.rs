@@ -8,8 +8,8 @@
 //! contacts, turning Table II's steady-state estimate into an event-driven
 //! check.
 
-use crate::camazotz::CamazotzSpec;
-use crate::storage::GPS_RECORD_BYTES;
+use super::camazotz::CamazotzSpec;
+use super::storage::GPS_RECORD_BYTES;
 
 /// The outcome of one simulated deployment.
 #[derive(Debug, Clone, PartialEq)]

@@ -10,8 +10,8 @@
 //! logger lasts just under 3 days; at the ≈ 5 % compression rates the BQS
 //! family reaches at a 10 m tolerance, that becomes the paper's ≈ 60 days.
 
-use crate::camazotz::CamazotzSpec;
-use crate::storage::GPS_RECORD_BYTES;
+use super::camazotz::CamazotzSpec;
+use super::storage::GPS_RECORD_BYTES;
 
 /// The Table II estimator.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -8,9 +8,9 @@
 //! — a 36–41 % lifetime win for the BQS family.
 
 use crate::algorithms::Algorithm;
+use crate::device::operational::OperationalModel;
 use crate::report::TextTable;
 use crate::Scale;
-use bqs_device::operational::OperationalModel;
 
 /// One algorithm's Table II row.
 #[derive(Debug, Clone, Copy, PartialEq)]

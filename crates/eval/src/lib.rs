@@ -22,7 +22,8 @@
 //! scaling, ingest, query fan-out, on-disk bytes — are measured by the
 //! repo benchmark (`BENCHMARK.json`), not here.
 //!
-//! Supporting modules: [`metrics`] (compression rate, error verification),
+//! Supporting modules: [`device`] (the Camazotz tracker model behind
+//! Table II), [`metrics`] (compression rate, error verification),
 //! [`algorithms`] (a uniform factory over every compressor in the
 //! workspace), [`report`] (plain-text table rendering), [`runner`]
 //! (parallel tolerance sweeps on scoped threads).
@@ -30,6 +31,7 @@
 #![deny(missing_docs)]
 
 pub mod algorithms;
+pub mod device;
 pub mod experiments;
 pub mod metrics;
 pub mod report;

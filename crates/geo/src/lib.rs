@@ -23,7 +23,6 @@
 
 pub mod angle;
 pub mod columnar;
-pub mod frechet;
 pub mod hull;
 pub mod line;
 pub mod plane;
@@ -37,7 +36,6 @@ pub mod vec2;
 
 pub use angle::{normalize_angle, Quadrant};
 pub use columnar::ColumnarBatch;
-pub use frechet::{discrete_frechet, frechet_similar};
 pub use hull::convex_hull;
 pub use line::{point_to_line_distance, point_to_segment_distance, Line2, Line3, Segment2};
 pub use plane::Plane;

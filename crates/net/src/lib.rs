@@ -2,8 +2,8 @@
 //!
 //! The paper's premise is compression *on the go*: points arrive from
 //! remote, resource-poor devices and must be bounded-error-compressed
-//! as they stream in. The workspace already simulates the device side
-//! (`bqs-device`), scales the receiving side across cores
+//! as they stream in. The workspace already models the device side
+//! (`bqs_eval::device`), scales the receiving side across cores
 //! ([`ParallelFleet`](bqs_core::fleet::ParallelFleet)) and makes the
 //! output durable and queryable (`bqs-tlog`); this crate is the network
 //! serving layer that turns those pieces into a system many clients can

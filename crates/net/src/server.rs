@@ -54,8 +54,8 @@
 use crate::error::NetError;
 use crate::wire::{
     decode_append_columns, decode_frame, frame_to_vec, write_frame, ErrorCode, QueryReport,
-    QuerySpec, Reply, Request, ShardStat, StatsReport, WireError, HEADER_BYTES, PROTOCOL_VERSION,
-    TAG_APPEND, TAG_FLUSH, TAG_QUERY, TAG_STATS,
+    QuerySpec, Reply, Request, ShardStat, StatsReport, WireError, HEADER_BYTES, MAX_FRAME_BYTES,
+    PROTOCOL_VERSION, TAG_APPEND, TAG_FLUSH, TAG_QUERY, TAG_STATS,
 };
 use bqs_core::fleet::{
     worker_of, FleetConfig, FleetMetrics, FleetReorder, FleetSink, ParallelConfig, ParallelFleet,
@@ -744,6 +744,15 @@ impl Server {
                 config.evict_idle
             )));
         }
+        // An idle time-out inside the lateness window would evict live
+        // sessions every tick and drain the very points the window
+        // exists to accept.
+        if config.evict_idle > 0.0 && config.evict_idle <= config.lateness {
+            return Err(NetError::Config(format!(
+                "evict-idle ({} s) must exceed lateness ({} s)",
+                config.evict_idle, config.lateness
+            )));
+        }
         // One shared guard + open path with `bqs fleet --spill`: the
         // layout rules and their messages cannot drift between the two
         // writers.
@@ -1127,6 +1136,9 @@ const EVICT_TICK: Duration = Duration::from_secs(1);
 /// One idle-eviction pass: finalises (through the normal spill path)
 /// every session that has not pushed for `evict_idle` stream-time
 /// seconds, measured against the highest timestamp accepted so far.
+/// A track whose reorder horizon has fallen that far behind hands its
+/// parked tail to its session first, so the tail is evicted (and
+/// queryable) with the session instead of outliving it.
 fn evict_tick(shared: &Shared) {
     let mut guard = shared.lock_fleet();
     let Some(state) = guard.as_mut() else {
@@ -1134,6 +1146,12 @@ fn evict_tick(shared: &Shared) {
     };
     if state.max_t.is_finite() {
         let now = state.max_t;
+        if let Some(reorder) = state.reorder.as_mut() {
+            for (track, points) in reorder.drain_idle(now - shared.evict_idle) {
+                state.fleet.submit_run(track, points);
+            }
+            shared.metrics.reorder_depth.set(reorder.depth() as u64);
+        }
         state.fleet.evict_idle(now);
     }
 }
@@ -1551,19 +1569,32 @@ fn service_conn(conn: &mut Conn, shared: &Shared, scratch: &mut ColumnarBatch) -
 }
 
 fn queue_reply(conn: &mut Conn, reply: &Reply) {
-    let payload = match reply.encode() {
-        Ok(payload) => payload,
-        // A reply that cannot be encoded (a codec invariant violated by
-        // query output — never expected) degrades to a typed error.
-        Err(e) => Reply::Error {
-            code: ErrorCode::Internal,
-            message: format!("cannot encode reply: {e}"),
-        }
-        .encode()
-        // bqs-analyze: allow(no-unwrap-in-lib) — invariant: error replies always encode
-        .expect("error replies always encode"),
+    conn.outbuf.extend_from_slice(&reply_frame(reply));
+}
+
+/// Frames `reply` for the wire. A reply that cannot be encoded (a codec
+/// invariant violated by query output — never expected) or whose payload
+/// exceeds [`MAX_FRAME_BYTES`] (every reader refuses such a frame)
+/// degrades to a typed error frame; the connection stays usable.
+fn reply_frame(reply: &Reply) -> Vec<u8> {
+    let error = |code, message| {
+        Reply::Error { code, message }
+            .encode()
+            // bqs-analyze: allow(no-unwrap-in-lib) — invariant: error replies always encode
+            .expect("error replies always encode")
     };
-    conn.outbuf.extend_from_slice(&frame_to_vec(&payload));
+    let payload = match reply.encode() {
+        Ok(payload) if payload.len() > MAX_FRAME_BYTES => error(
+            ErrorCode::BadRequest,
+            format!(
+                "answer of {} B exceeds the {MAX_FRAME_BYTES} B frame limit; narrow the query",
+                payload.len()
+            ),
+        ),
+        Ok(payload) => payload,
+        Err(e) => error(ErrorCode::Internal, format!("cannot encode reply: {e}")),
+    };
+    frame_to_vec(&payload)
 }
 
 /// One reader's verdict after handling a frame.
@@ -1718,25 +1749,9 @@ fn submit_reordered(
     let (late, released, depth, wm) = {
         // bqs-analyze: allow(no-unwrap-in-lib) — invariant: caller checked
         let reorder = state.reorder.as_mut().expect("caller checked");
-        let window = reorder.window();
-        // Admission pass: simulate the watermark over the batch in
-        // arrival order, so acceptance is decided before any point is
-        // parked.
-        let mut wm = reorder.watermark(track).unwrap_or(f64::NEG_INFINITY);
-        let mut late = 0u64;
-        for p in points.clone() {
-            if p.t < wm - window {
-                return Err(TooLate {
-                    t: p.t,
-                    watermark: wm,
-                    window,
-                });
-            }
-            if wm.is_finite() && p.t < wm {
-                late += 1;
-            }
-            wm = wm.max(p.t);
-        }
+        // Admission pass: acceptance is decided for the whole batch
+        // before any point is parked.
+        let late = reorder.admit_batch(track, points.clone())?;
         // Commit pass: every push now succeeds by construction.
         let mut released = Vec::new();
         for p in points {
@@ -1745,6 +1760,7 @@ fn submit_reordered(
                 // bqs-analyze: allow(no-unwrap-in-lib) — invariant: admission pre-checked the whole batch
                 .expect("admission pre-checked the whole batch");
         }
+        let wm = reorder.watermark(track).unwrap_or(f64::NEG_INFINITY);
         (late, released, reorder.depth() as u64, wm)
     };
     state.max_t = state.max_t.max(wm);
@@ -2043,4 +2059,48 @@ fn run_query(spec: &QuerySpec, shared: &Shared) -> Result<QueryReport, NetError>
         candidate_records: output.stats.candidate_records as u64,
         decoded_records: output.stats.decoded_records as u64,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use bqs_tlog::TrackSlice;
+
+    #[test]
+    fn an_answer_over_the_frame_limit_becomes_a_readable_error() {
+        // ~1M points of random coordinates: past the 16 MiB limit
+        // once encoded, since random bits defeat the delta codec.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            (state >> 11) as f64
+        };
+        let points = (0..1_000_000)
+            .map(|i| TimedPoint::new(next(), next(), f64::from(i)))
+            .collect();
+        let reply = Reply::QueryResult(QueryReport {
+            slices: vec![TrackSlice { track: 1, points }],
+            shards_pruned: 0,
+            hot_points: 0,
+            candidate_records: 0,
+            decoded_records: 0,
+        });
+        let size = reply.encode().unwrap().len();
+        assert!(size > MAX_FRAME_BYTES, "test answer is only {size} B");
+
+        let frame = reply_frame(&reply);
+        let (payload, used) = decode_frame(&frame).expect("the client accepts the frame");
+        assert_eq!(used, frame.len());
+        assert_eq!(
+            Reply::decode(&payload).unwrap(),
+            Reply::Error {
+                code: ErrorCode::BadRequest,
+                message: format!(
+                    "answer of {size} B exceeds the 16777216 B frame limit; narrow the query"
+                ),
+            }
+        );
+    }
 }

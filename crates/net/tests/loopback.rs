@@ -408,6 +408,73 @@ fn zero_io_threads_is_a_typed_config_error_before_the_spill_dir_is_touched() {
 }
 
 #[test]
+fn an_idle_timeout_inside_the_lateness_window_is_a_typed_config_error() {
+    for evict_idle in [10.0, 30.0] {
+        let root = temp_root("evict-in-window");
+        let mut config = ServerConfig::new("127.0.0.1:0", 2, &root);
+        config.lateness = 30.0;
+        config.evict_idle = evict_idle;
+        match Server::bind(config) {
+            Err(NetError::Config(message)) => assert_eq!(
+                message,
+                format!("evict-idle ({evict_idle} s) must exceed lateness (30 s)")
+            ),
+            Err(other) => panic!("expected a config error, got {other:?}"),
+            Ok(_) => panic!("evict-idle {evict_idle} ≤ lateness 30 must not bind"),
+        }
+        assert!(!root.exists());
+    }
+}
+
+/// Under `--lateness 30 --evict-idle 60`, an idle track's parked tail
+/// leaves the reorder buffer with its session: it is queryable after
+/// the eviction, lands in the same durable record, and the track then
+/// refuses points behind what it released.
+#[test]
+fn an_evicted_track_takes_its_parked_tail_with_it() {
+    let root = temp_root("evict-tail");
+    let mut config = ServerConfig::new("127.0.0.1:0", 1, &root);
+    config.lateness = 30.0;
+    config.evict_idle = 60.0;
+    let server = Server::bind(config).expect("bind");
+    let evicted = server.metrics().counter("fleet_evicted_sessions_total");
+    let addr = server.local_addr();
+    let handle = std::thread::spawn(move || server.run().expect("serve"));
+
+    let point = |t: f64| bqs_geo::TimedPoint::new(t * 8.0, (t * 0.21).sin() * 25.0, t);
+    let track_a: Vec<_> = (0..=100).map(|t| point(f64::from(t))).collect();
+    let track_b: Vec<_> = (0..=30).map(|t| point(f64::from(t) * 10.0)).collect();
+    let mut client = BqsClient::connect(addr).expect("connect");
+    client.append(1, &track_a).expect("append A");
+    client.append(2, &track_b).expect("append B"); // stream time → 300
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while evicted.get() == 0 {
+        assert!(std::time::Instant::now() < deadline, "no eviction");
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    }
+    assert_eq!(evicted.get(), 1, "only track A is idle");
+
+    let answer = client
+        .query_time_range(Some(1), f64::NEG_INFINITY, f64::INFINITY)
+        .expect("query");
+    let last = answer.slices[0].points.last().expect("points").t;
+    assert_eq!(last, 100.0, "the parked tail was evicted with the session");
+    match client.append_late(1, &[point(90.0)]) {
+        Err(NetError::Server { code, .. }) => assert_eq!(code, ErrorCode::TooLate),
+        other => panic!("expected too-late behind the drained tail, got {other:?}"),
+    }
+
+    client.shutdown().expect("shutdown");
+    handle.join().expect("server thread");
+    let (log, _) = TrajectoryLog::open(&root, LogConfig::default()).unwrap();
+    let summary = log.track_summaries();
+    assert_eq!(summary[0].track, 1);
+    assert_eq!(summary[0].records, 1, "one session, one record");
+    assert_eq!(summary[0].t_max, 100.0);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
 fn batches_violating_the_track_watermark_are_rejected_without_poisoning_the_spill() {
     let root = temp_root("watermark");
     let (addr, server) = start(2, &root);

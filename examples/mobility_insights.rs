@@ -13,7 +13,7 @@
 
 use bqs::core::stream::compress_all;
 use bqs::core::{BqsConfig, FastBqsCompressor};
-use bqs::device::{simulate_offload, CamazotzSpec};
+use bqs::eval::device::{simulate_offload, CamazotzSpec};
 use bqs::sim::{BatModel, BatModelConfig};
 use bqs::store::waypoints::{discover, WaypointConfig};
 

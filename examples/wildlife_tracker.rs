@@ -12,7 +12,7 @@
 
 use bqs::core::stream::StreamCompressor;
 use bqs::core::{BqsConfig, FastBqsCompressor};
-use bqs::device::{
+use bqs::eval::device::{
     estimate_operational_days, CamazotzSpec, FlashStorage, StorageError, GPS_RECORD_BYTES,
 };
 use bqs::geo::{LocationPoint, TimedPoint};

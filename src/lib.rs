@@ -5,7 +5,8 @@
 //! Jurdak — ICDE 2015): error-bounded **online** trajectory compression
 //! designed for trackers with kilobytes of RAM.
 //!
-//! This umbrella crate re-exports the whole workspace:
+//! This umbrella crate re-exports the workspace crates and holds the
+//! base-station trajectory store:
 //!
 //! | Module | Crate | Contents |
 //! |---|---|---|
@@ -14,11 +15,10 @@
 //! | [`core`] | `bqs-core` | BQS, Fast BQS, 3-D BQS, reconstruction, [`core::stream::Sink`] emission layer, [`core::fleet::FleetEngine`] multi-session engine |
 //! | [`baselines`] | `bqs-baselines` | DP, BDP, BGD, Dead Reckoning, SQUISH |
 //! | [`sim`] | `bqs-sim` | synthetic bat / vehicle / random-walk traces |
-//! | [`device`] | `bqs-device` | Camazotz tracker model, operational time |
-//! | [`store`] | `bqs-store` | trajectory store with merging and ageing |
+//! | [`store`] | (this crate) | trajectory store with merging and ageing |
 //! | [`tlog`] | `bqs-tlog` | durable trajectory log: codec, segmented store, queries |
 //! | [`net`] | `bqs-net` | framed TCP ingest/query server, client and load generator |
-//! | [`eval`] | `bqs-eval` | harness regenerating every paper table/figure |
+//! | [`eval`] | `bqs-eval` | harness regenerating every paper table/figure, Camazotz tracker model ([`eval::device`]) |
 //!
 //! ## Quickstart
 //!
@@ -41,16 +41,18 @@
 //! assert!(kept.len() < 60); // >90 % of the points are gone
 //! ```
 
+#![deny(missing_docs)]
+
 pub use bqs_baselines as baselines;
 pub use bqs_core as core;
-pub use bqs_device as device;
 pub use bqs_eval as eval;
 pub use bqs_geo as geo;
 pub use bqs_net as net;
 pub use bqs_obs as obs;
 pub use bqs_sim as sim;
-pub use bqs_store as store;
 pub use bqs_tlog as tlog;
+
+pub mod store;
 
 /// The most common imports in one place.
 pub mod prelude {

@@ -1,7 +1,36 @@
-//! The thread-safe historical trajectory store with merging and ageing.
+//! The historical trajectory store (paper §V-F).
+//!
+//! Compression alone is not the whole storage story: the paper sketches two
+//! maintenance procedures over the compressed history, both implemented
+//! here on top of a uniform-grid spatial index:
+//!
+//! * **Merging** — a newly compressed segment is used as a query against
+//!   the stored segments; when an existing segment already represents the
+//!   same path within a merge tolerance, the new one is folded into it
+//!   (weight bump) instead of stored — deduplicating commuting-style
+//!   repeated trips.
+//! * **Ageing** — older trajectories are re-compressed at a greater error
+//!   tolerance, trading accuracy of old data for space. Re-compression runs
+//!   the BQS itself over the stored key points; the composite deviation of
+//!   the aged trajectory against the *original* raw trace is bounded by
+//!   `d_original + d_aged` (triangle inequality on point-to-chord
+//!   distances), which the integration tests verify.
+//!
+//! The store is thread-safe (`std::sync::RwLock`) so a base station can
+//! ingest collar offloads concurrently with queries.
+//!
+//! [`waypoints`] implements the paper's §VII future-work sketch on top:
+//! dwell clustering into waypoints, trip-duration estimation and a Markov
+//! next-destination predictor.
 
-use crate::grid::UniformGrid;
-use crate::similarity::segments_similar;
+pub mod grid;
+pub mod similarity;
+pub mod waypoints;
+
+pub use grid::UniformGrid;
+pub use similarity::{chord_distance, segments_similar};
+pub use waypoints::{discover, MobilityModel, TripStats, Waypoint, WaypointConfig};
+
 use bqs_core::stream::compress_all;
 use bqs_core::{BqsCompressor, BqsConfig};
 use bqs_geo::{Point2, Rect, TimedPoint};
@@ -206,24 +235,6 @@ impl TrajectoryStore {
             .collect()
     }
 
-    /// Finds a stored trajectory whose path matches `keys` within
-    /// `epsilon` under the discrete Fréchet distance (either traversal
-    /// direction), returning its index. Linear scan over stored
-    /// trajectories — path-level matching is a base-station operation, not
-    /// a device one.
-    pub fn find_similar_trajectory(&self, keys: &[TimedPoint], epsilon: f64) -> Option<usize> {
-        if keys.is_empty() {
-            return None;
-        }
-        let probe: Vec<Point2> = keys.iter().map(|k| k.pos).collect();
-        // bqs-analyze: allow(no-unwrap-in-lib) — a poisoned lock means a writer panicked; propagate it loudly
-        let inner = self.inner.read().expect("store lock poisoned");
-        inner.trajectories.iter().position(|(stored, _)| {
-            let path: Vec<Point2> = stored.iter().map(|k| k.pos).collect();
-            bqs_geo::frechet_similar(&path, &probe, epsilon)
-        })
-    }
-
     /// Ageing pass (§V-F): re-compresses every stored trajectory with the
     /// buffered BQS at `new_tolerance` (which should exceed the original),
     /// rebuilding the segment table. The deviation of the aged trajectory
@@ -368,20 +379,6 @@ mod tests {
             store.insert_compressed(&keys(&[(1.0, 1.0)]), 10.0),
             InsertReport::default()
         );
-    }
-
-    #[test]
-    fn frechet_path_matching() {
-        let store = TrajectoryStore::new(StoreConfig::default());
-        let commute = keys(&[(0.0, 0.0), (1000.0, 50.0), (2000.0, 0.0)]);
-        store.insert_compressed(&commute, 10.0);
-        // Same road next day, slightly offset, traversed backwards.
-        let back = keys(&[(2000.0, 5.0), (1000.0, 55.0), (0.0, 5.0)]);
-        assert_eq!(store.find_similar_trajectory(&back, 20.0), Some(0));
-        // A different road does not match.
-        let other = keys(&[(0.0, 500.0), (2000.0, 500.0)]);
-        assert_eq!(store.find_similar_trajectory(&other, 20.0), None);
-        assert_eq!(store.find_similar_trajectory(&[], 20.0), None);
     }
 
     #[test]

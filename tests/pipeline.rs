@@ -4,7 +4,7 @@
 
 use bqs::core::stream::{compress_all, compress_all_with_stats};
 use bqs::core::{BqsCompressor, BqsConfig, FastBqsCompressor};
-use bqs::device::{probe_working_set, CamazotzSpec, FlashStorage, GPS_RECORD_BYTES};
+use bqs::eval::device::{probe_working_set, CamazotzSpec, FlashStorage, GPS_RECORD_BYTES};
 use bqs::eval::verify_deviation_bound;
 use bqs::geo::proj::TraceProjector;
 use bqs::geo::{LocationPoint, TimedPoint};
