@@ -16,9 +16,10 @@
 //!   [`DecisionStats`] across live and retired sessions.
 //!
 //! Emission goes through the same [`Sink`] layer as single-stream
-//! compression: `push` routes a track's kept points to the caller's sink
-//! with zero buffering, and the interleaving-equivalence property (output
-//! of an interleaved fleet == output of each track compressed alone) is
+//! compression: [`FleetEngine::push_tagged`] routes a track's kept points,
+//! tagged with the track, to the caller's [`FleetSink`] with zero
+//! buffering, and the interleaving-equivalence property (output of an
+//! interleaved fleet == output of each track compressed alone) is
 //! enforced by `tests/fleet_equivalence.rs`.
 //!
 //! ```
@@ -124,60 +125,11 @@ impl FleetSink for CountingFleetSink {
     }
 }
 
-/// Duplicates tagged emissions (and session-close notifications) into two
-/// fleet sinks — e.g. an in-memory collector plus a durable spill layer.
-pub struct TeeFleetSink<'a> {
-    a: &'a mut dyn FleetSink,
-    b: &'a mut dyn FleetSink,
-}
-
-impl<'a> TeeFleetSink<'a> {
-    /// Fans emissions out to `a` and `b` (in that order).
-    pub fn new(a: &'a mut dyn FleetSink, b: &'a mut dyn FleetSink) -> TeeFleetSink<'a> {
-        TeeFleetSink { a, b }
-    }
-}
-
-impl FleetSink for TeeFleetSink<'_> {
-    fn accept(&mut self, track: TrackId, point: TimedPoint) {
-        self.a.accept(track, point);
-        self.b.accept(track, point);
-    }
-
-    fn session_closed(&mut self, report: &SessionReport) {
-        self.a.session_closed(report);
-        self.b.session_closed(report);
-    }
-
-    fn live_buffered(&self) -> Vec<(TrackId, Vec<TimedPoint>)> {
-        // A tee duplicates everything, so either side alone already
-        // holds a track's complete buffer; prefer `a`, fall back to `b`
-        // for tracks `a` does not buffer (e.g. a counting side).
-        let mut out = self.a.live_buffered();
-        let seen: std::collections::HashSet<TrackId> =
-            out.iter().map(|(track, _)| *track).collect();
-        out.extend(
-            self.b
-                .live_buffered()
-                .into_iter()
-                .filter(|(track, _)| !seen.contains(track)),
-        );
-        out
-    }
-}
-
 /// Adapts a [`FleetSink`] to the point-level [`Sink`] interface for one
 /// fixed track.
-pub struct TrackSink<'a> {
+struct TrackSink<'a> {
     inner: &'a mut dyn FleetSink,
     track: TrackId,
-}
-
-impl<'a> TrackSink<'a> {
-    /// A sink forwarding every point to `inner` tagged with `track`.
-    pub fn new(inner: &'a mut dyn FleetSink, track: TrackId) -> TrackSink<'a> {
-        TrackSink { inner, track }
-    }
 }
 
 impl Sink for TrackSink<'_> {
@@ -206,8 +158,8 @@ impl Default for FleetConfig {
 /// Why a session was finalised.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlushReason {
-    /// The caller ended the stream ([`FleetEngine::finish_track`] or
-    /// [`FleetEngine::finish_all`]).
+    /// The caller ended the stream ([`FleetEngine::finish_track_tagged`]
+    /// or [`FleetEngine::finish_all`]).
     Finished,
     /// The session idled past the timeout and was reclaimed by
     /// [`FleetEngine::evict_idle`].
@@ -313,12 +265,8 @@ pub struct FleetEngine<C, F> {
     sessions: HashMap<TrackId, Session<C>>,
     /// Stats of sessions that have already been finalised.
     retired_stats: DecisionStats,
-    /// Sessions finalised so far.
-    retired_sessions: u64,
-    /// Of those, sessions reclaimed by idle eviction.
+    /// Sessions reclaimed by idle eviction so far.
     evicted_sessions: u64,
-    /// Largest timestamp pushed so far (the fleet's stream clock).
-    latest_time: f64,
 }
 
 impl<C, F> FleetEngine<C, F>
@@ -334,15 +282,8 @@ where
             config,
             sessions: HashMap::new(),
             retired_stats: DecisionStats::default(),
-            retired_sessions: 0,
             evicted_sessions: 0,
-            latest_time: f64::NEG_INFINITY,
         }
-    }
-
-    /// An engine with [`FleetConfig::default`].
-    pub fn with_default_config(factory: F) -> FleetEngine<C, F> {
-        FleetEngine::new(FleetConfig::default(), factory)
     }
 
     /// The configuration in use.
@@ -355,20 +296,9 @@ where
         self.sessions.len()
     }
 
-    /// Sessions finalised so far (finish or eviction).
-    pub fn retired_sessions(&self) -> u64 {
-        self.retired_sessions
-    }
-
-    /// Sessions reclaimed by idle eviction so far (a subset of
-    /// [`FleetEngine::retired_sessions`]).
+    /// Sessions reclaimed by idle eviction so far.
     pub fn evicted_sessions(&self) -> u64 {
         self.evicted_sessions
-    }
-
-    /// Largest timestamp pushed so far; `None` before the first push.
-    pub fn latest_time(&self) -> Option<f64> {
-        (self.latest_time != f64::NEG_INFINITY).then_some(self.latest_time)
     }
 
     /// Decision statistics merged across retired and live sessions.
@@ -381,37 +311,23 @@ where
     }
 
     /// Feeds the next point of `track`'s stream, emitting that track's
-    /// finalised key points into `out`. A session, with a fresh compressor
-    /// from the factory, is created on the first push of an unknown track.
-    pub fn push(&mut self, track: TrackId, p: TimedPoint, out: &mut dyn Sink) {
-        self.latest_time = self.latest_time.max(p.t);
-        let factory = &self.factory;
-        let session = self.sessions.entry(track).or_insert_with(|| Session {
-            compressor: factory(),
-            last_active: p.t,
-            points: 0,
-        });
-        session.compressor.push(p, out);
-        session.last_active = session.last_active.max(p.t);
-        session.points += 1;
-    }
-
-    /// Like [`FleetEngine::push`] but emitting tagged points into a
-    /// [`FleetSink`].
+    /// finalised key points, tagged with `track`, into `out`. A session,
+    /// with a fresh compressor from the factory, is created on the first
+    /// push of an unknown track.
     ///
     /// # Examples
     ///
     /// Two interleaved trackers, collected per track:
     ///
     /// ```
-    /// use bqs_core::fleet::{FleetEngine, TrackId};
+    /// use bqs_core::fleet::{FleetConfig, FleetEngine, TrackId};
     /// use bqs_core::{BqsConfig, FastBqsCompressor};
     /// use bqs_geo::TimedPoint;
     /// use std::collections::HashMap;
     ///
     /// let config = BqsConfig::new(10.0).unwrap();
     /// let mut fleet =
-    ///     FleetEngine::with_default_config(move || FastBqsCompressor::new(config));
+    ///     FleetEngine::new(FleetConfig::default(), move || FastBqsCompressor::new(config));
     /// let mut out: HashMap<TrackId, Vec<TimedPoint>> = HashMap::new();
     /// for i in 0..50u64 {
     ///     let p = TimedPoint::new(i as f64 * 7.0, 0.0, i as f64 * 60.0);
@@ -422,67 +338,58 @@ where
     /// assert!(out[&0].len() >= 2);
     /// ```
     pub fn push_tagged(&mut self, track: TrackId, p: TimedPoint, out: &mut dyn FleetSink) {
-        self.push(track, p, &mut TrackSink::new(out, track));
+        let factory = &self.factory;
+        let session = self.sessions.entry(track).or_insert_with(|| Session {
+            compressor: factory(),
+            last_active: p.t,
+            points: 0,
+        });
+        session
+            .compressor
+            .push(p, &mut TrackSink { inner: out, track });
+        session.last_active = session.last_active.max(p.t);
+        session.points += 1;
     }
 
-    /// Feeds a batch of `(track, point)` records (any interleaving),
-    /// emitting tagged kept points.
-    pub fn ingest(
-        &mut self,
-        records: impl IntoIterator<Item = (TrackId, TimedPoint)>,
-        out: &mut dyn FleetSink,
-    ) {
-        for (track, p) in records {
-            self.push_tagged(track, p, out);
-        }
-    }
-
+    /// Finishes `session`'s compressor into `out`, merges its statistics
+    /// and fires the sink's [`FleetSink::session_closed`] hook.
     fn retire(
         &mut self,
         mut session: Session<C>,
         track: TrackId,
         reason: FlushReason,
-        out: &mut dyn Sink,
+        out: &mut dyn FleetSink,
     ) -> SessionReport {
-        session.compressor.finish(out);
+        session
+            .compressor
+            .finish(&mut TrackSink { inner: out, track });
         let stats = session.compressor.decision_stats();
         self.retired_stats.merge(&stats);
-        self.retired_sessions += 1;
         if reason == FlushReason::Evicted {
             self.evicted_sessions += 1;
         }
-        SessionReport {
+        let report = SessionReport {
             track,
             points: session.points,
             stats,
             reason,
-        }
+        };
+        out.session_closed(&report);
+        report
     }
 
-    /// Ends `track`'s stream: flushes its final key point into `out`,
-    /// merges its statistics, and removes the session. `None` when the
-    /// track has no live session.
-    ///
-    /// The point-level sink cannot receive a
-    /// [`FleetSink::session_closed`] notification; sinks that act on
-    /// session close (e.g. durable spill layers) should be driven through
-    /// [`FleetEngine::finish_track_tagged`] instead.
-    pub fn finish_track(&mut self, track: TrackId, out: &mut dyn Sink) -> Option<SessionReport> {
-        let session = self.sessions.remove(&track)?;
-        Some(self.retire(session, track, FlushReason::Finished, out))
-    }
-
-    /// Like [`FleetEngine::finish_track`] but emitting tagged points into
-    /// a [`FleetSink`] and firing its [`FleetSink::session_closed`] hook
-    /// — the per-track counterpart of [`FleetEngine::finish_all`].
+    /// Ends `track`'s stream: flushes its final key points into `out`,
+    /// merges its statistics, removes the session and fires the sink's
+    /// [`FleetSink::session_closed`] hook — the per-track counterpart of
+    /// [`FleetEngine::finish_all`]. `None` when the track has no live
+    /// session.
     pub fn finish_track_tagged(
         &mut self,
         track: TrackId,
         out: &mut dyn FleetSink,
     ) -> Option<SessionReport> {
-        let report = self.finish_track(track, &mut TrackSink::new(out, track))?;
-        out.session_closed(&report);
-        Some(report)
+        let session = self.sessions.remove(&track)?;
+        Some(self.retire(session, track, FlushReason::Finished, out))
     }
 
     /// Finalises every session whose last push is older than
@@ -500,15 +407,6 @@ where
             .map(|(t, _)| *t)
             .collect();
         self.close_all(idle, FlushReason::Evicted, out)
-    }
-
-    /// Convenience: [`FleetEngine::evict_idle`] at the fleet's own stream
-    /// clock. No-op before the first push.
-    pub fn evict_idle_now(&mut self, out: &mut dyn FleetSink) -> Vec<SessionReport> {
-        match self.latest_time() {
-            Some(now) => self.evict_idle(now, out),
-            None => Vec::new(),
-        }
     }
 
     /// A consistent, non-destructive snapshot of every live session:
@@ -568,9 +466,7 @@ where
         let mut reports = Vec::with_capacity(tracks.len());
         for track in tracks {
             if let Some(session) = self.sessions.remove(&track) {
-                let report = self.retire(session, track, reason, &mut TrackSink::new(out, track));
-                out.session_closed(&report);
-                reports.push(report);
+                reports.push(self.retire(session, track, reason, out));
             }
         }
         reports
@@ -586,7 +482,9 @@ mod tests {
 
     fn engine(tolerance: f64) -> FleetEngine<FastBqsCompressor, impl Fn() -> FastBqsCompressor> {
         let config = BqsConfig::new(tolerance).unwrap();
-        FleetEngine::with_default_config(move || FastBqsCompressor::new(config))
+        FleetEngine::new(FleetConfig::default(), move || {
+            FastBqsCompressor::new(config)
+        })
     }
 
     fn wave(track: u64, n: usize) -> Vec<TimedPoint> {
@@ -606,11 +504,13 @@ mod tests {
     fn single_track_matches_solo_compression() {
         let trace = wave(7, 300);
         let mut fleet = engine(10.0);
-        let mut fleet_out: Vec<TimedPoint> = Vec::new();
+        let mut tagged: Vec<(TrackId, TimedPoint)> = Vec::new();
         for p in &trace {
-            fleet.push(7, *p, &mut fleet_out);
+            fleet.push_tagged(7, *p, &mut tagged);
         }
-        fleet.finish_track(7, &mut fleet_out);
+        fleet.finish_track_tagged(7, &mut tagged);
+        assert!(tagged.iter().all(|(track, _)| *track == 7));
+        let fleet_out: Vec<TimedPoint> = tagged.into_iter().map(|(_, p)| p).collect();
 
         let config = BqsConfig::new(10.0).unwrap();
         let mut solo = FastBqsCompressor::new(config);
@@ -653,7 +553,6 @@ mod tests {
         assert_eq!(reports.len(), 50);
         assert!(reports.iter().all(|r| r.reason == FlushReason::Finished));
         assert_eq!(fleet.active_sessions(), 0);
-        assert_eq!(fleet.retired_sessions(), 50);
         // Every track emitted at least its two anchors.
         for t in 0..50u64 {
             assert!(out.iter().filter(|(track, _)| *track == t).count() >= 2);
@@ -673,7 +572,7 @@ mod tests {
         }
         assert_eq!(fleet.active_sessions(), 2);
         // Default idle timeout is 3600 s; track 1 last pushed at t=600.
-        let evicted = fleet.evict_idle_now(&mut out);
+        let evicted = fleet.evict_idle(6000.0, &mut out);
         assert_eq!(evicted.len(), 1);
         assert_eq!(evicted[0].track, 1);
         assert_eq!(evicted[0].reason, FlushReason::Evicted);
@@ -693,9 +592,7 @@ mod tests {
         for p in &trace {
             fleet.push_tagged(10, *p, &mut out);
         }
-        let r1 = fleet
-            .finish_track(10, &mut TrackSink::new(&mut out, 10))
-            .unwrap();
+        let r1 = fleet.finish_track_tagged(10, &mut out).unwrap();
         assert_eq!(r1.points, 100);
         assert_eq!(r1.stats.points, 100);
 
@@ -704,9 +601,7 @@ mod tests {
         for p in &trace {
             fleet.push_tagged(11, *p, &mut out);
         }
-        let r2 = fleet
-            .finish_track(11, &mut TrackSink::new(&mut out, 11))
-            .unwrap();
+        let r2 = fleet.finish_track_tagged(11, &mut out).unwrap();
         assert_eq!(r2.stats, r1.stats, "same points, same decisions");
         assert_eq!(fleet.stats().points, 200);
     }
@@ -735,38 +630,6 @@ mod tests {
         fleet.finish_all(&mut counter);
         assert!(counter.count >= 2);
         assert!(counter.count < 500);
-    }
-
-    #[test]
-    fn tee_fleet_sink_duplicates_points_and_close_notifications() {
-        struct CloseCounter {
-            points: usize,
-            closes: Vec<(TrackId, FlushReason)>,
-        }
-        impl FleetSink for CloseCounter {
-            fn accept(&mut self, _track: TrackId, _point: TimedPoint) {
-                self.points += 1;
-            }
-            fn session_closed(&mut self, report: &SessionReport) {
-                self.closes.push((report.track, report.reason));
-            }
-        }
-        let mut fleet = engine(10.0);
-        let mut collected: Vec<(TrackId, TimedPoint)> = Vec::new();
-        let mut counter = CloseCounter {
-            points: 0,
-            closes: Vec::new(),
-        };
-        {
-            let mut tee = TeeFleetSink::new(&mut collected, &mut counter);
-            for p in wave(3, 50) {
-                fleet.push_tagged(3, p, &mut tee);
-            }
-            fleet.finish_all(&mut tee);
-        }
-        assert!(!collected.is_empty());
-        assert_eq!(collected.len(), counter.points);
-        assert_eq!(counter.closes, vec![(3, FlushReason::Finished)]);
     }
 
     #[test]
@@ -824,7 +687,8 @@ mod tests {
     #[test]
     fn finish_unknown_track_is_none() {
         let mut fleet = engine(10.0);
-        let mut out: Vec<TimedPoint> = Vec::new();
-        assert!(fleet.finish_track(99, &mut out).is_none());
+        let mut out: Vec<(TrackId, TimedPoint)> = Vec::new();
+        assert!(fleet.finish_track_tagged(99, &mut out).is_none());
+        assert!(out.is_empty());
     }
 }

@@ -22,13 +22,17 @@
 //!   by `tests/parallel_fleet.rs`.
 //! * **Batched submission** — one buffer per worker is the only point
 //!   transport: [`ParallelFleet::push`] fills it and ships it once it
-//!   holds [`ParallelConfig::batch_points`], while
-//!   [`ParallelFleet::submit_run`] appends a whole run and ships at once.
-//!   Either way channel synchronisation is amortised over many points,
-//!   and a track's points leave in submission order.
-//! * **Backpressure** — channels are bounded
-//!   ([`ParallelConfig::channel_batches`]); when a worker falls behind,
-//!   [`ParallelFleet::push`] blocks instead of buffering unboundedly.
+//!   holds `BATCH_POINTS` (256), while [`ParallelFleet::submit_run`]
+//!   appends a whole run and ships at once. Either way channel
+//!   synchronisation is amortised over many points, and a track's points
+//!   leave in submission order.
+//! * **Backpressure** — each worker's channel holds `CHANNEL_BATCHES` (4)
+//!   batches; when a worker falls behind, [`ParallelFleet::push`] blocks
+//!   instead of buffering unboundedly.
+//! * **Always metered** — every fleet counts into [`FleetMetrics`]
+//!   handles: the caller's registry through
+//!   [`ParallelFleet::with_metrics`], a private one through
+//!   [`ParallelFleet::new`]. There is no unmetered data path.
 //! * **Shared-nothing state** — each worker owns a private [`FleetEngine`]
 //!   *and* a private [`FleetSink`] (built per shard by the sink factory),
 //!   so the hot path takes no locks. A durable pipeline gives each shard
@@ -87,21 +91,23 @@ pub fn worker_of(track: TrackId, workers: usize) -> usize {
     ((track_hash(track) >> 32) % workers.max(1) as u64) as usize
 }
 
-/// Tuning knobs for the parallel runtime.
+/// Points [`ParallelFleet::push`] buffers per worker before the buffer
+/// ships as one channel message ([`ParallelFleet::submit_run`] ships at
+/// once, whatever the fill): channel synchronisation amortised over a
+/// batch, at a latency of at most one batch.
+const BATCH_POINTS: usize = 256;
+
+/// Bounded channel depth in batches per worker — the backpressure
+/// window. Submission blocks once a worker is this far behind.
+const CHANNEL_BATCHES: usize = 4;
+
+/// Configuration of the parallel runtime.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ParallelConfig {
     /// Worker shards (threads), minimum 1; any count, not only powers of
     /// two. A spill tree must be reopened with the count it was written
     /// with, since [`worker_of`] routes by it.
     pub workers: usize,
-    /// Points [`ParallelFleet::push`] buffers per worker before the
-    /// buffer ships as one channel message ([`ParallelFleet::submit_run`]
-    /// ships at once, whatever the fill). Larger batches amortise channel
-    /// synchronisation; smaller batches reduce end-to-end latency.
-    pub batch_points: usize,
-    /// Bounded channel depth in batches per worker — the backpressure
-    /// window. `push` blocks once a worker is this far behind.
-    pub channel_batches: usize,
     /// Configuration for each worker's private [`FleetEngine`].
     pub fleet: FleetConfig,
 }
@@ -110,8 +116,6 @@ impl Default for ParallelConfig {
     fn default() -> ParallelConfig {
         ParallelConfig {
             workers: std::thread::available_parallelism().map_or(1, |n| n.get()),
-            batch_points: 256,
-            channel_batches: 4,
             fleet: FleetConfig::default(),
         }
     }
@@ -200,20 +204,21 @@ impl<S> FleetJoin<S> {
     }
 }
 
-/// Pre-registered metric handles for one fleet: per-shard submission
-/// counters, channel-depth gauges and worker busy/idle time, plus
-/// fleet-wide totals. Built once from a
-/// [`MetricsRegistry`] and passed to
-/// [`ParallelFleet::with_metrics`]; every recording is a relaxed atomic,
-/// so instrumentation never perturbs the data path (output stays
-/// byte-identical to an unmetered fleet). Fleets built without metrics
-/// pay only a branch on `None` per submission.
+/// Metric handles for one fleet: per-shard submission counters,
+/// channel-depth gauges and worker busy/idle time, plus fleet-wide
+/// totals, all in one [`MetricsRegistry`]. Passed to
+/// [`ParallelFleet::with_metrics`], which registers each shard's handles
+/// as it spawns that shard, so every shard is metered whatever the
+/// worker count. Every recording is a relaxed atomic, so instrumentation
+/// never perturbs the data path.
 ///
 /// Metric names are catalogued in `docs/observability.md`
 /// (`fleet_submitted_points_total`, `fleet_shard<k>_channel_depth`, …).
 #[derive(Clone, Debug)]
 pub struct FleetMetrics {
-    shards: Vec<ShardMetrics>,
+    registry: MetricsRegistry,
+    /// Flight recorder the shards emit `Evict` events into, when wired.
+    trace: Option<FlightRecorder>,
 }
 
 /// One shard's handles; clones of the fleet-wide totals ride along so a
@@ -232,43 +237,42 @@ struct ShardMetrics {
     total_dropped: Counter,
     /// Sessions reclaimed by idle eviction, fleet-wide.
     evicted: Counter,
-    /// Flight recorder the sinks emit `Evict` events into, when wired.
     trace: Option<FlightRecorder>,
 }
 
 impl FleetMetrics {
-    /// Registers the fleet's metrics for `workers` shards in `registry`
-    /// and keeps the handles.
-    pub fn new(registry: &MetricsRegistry, workers: usize) -> FleetMetrics {
-        let total_submitted = registry.counter("fleet_submitted_points_total");
-        let total_kept = registry.counter("fleet_kept_points_total");
-        let total_dropped = registry.counter("fleet_dropped_points_total");
-        let evicted = registry.counter("fleet_evicted_sessions_total");
-        let shards = (0..workers.max(1))
-            .map(|k| ShardMetrics {
-                submitted: registry.counter(&format!("fleet_shard{k}_submitted_points_total")),
-                kept: registry.counter(&format!("fleet_shard{k}_kept_points_total")),
-                dropped: registry.counter(&format!("fleet_shard{k}_dropped_points_total")),
-                depth: registry.gauge(&format!("fleet_shard{k}_channel_depth")),
-                busy_us: registry.counter(&format!("fleet_shard{k}_busy_us_total")),
-                idle_us: registry.counter(&format!("fleet_shard{k}_idle_us_total")),
-                total_submitted: total_submitted.clone(),
-                total_kept: total_kept.clone(),
-                total_dropped: total_dropped.clone(),
-                evicted: evicted.clone(),
-                trace: None,
-            })
-            .collect();
-        FleetMetrics { shards }
+    /// Handles that register in `registry`.
+    pub fn new(registry: &MetricsRegistry) -> FleetMetrics {
+        FleetMetrics {
+            registry: registry.clone(),
+            trace: None,
+        }
     }
 
     /// Wires a flight recorder into every shard: each idle eviction then
     /// emits one `Evict` trace event alongside the counter bump.
     pub fn with_trace(mut self, trace: FlightRecorder) -> FleetMetrics {
-        for shard in &mut self.shards {
-            shard.trace = Some(trace.clone());
-        }
+        self.trace = Some(trace);
         self
+    }
+
+    /// Registers shard `k`'s handles (the fleet-wide totals re-attach
+    /// to the same counters for every shard).
+    fn shard(&self, k: usize) -> ShardMetrics {
+        let registry = &self.registry;
+        ShardMetrics {
+            submitted: registry.counter(&format!("fleet_shard{k}_submitted_points_total")),
+            kept: registry.counter(&format!("fleet_shard{k}_kept_points_total")),
+            dropped: registry.counter(&format!("fleet_shard{k}_dropped_points_total")),
+            depth: registry.gauge(&format!("fleet_shard{k}_channel_depth")),
+            busy_us: registry.counter(&format!("fleet_shard{k}_busy_us_total")),
+            idle_us: registry.counter(&format!("fleet_shard{k}_idle_us_total")),
+            total_submitted: registry.counter("fleet_submitted_points_total"),
+            total_kept: registry.counter("fleet_kept_points_total"),
+            total_dropped: registry.counter("fleet_dropped_points_total"),
+            evicted: registry.counter("fleet_evicted_sessions_total"),
+            trace: self.trace.clone(),
+        }
     }
 }
 
@@ -288,23 +292,20 @@ impl ShardMetrics {
 /// touching them — the data path through the inner sink is unchanged.
 struct MeteredSink<S> {
     inner: S,
-    kept: Counter,
-    total_kept: Counter,
-    evicted: Counter,
-    trace: Option<FlightRecorder>,
+    metrics: ShardMetrics,
 }
 
 impl<S: FleetSink> FleetSink for MeteredSink<S> {
     fn accept(&mut self, track: TrackId, point: TimedPoint) {
-        self.kept.inc();
-        self.total_kept.inc();
+        self.metrics.kept.inc();
+        self.metrics.total_kept.inc();
         self.inner.accept(track, point);
     }
 
     fn session_closed(&mut self, report: &SessionReport) {
         if report.reason == FlushReason::Evicted {
-            self.evicted.inc();
-            if let Some(tr) = &self.trace {
+            self.metrics.evicted.inc();
+            if let Some(tr) = &self.metrics.trace {
                 tr.record(TraceEventKind::Evict, 0, report.points);
             }
         }
@@ -347,35 +348,28 @@ struct Worker<S> {
     /// Set once a send fails: the worker panicked and its receiver is
     /// gone. Routing keeps working; delivery stops.
     dead: bool,
-    /// Submission-side metric handles; `None` costs one branch.
-    metrics: Option<ShardMetrics>,
+    /// Submission-side metric handles.
+    metrics: ShardMetrics,
 }
 
 impl<S> Worker<S> {
-    fn flush(&mut self, batch_capacity: usize) {
+    fn flush(&mut self) {
         if self.buffer.is_empty() || self.dead {
             self.buffer.clear();
             return;
         }
-        let batch = std::mem::replace(&mut self.buffer, Vec::with_capacity(batch_capacity));
+        let batch = std::mem::replace(&mut self.buffer, Vec::with_capacity(BATCH_POINTS));
         // bqs-analyze: allow(no-unwrap-in-lib) — sender is only taken in join(), which consumes self
         let sender = self.sender.as_ref().expect("sender lives until join");
         // The depth gauge rises *before* the send: the worker decrements
         // on receipt, and decrementing a not-yet-incremented gauge would
         // wrap it below zero.
-        if let Some(m) = &self.metrics {
-            m.depth.add(1);
-        }
-        match sender.send(Msg::Batch(batch)) {
-            Ok(()) => {}
-            Err(SendError(msg)) => {
-                self.dead = true;
-                if let Some(m) = &self.metrics {
-                    m.depth.sub(1);
-                    if let Msg::Batch(lost) = msg {
-                        m.on_dropped(lost.len() as u64);
-                    }
-                }
+        self.metrics.depth.add(1);
+        if let Err(SendError(msg)) = sender.send(Msg::Batch(batch)) {
+            self.dead = true;
+            self.metrics.depth.sub(1);
+            if let Msg::Batch(lost) = msg {
+                self.metrics.on_dropped(lost.len() as u64);
             }
         }
     }
@@ -386,41 +380,7 @@ fn worker_loop<C, CF, S>(
     config: FleetConfig,
     factory: CF,
     sink: S,
-    metrics: Option<ShardMetrics>,
-) -> WorkerOutput<S>
-where
-    C: StreamCompressor + HasDecisionStats + Clone,
-    CF: Fn() -> C,
-    S: FleetSink,
-{
-    // The metered wrapper exists only inside the metered arm, so the
-    // unmetered data path is exactly the code it always was.
-    match metrics {
-        None => run_worker(rx, config, factory, sink, None),
-        Some(m) => {
-            let metered = MeteredSink {
-                inner: sink,
-                kept: m.kept.clone(),
-                total_kept: m.total_kept.clone(),
-                evicted: m.evicted.clone(),
-                trace: m.trace.clone(),
-            };
-            let out = run_worker(rx, config, factory, metered, Some(m));
-            WorkerOutput {
-                reports: out.reports,
-                stats: out.stats,
-                sink: out.sink.inner,
-            }
-        }
-    }
-}
-
-fn run_worker<C, CF, S>(
-    rx: Receiver<Msg>,
-    config: FleetConfig,
-    factory: CF,
-    mut sink: S,
-    metrics: Option<ShardMetrics>,
+    metrics: ShardMetrics,
 ) -> WorkerOutput<S>
 where
     C: StreamCompressor + HasDecisionStats + Clone,
@@ -428,19 +388,19 @@ where
     S: FleetSink,
 {
     let mut engine = FleetEngine::new(config, factory);
+    let mut sink = MeteredSink {
+        inner: sink,
+        metrics,
+    };
     let mut reports = Vec::new();
     loop {
-        let idle_from = metrics.as_ref().map(|_| bqs_obs::now());
+        let idle_from = bqs_obs::now();
         let Ok(msg) = rx.recv() else { break };
-        let busy_from = metrics.as_ref().map(|m| {
-            if let Some(t) = idle_from {
-                m.idle_us.add(elapsed_us(t));
-            }
-            if matches!(msg, Msg::Batch(_)) {
-                m.depth.sub(1);
-            }
-            bqs_obs::now()
-        });
+        if matches!(msg, Msg::Batch(_)) {
+            sink.metrics.depth.sub(1);
+        }
+        sink.metrics.idle_us.add(elapsed_us(idle_from));
+        let busy_from = bqs_obs::now();
         match msg {
             Msg::Batch(batch) => {
                 for (track, p) in batch {
@@ -453,9 +413,7 @@ where
             Msg::Snapshot(reply) => drop(reply.send(engine.snapshot(&sink))),
             Msg::Stats(reply) => drop(reply.send(engine.stats())),
         }
-        if let (Some(m), Some(t)) = (&metrics, busy_from) {
-            m.busy_us.add(elapsed_us(t));
-        }
+        sink.metrics.busy_us.add(elapsed_us(busy_from));
     }
     // Channel closed: the submission side called join (or was dropped).
     reports.extend(engine.finish_all(&mut sink));
@@ -463,7 +421,7 @@ where
     WorkerOutput {
         reports,
         stats,
-        sink,
+        sink: sink.inner,
     }
 }
 
@@ -471,47 +429,45 @@ where
 /// through a private [`FleetEngine`]. See the module docs for the design.
 pub struct ParallelFleet<S> {
     workers: Vec<Worker<S>>,
-    batch_points: usize,
 }
 
 impl<S: FleetSink + Send + 'static> ParallelFleet<S> {
     /// Spawns `config.workers` worker threads. `factory` builds one
     /// compressor per session (cloned into every worker); `sink_factory`
     /// builds each shard's private sink (called with the shard index,
-    /// in order).
+    /// in order). The fleet counts into metrics of its own, in a
+    /// registry nothing else reads; [`ParallelFleet::with_metrics`]
+    /// chooses the registry.
     pub fn new<C, CF, SF>(config: ParallelConfig, factory: CF, sink_factory: SF) -> ParallelFleet<S>
     where
         C: StreamCompressor + HasDecisionStats + Clone + Send + 'static,
         CF: Fn() -> C + Clone + Send + 'static,
         SF: FnMut(usize) -> S,
     {
-        ParallelFleet::with_metrics(config, factory, sink_factory, None)
+        let metrics = FleetMetrics::new(&MetricsRegistry::new());
+        ParallelFleet::with_metrics(config, factory, sink_factory, metrics)
     }
 
-    /// [`ParallelFleet::new`] with optional pre-registered metric
-    /// handles ([`FleetMetrics`]). Instrumentation is submission-side
-    /// counters plus a counting sink wrapper — the data path and its
-    /// output are byte-identical to an unmetered fleet.
+    /// [`ParallelFleet::new`], counting into `metrics`: submission-side
+    /// counters plus a counting sink wrapper around each shard's sink.
     pub fn with_metrics<C, CF, SF>(
         config: ParallelConfig,
         factory: CF,
         mut sink_factory: SF,
-        metrics: Option<FleetMetrics>,
+        metrics: FleetMetrics,
     ) -> ParallelFleet<S>
     where
         C: StreamCompressor + HasDecisionStats + Clone + Send + 'static,
         CF: Fn() -> C + Clone + Send + 'static,
         SF: FnMut(usize) -> S,
     {
-        let count = config.workers.max(1);
-        let batch_points = config.batch_points.max(1);
-        let workers = (0..count)
+        let workers = (0..config.workers.max(1))
             .map(|shard| {
-                let (sender, rx) = sync_channel(config.channel_batches.max(1));
+                let (sender, rx) = sync_channel(CHANNEL_BATCHES);
                 let fleet_config = config.fleet;
                 let factory = factory.clone();
                 let sink = sink_factory(shard);
-                let shard_metrics = metrics.as_ref().and_then(|m| m.shards.get(shard)).cloned();
+                let shard_metrics = metrics.shard(shard);
                 let worker_metrics = shard_metrics.clone();
                 let handle = std::thread::Builder::new()
                     .name(format!("bqs-fleet-{shard}"))
@@ -521,7 +477,7 @@ impl<S: FleetSink + Send + 'static> ParallelFleet<S> {
                 Worker {
                     sender: Some(sender),
                     handle: Some(handle),
-                    buffer: Vec::with_capacity(batch_points),
+                    buffer: Vec::with_capacity(BATCH_POINTS),
                     tracks: HashSet::new(),
                     submitted_points: 0,
                     dead: false,
@@ -529,10 +485,7 @@ impl<S: FleetSink + Send + 'static> ParallelFleet<S> {
                 }
             })
             .collect();
-        ParallelFleet {
-            workers,
-            batch_points,
-        }
+        ParallelFleet { workers }
     }
 
     /// Number of worker shards.
@@ -553,29 +506,17 @@ impl<S: FleetSink + Send + 'static> ParallelFleet<S> {
     /// silent.
     pub fn push(&mut self, track: TrackId, p: TimedPoint) {
         let shard = self.shard_of(track);
-        let batch_points = self.batch_points;
         let worker = &mut self.workers[shard];
         worker.tracks.insert(track);
         worker.submitted_points += 1;
-        if let Some(m) = &worker.metrics {
-            m.on_submitted(1);
-        }
+        worker.metrics.on_submitted(1);
         if worker.dead {
-            if let Some(m) = &worker.metrics {
-                m.on_dropped(1);
-            }
+            worker.metrics.on_dropped(1);
             return;
         }
         worker.buffer.push((track, p));
-        if worker.buffer.len() >= batch_points {
-            worker.flush(batch_points);
-        }
-    }
-
-    /// Submits a batch of `(track, point)` records (any interleaving).
-    pub fn ingest(&mut self, records: impl IntoIterator<Item = (TrackId, TimedPoint)>) {
-        for (track, p) in records {
-            self.push(track, p);
+        if worker.buffer.len() >= BATCH_POINTS {
+            worker.flush();
         }
     }
 
@@ -588,7 +529,6 @@ impl<S: FleetSink + Send + 'static> ParallelFleet<S> {
     /// backpressure (the send blocks while the shard's channel is full).
     pub fn submit_run(&mut self, track: TrackId, points: impl IntoIterator<Item = TimedPoint>) {
         let shard = self.shard_of(track);
-        let batch_points = self.batch_points;
         let worker = &mut self.workers[shard];
         worker.tracks.insert(track);
         let n = if worker.dead {
@@ -599,21 +539,18 @@ impl<S: FleetSink + Send + 'static> ParallelFleet<S> {
             (worker.buffer.len() - before) as u64
         };
         worker.submitted_points += n;
-        if let Some(m) = &worker.metrics {
-            m.on_submitted(n);
-            if worker.dead {
-                m.on_dropped(n);
-            }
+        worker.metrics.on_submitted(n);
+        if worker.dead {
+            worker.metrics.on_dropped(n);
         }
-        worker.flush(batch_points);
+        worker.flush();
     }
 
     /// Ships every partially filled batch now. Useful before a pause;
     /// `join` and `evict_idle` flush implicitly.
     pub fn flush(&mut self) {
-        let batch_points = self.batch_points;
         for worker in &mut self.workers {
-            worker.flush(batch_points);
+            worker.flush();
         }
     }
 
@@ -622,9 +559,8 @@ impl<S: FleetSink + Send + 'static> ParallelFleet<S> {
     /// previously submitted points (per-worker order is preserved);
     /// eviction reports surface in [`ParallelFleet::join`].
     pub fn evict_idle(&mut self, now: f64) {
-        let batch_points = self.batch_points;
         for worker in &mut self.workers {
-            worker.flush(batch_points);
+            worker.flush();
             if worker.dead {
                 continue;
             }
@@ -712,11 +648,10 @@ impl<S: FleetSink + Send + 'static> ParallelFleet<S> {
     /// Healthy shards come back as [`ShardOutput`]s; panicked shards as
     /// [`ShardFailure`]s naming every track that was routed to them.
     pub fn join(mut self) -> FleetJoin<S> {
-        let batch_points = self.batch_points;
         let mut shards = Vec::new();
         let mut failures = Vec::new();
         for (shard, mut worker) in self.workers.drain(..).enumerate() {
-            worker.flush(batch_points);
+            worker.flush();
             drop(worker.sender.take()); // closes the channel: worker drains and exits
                                         // bqs-analyze: allow(no-unwrap-in-lib) — invariant: join consumes the handle
             let handle = worker.handle.take().expect("join consumes the handle");
@@ -806,8 +741,6 @@ mod tests {
         ParallelFleet::new(
             ParallelConfig {
                 workers,
-                batch_points: 7, // deliberately awkward: exercises partial batches
-                channel_batches: 2,
                 fleet: FleetConfig::default(),
             },
             move || FastBqsCompressor::new(config),
@@ -832,10 +765,12 @@ mod tests {
 
     #[test]
     fn parallel_output_equals_solo_compression_for_any_worker_count() {
-        let traces: Vec<Vec<TimedPoint>> = (0..12).map(|t| wave(t, 150)).collect();
+        // 3 612 points: every worker count ships full batches and ends on
+        // a partly filled one.
+        let traces: Vec<Vec<TimedPoint>> = (0..12).map(|t| wave(t, 301)).collect();
         for workers in [1, 2, 3, 8] {
             let mut fleet = parallel(workers, 10.0);
-            for i in 0..150 {
+            for i in 0..301 {
                 for (t, trace) in traces.iter().enumerate() {
                     fleet.push(t as u64, trace[i]);
                 }
@@ -877,8 +812,6 @@ mod tests {
         let mut fleet = ParallelFleet::new(
             ParallelConfig {
                 workers: 2,
-                batch_points: 4,
-                channel_batches: 2,
                 fleet: FleetConfig {
                     idle_timeout: 100.0,
                 },
@@ -940,8 +873,6 @@ mod tests {
         let mut fleet = ParallelFleet::new(
             ParallelConfig {
                 workers: 4,
-                batch_points: 4,
-                channel_batches: 2,
                 fleet: FleetConfig::default(),
             },
             move || Poisonable(FastBqsCompressor::new(config)),
@@ -1047,13 +978,11 @@ mod tests {
         let mut fleet = ParallelFleet::with_metrics(
             ParallelConfig {
                 workers: 2,
-                batch_points: 4,
-                channel_batches: 2,
                 fleet: FleetConfig::default(),
             },
             move || Poisonable(FastBqsCompressor::new(config)),
             |_| HashMap::<TrackId, Vec<TimedPoint>>::new(),
-            Some(FleetMetrics::new(&registry, 2)),
+            FleetMetrics::new(&registry),
         );
         let dead_shard = fleet.shard_of(0);
         let (dead_tracks, live_tracks): (Vec<TrackId>, Vec<TrackId>) =
@@ -1222,8 +1151,6 @@ mod tests {
         let mut fleet = ParallelFleet::new(
             ParallelConfig {
                 workers: 2,
-                batch_points: 2,
-                channel_batches: 2,
                 fleet: FleetConfig::default(),
             },
             move || Poisonable(FastBqsCompressor::new(config)),
@@ -1269,25 +1196,44 @@ mod tests {
 
     #[test]
     fn backpressure_blocks_instead_of_buffering_unboundedly() {
-        // A tiny channel with a slow consumer: correctness under
-        // saturation, and sent batches are bounded by channel capacity.
-        let config = BqsConfig::new(5.0).unwrap();
-        let mut fleet = ParallelFleet::new(
+        // A sink that sleeps on every kept point: the worker falls far
+        // behind, so the producer fills the channel and then blocks.
+        struct SlowSink(HashMap<TrackId, Vec<TimedPoint>>);
+        impl FleetSink for SlowSink {
+            fn accept(&mut self, track: TrackId, point: TimedPoint) {
+                std::thread::sleep(std::time::Duration::from_micros(100));
+                self.0.accept(track, point);
+            }
+        }
+        let registry = MetricsRegistry::new();
+        let config = BqsConfig::new(0.5).unwrap();
+        let mut fleet = ParallelFleet::with_metrics(
             ParallelConfig {
                 workers: 1,
-                batch_points: 2,
-                channel_batches: 1,
                 fleet: FleetConfig::default(),
             },
             move || FastBqsCompressor::new(config),
-            |_| HashMap::<TrackId, Vec<TimedPoint>>::new(),
+            |_| SlowSink(HashMap::new()),
+            FleetMetrics::new(&registry),
         );
-        let trace = wave(3, 500);
+        let trace = wave(3, (CHANNEL_BATCHES + 4) * BATCH_POINTS + 17);
         for p in &trace {
             fleet.push(3, *p);
         }
-        let join = fleet.join();
-        let all = merged(join);
+        let mut join = fleet.join();
+        // Beyond the channel's batches the gauge can count two more: the
+        // one the producer counts before its send blocks, and the one the
+        // worker has taken off the channel but not yet uncounted — the
+        // taking frees the slot that unblocks the producer, so it can
+        // count its next batch first.
+        let peak = registry.gauge("fleet_shard0_channel_depth").peak();
+        let bound = CHANNEL_BATCHES as u64;
+        assert!(
+            peak >= bound,
+            "the producer never filled the channel: {peak}"
+        );
+        assert!(peak <= bound + 2, "{peak} batches queued past the bound");
+        let all = join.shards.remove(0).sink.0;
         let mut solo = FastBqsCompressor::new(config);
         let expected = compress_all(&mut solo, trace);
         assert_eq!(all[&3], expected);

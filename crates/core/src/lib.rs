@@ -23,10 +23,11 @@
 //!   (`Vec`, and [`CountingSink`] for the zero-allocation path), plus
 //!   decision statistics from which pruning power is computed.
 //! * [`fleet`] — the multi-session [`FleetEngine`]: one session table
-//!   keyed by track id, a fresh compressor per session,
-//!   idle-session eviction and merged decision statistics — plus
-//!   [`fleet::parallel`], the multi-threaded sharded runtime
-//!   ([`ParallelFleet`]) that scales the engine across cores.
+//!   keyed by track id, a fresh compressor per session, tagged emission
+//!   into a [`FleetSink`], idle-session eviction and merged decision
+//!   statistics — plus [`fleet::parallel`], the multi-threaded sharded
+//!   runtime ([`ParallelFleet`], always counting into [`FleetMetrics`])
+//!   that scales the engine across cores.
 //! * [`reconstruct`] — timestamp interpolation and trajectory reconstruction
 //!   (Eqs. 1–3), with uniform and online-fitted Gaussian progress models.
 //! * [`bqs3d`] — the 3-D BQS (§V-G): bounding prisms, Θ/Φ bounding planes
@@ -73,7 +74,7 @@ pub use config::{BoundsMode, BqsConfig, ConfigError, RotationMode};
 pub use fbqs::FastBqsCompressor;
 pub use fleet::{
     FleetConfig, FleetEngine, FleetJoin, FleetMetrics, FleetSink, FlushReason, ParallelConfig,
-    ParallelFleet, SessionReport, ShardFailure, ShardOutput, TeeFleetSink, TrackId,
+    ParallelFleet, SessionReport, ShardFailure, ShardOutput, TrackId,
 };
 pub use metrics::DeviationMetric;
 pub use quadrant::QuadrantBounds;
@@ -87,7 +88,9 @@ pub mod prelude {
     pub use crate::bqs::BqsCompressor;
     pub use crate::config::{BoundsMode, BqsConfig, RotationMode};
     pub use crate::fbqs::FastBqsCompressor;
-    pub use crate::fleet::{FleetConfig, FleetEngine, ParallelConfig, ParallelFleet};
+    pub use crate::fleet::{
+        FleetConfig, FleetEngine, FleetSink, ParallelConfig, ParallelFleet, TrackId,
+    };
     pub use crate::metrics::DeviationMetric;
     pub use crate::stream::{compress_all, compress_into, CountingSink, Sink, StreamCompressor};
     pub use bqs_geo::{Point2, TimedPoint};

@@ -76,7 +76,6 @@ fn fleet(workers: usize) -> ParallelFleet<HashMap<TrackId, Vec<TimedPoint>>> {
         ParallelConfig {
             workers,
             fleet: FleetConfig::default(),
-            ..ParallelConfig::default()
         },
         move || FastBqsCompressor::new(config),
         |_| HashMap::new(),

@@ -329,8 +329,18 @@ impl SubHub {
     fn update_gauges(&self, subs: &[Sub]) {
         self.active.store(subs.len(), Ordering::SeqCst); // ordering: seqcst count publish, ordered with the subs-lock mutation it mirrors
         self.subscribers_gauge.set(subs.len() as u64);
-        self.queue_gauge
-            .set(subs.iter().map(|s| s.queued_points as u64).sum());
+        self.set_queue_gauge(subs);
+    }
+
+    /// The subscriber backlog: points queued across every live
+    /// subscriber, not only the ones the latest point matched.
+    fn set_queue_gauge(&self, subs: &[Sub]) {
+        self.queue_gauge.set(
+            subs.iter()
+                .filter(|s| !s.dead)
+                .map(|s| s.queued_points as u64)
+                .sum(),
+        );
     }
 
     /// Registers a handed-off connection as a subscriber.
@@ -359,7 +369,6 @@ impl SubHub {
             return;
         }
         let mut subs = self.lock();
-        let mut queued_total = 0u64;
         for sub in subs.iter_mut() {
             if sub.dead || sub.track.is_some_and(|t| t != track) {
                 continue;
@@ -383,9 +392,8 @@ impl SubHub {
                 _ => sub.queue.push((track, vec![point])),
             }
             sub.queued_points += 1;
-            queued_total += sub.queued_points as u64;
         }
-        self.queue_gauge.set(queued_total);
+        self.set_queue_gauge(&subs);
     }
 
     /// Delivers every queued batch and reaps dead subscribers. The
@@ -466,8 +474,9 @@ enum ReqKind {
     Query,
     Stats,
     Flush,
-    /// Hello, Shutdown, Metrics and unrecognised tags: rare,
-    /// non-latency-critical traffic, pooled into one class.
+    /// Hello, Metrics, Shutdown, AppendLate, Subscribe, TraceDump and
+    /// unrecognised tags: rare, non-latency-critical traffic, pooled
+    /// into one class.
     Other,
 }
 
@@ -773,7 +782,7 @@ impl Server {
             registry.counter("trace_events_recorded_total"),
             registry.counter("trace_events_dropped_total"),
         );
-        let fleet_metrics = FleetMetrics::new(&registry, config.workers).with_trace(trace.clone());
+        let fleet_metrics = FleetMetrics::new(&registry).with_trace(trace.clone());
         let spill_metrics = SpillMetrics::new(&registry).with_trace(trace.clone());
         let hub = Arc::new(SubHub::new(&registry));
         let sink_hub = Arc::clone(&hub);
@@ -787,18 +796,17 @@ impl Server {
                         FleetConfig::default().idle_timeout
                     },
                 },
-                ..ParallelConfig::default()
             },
             move || FastBqsCompressor::new(bqs_config),
             |shard| SubTeeSink {
                 inner: SpillSink::with_metrics(
                     // bqs-analyze: allow(no-unwrap-in-lib) — invariant: one log per shard
                     logs[shard].take().expect("one log per shard"),
-                    Some(spill_metrics.clone()),
+                    spill_metrics.clone(),
                 ),
                 hub: Arc::clone(&sink_hub),
             },
-            Some(fleet_metrics),
+            fleet_metrics,
         );
         let listener = TcpListener::bind(&config.addr)
             .map_err(|e| NetError::io(format!("bind {}", config.addr), e))?;
@@ -1853,22 +1861,24 @@ fn handle_append_late(
     }
 }
 
+/// The reply to any request but `Hello` on a connection that has not
+/// completed the handshake.
+fn handshake_refused() -> (Reply, After) {
+    (
+        Reply::Error {
+            code: ErrorCode::BadRequest,
+            message: "expected Hello as the first message on a connection".to_string(),
+        },
+        After::Close,
+    )
+}
+
 fn handle_request(
     request: Request,
     shared: &Shared,
     greeted: &mut bool,
     conn: u64,
 ) -> (Reply, After) {
-    // The handshake gate: only `Hello` is served before it passes.
-    if !*greeted && !matches!(request, Request::Hello { .. }) {
-        return (
-            Reply::Error {
-                code: ErrorCode::BadRequest,
-                message: "expected Hello as the first message on a connection".to_string(),
-            },
-            After::Close,
-        );
-    }
     match request {
         Request::Hello { protocol } => {
             if protocol != PROTOCOL_VERSION {
@@ -1891,13 +1901,11 @@ fn handle_request(
                 After::Continue,
             )
         }
-        Request::Append { track, points } => {
-            // The row-decoded path — reachable only through direct
-            // `Request` handling (the server catches `Append` in the
-            // columnar fast path); kept for exactness with it.
-            let batch = ColumnarBatch::from_points(&points);
-            handle_append_columns(track, &batch, shared, conn)
-        }
+        // The handshake gate: only `Hello` is served before it passes.
+        // Past it, `handle_payload` serves every `Append` on the
+        // columnar path, so one that reaches here came before `Hello`.
+        Request::Append { .. } => handshake_refused(),
+        _ if !*greeted => handshake_refused(),
         Request::Flush => {
             let mut guard = shared.lock_fleet();
             let Some(state) = guard.as_mut() else {
@@ -2102,5 +2110,28 @@ mod tests {
                 ),
             }
         );
+    }
+
+    #[test]
+    fn the_subscriber_backlog_gauge_sums_every_subscriber() {
+        // One loopback socket pair per subscriber: the hub holds the
+        // server end; the client end only has to stay open.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let registry = MetricsRegistry::new();
+        let hub = SubHub::new(&registry);
+        let mut clients = Vec::new();
+        for track in [1, 2] {
+            clients.push(TcpStream::connect(addr).unwrap());
+            let (server_end, _) = listener.accept().unwrap();
+            hub.add(server_end, Some(track), None);
+        }
+        for i in 0..10 {
+            hub.publish(1, TimedPoint::new(f64::from(i), 0.0, f64::from(i)));
+        }
+        hub.publish(2, TimedPoint::new(0.0, 0.0, 0.0));
+        // Ten points wait for track 1's subscriber, one for track 2's.
+        assert_eq!(registry.gauge("net_sub_queue_points").get(), 11);
+        drop(clients);
     }
 }

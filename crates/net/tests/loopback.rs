@@ -650,19 +650,26 @@ fn requests_before_the_handshake_are_refused() {
     let root = temp_root("no-hello");
     let (addr, server) = start(1, &root);
     // Skip Hello entirely: the first real request must be refused and
-    // the connection closed.
-    let mut raw = TcpStream::connect(addr).expect("connect raw");
-    write_frame(&mut raw, &bqs_net::Request::Stats.encode().unwrap()).unwrap();
-    let mut reader = std::io::BufReader::new(raw.try_clone().unwrap());
-    let reply = read_frame(&mut reader).unwrap().expect("reply");
-    match Reply::decode(&reply).unwrap() {
-        Reply::Error { code, message } => {
-            assert_eq!(code, ErrorCode::BadRequest);
-            assert!(message.contains("Hello"), "{message}");
+    // the connection closed — an `Append` too, which after the handshake
+    // takes its own columnar path.
+    let append = bqs_net::Request::Append {
+        track: 1,
+        points: vec![bqs_geo::TimedPoint::new(0.0, 0.0, 0.0)],
+    };
+    for request in [bqs_net::Request::Stats, append] {
+        let mut raw = TcpStream::connect(addr).expect("connect raw");
+        write_frame(&mut raw, &request.encode().unwrap()).unwrap();
+        let mut reader = std::io::BufReader::new(raw.try_clone().unwrap());
+        let reply = read_frame(&mut reader).unwrap().expect("reply");
+        match Reply::decode(&reply).unwrap() {
+            Reply::Error { code, message } => {
+                assert_eq!(code, ErrorCode::BadRequest);
+                assert!(message.contains("Hello"), "{message}");
+            }
+            other => panic!("expected Error, got {other:?}"),
         }
-        other => panic!("expected Error, got {other:?}"),
+        assert!(read_frame(&mut reader).unwrap().is_none(), "closed");
     }
-    assert!(read_frame(&mut reader).unwrap().is_none(), "closed");
 
     BqsClient::connect(addr)
         .expect("handshaking clients still work")

@@ -23,10 +23,10 @@
 //!   are `Arc`-backed and lock-free. [`MetricsRegistry::render`]
 //!   produces a sorted `name value` text exposition.
 //!
-//! The fleet and spill layers hold `Option<…handles…>`: when no
-//! registry was installed the per-event cost is a branch on `None`, so
-//! the disabled path is effectively free. The network server always
-//! holds its handles.
+//! Every holder of handles always records: the network server, the
+//! fleet and the spill sinks. A fleet or sink built without the
+//! caller's registry counts into one of its own, so there is no
+//! disabled path.
 
 #![deny(missing_docs)]
 

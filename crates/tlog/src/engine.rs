@@ -589,7 +589,7 @@ mod tests {
     use super::*;
     use crate::sharded::open_shard_logs;
     use crate::spill::SpillSink;
-    use bqs_core::fleet::FleetEngine;
+    use bqs_core::fleet::{FleetConfig, FleetEngine};
     use bqs_core::stream::compress_all;
     use bqs_core::{BqsConfig, FastBqsCompressor};
 
@@ -693,8 +693,9 @@ mod tests {
         {
             let (mut log, _) = TrajectoryLog::open(&root, LogConfig::default()).unwrap();
             let mut sink = SpillSink::new(&mut log);
-            let mut fleet =
-                FleetEngine::with_default_config(move || FastBqsCompressor::new(config));
+            let mut fleet = FleetEngine::new(FleetConfig::default(), move || {
+                FastBqsCompressor::new(config)
+            });
             // First half evicted (spilled, cold); second half stays live.
             for p in &trace[..40] {
                 fleet.push_tagged(7, *p, &mut sink);
@@ -734,7 +735,9 @@ mod tests {
         let trace = points(3, 60, 0.0);
         let (mut log, _) = TrajectoryLog::open(&root, LogConfig::default()).unwrap();
         let mut sink = SpillSink::new(&mut log);
-        let mut fleet = FleetEngine::with_default_config(move || FastBqsCompressor::new(config));
+        let mut fleet = FleetEngine::new(FleetConfig::default(), move || {
+            FastBqsCompressor::new(config)
+        });
         for p in &trace {
             fleet.push_tagged(3, *p, &mut sink);
         }

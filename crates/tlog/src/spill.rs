@@ -3,14 +3,12 @@
 //!
 //! [`SpillSink`] implements [`FleetSink`]: kept points are buffered per
 //! track as the engine emits them, and when the engine closes a session
-//! through a fleet-sink path — `finish_all`, `finish_track_tagged`, or
-//! idle eviction — the [`FleetSink::session_closed`] hook fires and the
-//! track's complete compressed output is encoded and appended to the
-//! [`TrajectoryLog`] as one record. Long-running fleets thus become
-//! durable: an evicted session's data survives process death and is
-//! queryable after reopen. (The point-level `finish_track` cannot fire
-//! the hook; its sessions are flushed by [`SpillSink::finish`] instead,
-//! with default statistics.)
+//! — `finish_all`, `finish_track_tagged`, or idle eviction — the
+//! [`FleetSink::session_closed`] hook fires and the track's complete
+//! compressed output is encoded and appended to the [`TrajectoryLog`] as
+//! one record. Long-running fleets thus become durable: an evicted
+//! session's data survives process death and is queryable after reopen.
+//! Every sink counts its spills into [`SpillMetrics`] handles.
 //!
 //! `FleetSink` methods cannot return errors, so append failures are
 //! stashed (first error wins, the track's buffer is retained) and must
@@ -28,7 +26,8 @@ use std::collections::HashMap;
 
 /// Durability-side metric handles for a [`SpillSink`], registered under
 /// the `tlog_` prefix. Cloneable: each worker shard's sink gets its own
-/// clone, all feeding the same counters.
+/// clone, all feeding the same counters. [`SpillSink::new`] counts into
+/// handles of its own; [`SpillSink::with_metrics`] takes the caller's.
 ///
 /// Catalogued in `docs/observability.md`.
 #[derive(Clone)]
@@ -126,7 +125,7 @@ impl std::error::Error for SpillFailure {
 /// A fleet whose sessions are spilled on close and read back from disk:
 ///
 /// ```
-/// use bqs_core::fleet::FleetEngine;
+/// use bqs_core::fleet::{FleetConfig, FleetEngine};
 /// use bqs_core::{BqsConfig, FastBqsCompressor};
 /// use bqs_geo::TimedPoint;
 /// use bqs_tlog::{LogConfig, SpillSink, TrajectoryLog};
@@ -137,7 +136,7 @@ impl std::error::Error for SpillFailure {
 /// {
 ///     let mut sink = SpillSink::new(&mut log);
 ///     let config = BqsConfig::new(10.0).unwrap();
-///     let mut fleet = FleetEngine::with_default_config(move || {
+///     let mut fleet = FleetEngine::new(FleetConfig::default(), move || {
 ///         FastBqsCompressor::new(config)
 ///     });
 ///     for i in 0..100 {
@@ -156,21 +155,22 @@ pub struct SpillSink<L: BorrowMut<TrajectoryLog>> {
     buffers: HashMap<TrackId, Vec<TimedPoint>>,
     reports: Vec<SpillReport>,
     error: Option<TlogError>,
-    metrics: Option<SpillMetrics>,
+    metrics: SpillMetrics,
     /// Segment id of the last successful append; a change means the log
     /// rotated to a new segment file between appends.
     last_segment: Option<u64>,
 }
 
 impl<L: BorrowMut<TrajectoryLog>> SpillSink<L> {
-    /// A sink spilling closed sessions into `log` (borrowed or owned).
+    /// A sink spilling closed sessions into `log` (borrowed or owned),
+    /// counting into a registry of its own that nothing else reads.
     pub fn new(log: L) -> SpillSink<L> {
-        SpillSink::with_metrics(log, None)
+        SpillSink::with_metrics(log, SpillMetrics::new(&MetricsRegistry::new()))
     }
 
-    /// [`SpillSink::new`] with optional [`SpillMetrics`] handles; every
-    /// successful append bumps the spill counters.
-    pub fn with_metrics(log: L, metrics: Option<SpillMetrics>) -> SpillSink<L> {
+    /// [`SpillSink::new`], counting into `metrics`: every successful
+    /// append bumps the spill counters.
+    pub fn with_metrics(log: L, metrics: SpillMetrics) -> SpillSink<L> {
         SpillSink {
             log,
             buffers: HashMap::new(),
@@ -219,16 +219,15 @@ impl<L: BorrowMut<TrajectoryLog>> SpillSink<L> {
         }
         match self.log.borrow_mut().append(track, &points) {
             Ok(receipt) => {
-                if let Some(m) = &self.metrics {
-                    m.sessions.inc();
-                    m.points.add(receipt.points);
-                    m.bytes.add(receipt.bytes);
-                    if self.last_segment.is_some_and(|s| s != receipt.segment) {
-                        m.rotations.inc();
-                    }
-                    if let Some(tr) = &m.trace {
-                        tr.record(TraceEventKind::Spill, 0, receipt.points);
-                    }
+                let m = &self.metrics;
+                m.sessions.inc();
+                m.points.add(receipt.points);
+                m.bytes.add(receipt.bytes);
+                if self.last_segment.is_some_and(|s| s != receipt.segment) {
+                    m.rotations.inc();
+                }
+                if let Some(tr) = &m.trace {
+                    tr.record(TraceEventKind::Spill, 0, receipt.points);
                 }
                 self.last_segment = Some(receipt.segment);
                 self.reports.push(SpillReport {
@@ -368,7 +367,7 @@ mod tests {
             for p in wave(2, 101) {
                 fleet.push_tagged(2, p, &mut sink);
             }
-            let evicted = fleet.evict_idle_now(&mut sink);
+            let evicted = fleet.evict_idle(6000.0, &mut sink);
             assert_eq!(evicted.len(), 1);
             assert_eq!(sink.reports().len(), 1);
             assert_eq!(sink.reports()[0].track, 1);

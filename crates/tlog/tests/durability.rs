@@ -8,11 +8,11 @@
 //!    partially-written record: every fully-written record survives
 //!    recovery, and the repaired log verifies clean;
 //! 3. the acceptance scenario: a fleet run with spill-on-evict can be
-//!    queried back from a reopened log byte-identical to the in-memory
-//!    sink output, including after a simulated crash (torn final
-//!    record) and a compaction pass.
+//!    queried back from a reopened log byte-identical to solo
+//!    compression of each session, including after a simulated crash
+//!    (torn final record) and a compaction pass.
 
-use bqs_core::fleet::{FleetConfig, FleetEngine, TeeFleetSink, TrackId};
+use bqs_core::fleet::{FleetConfig, FleetEngine, TrackId};
 use bqs_core::stream::compress_all;
 use bqs_core::{BqsConfig, FastBqsCompressor};
 use bqs_geo::TimedPoint;
@@ -432,10 +432,10 @@ fn wave(track: u64, n: usize) -> Vec<TimedPoint> {
         .collect()
 }
 
-/// The ISSUE's acceptance scenario in one test: spill-on-evict fleet run
-/// → reopen → per-session time-range queries byte-identical to the
-/// in-memory sink output → torn final record → still identical →
-/// compaction → still identical.
+/// The acceptance scenario in one test: spill-on-evict fleet run →
+/// reopen → per-session time-range queries byte-identical to solo
+/// compression → torn final record → still identical → compaction →
+/// still identical.
 #[test]
 fn fleet_spill_round_trip_survives_crash_and_compaction() {
     let dir = temp_dir("acceptance");
@@ -447,8 +447,16 @@ fn fleet_spill_round_trip_survives_crash_and_compaction() {
         .map(|t| wave(t as u64, 120 + t * 15))
         .collect();
 
-    // In-memory truth: the per-track output of the very same engine run.
-    let mut expected: HashMap<TrackId, Vec<TimedPoint>> = HashMap::new();
+    // The truth: each session compressed alone (interleaving
+    // equivalence makes it the fleet's output too).
+    let expected: HashMap<TrackId, Vec<TimedPoint>> = traces
+        .iter()
+        .enumerate()
+        .map(|(t, trace)| {
+            let mut solo = FastBqsCompressor::new(config);
+            (t as TrackId, compress_all(&mut solo, trace.iter().copied()))
+        })
+        .collect();
     {
         let (mut log, _) = TrajectoryLog::open(
             &dir,
@@ -465,36 +473,26 @@ fn fleet_spill_round_trip_survives_crash_and_compaction() {
             },
             move || FastBqsCompressor::new(config),
         );
-        {
-            let mut tee = TeeFleetSink::new(&mut expected, &mut spill);
-            let longest = traces.iter().map(Vec::len).max().unwrap();
-            for i in 0..longest {
-                for (t, trace) in traces.iter().enumerate() {
-                    if let Some(p) = trace.get(i) {
-                        fleet.push_tagged(t as TrackId, *p, &mut tee);
-                    }
-                }
-                // Periodic evictions: short sessions spill mid-run.
-                if i % 20 == 19 {
-                    fleet.evict_idle_now(&mut tee);
+        let longest = traces.iter().map(Vec::len).max().unwrap();
+        for i in 0..longest {
+            for (t, trace) in traces.iter().enumerate() {
+                if let Some(p) = trace.get(i) {
+                    fleet.push_tagged(t as TrackId, *p, &mut spill);
                 }
             }
-            fleet.finish_all(&mut tee);
+            // Periodic evictions at the stream clock (every trace samples
+            // once a minute): short sessions spill mid-run.
+            if i % 20 == 19 {
+                fleet.evict_idle(i as f64 * 60.0, &mut spill);
+            }
         }
+        fleet.finish_all(&mut spill);
         assert!(
             fleet.evicted_sessions() > 0,
             "scenario must exercise eviction"
         );
         let reports = spill.finish().unwrap();
         assert_eq!(reports.len(), sessions, "every session spills exactly once");
-    }
-
-    // Solo-compression cross-check: the in-memory truth itself equals
-    // compressing each trace alone (interleaving equivalence).
-    for (t, trace) in traces.iter().enumerate() {
-        let mut solo = FastBqsCompressor::new(config);
-        let solo_out = compress_all(&mut solo, trace.iter().copied());
-        assert_eq!(expected[&(t as TrackId)], solo_out, "track {t}");
     }
 
     let check_all = |log: &TrajectoryLog, skip: &[TrackId]| {

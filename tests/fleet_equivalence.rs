@@ -110,7 +110,8 @@ where
 }
 
 /// Drives one engine through `ops` seeded calls — `push_tagged` (mostly),
-/// `evict_idle_now`, `finish_track_tagged` and `finish_all`, then a final
+/// `evict_idle` at the stream clock, `finish_track_tagged` and
+/// `finish_all`, then a final
 /// `finish_all` — over a handful of track ids that keep reopening after
 /// they close, against a model of each live session's points. Checks the
 /// "No silent closes" invariant after every close and at the end.
@@ -154,7 +155,7 @@ where
                 continue;
             }
             15 | 16 => (
-                fleet.evict_idle_now(&mut sink),
+                fleet.evict_idle(clock, &mut sink),
                 live.iter()
                     .filter(|(_, points)| points.last().unwrap().t < clock - IDLE)
                     .map(|(track, _)| *track)
@@ -250,9 +251,11 @@ proptest! {
 
         let config = BqsConfig::new(tol).unwrap();
         let mut fleet =
-            FleetEngine::with_default_config(move || FastBqsCompressor::new(config));
+            FleetEngine::new(FleetConfig::default(), move || FastBqsCompressor::new(config));
         let mut tagged: HashMap<TrackId, Vec<TimedPoint>> = HashMap::new();
-        fleet.ingest(records, &mut tagged);
+        for (track, p) in records {
+            fleet.push_tagged(track, p, &mut tagged);
+        }
         fleet.finish_all(&mut tagged);
 
         for (t, trace) in traces.iter().enumerate() {
@@ -280,9 +283,11 @@ proptest! {
         let records = interleave(&traces, seed.wrapping_add(1));
 
         let config = BqsConfig::new(tol).unwrap();
-        let mut fleet = FleetEngine::with_default_config(move || BqsCompressor::new(config));
+        let mut fleet = FleetEngine::new(FleetConfig::default(), move || BqsCompressor::new(config));
         let mut tagged: HashMap<TrackId, Vec<TimedPoint>> = HashMap::new();
-        fleet.ingest(records, &mut tagged);
+        for (track, p) in records {
+            fleet.push_tagged(track, p, &mut tagged);
+        }
         fleet.finish_all(&mut tagged);
 
         for (t, trace) in traces.iter().enumerate() {
@@ -305,9 +310,11 @@ proptest! {
 
         let config = BqsConfig::new(tol).unwrap();
         let mut fleet =
-            FleetEngine::with_default_config(move || FastBqsCompressor::new(config));
+            FleetEngine::new(FleetConfig::default(), move || FastBqsCompressor::new(config));
         let mut tagged: HashMap<TrackId, Vec<TimedPoint>> = HashMap::new();
-        fleet.ingest(records, &mut tagged);
+        for (track, p) in records {
+            fleet.push_tagged(track, p, &mut tagged);
+        }
         fleet.finish_all(&mut tagged);
 
         for (t, trace) in traces.iter().enumerate() {
@@ -355,7 +362,8 @@ proptest! {
                     fleet.push_tagged(t as u64, trace[i], &mut tagged);
                 }
             }
-            fleet.evict_idle_now(&mut tagged);
+            // Every trace samples every 10 s: the stream clock is point i's.
+            fleet.evict_idle(i as f64 * 10.0, &mut tagged);
         }
         fleet.finish_all(&mut tagged);
 
@@ -408,7 +416,9 @@ fn fleet_counting_path_allocates_no_output_vector() {
         std::mem::size_of::<usize>()
     );
     let config = BqsConfig::new(10.0).unwrap();
-    let mut fleet = FleetEngine::with_default_config(move || FastBqsCompressor::new(config));
+    let mut fleet = FleetEngine::new(FleetConfig::default(), move || {
+        FastBqsCompressor::new(config)
+    });
     let mut sink = CountingFleetSink::default();
     for t in 0..128u64 {
         for p in track_trace(t, 3, 50) {

@@ -86,7 +86,6 @@ fn spilling_fleet(
     root: &PathBuf,
     workers: usize,
     tolerance: f64,
-    batch: usize,
 ) -> ParallelFleet<SpillSink<TrajectoryLog>> {
     let mut logs: Vec<Option<TrajectoryLog>> = open_shard_logs(root, workers, LogConfig::default())
         .expect("open tree")
@@ -97,8 +96,6 @@ fn spilling_fleet(
     ParallelFleet::new(
         ParallelConfig {
             workers,
-            batch_points: batch,
-            channel_batches: 2,
             fleet: FleetConfig {
                 // Tight timeout so a mid-run evict_idle really evicts.
                 idle_timeout: 50.0,
@@ -128,8 +125,8 @@ proptest! {
         seed in 0u64..1_000_000,
         tol in 2.0f64..40.0,
         sessions in 6usize..12,
-        per_track in 30usize..60,
-        batch in 1usize..32,
+        // 300–1 300 points: the batch boundary (256) falls inside.
+        per_track in 50usize..110,
         split_pct in 25usize..75,
     ) {
         let traces: Vec<Vec<TimedPoint>> =
@@ -140,7 +137,7 @@ proptest! {
         let mut answers: Vec<BTreeMap<TrackId, Vec<TimedPoint>>> = Vec::new();
         for workers in [1usize, 2, 8] {
             let root = temp_root("equiv");
-            let mut fleet = spilling_fleet(&root, workers, tol, batch);
+            let mut fleet = spilling_fleet(&root, workers, tol);
 
             // Phase 1: a prefix, then evict everything idle — those
             // sessions spill to the shard logs (cold) and restart on
@@ -225,8 +222,8 @@ proptest! {
     fn a_long_lived_engine_answers_like_a_fresh_one(
         seed in 0u64..1_000_000,
         sessions in 4usize..9,
-        per_track in 30usize..60,
-        batch in 1usize..16,
+        // 280–1 170 points: the batch boundary (256) falls inside.
+        per_track in 70usize..130,
         ops in proptest::collection::vec(0u8..10, 8..24),
     ) {
         let traces: Vec<Vec<TimedPoint>> =
@@ -235,7 +232,7 @@ proptest! {
         let chunk = records.len() / ops.len() + 1;
         for workers in [1usize, 2, 8] {
             let root = temp_root("long-lived");
-            let mut fleet = spilling_fleet(&root, workers, 10.0, batch);
+            let mut fleet = spilling_fleet(&root, workers, 10.0);
             let mut held = QueryEngine::open(&root).expect("open the held engine");
             let mut cursor = 0usize;
             for (step, &op) in ops.iter().enumerate() {
@@ -317,7 +314,7 @@ proptest! {
         let split = records.len() / 2;
 
         let root = temp_root("filters");
-        let mut fleet = spilling_fleet(&root, 2, 10.0, 8);
+        let mut fleet = spilling_fleet(&root, 2, 10.0);
         for &(track, p) in &records[..split] {
             fleet.push(track, p);
         }
