@@ -1196,44 +1196,63 @@ mod tests {
 
     #[test]
     fn backpressure_blocks_instead_of_buffering_unboundedly() {
-        // A sink that sleeps on every kept point: the worker falls far
-        // behind, so the producer fills the channel and then blocks.
-        struct SlowSink(HashMap<TrackId, Vec<TimedPoint>>);
-        impl FleetSink for SlowSink {
+        // The worker's sink holds its first kept point until a gate
+        // opens, so the producer must fill the channel and block on it.
+        struct GatedSink {
+            gate: Option<Receiver<()>>,
+            out: HashMap<TrackId, Vec<TimedPoint>>,
+        }
+        impl FleetSink for GatedSink {
             fn accept(&mut self, track: TrackId, point: TimedPoint) {
-                std::thread::sleep(std::time::Duration::from_micros(100));
-                self.0.accept(track, point);
+                if let Some(gate) = self.gate.take() {
+                    let _ = gate.recv();
+                }
+                self.out.accept(track, point);
             }
         }
         let registry = MetricsRegistry::new();
-        let config = BqsConfig::new(0.5).unwrap();
+        let depth = registry.gauge("fleet_shard0_channel_depth");
+        let bound = CHANNEL_BATCHES as u64;
+        let (open, gate) = sync_channel(1);
+        let mut gate = Some(gate);
+        let config = BqsConfig::new(5.0).unwrap();
         let mut fleet = ParallelFleet::with_metrics(
             ParallelConfig {
                 workers: 1,
                 fleet: FleetConfig::default(),
             },
             move || FastBqsCompressor::new(config),
-            |_| SlowSink(HashMap::new()),
+            |_| GatedSink {
+                gate: gate.take(),
+                out: HashMap::new(),
+            },
             FleetMetrics::new(&registry),
         );
+        // Opens the gate once the producer has counted a batch beyond a
+        // full channel — one whose send must block — or after 10 s, so
+        // a broken bound fails the asserts below instead of hanging.
+        let opener = std::thread::spawn(move || {
+            let deadline = bqs_obs::now() + std::time::Duration::from_secs(10);
+            while depth.get() <= bound && bqs_obs::now() < deadline {
+                std::thread::yield_now();
+            }
+            let _ = open.send(());
+        });
         let trace = wave(3, (CHANNEL_BATCHES + 4) * BATCH_POINTS + 17);
         for p in &trace {
             fleet.push(3, *p);
         }
         let mut join = fleet.join();
+        opener.join().unwrap();
         // Beyond the channel's batches the gauge can count two more: the
         // one the producer counts before its send blocks, and the one the
         // worker has taken off the channel but not yet uncounted — the
         // taking frees the slot that unblocks the producer, so it can
         // count its next batch first.
         let peak = registry.gauge("fleet_shard0_channel_depth").peak();
-        let bound = CHANNEL_BATCHES as u64;
-        assert!(
-            peak >= bound,
-            "the producer never filled the channel: {peak}"
-        );
+        assert!(peak > bound, "the producer never blocked: peak {peak}");
         assert!(peak <= bound + 2, "{peak} batches queued past the bound");
-        let all = join.shards.remove(0).sink.0;
+        let all = join.shards.remove(0).sink.out;
         let mut solo = FastBqsCompressor::new(config);
         let expected = compress_all(&mut solo, trace);
         assert_eq!(all[&3], expected);

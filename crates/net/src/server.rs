@@ -333,7 +333,7 @@ impl SubHub {
     }
 
     /// The subscriber backlog: points queued across every live
-    /// subscriber, not only the ones the latest point matched.
+    /// subscriber, whichever ones the latest point matched.
     fn set_queue_gauge(&self, subs: &[Sub]) {
         self.queue_gauge.set(
             subs.iter()
