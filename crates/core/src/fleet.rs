@@ -52,7 +52,7 @@ pub use parallel::{
     worker_of, FleetJoin, FleetMetrics, ParallelConfig, ParallelFleet, ShardCounters, ShardFailure,
     ShardOutput,
 };
-pub use reorder::{FleetReorder, ReorderBuffer, TooLate};
+pub use reorder::{Admitted, FleetReorder, Released, ReorderBuffer, TooLate};
 
 /// Identifies one tracker's stream within a fleet.
 pub type TrackId = u64;

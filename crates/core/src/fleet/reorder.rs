@@ -1,25 +1,27 @@
-//! Bounded-lateness reordering for out-of-order ingest.
+//! Bounded-lateness admission: one per-track table for every lateness.
 //!
 //! Real trackers buffer offline and reconnect with late fixes, so a hard
 //! "timestamps only move forward" gate at the ingest edge rejects valid
 //! data. A [`ReorderBuffer`] relaxes that gate to a configurable window
 //! `W` behind the stream's watermark (the largest timestamp seen so
 //! far): any point with `t >= watermark - W` is accepted and parked;
-//! points are *released* — in strict timestamp order — only once the
-//! watermark has moved more than `W` past them, at which point nothing
-//! that could still arrive may precede them. Points older than the
-//! window are refused with the typed [`TooLate`] error so callers can
-//! route them to an explicit backfill path instead.
+//! points are *released* — in strict timestamp order — once the
+//! watermark has moved at least `W` past them (`t <= watermark - W`),
+//! at which point nothing that could still arrive may precede them.
+//! Points older than the window are refused with the typed [`TooLate`]
+//! error so callers can route them to an explicit backfill path instead.
 //!
 //! The invariant that makes the buffer transparent to downstream
-//! consumers: a released point has `t < watermark - W`, and every
+//! consumers: a released point has `t <= watermark - W`, and every
 //! future accept has `t >= watermark' - W >= watermark - W`, so the
 //! released stream is time-ordered and identical to the sorted input —
 //! feeding it to a compressor yields byte-identical output to the
-//! sorted stream (`crates/core/tests/reorder_prop.rs`).
+//! sorted stream (`crates/core/tests/reorder_prop.rs`). Ties keep
+//! arrival order, as a stable sort of the input would.
 //!
-//! Points sharing a timestamp are released in arrival order (insertion
-//! is stable), matching what a stable sort of the input would produce.
+//! `W = 0` is no special case: its horizon is the watermark itself, so
+//! it admits exactly what the codec's time-order rule admits and
+//! releases every admitted point on arrival — nothing ever parks.
 //!
 //! A [`ReorderBuffer::drain`] releases points the watermark has not yet
 //! cleared, so it raises the buffer's *floor* to the newest point it
@@ -70,9 +72,8 @@ pub struct ReorderBuffer {
 
 impl ReorderBuffer {
     /// A buffer accepting points up to `window` seconds behind the
-    /// watermark. `window` must be finite and `>= 0`; zero degenerates
-    /// to the strict in-order gate (every point released immediately…
-    /// except ties, which still wait for the watermark to pass them).
+    /// watermark. `window` must be finite and `>= 0`; zero is the
+    /// strict in-order gate (every admitted point released at once).
     pub fn new(window: f64) -> ReorderBuffer {
         debug_assert!(window.is_finite() && window >= 0.0);
         ReorderBuffer {
@@ -81,11 +82,6 @@ impl ReorderBuffer {
             pending: VecDeque::new(),
             floor: f64::NEG_INFINITY,
         }
-    }
-
-    /// The lateness window `W`.
-    pub fn window(&self) -> f64 {
-        self.window
     }
 
     /// The largest accepted timestamp, `None` before the first accept.
@@ -131,20 +127,24 @@ impl ReorderBuffer {
     /// newly releasable points — in timestamp order — to `out`.
     pub fn push(&mut self, p: TimedPoint, out: &mut Vec<TimedPoint>) -> Result<(), TooLate> {
         self.check(p.t, self.watermark)?;
+        self.park(p, out);
+        Ok(())
+    }
+
+    /// Parks an admitted point and releases everything at or behind the
+    /// new horizon `watermark − W` to `out`.
+    fn park(&mut self, p: TimedPoint, out: &mut Vec<TimedPoint>) {
         // Stable insert: after every parked point with `t <= p.t`.
         let at = self.pending.partition_point(|q| q.t <= p.t);
         self.pending.insert(at, p);
         self.watermark = self.watermark.max(p.t);
         let horizon = self.watermark - self.window;
-        // Strict inequality: a point *at* the horizon could still be
-        // joined by an equal-timestamp arrival that must sort with it.
         while let Some(q) = self.pending.front() {
-            if q.t >= horizon {
+            if q.t > horizon {
                 break;
             }
             out.extend(self.pending.pop_front());
         }
-        Ok(())
     }
 
     /// Releases every parked point (in timestamp order) — the
@@ -159,14 +159,39 @@ impl ReorderBuffer {
     }
 }
 
-/// Per-track reorder buffers with fleet-wide depth accounting — the
-/// ingest-edge companion of a fleet engine. Buffers are created lazily
-/// on a track's first push and all share one lateness window.
+/// The points an admitted run releases, in timestamp order.
+#[derive(Debug)]
+pub enum Released<'a, I> {
+    /// The run itself, whole: at `W = 0` every admitted point clears
+    /// the horizon on arrival, so the run passes through uncopied.
+    Run(I),
+    /// What the track's buffer released (possibly nothing).
+    Buffered(std::vec::Drain<'a, TimedPoint>),
+}
+
+/// The outcome of [`FleetReorder::admit`].
+#[derive(Debug)]
+pub struct Admitted<'a, I> {
+    /// Points of the run that arrived behind the track's watermark.
+    pub late: u64,
+    /// Points parked across every track once the run is in.
+    pub depth: usize,
+    /// What the run released, to hand to the compressor in order.
+    pub released: Released<'a, I>,
+}
+
+/// The fleet's admission table: one [`ReorderBuffer`] per track (made
+/// on its first point, kept for the table's life), all sharing one
+/// lateness window, plus the fleet-wide depth and the stream clock.
 #[derive(Debug)]
 pub struct FleetReorder {
     window: f64,
     tracks: HashMap<TrackId, ReorderBuffer>,
     depth: usize,
+    /// Largest timestamp admitted on any track; `-inf` before the first.
+    clock: f64,
+    /// Where an admitted run's releases land; reused across runs.
+    released: Vec<TimedPoint>,
 }
 
 impl FleetReorder {
@@ -176,12 +201,9 @@ impl FleetReorder {
             window,
             tracks: HashMap::new(),
             depth: 0,
+            clock: f64::NEG_INFINITY,
+            released: Vec::new(),
         }
-    }
-
-    /// The shared lateness window.
-    pub fn window(&self) -> f64 {
-        self.window
     }
 
     /// Total parked points across every track — the backlog gauge.
@@ -194,32 +216,55 @@ impl FleetReorder {
         self.tracks.get(&track).and_then(ReorderBuffer::watermark)
     }
 
-    /// Whether `track` would accept a point with timestamp `t` now.
-    pub fn admits(&self, track: TrackId, t: f64) -> bool {
-        self.tracks.get(&track).is_none_or(|b| b.admits(t))
+    /// The stream clock: the largest timestamp admitted on any track,
+    /// `None` before the first admission.
+    pub fn clock(&self) -> Option<f64> {
+        (self.clock != f64::NEG_INFINITY).then_some(self.clock)
     }
 
-    /// Decides a whole batch of `track` without parking anything: the
-    /// watermark is simulated over the batch in arrival order, so a
-    /// caller can refuse the batch atomically. Returns how many points
-    /// arrive behind the (simulated) watermark, or the first refusal.
-    pub fn admit_batch(
-        &self,
-        track: TrackId,
-        points: impl IntoIterator<Item = TimedPoint>,
-    ) -> Result<u64, TooLate> {
-        let unseen = ReorderBuffer::new(self.window);
-        let buffer = self.tracks.get(&track).unwrap_or(&unseen);
-        let mut wm = buffer.watermark;
-        let mut late = 0u64;
-        for p in points {
-            buffer.check(p.t, wm)?;
-            if wm.is_finite() && p.t < wm {
-                late += 1;
-            }
-            wm = wm.max(p.t);
+    /// Admits a whole run of `track` atomically — every point, or, when
+    /// any point falls behind the horizon, none (the refusal leaves the
+    /// table untouched) — and returns what the run releases.
+    pub fn admit<I>(&mut self, track: TrackId, run: I) -> Result<Admitted<'_, I>, TooLate>
+    where
+        I: Iterator<Item = TimedPoint> + Clone,
+    {
+        let window = self.window;
+        let buffer = self
+            .tracks
+            .entry(track)
+            .or_insert_with(|| ReorderBuffer::new(window));
+        // Decide the whole run before parking any of it, simulating the
+        // watermark over the run in arrival order.
+        let (mut late, mut watermark) = (0, buffer.watermark);
+        for p in run.clone() {
+            buffer.check(p.t, watermark)?;
+            late += u64::from(p.t < watermark);
+            watermark = watermark.max(p.t);
         }
-        Ok(late)
+        self.clock = self.clock.max(watermark);
+        if window == 0.0 {
+            // The horizon is the watermark: every point is released on
+            // arrival, so the run leaves whole and nothing parks.
+            buffer.watermark = watermark;
+            return Ok(Admitted {
+                late,
+                depth: self.depth,
+                released: Released::Run(run),
+            });
+        }
+        self.released.clear();
+        let mut parked = 0;
+        for p in run {
+            buffer.park(p, &mut self.released);
+            parked += 1;
+        }
+        self.depth = self.depth + parked - self.released.len();
+        Ok(Admitted {
+            late,
+            depth: self.depth,
+            released: Released::Buffered(self.released.drain(..)),
+        })
     }
 
     /// Pushes one point of `track`, appending released points to `out`.
@@ -229,14 +274,10 @@ impl FleetReorder {
         p: TimedPoint,
         out: &mut Vec<TimedPoint>,
     ) -> Result<(), TooLate> {
-        let buffer = self
-            .tracks
-            .entry(track)
-            .or_insert_with(|| ReorderBuffer::new(self.window));
-        let before = out.len();
-        buffer.push(p, out)?;
-        self.depth += 1;
-        self.depth -= out.len() - before;
+        match self.admit(track, std::iter::once(p))?.released {
+            Released::Run(run) => out.extend(run),
+            Released::Buffered(points) => out.extend(points),
+        }
         Ok(())
     }
 
@@ -285,11 +326,29 @@ mod tests {
         for t in 0..6 {
             buf.push(p(t as f64 * 5.0), &mut out).unwrap();
         }
-        // Watermark 25, window 10: everything below 15 released.
-        assert_eq!(times(&out), vec![0.0, 5.0, 10.0]);
+        // Watermark 25, window 10: everything at or below 15 released.
+        assert_eq!(times(&out), vec![0.0, 5.0, 10.0, 15.0]);
         let rest = buf.drain();
-        assert_eq!(times(&rest), vec![15.0, 20.0, 25.0]);
+        assert_eq!(times(&rest), vec![20.0, 25.0]);
         assert!(buf.is_empty());
+    }
+
+    #[test]
+    fn a_point_at_the_exact_horizon_is_released() {
+        let mut buf = ReorderBuffer::new(10.0);
+        let mut out = Vec::new();
+        buf.push(p(0.0), &mut out).unwrap();
+        buf.push(p(5.0), &mut out).unwrap();
+        assert!(out.is_empty());
+        // Watermark 10, horizon 0: the point at t = 0 sits on it.
+        buf.push(p(10.0), &mut out).unwrap();
+        assert_eq!(times(&out), vec![0.0]);
+        // A later arrival at the horizon is still admitted, and released
+        // behind the first.
+        let tie = TimedPoint::new(7.0, 7.0, 0.0);
+        buf.push(tie, &mut out).unwrap();
+        assert_eq!(out, vec![p(0.0), tie]);
+        assert_eq!(times(&buf.drain()), vec![5.0, 10.0]);
     }
 
     #[test]
@@ -320,8 +379,9 @@ mod tests {
             }
         );
         // A refusal leaves the buffer untouched.
-        assert_eq!(buf.len(), 2);
-        assert_eq!(times(&buf.drain()), vec![95.0, 100.0]);
+        assert_eq!(buf.len(), 1);
+        assert_eq!(times(&out), vec![95.0]);
+        assert_eq!(times(&buf.drain()), vec![100.0]);
     }
 
     #[test]
@@ -358,8 +418,9 @@ mod tests {
         assert_eq!(fleet.depth(), 3);
         assert_eq!(fleet.watermark(1), Some(0.0));
         assert_eq!(fleet.watermark(2), Some(1000.0));
-        assert!(fleet.admits(3, f64::MIN));
-        assert!(!fleet.admits(2, 989.0));
+        assert_eq!(fleet.watermark(3), None);
+        assert_eq!(fleet.clock(), Some(1000.0));
+        assert!(fleet.admit(2, [p(989.0)].into_iter()).is_err());
 
         fleet.push(1, p(50.0), &mut out).unwrap();
         assert_eq!(times(&out), vec![-5.0, 0.0]);
@@ -388,15 +449,19 @@ mod tests {
         assert_eq!(drained[0].0, 1);
         assert_eq!(
             times(&drained[0].1),
-            (70..=100).map(f64::from).collect::<Vec<_>>()
+            (71..=100).map(f64::from).collect::<Vec<_>>()
         );
         assert_eq!(fleet.depth(), 1);
         // Inside the window, but behind what the drain released.
-        assert!(!fleet.admits(1, 99.0));
-        assert!(fleet.admits(1, 100.0));
-        let err = fleet.admit_batch(1, [p(101.0), p(90.0)]).unwrap_err();
+        assert!(!fleet.tracks[&1].admits(99.0));
+        assert!(fleet.tracks[&1].admits(100.0));
+        let late = |fleet: &mut FleetReorder, run: &[f64]| {
+            fleet
+                .admit(1, run.iter().map(|&t| p(t)))
+                .map(|admitted| admitted.late)
+        };
         assert_eq!(
-            err,
+            late(&mut fleet, &[101.0, 90.0]).unwrap_err(),
             TooLate {
                 t: 90.0,
                 watermark: 101.0,
@@ -405,7 +470,31 @@ mod tests {
         );
         assert_eq!(fleet.push(1, p(90.0), &mut out).unwrap_err().window, 0.0);
         // Once the watermark moves a window past the floor, the window rules again.
-        assert_eq!(fleet.admit_batch(1, [p(140.0), p(111.0)]), Ok(1));
-        assert!(fleet.admit_batch(2, [p(280.0)]).is_ok());
+        assert_eq!(late(&mut fleet, &[140.0, 111.0]), Ok(1));
+        assert!(fleet.admit(2, [p(280.0)].into_iter()).is_ok());
+        assert_eq!(fleet.clock(), Some(300.0));
+    }
+
+    #[test]
+    fn at_zero_lateness_an_admitted_run_passes_through_whole() {
+        let mut fleet = FleetReorder::new(0.0);
+        let run = [p(1.0), p(2.0), p(2.0), p(4.0)];
+        let admitted = fleet.admit(9, run.iter().copied()).unwrap();
+        assert_eq!(admitted.late, 0);
+        assert!(matches!(admitted.released, Released::Run(_)));
+        drop(admitted);
+        assert_eq!(fleet.watermark(9), Some(4.0));
+        assert_eq!(fleet.clock(), Some(4.0));
+        assert_eq!(fleet.depth(), 0);
+        let err = fleet.admit(9, [p(5.0), p(3.0)].into_iter()).unwrap_err();
+        assert_eq!(
+            err,
+            TooLate {
+                t: 3.0,
+                watermark: 5.0,
+                window: 0.0
+            }
+        );
+        assert_eq!(fleet.watermark(9), Some(4.0), "a refusal moves nothing");
     }
 }

@@ -11,11 +11,16 @@
 //! 3. **Typed refusal** — a point more than `W` behind the watermark is
 //!    rejected with the exact [`TooLate`] error and the buffer's state
 //!    is untouched.
+//! 4. **`W = 0` is the codec's rule** — at zero lateness the admission
+//!    table admits exactly the batches `bqs_tlog::codec::check_times`
+//!    admits against the track's last admitted timestamp, and parks
+//!    nothing.
 
-use bqs_core::fleet::reorder::{FleetReorder, ReorderBuffer, TooLate};
+use bqs_core::fleet::reorder::{FleetReorder, Released, ReorderBuffer, TooLate};
 use bqs_core::fleet::{FleetConfig, ParallelConfig, ParallelFleet, TrackId};
 use bqs_core::{BqsConfig, FastBqsCompressor};
 use bqs_geo::TimedPoint;
+use bqs_tlog::codec::check_times;
 use proptest::prelude::*;
 use std::collections::{HashMap, VecDeque};
 
@@ -207,5 +212,54 @@ proptest! {
         // …and the boundary itself is admitted: exactly W behind is
         // still within the window.
         prop_assert!(buf.admits(watermark - window));
+    }
+    /// At `W = 0` the table is the codec's time-order rule: over random
+    /// batch sequences on a few tracks (finite timestamps with ties,
+    /// in-batch rewinds and batches starting behind the watermark) it
+    /// admits exactly the batches `check_times(batch, watermark)`
+    /// admits, passes each one through whole, parks nothing, keeps each
+    /// track's watermark at its last admitted `t` and the stream clock
+    /// at the largest admitted `t`.
+    #[test]
+    fn at_zero_lateness_the_table_admits_what_the_codec_rule_admits(
+        seed in 0u64..1_000_000,
+        batches in 1usize..120,
+    ) {
+        let mut s = seed | 1;
+        let mut table = FleetReorder::new(0.0);
+        let mut watermarks: HashMap<TrackId, f64> = HashMap::new();
+        let mut clock = f64::NEG_INFINITY;
+        let mut base = 0.0f64;
+        for _ in 0..batches {
+            let track = lcg(&mut s) % 3;
+            let len = (lcg(&mut s) % 6) as usize;
+            // Whole-second steps in [-2, 4]: ties, rewinds and gaps.
+            base += (lcg(&mut s) % 5) as f64 - 1.0;
+            let mut t = base;
+            let batch: Vec<TimedPoint> = (0..len)
+                .map(|i| {
+                    t += (lcg(&mut s) % 7) as f64 - 2.0;
+                    TimedPoint::new(i as f64, -(i as f64), t)
+                })
+                .collect();
+            let watermark = watermarks.get(&track).copied().unwrap_or(f64::NEG_INFINITY);
+            let want = check_times(batch.iter().map(|p| p.t), watermark).is_ok();
+            match table.admit(track, batch.iter().copied()) {
+                Ok(admitted) => {
+                    prop_assert!(want, "admitted a batch the codec refuses: {batch:?}");
+                    prop_assert_eq!(admitted.late, 0);
+                    prop_assert_eq!(admitted.depth, 0);
+                    prop_assert!(matches!(admitted.released, Released::Run(_)));
+                    if let Some(last) = batch.last() {
+                        watermarks.insert(track, last.t);
+                        clock = clock.max(last.t);
+                    }
+                }
+                Err(_) => prop_assert!(!want, "refused a batch the codec admits: {batch:?}"),
+            }
+            prop_assert_eq!(table.depth(), 0);
+            prop_assert_eq!(table.watermark(track), watermarks.get(&track).copied());
+            prop_assert_eq!(table.clock(), clock.is_finite().then_some(clock));
+        }
     }
 }

@@ -59,7 +59,7 @@ use crate::wire::{
 };
 use bqs_core::fleet::{
     worker_of, FleetConfig, FleetMetrics, FleetReorder, FleetSink, ParallelConfig, ParallelFleet,
-    SessionReport, TooLate, TrackId,
+    Released, SessionReport, TooLate, TrackId,
 };
 use bqs_core::stream::DecisionStats;
 use bqs_core::{BqsConfig, FastBqsCompressor};
@@ -150,12 +150,13 @@ pub struct ServerConfig {
     pub spill: PathBuf,
     /// Compression tolerance in metres.
     pub tolerance: f64,
-    /// Bounded-lateness window in seconds. `0` (the default) keeps the
-    /// strict in-order ingest path: any backwards timestamp is a
-    /// `BadRequest`. Positive, each track's points pass through a
-    /// reorder buffer that admits anything within `lateness` seconds
-    /// behind the track's watermark (older is a typed `TooLate`) and
-    /// releases points to the compressor in timestamp order.
+    /// Bounded-lateness window `W` in seconds. Every track's points
+    /// pass through one admission table ([`FleetReorder`]) that admits
+    /// anything within `W` seconds behind the track's watermark and
+    /// releases points to the compressor in timestamp order. Positive,
+    /// an older point is a typed `TooLate`. `0` (the default) is the
+    /// same table with `W = 0`: nothing parks, and a backwards
+    /// timestamp is the codec's time-order `BadRequest`.
     pub lateness: f64,
     /// I/O threads multiplexing the connections
     /// ([`DEFAULT_IO_THREADS`]); must be ≥ 1.
@@ -228,26 +229,20 @@ pub struct ServeReport {
 }
 
 /// The ingest state behind the connection handlers: the fleet plus the
-/// per-track time watermarks that guard it.
+/// admission table that guards it.
 struct FleetState {
     fleet: ParallelFleet<SubTeeSink>,
-    /// Highest accepted timestamp per track. The wire decoder cannot
-    /// enforce time order (only the encoder does), so the server
-    /// re-validates every batch against this watermark — a crafted
-    /// frame with backwards or non-finite timestamps must never reach
-    /// the fleet, where it would poison the track's spill at close.
-    /// Unused when a lateness window is configured (the reorder
-    /// buffer's per-track watermark takes over).
-    last_t: HashMap<u64, f64>,
-    /// The per-track reorder buffers; `Some` iff `--lateness > 0`.
-    reorder: Option<FleetReorder>,
+    /// Every track's watermark, floor and parked tail, and the stream
+    /// clock the idle-eviction tick measures staleness against. The wire
+    /// decoder cannot enforce time order (only the encoder does), so
+    /// every batch is admitted here first — a crafted frame with
+    /// backwards or non-finite timestamps must never reach the fleet,
+    /// where it would poison the track's spill at close.
+    reorder: FleetReorder,
     /// Backfill batches accepted over the wire, buffered until
     /// finalization writes them as flagged backfill records. Each inner
     /// vec is one accepted batch → one durable record.
     backfill: HashMap<TrackId, Vec<Vec<TimedPoint>>>,
-    /// Highest timestamp accepted on any track — the stream clock the
-    /// idle-eviction tick measures staleness against.
-    max_t: f64,
 }
 
 /// The fleet sink behind every worker shard: the durable spill sink,
@@ -636,6 +631,8 @@ struct Shared {
     next_conn_id: AtomicU64,
     /// Stream-time idle-eviction threshold; 0 disables the tick.
     evict_idle: f64,
+    /// The lateness window `W` of the admission table.
+    lateness: f64,
     /// Where the Prometheus HTTP responder is bound, when it runs
     /// (finalize connects here once to pop it out of `accept`).
     prom_addr: Option<SocketAddr>,
@@ -833,10 +830,8 @@ impl Server {
             shared: Arc::new(Shared {
                 fleet: Mutex::new(Some(FleetState {
                     fleet,
-                    last_t: HashMap::new(),
-                    reorder: (config.lateness > 0.0).then(|| FleetReorder::new(config.lateness)),
+                    reorder: FleetReorder::new(config.lateness),
                     backfill: HashMap::new(),
-                    max_t: f64::NEG_INFINITY,
                 })),
                 engine: Mutex::new(engine),
                 hub,
@@ -855,6 +850,7 @@ impl Server {
                 trace,
                 next_conn_id: AtomicU64::new(1),
                 evict_idle: config.evict_idle,
+                lateness: config.lateness,
                 prom_addr,
             }),
         })
@@ -1028,16 +1024,12 @@ impl Server {
             .take()
             // bqs-analyze: allow(no-unwrap-in-lib) — invariant: finalize runs once, after the accept loop
             .expect("finalize runs once, after the accept loop");
-        // Release whatever the reorder buffers still hold — sorted per
+        // Release whatever the admission table still parks — sorted per
         // track — before the fleet joins.
-        if let Some(reorder) = state.reorder.as_mut() {
-            for (track, points) in reorder.drain_all() {
-                if !points.is_empty() {
-                    state.fleet.submit_run(track, points);
-                }
-            }
-            self.shared.metrics.reorder_depth.set(0);
+        for (track, points) in state.reorder.drain_all() {
+            state.fleet.submit_run(track, points);
         }
+        self.shared.metrics.reorder_depth.set(0);
         let join = state.fleet.join();
         if let Some(failure) = join.failures.first() {
             return Err(NetError::Fleet {
@@ -1152,16 +1144,17 @@ fn evict_tick(shared: &Shared) {
     let Some(state) = guard.as_mut() else {
         return; // already finalizing
     };
-    if state.max_t.is_finite() {
-        let now = state.max_t;
-        if let Some(reorder) = state.reorder.as_mut() {
-            for (track, points) in reorder.drain_idle(now - shared.evict_idle) {
-                state.fleet.submit_run(track, points);
-            }
-            shared.metrics.reorder_depth.set(reorder.depth() as u64);
-        }
-        state.fleet.evict_idle(now);
+    let Some(now) = state.reorder.clock() else {
+        return; // nothing admitted yet
+    };
+    for (track, points) in state.reorder.drain_idle(now - shared.evict_idle) {
+        state.fleet.submit_run(track, points);
     }
+    shared
+        .metrics
+        .reorder_depth
+        .set(state.reorder.depth() as u64);
+    state.fleet.evict_idle(now);
 }
 
 /// Serves `GET /metrics` over plain HTTP/1.1 until shutdown: accept,
@@ -1687,102 +1680,79 @@ fn handle_append_columns(
         return (shutting_down_error(), After::Close);
     };
     let n = batch.len() as u64;
-    // Bounded-lateness ingest: the batch must still be sorted within
-    // itself, but its start may fall up to the window behind the track's
-    // watermark instead of never — only in-order ingest seeds the check
-    // with the watermark.
-    let floor = match state.reorder {
-        Some(_) => f64::NEG_INFINITY,
-        None => state
-            .last_t
-            .get(&track)
-            .copied()
-            .unwrap_or(f64::NEG_INFINITY),
+    // The batch must be sorted within itself under any lateness. At
+    // `W = 0` the table's horizon is the track's watermark, so a batch
+    // reaching behind it breaks the codec's time-order rule and is that
+    // rule's bad request; under a window its start may fall up to `W`
+    // behind, and the table refuses anything older as too late.
+    let floor = match state.reorder.watermark(track) {
+        Some(watermark) if shared.lateness == 0.0 => watermark,
+        _ => f64::NEG_INFINITY,
     };
     if let Err(message) = validate_times(&batch.t, floor) {
         // Semantically invalid but well-framed: the batch is rejected
         // whole and the connection survives.
-        return (
-            Reply::Error {
-                code: ErrorCode::BadRequest,
-                message,
-            },
-            After::Continue,
-        );
+        return refused(ErrorCode::BadRequest, message);
     }
-    if state.reorder.is_some() {
-        return match submit_reordered(state, track, batch.iter(), shared) {
-            Ok(()) => {
-                drop(guard);
-                shared.appended_points.fetch_add(n, Ordering::Relaxed); // ordering: relaxed stat counter, read after join()
-                shared.trace.record(TraceEventKind::FleetSubmit, conn, n);
-                (Reply::Appended { track, points: n }, After::Continue)
-            }
-            Err(e) => {
-                drop(guard);
-                shared.metrics.too_late.add(n);
-                (
-                    Reply::Error {
-                        code: ErrorCode::TooLate,
-                        message: e.to_string(),
-                    },
-                    After::Continue,
-                )
-            }
-        };
-    }
-    if let Some(&last) = batch.t.last() {
-        state.last_t.insert(track, last);
-        state.max_t = state.max_t.max(last);
-    }
-    // Backpressure: this send blocks (fleet lock held, sockets unread)
-    // when the track's worker shard is saturated.
-    state.fleet.submit_run(track, batch.iter());
+    let admitted = admit(state, track, batch.iter(), shared);
     drop(guard);
-    shared.appended_points.fetch_add(n, Ordering::Relaxed); // ordering: relaxed stat counter, read after join()
-    shared.trace.record(TraceEventKind::FleetSubmit, conn, n);
-    (Reply::Appended { track, points: n }, After::Continue)
+    admission_reply(
+        admitted,
+        n,
+        shared,
+        conn,
+        Reply::Appended { track, points: n },
+    )
 }
 
-/// Pushes an admissible batch through `track`'s reorder buffer and
-/// submits whatever the advancing watermark releases, in timestamp
-/// order. Atomic: the whole batch is admitted, or — when any point
-/// falls beyond the window — refused without side effects.
-fn submit_reordered(
+/// Admits a run of `track` through the admission table and submits
+/// what it releases, in timestamp order. Atomic: the whole run is
+/// admitted, or — when any point falls behind the horizon — refused
+/// without side effects.
+fn admit(
     state: &mut FleetState,
     track: u64,
-    points: impl Iterator<Item = TimedPoint> + Clone,
+    run: impl Iterator<Item = TimedPoint> + Clone,
     shared: &Shared,
 ) -> Result<(), TooLate> {
-    let (late, released, depth, wm) = {
-        // bqs-analyze: allow(no-unwrap-in-lib) — invariant: caller checked
-        let reorder = state.reorder.as_mut().expect("caller checked");
-        // Admission pass: acceptance is decided for the whole batch
-        // before any point is parked.
-        let late = reorder.admit_batch(track, points.clone())?;
-        // Commit pass: every push now succeeds by construction.
-        let mut released = Vec::new();
-        for p in points {
-            reorder
-                .push(track, p, &mut released)
-                // bqs-analyze: allow(no-unwrap-in-lib) — invariant: admission pre-checked the whole batch
-                .expect("admission pre-checked the whole batch");
-        }
-        let wm = reorder.watermark(track).unwrap_or(f64::NEG_INFINITY);
-        (late, released, reorder.depth() as u64, wm)
-    };
-    state.max_t = state.max_t.max(wm);
-    if !released.is_empty() {
-        state.fleet.submit_run(track, released);
+    let admitted = state.reorder.admit(track, run)?;
+    if admitted.late > 0 {
+        shared.metrics.late_accepted.add(admitted.late);
     }
-    if late > 0 {
-        shared.metrics.late_accepted.add(late);
+    shared.metrics.reorder_depth.set(admitted.depth as u64);
+    // Backpressure: this send blocks (fleet lock held, sockets unread)
+    // when the track's worker shard is saturated.
+    match admitted.released {
+        Released::Run(run) => state.fleet.submit_run(track, run),
+        Released::Buffered(points) if points.len() > 0 => state.fleet.submit_run(track, points),
+        Released::Buffered(_) => {}
     }
-    shared.metrics.reorder_depth.set(depth);
     Ok(())
 }
 
-/// Serves an `AppendLate` request: the reorder-buffered late path, or
+/// The reply to an admission, sent after the fleet lock is released:
+/// `ok` once the run is in, a `too-late` error for a refused one.
+fn admission_reply(
+    admitted: Result<(), TooLate>,
+    n: u64,
+    shared: &Shared,
+    conn: u64,
+    ok: Reply,
+) -> (Reply, After) {
+    match admitted {
+        Ok(()) => {
+            shared.appended_points.fetch_add(n, Ordering::Relaxed); // ordering: relaxed stat counter, read after join()
+            shared.trace.record(TraceEventKind::FleetSubmit, conn, n);
+            (ok, After::Continue)
+        }
+        Err(e) => {
+            shared.metrics.too_late.add(n);
+            refused(ErrorCode::TooLate, e.to_string())
+        }
+    }
+}
+
+/// Serves an `AppendLate` request: the admission table's late path, or
 /// the durable backfill path.
 fn handle_append_late(
     track: u64,
@@ -1803,16 +1773,15 @@ fn handle_append_late(
             .try_for_each(|(i, t)| check_time(f64::NEG_INFINITY, t, i))
     };
     if let Err(e) = checked {
-        return (
-            Reply::Error {
-                code: ErrorCode::BadRequest,
-                message: e.to_string(),
-            },
-            After::Continue,
-        );
+        return refused(ErrorCode::BadRequest, e.to_string());
     }
     if points.is_empty() {
         return (Reply::LateAppended { track, points: 0 }, After::Continue);
+    }
+    if !backfill && shared.lateness == 0.0 {
+        let message = "server accepts no late points (started with --lateness 0); \
+                       use the backfill path";
+        return refused(ErrorCode::BadRequest, message.to_string());
     }
     let n = points.len() as u64;
     let mut guard = shared.lock_fleet();
@@ -1829,36 +1798,15 @@ fn handle_append_late(
         shared.metrics.backfilled.add(n);
         return (Reply::LateAppended { track, points: n }, After::Continue);
     }
-    if state.reorder.is_none() {
-        return (
-            Reply::Error {
-                code: ErrorCode::BadRequest,
-                message: "server accepts no late points (started with --lateness 0); \
-                          use the backfill path"
-                    .to_string(),
-            },
-            After::Continue,
-        );
-    }
-    match submit_reordered(state, track, points.iter().copied(), shared) {
-        Ok(()) => {
-            drop(guard);
-            shared.appended_points.fetch_add(n, Ordering::Relaxed); // ordering: relaxed stat counter, read after join()
-            shared.trace.record(TraceEventKind::FleetSubmit, conn, n);
-            (Reply::LateAppended { track, points: n }, After::Continue)
-        }
-        Err(e) => {
-            drop(guard);
-            shared.metrics.too_late.add(n);
-            (
-                Reply::Error {
-                    code: ErrorCode::TooLate,
-                    message: e.to_string(),
-                },
-                After::Continue,
-            )
-        }
-    }
+    let admitted = admit(state, track, points.iter().copied(), shared);
+    drop(guard);
+    admission_reply(
+        admitted,
+        n,
+        shared,
+        conn,
+        Reply::LateAppended { track, points: n },
+    )
 }
 
 /// The reply to any request but `Hello` on a connection that has not
@@ -2005,6 +1953,11 @@ fn handle_request(
             )
         }
     }
+}
+
+/// A typed error reply to one request; the connection survives it.
+fn refused(code: ErrorCode, message: String) -> (Reply, After) {
+    (Reply::Error { code, message }, After::Continue)
 }
 
 fn shutting_down_error() -> Reply {

@@ -3,13 +3,16 @@
 //! handful of times per frame beyond what the compressor itself needs:
 //! the allocations a bare `FastBqsCompressor` makes over the same
 //! per-track streams are the floor, and everything the server adds —
-//! decode, validation, the fleet hop, the reply — must stay within
-//! [`MAX_SERVER_ALLOCS_PER_FRAME`] of it.
+//! decode, validation, admission, the fleet hop, the reply — must stay
+//! within [`MAX_SERVER_ALLOCS_PER_FRAME`] of it, at `--lateness 0` and
+//! at `--lateness 30`, where every frame parks points and releases the
+//! ones the watermark clears.
 //!
 //! Allocations are counted process-wide by a `System`-backed global
 //! allocator, so the client side of the test allocates nothing while
 //! the window is open: every frame is encoded up front, and replies are
-//! read into a fixed buffer.
+//! read into a fixed buffer. The cases take one lock for their whole
+//! run, so one case's allocations never land in another's window.
 
 use bqs_core::stream::CountingSink;
 use bqs_core::{BqsConfig, FastBqsCompressor, StreamCompressor};
@@ -23,6 +26,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 /// Allocations (`alloc`, `alloc_zeroed` and `realloc` calls) since start.
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
@@ -73,9 +77,15 @@ fn allocations() -> u64 {
 }
 
 /// Server allocations per steady-state frame beyond the bare
-/// compressor's allocations per 64 points. About 4.0 today; a row copy
-/// of each frame (one more allocation per frame) breaks it.
+/// compressor's allocations per 64 points, at either lateness. About
+/// 4.0 today; a row copy of each frame (one more allocation per frame)
+/// breaks it, and so does a release buffer grown afresh per frame at
+/// `--lateness 30` (about four more).
 const MAX_SERVER_ALLOCS_PER_FRAME: f64 = 4.5;
+
+/// Held by each case for its whole run: the allocation counter is
+/// process-wide.
+static ONE_CASE_AT_A_TIME: Mutex<()> = Mutex::new(());
 
 const TRACKS: u64 = 8;
 const BATCH: usize = 64;
@@ -174,15 +184,31 @@ fn barrier(stream: &mut TcpStream, stats: &[u8], buf: &mut [u8]) {
 
 #[test]
 fn serving_allocates_a_pinned_constant_per_frame_beyond_the_compressor() {
+    check_allocs_per_frame(0.0);
+}
+
+#[test]
+fn serving_with_a_lateness_window_allocates_a_pinned_constant_per_frame() {
+    check_allocs_per_frame(30.0);
+}
+
+/// Serves the warm-up and measured frames on a server started with
+/// `--lateness lateness` and asserts its allocations per frame beyond a
+/// bare FBQS stay within [`MAX_SERVER_ALLOCS_PER_FRAME`].
+fn check_allocs_per_frame(lateness: f64) {
+    let _one = ONE_CASE_AT_A_TIME
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner);
     let traces = traces();
     let bare = bare_fbqs_allocs_per_batch(&traces);
 
     let root = std::env::temp_dir()
         .join("bqs-net-alloc-contract")
-        .join(format!("{}", std::process::id()));
+        .join(format!("{}-{lateness}", std::process::id()));
     let _ = std::fs::remove_dir_all(&root);
     let mut config = ServerConfig::new("127.0.0.1:0", 2, &root);
     config.io_threads = 1;
+    config.lateness = lateness;
     let server = Server::bind(config).expect("bind");
     let addr = server.local_addr();
     let handle = std::thread::spawn(move || server.run().expect("serve"));
@@ -236,12 +262,12 @@ fn serving_allocates_a_pinned_constant_per_frame_beyond_the_compressor() {
 
     let extra = server - bare;
     println!(
-        "allocations per frame: server {server:.2}, bare FBQS {bare:.2} per {BATCH} points, \
-         difference {extra:.2} (pinned ≤ {MAX_SERVER_ALLOCS_PER_FRAME})"
+        "lateness {lateness}: allocations per frame: server {server:.2}, bare FBQS {bare:.2} \
+         per {BATCH} points, difference {extra:.2} (pinned ≤ {MAX_SERVER_ALLOCS_PER_FRAME})"
     );
     assert!(
         extra <= MAX_SERVER_ALLOCS_PER_FRAME,
-        "the server allocates {server:.2} times per {BATCH}-point Append frame, \
-         {extra:.2} beyond a bare FBQS's {bare:.2}; the contract is ≤ {MAX_SERVER_ALLOCS_PER_FRAME}"
+        "at lateness {lateness} the server allocates {server:.2} times per {BATCH}-point \
+         Append frame, {extra:.2} beyond a bare FBQS's {bare:.2}; the contract is ≤ {MAX_SERVER_ALLOCS_PER_FRAME}"
     );
 }
