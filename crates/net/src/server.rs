@@ -15,9 +15,9 @@
 //!   I/O threads each run a level-triggered readiness loop
 //!   (`polling::Poller`: epoll on Linux, kqueue on macOS, a portable
 //!   round-robin fallback anywhere else). This is the only serving
-//!   path: `run` → `run_pool` → `io_loop` → `service_conn` →
-//!   `handle_payload`, with [`decode_frame`] the one server-side frame
-//!   parser. An `Append` frame is decoded straight into a columnar
+//!   path and the only writer of client sockets: `run` → `io_loop` →
+//!   `service_conn` → `handle_payload`, with [`decode_frame`] the one
+//!   server-side frame parser. An `Append` frame is decoded straight into a columnar
 //!   batch ([`decode_append_columns`]) — timestamps validated in one
 //!   contiguous pass — and its columns go straight into the owning
 //!   worker's buffer as a whole run, shipped in **one** channel send
@@ -30,10 +30,17 @@
 //!   connection, replies that outpace the client gate further reads
 //!   (`OUT_HIGH_WATERMARK`), so no unbounded queue exists anywhere on
 //!   the path.
+//! * **Subscribers stay on their I/O thread** — workers queue kept
+//!   points in the `SubHub`; each loop iteration pulls a subscriber's
+//!   batches into its out buffer while that holds less than
+//!   `OUT_HIGH_WATERMARK`, and a reader that lets `SUB_QUEUE_CAP`
+//!   points pile up is closed. I/O thread 0 also runs the
+//!   `--evict-idle` tick.
 //! * **Bounded connection table** — beyond
-//!   [`ServerConfig::max_connections`] an accepted socket receives one
-//!   typed [`ErrorCode::OverCapacity`] error frame and is closed
-//!   gracefully, instead of hanging in a backlog.
+//!   [`ServerConfig::max_connections`] (subscribers included) an
+//!   accepted socket receives one typed [`ErrorCode::OverCapacity`]
+//!   error frame and is closed gracefully, instead of hanging in a
+//!   backlog.
 //! * **Queries are hot + cold** — `Query` takes a consistent
 //!   [`ParallelFleet::snapshot`] (every point submitted before the
 //!   request is visible) and merges it with the spill tree through the
@@ -42,8 +49,10 @@
 //!   closed track is exactly the answer the finished tree will give.
 //! * **Graceful shutdown** — `Shutdown` stops the acceptor and starts
 //!   the drain: in-flight frames complete (mid-frame connections get
-//!   a 5 s `DRAIN_GRACE`), idle connections close, the fleet joins, every
-//!   session spills, the tree `MANIFEST` is written — leaving a
+//!   a 5 s `DRAIN_GRACE`), idle connections close, the fleet joins and
+//!   every session spills while subscribers are still served, each
+//!   subscriber gets its tail and `SubEnd` (within another
+//!   `DRAIN_GRACE`), the tree `MANIFEST` is written — leaving a
 //!   directory `bqs log verify` accepts.
 //!
 //! The runtime stays `std::net` + threads + a vendored poller shim: no
@@ -73,7 +82,7 @@ use bqs_tlog::{
     TrajectoryLog,
 };
 use polling::{source_of, Event, Poller};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -112,9 +121,6 @@ const OUT_HIGH_WATERMARK: usize = 1 << 20;
 /// The io-thread poller key reserved for the wake pipe.
 const WAKE_KEY: usize = usize::MAX;
 
-/// How often the subscriber pump thread delivers queued kept points.
-const SUB_PUMP_TICK: Duration = Duration::from_millis(25);
-
 /// Most points a subscriber may have queued undelivered before the
 /// server declares it too slow and disconnects it — subscribers must
 /// never be able to stall ingest workers.
@@ -123,9 +129,9 @@ const SUB_QUEUE_CAP: usize = 1 << 16;
 /// Most points coalesced into one pushed `SubPoints` frame.
 const SUB_BATCH_POINTS: usize = 512;
 
-/// How long the pump may block writing to one subscriber's socket
-/// before that subscriber is declared dead.
-const SUB_WRITE_TIMEOUT: Duration = Duration::from_secs(2);
+/// How often I/O thread 0 runs the idle-eviction pass when
+/// `--evict-idle` is set.
+const EVICT_TICK: Duration = Duration::from_secs(1);
 
 /// Events the server's flight recorder keeps before it overwrites the
 /// oldest.
@@ -242,8 +248,10 @@ struct FleetState {
     /// Backfill batches accepted over the wire, buffered until
     /// finalization writes them as flagged backfill records. Each inner
     /// vec is one accepted batch → one durable record.
-    backfill: HashMap<TrackId, Vec<Vec<TimedPoint>>>,
+    backfill: Backfill,
 }
+
+type Backfill = HashMap<TrackId, Vec<Vec<TimedPoint>>>;
 
 /// The fleet sink behind every worker shard: the durable spill sink,
 /// with each kept point teed into the subscriber hub first. When no
@@ -276,44 +284,45 @@ impl FleetSink for SubTeeSink {
 
 type FleetSlot = Mutex<Option<FleetState>>;
 
-/// One live subscription, owned by the hub after the connection hands
-/// off: the socket, the filters, and the batches not yet delivered.
+/// One live subscription: its filters and the batches its connection's
+/// I/O thread has not pulled yet.
 struct Sub {
     id: u64,
-    stream: TcpStream,
     track: Option<u64>,
     /// Normalized `[x_min, y_min, x_max, y_max]`.
     bbox: Option<[f64; 4]>,
-    queue: Vec<(u64, Vec<TimedPoint>)>,
+    queue: VecDeque<(u64, Vec<TimedPoint>)>,
     queued_points: usize,
-    /// Overflowed its queue cap or failed a write; reaped by the pump.
-    dead: bool,
+    /// Outgrew [`SUB_QUEUE_CAP`]: it queues nothing more, and its I/O
+    /// thread closes the connection.
+    overflowed: bool,
 }
 
-/// The subscriber hub: ingest workers publish every kept point here
-/// (one relaxed load when nobody subscribes), a single pump thread
-/// delivers queued batches as `SubPoints` frames. Only one pump runs at
-/// a time — the dedicated thread while serving, then `finish` once at
-/// finalization — so per-subscriber frame order is never interleaved.
+/// A subscriber outgrew its queue (or is no longer registered).
+struct Overflowed;
+
+/// The subscriber hub: ingest workers queue every kept point here (one
+/// relaxed load when nobody subscribes) and never touch a socket; the
+/// I/O thread that served each `Subscribe` pulls that subscriber's
+/// batches into the connection's out buffer as `SubPoints` frames. One
+/// thread pulls each subscriber, so its frames never interleave, and no
+/// thread holds the hub lock together with the fleet lock.
 struct SubHub {
     subs: Mutex<Vec<Sub>>,
-    /// Live subscription count, readable without the lock.
-    active: AtomicUsize,
     next_id: AtomicU64,
+    /// Live subscriptions, readable without the lock.
     subscribers_gauge: Gauge,
+    /// Points queued across every subscriber.
     queue_gauge: Gauge,
-    bytes_out: Counter,
 }
 
 impl SubHub {
     fn new(registry: &MetricsRegistry) -> SubHub {
         SubHub {
             subs: Mutex::new(Vec::new()),
-            active: AtomicUsize::new(0),
             next_id: AtomicU64::new(0),
             subscribers_gauge: registry.gauge("net_subscribers_live"),
             queue_gauge: registry.gauge("net_sub_queue_points"),
-            bytes_out: registry.counter("net_bytes_out_total"),
         }
     }
 
@@ -321,51 +330,50 @@ impl SubHub {
         self.subs.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn update_gauges(&self, subs: &[Sub]) {
-        self.active.store(subs.len(), Ordering::SeqCst); // ordering: seqcst count publish, ordered with the subs-lock mutation it mirrors
-        self.subscribers_gauge.set(subs.len() as u64);
-        self.set_queue_gauge(subs);
+    /// Whether any subscription is live: the one relaxed load a
+    /// publisher or an I/O thread iteration pays when nobody subscribes.
+    /// A subscription registered a moment ago is served from the next
+    /// point or iteration.
+    fn any(&self) -> bool {
+        self.subscribers_gauge.get() > 0
     }
 
-    /// The subscriber backlog: points queued across every live
-    /// subscriber, whichever ones the latest point matched.
-    fn set_queue_gauge(&self, subs: &[Sub]) {
-        self.queue_gauge.set(
-            subs.iter()
-                .filter(|s| !s.dead)
-                .map(|s| s.queued_points as u64)
-                .sum(),
-        );
-    }
-
-    /// Registers a handed-off connection as a subscriber.
-    fn add(&self, stream: TcpStream, track: Option<u64>, bbox: Option<[f64; 4]>) {
-        let _ = stream.set_nonblocking(false);
-        let _ = stream.set_write_timeout(Some(SUB_WRITE_TIMEOUT));
+    /// Registers a subscription; returns its id.
+    fn add(&self, track: Option<u64>, bbox: Option<[f64; 4]>) -> u64 {
         let bbox = bbox.map(|[x0, y0, x1, y1]| [x0.min(x1), y0.min(y1), x0.max(x1), y0.max(y1)]);
+        let id = self.next_id.fetch_add(1, Ordering::Relaxed); // ordering: relaxed unique-id ticket; only atomicity matters
         let mut subs = self.lock();
         subs.push(Sub {
-            id: self.next_id.fetch_add(1, Ordering::Relaxed), // ordering: relaxed unique-id ticket; only atomicity matters
-            stream,
+            id,
             track,
             bbox,
-            queue: Vec::new(),
+            queue: VecDeque::new(),
             queued_points: 0,
-            dead: false,
+            overflowed: false,
         });
-        self.update_gauges(&subs);
+        self.subscribers_gauge.set(subs.len() as u64);
+        id
+    }
+
+    /// Unregisters a subscription with whatever it still had queued.
+    fn remove(&self, id: u64) {
+        let mut subs = self.lock();
+        if let Some(i) = subs.iter().position(|s| s.id == id) {
+            let sub = subs.swap_remove(i);
+            self.queue_gauge.sub(sub.queued_points as u64);
+            self.subscribers_gauge.set(subs.len() as u64);
+        }
     }
 
     /// Queues one kept point for every matching subscriber. Called from
     /// ingest workers; never blocks on a socket.
     fn publish(&self, track: TrackId, point: TimedPoint) {
-        // ordering: relaxed empty check; missing a brand-new sub for one point is allowed
-        if self.active.load(Ordering::Relaxed) == 0 {
+        if !self.any() {
             return;
         }
         let mut subs = self.lock();
         for sub in subs.iter_mut() {
-            if sub.dead || sub.track.is_some_and(|t| t != track) {
+            if sub.overflowed || sub.track.is_some_and(|t| t != track) {
                 continue;
             }
             if let Some([x0, y0, x1, y1]) = sub.bbox {
@@ -377,86 +385,35 @@ impl SubHub {
             if sub.queued_points >= SUB_QUEUE_CAP {
                 // Too slow to keep: drop the subscriber, never the
                 // ingest throughput.
-                sub.dead = true;
+                sub.overflowed = true;
                 sub.queue.clear();
+                self.queue_gauge.sub(sub.queued_points as u64);
                 sub.queued_points = 0;
                 continue;
             }
-            match sub.queue.last_mut() {
+            match sub.queue.back_mut() {
                 Some((t, pts)) if *t == track && pts.len() < SUB_BATCH_POINTS => pts.push(point),
-                _ => sub.queue.push((track, vec![point])),
+                _ => sub.queue.push_back((track, vec![point])),
             }
             sub.queued_points += 1;
+            self.queue_gauge.add(1);
         }
-        self.set_queue_gauge(&subs);
     }
 
-    /// Delivers every queued batch and reaps dead subscribers. The
-    /// sockets are written *outside* the lock, so a slow subscriber
-    /// stalls only this pump, never a publisher.
-    fn pump(&self) {
-        // ordering: relaxed empty check; a stale zero only delays delivery one pump tick
-        if self.active.load(Ordering::Relaxed) == 0 {
-            return;
-        }
-        // (subscriber id, its socket, the queued (track, points) batches).
-        type Drained = (u64, TcpStream, Vec<(u64, Vec<TimedPoint>)>);
-        let mut work: Vec<Drained> = Vec::new();
-        {
-            let mut subs = self.lock();
-            for sub in subs.iter_mut() {
-                if sub.dead || sub.queue.is_empty() {
-                    continue;
-                }
-                match sub.stream.try_clone() {
-                    Ok(stream) => {
-                        sub.queued_points = 0;
-                        work.push((sub.id, stream, std::mem::take(&mut sub.queue)));
-                    }
-                    Err(_) => sub.dead = true,
-                }
-            }
-        }
-        let mut failed: Vec<u64> = Vec::new();
-        for (id, mut stream, batches) in work {
-            for (track, points) in batches {
-                let frame_ok =
-                    Reply::SubPoints { track, points }
-                        .encode()
-                        .ok()
-                        .and_then(|payload| {
-                            write_frame(&mut stream, &payload).ok()?;
-                            Some((HEADER_BYTES + payload.len() + 4) as u64)
-                        });
-                match frame_ok {
-                    Some(bytes) => self.bytes_out.add(bytes),
-                    None => {
-                        failed.push(id);
-                        break;
-                    }
-                }
-            }
-        }
+    /// Pops subscriber `id`'s oldest queued batch, `(track, points)`,
+    /// when the caller has `room` for it; reports an overflow either way.
+    fn pull(&self, id: u64, room: bool) -> Result<Option<(u64, Vec<TimedPoint>)>, Overflowed> {
         let mut subs = self.lock();
-        subs.retain(|s| !s.dead && !failed.contains(&s.id));
-        self.update_gauges(&subs);
-    }
-
-    /// Final drain at shutdown: deliver what remains, tell every
-    /// subscriber the stream has ended, close the sockets.
-    fn finish(&self) {
-        self.pump();
-        let mut subs = self.lock();
-        if let Ok(payload) = Reply::SubEnd.encode() {
-            for sub in subs.iter_mut() {
-                if !sub.dead && write_frame(&mut sub.stream, &payload).is_ok() {
-                    self.bytes_out
-                        .add((HEADER_BYTES + payload.len() + 4) as u64);
-                }
-            }
+        let sub = subs
+            .iter_mut()
+            .find(|s| s.id == id && !s.overflowed)
+            .ok_or(Overflowed)?;
+        let batch = if room { sub.queue.pop_front() } else { None };
+        if let Some((_, points)) = &batch {
+            sub.queued_points -= points.len();
+            self.queue_gauge.sub(points.len() as u64);
         }
-        subs.clear();
-        self.update_gauges(&subs);
+        Ok(batch)
     }
 }
 
@@ -620,8 +577,9 @@ struct Shared {
     /// `fleet_submitted_points_total` counts at the fleet boundary,
     /// behind the reorder buffers.
     appended_points: AtomicU64,
-    /// Stops the subscriber pump thread at finalization.
-    pump_stop: AtomicBool,
+    /// Set once the fleet has joined: every kept point is queued, so
+    /// each subscriber's stream can end.
+    fleet_joined: AtomicBool,
     /// When the server was bound (drives the `Stats` uptime gauge).
     started: Instant,
     metrics: ServerMetrics,
@@ -844,7 +802,7 @@ impl Server {
                 shutdown: AtomicBool::new(false),
                 active: AtomicUsize::new(0),
                 appended_points: AtomicU64::new(0),
-                pump_stop: AtomicBool::new(false),
+                fleet_joined: AtomicBool::new(false),
                 started: bqs_obs::now(),
                 metrics: ServerMetrics::new(&registry),
                 trace,
@@ -890,29 +848,6 @@ impl Server {
     /// (≈10 s of consecutive errors) stops the server — and even then
     /// it drains, spills and reports instead of abandoning the fleet.
     pub fn run(mut self) -> Result<ServeReport, NetError> {
-        // The subscriber pump: one thread delivering queued kept points
-        // to every subscriber. It is the only live
-        // writer to subscriber sockets, so pushed frames never
-        // interleave. The same thread drives the idle-eviction tick
-        // (once per EVICT_TICK) when `--evict-idle` is set.
-        let pump_shared = Arc::clone(&self.shared);
-        let pump = std::thread::Builder::new()
-            .name("bqs-sub-pump".into())
-            .spawn(move || {
-                let ticks_per_evict =
-                    (EVICT_TICK.as_millis() / SUB_PUMP_TICK.as_millis()).max(1) as u64;
-                let mut tick = 0u64;
-                // ordering: seqcst stop flag; join() in run() is the real synchronisation
-                while !pump_shared.pump_stop.load(Ordering::SeqCst) {
-                    pump_shared.hub.pump();
-                    tick += 1;
-                    if pump_shared.evict_idle > 0.0 && tick.is_multiple_of(ticks_per_evict) {
-                        evict_tick(&pump_shared);
-                    }
-                    std::thread::sleep(SUB_PUMP_TICK);
-                }
-            })
-            .map_err(|e| NetError::io("spawn pump thread", e))?;
         // The Prometheus responder: one thread serving `GET /metrics`
         // over plain HTTP/1.1, one request per connection.
         let prom = match self.prom_listener.take() {
@@ -927,33 +862,32 @@ impl Server {
             }
             None => None,
         };
-        self.run_pool(pump, prom)
-    }
-
-    /// The accept loop: admit, hand each socket round-robin to an I/O
-    /// thread's readiness poller, and on shutdown drain and finalize.
-    fn run_pool(
-        self,
-        pump: std::thread::JoinHandle<()>,
-        prom: Option<std::thread::JoinHandle<()>>,
-    ) -> Result<ServeReport, NetError> {
+        // The accept loop: admit, hand each socket round-robin to an
+        // I/O thread's readiness poller, and on shutdown drain and
+        // finalize.
         let io_threads = self.shared.io_threads;
         let mut senders: Vec<Sender<(u64, TcpStream)>> = Vec::with_capacity(io_threads);
         let mut wakers: Vec<TcpStream> = Vec::with_capacity(io_threads);
         let mut handles = Vec::with_capacity(io_threads);
+        // Nothing is ever sent: each I/O thread drops its sender once it
+        // holds no request connection at shutdown, which closes the
+        // channel when the last one is done.
+        let (requests_tx, requests_done) = std::sync::mpsc::channel::<()>();
         for i in 0..io_threads {
             let (tx, rx) = std::sync::mpsc::channel::<(u64, TcpStream)>();
             let (wake_tx, wake_rx) = wake_pipe()?;
             let shared = Arc::clone(&self.shared);
+            let requests = requests_tx.clone();
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("bqs-io-{i}"))
-                    .spawn(move || io_loop(rx, wake_rx, &shared))
+                    .spawn(move || io_loop(i, rx, wake_rx, requests, &shared))
                     .map_err(|e| NetError::io("spawn io thread", e))?,
             );
             senders.push(tx);
             wakers.push(wake_tx);
         }
+        drop(requests_tx);
 
         const MAX_CONSECUTIVE_ACCEPT_FAILURES: u32 = 100;
         let mut accept_failures = 0u32;
@@ -1004,28 +938,47 @@ impl Server {
         // Close the admission channels and wake every io thread so the
         // drain starts immediately rather than at the next tick.
         drop(senders);
-        for waker in &wakers {
-            wake(waker);
-        }
+        wakers.iter().for_each(wake);
+        // Every request connection is closed: join the fleet while the
+        // I/O threads keep delivering to their subscribers, then let
+        // them send each subscriber its tail and `SubEnd`.
+        let _ = requests_done.recv();
+        let joined = self.join_fleet();
+        self.shared.fleet_joined.store(true, Ordering::SeqCst); // ordering: seqcst publishes the join to the I/O threads' end-of-stream check
+        wakers.iter().for_each(wake);
         for handle in handles {
             let _ = handle.join();
         }
-        self.finalize(pump, prom)
+        // Stop the Prometheus responder: every path here has set the
+        // shutdown flag; one wake connection pops the thread out of
+        // `accept`.
+        if let (Some(prom), Some(addr)) = (prom, self.shared.prom_addr) {
+            drop(TcpStream::connect(wake_addr(addr)));
+            let _ = prom.join();
+        }
+        let (mut report, backfill) = joined?;
+        // Buffered backfill batches become flagged records in the same
+        // shard logs the tracks' live data spilled to, *before* the
+        // manifest is rebuilt so its spans cover them.
+        if !backfill.is_empty() {
+            write_backfill(&self.shared.spill, self.shared.workers, &backfill)?;
+        }
+        if self.shared.workers > 1 {
+            report.manifest_shards = Manifest::rebuild(&self.shared.spill)?.shards.len();
+        }
+        Ok(report)
     }
 
-    fn finalize(
-        &self,
-        pump: std::thread::JoinHandle<()>,
-        prom: Option<std::thread::JoinHandle<()>>,
-    ) -> Result<ServeReport, NetError> {
+    /// Releases whatever the admission table still parks, joins the
+    /// fleet and finishes every spill sink. Runs once every request
+    /// connection is closed, so the served totals are final.
+    fn join_fleet(&self) -> Result<(ServeReport, Backfill), NetError> {
         let mut state = self
             .shared
             .lock_fleet()
             .take()
-            // bqs-analyze: allow(no-unwrap-in-lib) — invariant: finalize runs once, after the accept loop
-            .expect("finalize runs once, after the accept loop");
-        // Release whatever the admission table still parks — sorted per
-        // track — before the fleet joins.
+            // bqs-analyze: allow(no-unwrap-in-lib) — invariant: joined once, after the accept loop
+            .expect("the fleet joins once, after the accept loop");
         for (track, points) in state.reorder.drain_all() {
             state.fleet.submit_run(track, points);
         }
@@ -1038,60 +991,27 @@ impl Server {
                 sessions: failure.tracks.len(),
             });
         }
-        let stats = join.stats;
-        let mut spilled_sessions = 0usize;
-        let mut spilled_points = 0u64;
-        let mut spilled_bytes = 0u64;
+        let mut spilled = Vec::new();
         for shard in join.shards {
-            let reports = shard
-                .sink
-                .finish()
-                .map_err(|failure| NetError::Spill(failure.to_string()))?;
-            spilled_sessions += reports.len();
-            spilled_points += reports.iter().map(|r| r.points).sum::<u64>();
-            spilled_bytes += reports.iter().map(|r| r.bytes).sum::<u64>();
+            let reports = shard.sink.finish();
+            spilled.extend(reports.map_err(|failure| NetError::Spill(failure.to_string()))?);
         }
-        // Every kept point has been published; let the pump deliver the
-        // tail, then end and close every subscription.
-        self.shared.pump_stop.store(true, Ordering::SeqCst); // ordering: seqcst stop flag; the join() below is the real synchronisation
-        let _ = pump.join();
-        self.shared.hub.finish();
-        // Stop the Prometheus responder: every path into finalize has
-        // set the shutdown flag (re-asserted here for belt and braces);
-        // one wake connection pops the thread out of `accept`.
-        if let Some(prom) = prom {
-            self.shared.shutdown.store(true, Ordering::SeqCst); // ordering: seqcst publishes shutdown before the wake-up connect below
-            if let Some(addr) = self.shared.prom_addr {
-                drop(TcpStream::connect(wake_addr(addr)));
-            }
-            let _ = prom.join();
-        }
-        // Buffered backfill batches become flagged records in the same
-        // shard logs the tracks' live data spilled to, *before* the
-        // manifest is rebuilt so its spans cover them.
-        if !state.backfill.is_empty() {
-            write_backfill(&self.shared.spill, self.shared.workers, &state.backfill)?;
-        }
-        let manifest_shards = if self.shared.workers > 1 {
-            Manifest::rebuild(&self.shared.spill)?.shards.len()
-        } else {
-            0
-        };
         let m = &self.shared.metrics;
-        Ok(ServeReport {
+        let report = ServeReport {
             connections: m.conns_admitted.get(),
             rejected_connections: m.conns_rejected.get(),
             frames: m.frames.get(),
-            appended_points: self.shared.appended_points.load(Ordering::Relaxed), // ordering: relaxed final read; all writers joined above
+            appended_points: self.shared.appended_points.load(Ordering::Relaxed), // ordering: relaxed final read; every request connection has closed
             late_points: m.late_accepted.get(),
             backfill_points: m.backfilled.get(),
             too_late_points: m.too_late.get(),
-            spilled_sessions,
-            spilled_points,
-            spilled_bytes,
-            stats,
-            manifest_shards,
-        })
+            spilled_sessions: spilled.len(),
+            spilled_points: spilled.iter().map(|r| r.points).sum(),
+            spilled_bytes: spilled.iter().map(|r| r.bytes).sum(),
+            stats: join.stats,
+            manifest_shards: 0,
+        };
+        Ok((report, state.backfill))
     }
 }
 
@@ -1101,7 +1021,7 @@ impl Server {
 fn write_backfill(
     spill: &std::path::Path,
     workers: usize,
-    backfill: &HashMap<TrackId, Vec<Vec<TimedPoint>>>,
+    backfill: &Backfill,
 ) -> Result<(), NetError> {
     let mut by_shard: HashMap<usize, Vec<TrackId>> = HashMap::new();
     for &track in backfill.keys() {
@@ -1128,10 +1048,6 @@ fn write_backfill(
     }
     Ok(())
 }
-
-/// How often the pump thread runs the idle-eviction pass when
-/// `--evict-idle` is set.
-const EVICT_TICK: Duration = Duration::from_secs(1);
 
 /// One idle-eviction pass: finalises (through the normal spill path)
 /// every session that has not pushed for `evict_idle` stream-time
@@ -1279,9 +1195,10 @@ struct Conn {
     /// Decode times of requests whose replies have not fully flushed —
     /// drained into the latency histograms when `outbuf` empties.
     pending: Vec<(Instant, ReqKind)>,
-    /// A `Subscribe` was served: once the out queue drains, the socket
-    /// moves to the subscriber hub instead of being polled further.
-    handoff: Option<(Option<u64>, Option<[f64; 4]>)>,
+    /// The hub subscription this connection carries once its
+    /// `Subscribe` is served: from then on it only receives pushed
+    /// frames, and whatever the client sends is discarded.
+    sub: Option<u64>,
 }
 
 impl Conn {
@@ -1298,7 +1215,7 @@ impl Conn {
             want_write: false,
             eof: false,
             pending: Vec::new(),
-            handoff: None,
+            sub: None,
         }
     }
 
@@ -1307,12 +1224,26 @@ impl Conn {
     fn at_boundary(&self) -> bool {
         self.consumed == self.inbuf.len() && self.outpos == self.outbuf.len()
     }
+
+    /// Queued reply bytes are under the high watermark.
+    fn has_room(&self) -> bool {
+        self.outbuf.len() - self.outpos < OUT_HIGH_WATERMARK
+    }
 }
 
-/// One I/O thread: admit connections from `rx`, poll readiness, parse
-/// frames, serve requests, flush replies — until shutdown drains every
-/// connection.
-fn io_loop(rx: Receiver<(u64, TcpStream)>, wake_rx: TcpStream, shared: &Shared) {
+/// I/O thread `index`: admit connections from `rx`, poll readiness,
+/// parse frames, serve requests, deliver its subscribers' kept points,
+/// flush — and, on thread 0, run the idle-eviction tick. At shutdown it
+/// drains its request connections and then drops `requests`, the
+/// acceptor's cue to join the fleet; once the fleet has joined, every
+/// subscriber gets its tail and `SubEnd`, and the thread exits.
+fn io_loop(
+    index: usize,
+    rx: Receiver<(u64, TcpStream)>,
+    wake_rx: TcpStream,
+    requests: Sender<()>,
+    shared: &Shared,
+) {
     let poller = if shared.fallback_poller {
         Poller::with_fallback()
     } else {
@@ -1325,7 +1256,11 @@ fn io_loop(rx: Receiver<(u64, TcpStream)>, wake_rx: TcpStream, shared: &Shared) 
     let mut events: Vec<Event> = Vec::new();
     let mut scratch = ColumnarBatch::new();
     let mut rx_open = true;
+    let mut requests = Some(requests);
     let mut drain_deadline: Option<Instant> = None;
+    let mut end_deadline: Option<Instant> = None;
+    let mut next_evict =
+        (index == 0 && shared.evict_idle > 0.0).then(|| bqs_obs::now() + EVICT_TICK);
     loop {
         // Admit whatever the acceptor queued.
         while rx_open {
@@ -1349,24 +1284,23 @@ fn io_loop(rx: Receiver<(u64, TcpStream)>, wake_rx: TcpStream, shared: &Shared) 
 
         let shutting = shared.shutdown.load(Ordering::SeqCst); // ordering: seqcst so drain decisions agree across workers
         if shutting {
-            let deadline = *drain_deadline.get_or_insert_with(|| bqs_obs::now() + DRAIN_GRACE);
+            let now = bqs_obs::now();
+            let expired = now >= *drain_deadline.get_or_insert(now + DRAIN_GRACE);
             // Final service pass: frames already in flight (kernel
-            // buffers included) still complete; then close everything
-            // that sits at a frame boundary — or everything, once the
-            // grace expires.
+            // buffers included) still complete; then each request
+            // connection closes at a frame boundary — or every one, once
+            // the grace expires. Subscribers stay.
             let keys: Vec<usize> = conns.keys().copied().collect();
-            let expired = bqs_obs::now() >= deadline;
             for key in keys {
                 // bqs-analyze: allow(no-unwrap-in-lib) — invariant: key from this map
                 let conn = conns.get_mut(&key).expect("key from this map");
                 let dead = service_conn(conn, shared, &mut scratch);
-                if !dead && conn.handoff.is_some() && conn.outpos == conn.outbuf.len() {
-                    // A freshly acked subscriber still gets its drain
-                    // notice (`SubEnd`) through the hub.
-                    handoff_conn(&poller, &mut conns, key, shared);
-                } else if dead || conn.at_boundary() || expired {
+                if dead || conn.sub.is_none() && (conn.at_boundary() || expired) {
                     close_conn(&poller, &mut conns, key, shared);
                 }
+            }
+            if !rx_open && conns.values().all(|conn| conn.sub.is_some()) {
+                drop(requests.take()); // no request connection is left
             }
             if conns.is_empty() && !rx_open {
                 break;
@@ -1388,29 +1322,18 @@ fn io_loop(rx: Receiver<(u64, TcpStream)>, wake_rx: TcpStream, shared: &Shared) 
             };
             if service_conn(conn, shared, &mut scratch) {
                 close_conn(&poller, &mut conns, ev.key, shared);
-                continue;
-            }
-            // bqs-analyze: allow(no-unwrap-in-lib) — invariant: still present
-            let conn = conns.get_mut(&ev.key).expect("still present");
-            if conn.handoff.is_some() && conn.outpos == conn.outbuf.len() {
-                // `Subscribed` is on the wire: the socket now belongs
-                // to the subscriber hub (and its pump thread).
-                handoff_conn(&poller, &mut conns, ev.key, shared);
-                continue;
-            }
-            // Write interest only while replies are actually pending.
-            let pending = conn.outpos < conn.outbuf.len();
-            if pending != conn.want_write {
-                conn.want_write = pending;
-                let interest = if pending {
-                    Event::all(ev.key)
-                } else {
-                    Event::readable(ev.key)
-                };
-                let _ = poller.modify(source_of(&conn.stream), interest);
+            } else {
+                set_write_interest(&poller, ev.key, conn);
             }
         }
+        if shared.hub.any() {
+            deliver_subscribers(&poller, &mut conns, shared, &mut end_deadline);
+        }
         shared.metrics.io_tick_us.record(elapsed_us(tick_start));
+        if next_evict.is_some_and(|at| bqs_obs::now() >= at) {
+            evict_tick(shared);
+            next_evict = Some(bqs_obs::now() + EVICT_TICK);
+        }
     }
     // Streams the acceptor queued that were never admitted.
     for (_, stream) in rx.try_iter() {
@@ -1424,25 +1347,75 @@ fn drain_wake(wake_rx: &TcpStream) {
     while matches!((&*wake_rx).read(&mut buf), Ok(n) if n > 0) {}
 }
 
+/// Keeps write interest registered exactly while replies are pending.
+fn set_write_interest(poller: &Poller, key: usize, conn: &mut Conn) {
+    let pending = conn.outpos < conn.outbuf.len();
+    if pending != conn.want_write {
+        conn.want_write = pending;
+        let interest = if pending {
+            Event::all(key)
+        } else {
+            Event::readable(key)
+        };
+        let _ = poller.modify(source_of(&conn.stream), interest);
+    }
+}
+
 fn close_conn(poller: &Poller, conns: &mut HashMap<usize, Conn>, key: usize, shared: &Shared) {
     if let Some(conn) = conns.remove(&key) {
         let _ = poller.delete(source_of(&conn.stream));
+        if let Some(id) = conn.sub {
+            shared.hub.remove(id);
+        }
         drop(conn.stream);
         shared.conn_closed();
     }
 }
 
-/// Moves a connection whose `Subscribed` ack has flushed out of the
-/// poll set and into the subscriber hub. The connection stops counting
-/// against `--max-connections`; it is accounted by the
-/// `net_subscribers_live` gauge instead.
-fn handoff_conn(poller: &Poller, conns: &mut HashMap<usize, Conn>, key: usize, shared: &Shared) {
-    if let Some(conn) = conns.remove(&key) {
-        let _ = poller.delete(source_of(&conn.stream));
-        // bqs-analyze: allow(no-unwrap-in-lib) — invariant: caller checked
-        let (track, bbox) = conn.handoff.expect("caller checked");
-        shared.hub.add(conn.stream, track, bbox);
-        shared.conn_closed();
+/// Moves every subscriber's queued kept points into its out buffer and
+/// flushes it; once the fleet has joined, ends each stream with
+/// `SubEnd`. Closes a subscriber that outgrew its queue, failed a
+/// write, or has not taken its tail within [`DRAIN_GRACE`] of the join.
+fn deliver_subscribers(
+    poller: &Poller,
+    conns: &mut HashMap<usize, Conn>,
+    shared: &Shared,
+    end_deadline: &mut Option<Instant>,
+) {
+    // ordering: seqcst pairs with the store after the fleet joins; every kept point is queued by then
+    let ended = shared.fleet_joined.load(Ordering::SeqCst);
+    let now = bqs_obs::now();
+    let expired = ended && now >= *end_deadline.get_or_insert(now + DRAIN_GRACE);
+    let mut closing = Vec::new();
+    for (&key, conn) in conns.iter_mut() {
+        let Some(id) = conn.sub else {
+            continue;
+        };
+        if expired || pull_sub(conn, id, &shared.hub, ended).is_err() || flush_conn(conn, shared) {
+            closing.push(key);
+        } else {
+            set_write_interest(poller, key, conn);
+        }
+    }
+    for key in closing {
+        close_conn(poller, conns, key, shared);
+    }
+}
+
+/// Moves subscription `id`'s queued batches into `conn`'s out buffer as
+/// `SubPoints` frames while the buffer has room; once `ended` and the
+/// queue is empty, queues `SubEnd` and the close.
+fn pull_sub(conn: &mut Conn, id: u64, hub: &SubHub, ended: bool) -> Result<(), Overflowed> {
+    loop {
+        let room = !conn.close_after_flush && conn.has_room();
+        let Some((track, points)) = hub.pull(id, room)? else {
+            if ended && room {
+                queue_reply(conn, &Reply::SubEnd);
+                conn.close_after_flush = true;
+            }
+            return Ok(());
+        };
+        queue_reply(conn, &Reply::SubPoints { track, points });
     }
 }
 
@@ -1452,12 +1425,11 @@ fn handoff_conn(poller: &Poller, conns: &mut HashMap<usize, Conn>, key: usize, s
 fn service_conn(conn: &mut Conn, shared: &Shared, scratch: &mut ColumnarBatch) -> bool {
     // 1. Pull available bytes — unless queued replies are over the
     // watermark (a client that writes but never reads): level-triggered
-    // polling re-reports the socket once the replies drain.
-    if !conn.eof
-        && !conn.close_after_flush
-        && conn.handoff.is_none()
-        && conn.outbuf.len() - conn.outpos < OUT_HIGH_WATERMARK
-    {
+    // polling re-reports the socket once the replies drain. A
+    // subscriber's bytes are read ungated and discarded, so its EOF is
+    // seen at once.
+    let discard = conn.sub.is_some();
+    if !conn.eof && !conn.close_after_flush && (discard || conn.has_room()) {
         let mut chunk = [0u8; READ_CHUNK];
         let mut read_this_tick = 0usize;
         loop {
@@ -1467,7 +1439,9 @@ fn service_conn(conn: &mut Conn, shared: &Shared, scratch: &mut ColumnarBatch) -
                     break;
                 }
                 Ok(n) => {
-                    conn.inbuf.extend_from_slice(&chunk[..n]);
+                    if !discard {
+                        conn.inbuf.extend_from_slice(&chunk[..n]);
+                    }
                     read_this_tick += n;
                     shared.metrics.bytes_in.add(n as u64);
                     if read_this_tick >= MAX_TICK_BYTES {
@@ -1482,7 +1456,7 @@ fn service_conn(conn: &mut Conn, shared: &Shared, scratch: &mut ColumnarBatch) -
     }
 
     // 2. Serve every complete frame in the buffer.
-    while !conn.close_after_flush && conn.handoff.is_none() {
+    while !conn.close_after_flush && conn.sub.is_none() {
         let buf = &conn.inbuf[conn.consumed..];
         if buf.is_empty() {
             break;
@@ -1505,11 +1479,10 @@ fn service_conn(conn: &mut Conn, shared: &Shared, scratch: &mut ColumnarBatch) -
                     After::Continue => {}
                     After::Close => conn.close_after_flush = true,
                     After::Subscribe { track, bbox } => {
-                        // Stop parsing: the protocol says the client
-                        // sends nothing after `Subscribe`, and any
-                        // pipelined leftovers are dropped at handoff.
-                        conn.handoff = Some((track, bbox));
-                        break;
+                        // Kept points queue behind the `Subscribed` ack;
+                        // pipelined leftovers are never served.
+                        conn.sub = Some(shared.hub.add(track, bbox));
+                        conn.consumed = conn.inbuf.len();
                     }
                 }
             }
@@ -1538,8 +1511,14 @@ fn service_conn(conn: &mut Conn, shared: &Shared, scratch: &mut ColumnarBatch) -
     if conn.eof {
         conn.close_after_flush = true;
     }
-
     // 3. Flush as much of the out queue as the socket takes.
+    flush_conn(conn, shared)
+}
+
+/// Flushes as much of the out queue as the socket takes. Returns `true`
+/// when the connection is done (transport failure, or close-after-flush
+/// with an empty out buffer).
+fn flush_conn(conn: &mut Conn, shared: &Shared) -> bool {
     while conn.outpos < conn.outbuf.len() {
         match conn.stream.write(&conn.outbuf[conn.outpos..]) {
             Ok(0) => return true,
@@ -1604,9 +1583,9 @@ enum After {
     Continue,
     /// Close this connection (frame-level failure or shutdown).
     Close,
-    /// Hand this connection to the subscriber hub once the `Subscribed`
-    /// acknowledgement has flushed: the request/reply conversation is
-    /// over and the socket only carries pushed frames from here on.
+    /// Register this connection with the subscriber hub: the
+    /// request/reply conversation is over, and the socket only carries
+    /// pushed frames from here on.
     Subscribe {
         track: Option<u64>,
         bbox: Option<[f64; 4]>,
@@ -1862,6 +1841,7 @@ fn handle_request(
             state.fleet.flush();
             (Reply::Flushed, After::Continue)
         }
+        Request::Query(spec) if has_nan(&[spec.from, spec.to], spec.bbox) => nan_refused(),
         Request::Query(spec) => match run_query(&spec, shared) {
             Ok(report) => (Reply::QueryResult(report), After::Continue),
             Err(e) => (
@@ -1934,10 +1914,11 @@ fn handle_request(
             backfill,
             points,
         } => handle_append_late(track, backfill, &points, shared, conn),
+        Request::Subscribe { bbox, .. } if has_nan(&[], bbox) => nan_refused(),
         Request::Subscribe { track, bbox } => {
             // The acknowledgement is queued like any reply; the runtime
-            // performs the actual handoff only after it flushes, so the
-            // client never sees pushed frames before `Subscribed`.
+            // registers the subscription right behind it, so the client
+            // never sees pushed frames before `Subscribed`.
             (Reply::Subscribed, After::Subscribe { track, bbox })
         }
         Request::Shutdown => {
@@ -1958,6 +1939,20 @@ fn handle_request(
 /// A typed error reply to one request; the connection survives it.
 fn refused(code: ErrorCode, message: String) -> (Reply, After) {
     (Reply::Error { code, message }, After::Continue)
+}
+
+/// Whether a `Query`/`Subscribe` filter holds a NaN: a NaN time bound
+/// matches no point, and a NaN corner would collapse the box to a line.
+fn has_nan(bounds: &[f64], bbox: Option<[f64; 4]>) -> bool {
+    bounds
+        .iter()
+        .chain(bbox.iter().flatten())
+        .any(|v| v.is_nan())
+}
+
+fn nan_refused() -> (Reply, After) {
+    let message = "a NaN filter bound matches nothing; use ±inf for an open bound";
+    refused(ErrorCode::BadRequest, message.to_string())
 }
 
 fn shutting_down_error() -> Reply {
@@ -2067,17 +2062,10 @@ mod tests {
 
     #[test]
     fn the_subscriber_backlog_gauge_sums_every_subscriber() {
-        // One loopback socket pair per subscriber: the hub holds the
-        // server end; the client end only has to stay open.
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
         let registry = MetricsRegistry::new();
         let hub = SubHub::new(&registry);
-        let mut clients = Vec::new();
         for track in [1, 2] {
-            clients.push(TcpStream::connect(addr).unwrap());
-            let (server_end, _) = listener.accept().unwrap();
-            hub.add(server_end, Some(track), None);
+            hub.add(Some(track), None);
         }
         for i in 0..10 {
             hub.publish(1, TimedPoint::new(f64::from(i), 0.0, f64::from(i)));
@@ -2085,6 +2073,27 @@ mod tests {
         hub.publish(2, TimedPoint::new(0.0, 0.0, 0.0));
         // Ten points wait for track 1's subscriber, one for track 2's.
         assert_eq!(registry.gauge("net_sub_queue_points").get(), 11);
-        drop(clients);
+    }
+
+    #[test]
+    fn a_subscriber_that_outgrows_its_queue_is_dropped_never_buffered() {
+        let registry = MetricsRegistry::new();
+        let hub = SubHub::new(&registry);
+        let queued = registry.gauge("net_sub_queue_points");
+        let id = hub.add(None, None);
+        let point = |i: usize| TimedPoint::new(0.0, 0.0, i as f64);
+        for i in 0..SUB_QUEUE_CAP {
+            hub.publish(7, point(i));
+        }
+        // Only the connection's room gates a pull; a full one takes
+        // nothing and still hears the verdict.
+        assert!(matches!(hub.pull(id, false), Ok(None)));
+        hub.publish(7, point(SUB_QUEUE_CAP));
+        assert!(hub.pull(id, true).is_err());
+        assert_eq!(queued.peak(), SUB_QUEUE_CAP as u64);
+        assert_eq!(queued.get(), 0, "an overflowed queue holds nothing");
+        hub.remove(id);
+        assert_eq!(registry.gauge("net_subscribers_live").get(), 0);
+        assert!(!hub.any());
     }
 }

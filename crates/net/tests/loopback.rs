@@ -599,40 +599,52 @@ fn over_capacity_accepts_get_a_typed_error_and_a_graceful_close() {
     let addr = server.local_addr();
     let handle = std::thread::spawn(move || server.run().expect("serve"));
 
-    // Fill the table.
-    let mut first = BqsClient::connect(addr).expect("connect 1");
-    let second = BqsClient::connect(addr).expect("connect 2");
-
     // The next connection is answered with one typed error frame,
     // then closed — not hung, not silently dropped.
-    match BqsClient::connect(addr) {
+    let refused = || match BqsClient::connect(addr) {
         Err(NetError::Server { code, message }) => {
             assert_eq!(code, ErrorCode::OverCapacity);
             assert!(message.contains("connection table full"), "{message}");
         }
         Err(other) => panic!("expected an over-capacity rejection, got {other:?}"),
         Ok(_) => panic!("expected an over-capacity rejection, got a connection"),
-    }
-
-    // The admitted connections still work, and closing one frees a
-    // slot (the pool notices the EOF asynchronously: retry briefly).
-    first.append(1, &wave(1, 30)).expect("admitted still works");
-    drop(second);
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-    let mut readmitted = loop {
-        match BqsClient::connect(addr) {
-            Ok(client) => break client,
-            Err(NetError::Server {
-                code: ErrorCode::OverCapacity,
-                ..
-            }) if std::time::Instant::now() < deadline => {
-                std::thread::sleep(std::time::Duration::from_millis(20));
+    };
+    // A closed connection frees its slot once the pool notices the EOF,
+    // asynchronously: retry briefly.
+    let admitted = || {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        loop {
+            match BqsClient::connect(addr) {
+                Ok(client) => break client,
+                Err(NetError::Server {
+                    code: ErrorCode::OverCapacity,
+                    ..
+                }) if std::time::Instant::now() < deadline => {
+                    std::thread::sleep(std::time::Duration::from_millis(20));
+                }
+                Err(other) => panic!("expected a freed slot, got {other:?}"),
             }
-            Err(other) => panic!("expected a freed slot, got {other:?}"),
         }
     };
+
+    // Fill the table.
+    let mut first = BqsClient::connect(addr).expect("connect 1");
+    let second = BqsClient::connect(addr).expect("connect 2");
+    refused();
+
+    // The admitted connections still work, and closing one frees a slot.
+    first.append(1, &wave(1, 30)).expect("admitted still works");
+    drop(second);
+    let mut readmitted = admitted();
     readmitted.append(2, &wave(2, 30)).expect("append");
     drop(first);
+
+    // A subscriber holds its slot like any other connection: it and one
+    // client fill the table, and closing it frees the slot.
+    let subscriber = admitted().subscribe(None, None).expect("subscribe");
+    refused();
+    drop(subscriber);
+    drop(admitted());
     readmitted.shutdown().expect("shutdown");
 
     let report = handle.join().expect("server thread");
@@ -675,6 +687,214 @@ fn requests_before_the_handshake_are_refused() {
         .expect("handshaking clients still work")
         .shutdown()
         .expect("shutdown");
+    server.join().expect("server thread");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A zig-zag run every point of which a 1 µm tolerance keeps: `n`
+/// points from `t0`, `dt` seconds apart.
+fn every_point_kept(track: u64, t0: f64, dt: f64, n: usize) -> Vec<bqs_geo::TimedPoint> {
+    (0..n)
+        .map(|i| {
+            let y = if i % 2 == 0 { 5.0 } else { -5.0 };
+            let t = t0 + i as f64 * dt;
+            bqs_geo::TimedPoint::new(t * 3.0 + track as f64, y, t)
+        })
+        .collect()
+}
+
+/// Waits up to 10 s for `done`, failing with `what`.
+fn wait_for(what: &str, mut done: impl FnMut() -> bool) {
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    while !done() {
+        assert!(std::time::Instant::now() < deadline, "timed out: {what}");
+        std::thread::sleep(std::time::Duration::from_millis(10));
+    }
+}
+
+/// Subscriber A never reads; subscriber B does. A's stall holds up
+/// neither B's stream nor the idle-eviction tick, A's backlog stays
+/// under its cap, and once A outgrows it the server closes A alone —
+/// while B's stream stays exactly its track's durable kept sequence.
+#[test]
+fn a_subscriber_that_never_reads_is_closed_without_stalling_the_others() {
+    const CHUNK: usize = 8000;
+    const CAP: u64 = 1 << 16; // the server's SUB_QUEUE_CAP
+    let root = temp_root("stalled-sub");
+    let mut config = ServerConfig::new("127.0.0.1:0", 2, &root);
+    config.io_threads = 2;
+    config.tolerance = 1e-6;
+    config.evict_idle = 1000.0;
+    let server = Server::bind(config).expect("bind");
+    let registry = server.metrics().clone();
+    let addr = server.local_addr();
+    let handle = std::thread::spawn(move || server.run().expect("serve"));
+    let subscribers = registry.gauge("net_subscribers_live");
+    let backlog = registry.gauge("net_sub_queue_points");
+    let evicted = registry.counter("fleet_evicted_sessions_total");
+
+    // A (I/O thread 0, which also runs the eviction tick) takes every
+    // track and never reads; B (thread 1) streams track 3 to the end.
+    let stalled = BqsClient::connect(addr).unwrap().subscribe(None, None);
+    let mut reader = BqsClient::connect(addr)
+        .unwrap()
+        .subscribe(Some(3), None)
+        .expect("subscribe B");
+    let streamed = std::thread::spawn(move || {
+        let mut points = Vec::new();
+        while let Some((track, batch)) = reader.next_batch().expect("B's stream") {
+            assert_eq!(track, 3);
+            points.extend(batch);
+        }
+        points
+    });
+    let mut client = BqsClient::connect(addr).expect("connect");
+    // Track 1's `n` points and 16 of track 3's over the next `span`
+    // stream-seconds; every span stays well inside the idle time-out.
+    let mut sends = 0usize;
+    let mut clock = 0.0;
+    let mut send = |client: &mut BqsClient, span: f64, n: usize| {
+        let run = every_point_kept(1, clock, span / n as f64, n);
+        client.append(1, &run).expect("append 1");
+        let run = every_point_kept(3, clock, span / 16.0, 16);
+        client.append(3, &run).expect("append 3");
+        clock += span;
+        sends += 1;
+        clock
+    };
+
+    // 1. Fill A's socket and out buffer: A is stalled once its backlog
+    // stops moving (B's drains within a poll tick).
+    let pause = || std::thread::sleep(std::time::Duration::from_millis(40));
+    let mut t = 0.0;
+    for round in 0.. {
+        assert!(round < 200, "A never stalled");
+        t = send(&mut client, 400.0, CHUNK);
+        pause();
+        let before = backlog.get();
+        if before > 0 {
+            pause();
+            if backlog.get() == before {
+                break;
+            }
+        }
+    }
+
+    // 2. Track 2 goes idle behind 1200 more stream-seconds, carried by a
+    // few points: the tick on A's own I/O thread evicts it while A is
+    // still stalled.
+    client
+        .append(2, &every_point_kept(2, t, 1.0, 10))
+        .expect("append 2");
+    send(&mut client, 600.0, 16);
+    send(&mut client, 600.0, 16);
+    wait_for("an eviction while A is stalled", || evicted.get() >= 1);
+    assert_eq!(subscribers.get(), 2, "A is stalled, not closed");
+
+    // 3. Past SUB_QUEUE_CAP queued points the server closes A alone.
+    for round in 0.. {
+        assert!(round < 200, "A was never closed");
+        if subscribers.get() < 2 {
+            break;
+        }
+        send(&mut client, 400.0, CHUNK);
+    }
+    assert_eq!(subscribers.peak(), 2);
+    // A's backlog never passed its cap: the rest of the peak is B's,
+    // at most a few sends of track 3.
+    assert!(backlog.peak() <= CAP + 1024, "peak {}", backlog.peak());
+    wait_for("A's queue to go with it", || backlog.get() < 1024);
+
+    client.shutdown().expect("shutdown");
+    let streamed = streamed.join().expect("B's reader");
+    handle.join().expect("server thread");
+    drop(stalled);
+    let mut tree = bqs_tlog::QueryEngine::open(&root).expect("finished tree");
+    let durable = tree
+        .query_time_range(Some(3), bqs_tlog::TimeRange::all())
+        .expect("tree query");
+    assert_eq!(streamed.len(), sends * 16, "every track-3 point is kept");
+    assert_eq!(streamed, durable.slices[0].points);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A subscriber that disconnects is unregistered at once, even when no
+/// point is flowing, and until then it is a live connection.
+#[test]
+fn a_vanished_subscriber_is_unregistered_promptly() {
+    let root = temp_root("vanished-sub");
+    let server = Server::bind(ServerConfig::new("127.0.0.1:0", 1, &root)).expect("bind");
+    let subscribers = server.metrics().gauge("net_subscribers_live");
+    let live = server.metrics().gauge("net_connections_live");
+    let addr = server.local_addr();
+    let handle = std::thread::spawn(move || server.run().expect("serve"));
+
+    let sub = BqsClient::connect(addr)
+        .unwrap()
+        .subscribe(Some(1), None)
+        .expect("subscribe");
+    let mut client = BqsClient::connect(addr).expect("connect");
+    assert_eq!(subscribers.get(), 1);
+    assert_eq!(client.stats().expect("stats").live_connections, 2);
+    drop(sub);
+    wait_for("the subscriber to be unregistered", || {
+        subscribers.get() == 0 && live.get() == 1
+    });
+    assert_eq!(client.stats().expect("stats").live_connections, 1);
+
+    client.shutdown().expect("shutdown");
+    handle.join().expect("server thread");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// A NaN in a `Query` or `Subscribe` filter is a `bad-request` that
+/// leaves the connection open; `±inf` bounds stay legal.
+#[test]
+fn nan_filters_are_bad_requests_and_the_connection_survives() {
+    let root = temp_root("nan-filter");
+    let (addr, server) = start(1, &root);
+    let mut client = BqsClient::connect(addr).expect("connect");
+    client.append(1, &wave(1, 20)).expect("append");
+    let nan = f64::NAN;
+    let bad_request = |result: Result<bqs_net::QueryReport, NetError>| match result {
+        Err(NetError::Server { code, message }) => {
+            assert_eq!(code, ErrorCode::BadRequest);
+            assert!(message.contains("NaN"), "{message}");
+        }
+        other => panic!("expected bad-request, got {other:?}"),
+    };
+    bad_request(client.query_time_range(None, nan, 100.0));
+    bad_request(client.query_time_range(Some(1), 0.0, nan));
+    bad_request(client.query_bbox(None, [nan, 0.0, 100.0, 100.0], 0.0, 1e9));
+    let all = client
+        .query_time_range(Some(1), f64::NEG_INFINITY, f64::INFINITY)
+        .expect("±inf bounds are legal");
+    assert_eq!(all.slices[0].points.first(), wave(1, 20).first());
+
+    // A refused `Subscribe` leaves a request/reply connection behind.
+    let mut raw = TcpStream::connect(addr).expect("connect raw");
+    let mut reader = std::io::BufReader::new(raw.try_clone().unwrap());
+    let mut call = |request: bqs_net::Request| {
+        write_frame(&mut raw, &request.encode().unwrap()).unwrap();
+        let reply = read_frame(&mut reader).unwrap().expect("reply");
+        Reply::decode(&reply).unwrap()
+    };
+    call(bqs_net::Request::Hello {
+        protocol: bqs_net::PROTOCOL_VERSION,
+    });
+    match call(bqs_net::Request::Subscribe {
+        track: None,
+        bbox: Some([0.0, nan, 100.0, 100.0]),
+    }) {
+        Reply::Error { code, .. } => assert_eq!(code, ErrorCode::BadRequest),
+        other => panic!("expected bad-request, got {other:?}"),
+    }
+    assert!(matches!(
+        call(bqs_net::Request::Stats),
+        Reply::StatsReply(_)
+    ));
+
+    client.shutdown().expect("shutdown");
     server.join().expect("server thread");
     let _ = std::fs::remove_dir_all(&root);
 }

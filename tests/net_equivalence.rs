@@ -444,50 +444,57 @@ proptest! {
 #[test]
 fn subscribe_streams_exactly_the_kept_points() {
     let (workers, sessions, points, seed) = (2usize, 4usize, 120usize, 11u64);
-    let root = temp_root("subscribe");
-    let mut config = ServerConfig::new("127.0.0.1:0", workers, &root);
-    config.lateness = 50.0;
-    let server = Server::bind(config).expect("bind");
-    let addr = server.local_addr();
-    let handle = std::thread::spawn(move || server.run().expect("serve"));
+    // The I/O pool carries the subscribers: one thread or four, the OS
+    // poller or the portable fallback.
+    for (io_threads, fallback) in [(4usize, false), (1, false), (4, true)] {
+        let root = temp_root("subscribe");
+        let mut config = ServerConfig::new("127.0.0.1:0", workers, &root);
+        config.lateness = 50.0;
+        config.io_threads = io_threads;
+        config.fallback_poller = fallback;
+        let server = Server::bind(config).expect("bind");
+        let addr = server.local_addr();
+        let handle = std::thread::spawn(move || server.run().expect("serve"));
 
-    let mut sub = BqsClient::connect(addr)
-        .expect("connect subscriber")
-        .subscribe(Some(1), None)
-        .expect("subscribe");
+        let mut sub = BqsClient::connect(addr)
+            .expect("connect subscriber")
+            .subscribe(Some(1), None)
+            .expect("subscribe");
 
-    loadgen::run(&LoadgenConfig {
-        addr: addr.to_string(),
-        sessions,
-        points,
-        seed,
-        connections: 2,
-        batch: 16,
-        shutdown: true,
-        disorder: 50.0,
-        backfill: false,
-    })
-    .expect("loadgen");
+        loadgen::run(&LoadgenConfig {
+            addr: addr.to_string(),
+            sessions,
+            points,
+            seed,
+            connections: 2,
+            batch: 16,
+            shutdown: true,
+            disorder: 50.0,
+            backfill: false,
+        })
+        .expect("loadgen");
 
-    let mut streamed = Vec::new();
-    let mut batches = 0usize;
-    while let Some((track, pts)) = sub.next_batch().expect("subscription batch") {
-        assert_eq!(track, 1, "subscription leaked another track's points");
-        streamed.extend(pts);
-        batches += 1;
+        let mut streamed = Vec::new();
+        let mut batches = 0usize;
+        while let Some((track, pts)) = sub.next_batch().expect("subscription batch") {
+            assert_eq!(track, 1, "subscription leaked another track's points");
+            streamed.extend(pts);
+            batches += 1;
+        }
+        let serve_report = handle.join().expect("server thread");
+        assert_eq!(serve_report.appended_points, (sessions * points) as u64);
+        assert!(batches > 0, "subscriber saw no batches");
+
+        let durable = read_tracks(&root, workers, sessions)
+            .remove(&1)
+            .expect("track 1 spilled");
+        assert_eq!(
+            streamed, durable,
+            "live stream diverged from the durable kept sequence \
+             ({io_threads} I/O threads, fallback {fallback})"
+        );
+        let _ = std::fs::remove_dir_all(&root);
     }
-    let serve_report = handle.join().expect("server thread");
-    assert_eq!(serve_report.appended_points, (sessions * points) as u64);
-    assert!(batches > 0, "subscriber saw no batches");
-
-    let durable = read_tracks(&root, workers, sessions)
-        .remove(&1)
-        .expect("track 1 spilled");
-    assert_eq!(
-        streamed, durable,
-        "live stream diverged from the durable kept sequence"
-    );
-    let _ = std::fs::remove_dir_all(&root);
 }
 
 /// `loadgen --backfill` ships each session's oldest third through the
