@@ -70,7 +70,8 @@ pub enum Command {
         /// Base RNG seed; session `t` walks with seed `seed + t`, so a
         /// fleet run is reproducible end-to-end.
         seed: u64,
-        /// Spill session output into a trajectory log at this directory.
+        /// Spill session output into a `shard-<k>/` spill tree (one shard
+        /// per worker, plus a `MANIFEST`) at this directory.
         spill: Option<String>,
         /// After the run, answer a time-range query over the spilled
         /// data through the unified query engine (`[from, to]`;
@@ -79,7 +80,8 @@ pub enum Command {
     },
     /// `bqs query`: read a flat log or a spill tree, never writing to it.
     Query {
-        /// A flat log directory or a `shard-<k>/` spill-tree root.
+        /// A `shard-<k>/` spill-tree root, or a flat log (one shard's
+        /// directory, or what `bqs log append` writes).
         dir: String,
         /// Restrict to one track.
         track: Option<u64>,

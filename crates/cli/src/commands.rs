@@ -402,8 +402,9 @@ struct FleetRun<'a> {
 /// engine), then cross-checks one session against solo compression (the
 /// interleaving-equivalence guarantee). With `spill`, session output is
 /// flushed on close into one [`bqs_tlog::TrajectoryLog`] per worker shard
-/// (`shard-<k>/` subdirectories when `workers > 1`) and the probe session
-/// is re-read from disk for the same check.
+/// (`shard-<k>/` subdirectories, one worker too), a `MANIFEST` is
+/// written, and the probe session is re-read from disk for the same
+/// check.
 ///
 /// The report is deterministic for a given seed and worker count: the
 /// per-shard table is sorted by (shard, track), never by join order, and
@@ -441,9 +442,8 @@ fn fleet(run: FleetRun<'_>) -> Result<String, CliError> {
     // writer (this command and `bqs serve`) shares: incompatible
     // layouts get their specific diagnosis, any other non-empty
     // directory is refused up front (fleet runs restart stream clocks,
-    // so appending over old data would fail deep in the codec), and a
-    // single worker gets a flat log while several get `shard-<k>/`
-    // trees.
+    // so appending over old data would fail deep in the codec), and
+    // each worker gets its `shard-<k>/` log.
     let logs: Vec<Option<TrajectoryLog>> = match spill {
         Some(dir) => bqs_tlog::prepare_spill_logs(dir, workers, LogConfig::default())?
             .into_iter()
@@ -539,7 +539,7 @@ fn fleet(run: FleetRun<'_>) -> Result<String, CliError> {
         ),
         None => String::new(),
     };
-    if let Some(dir) = spill.filter(|_| workers > 1) {
+    if let Some(dir) = spill {
         // Cache the tree's pruning inputs so readers never open shards
         // a query cannot touch; `bqs log verify` cross-checks it.
         let manifest = bqs_tlog::Manifest::rebuild(dir)?;
@@ -554,8 +554,8 @@ fn fleet(run: FleetRun<'_>) -> Result<String, CliError> {
         ));
     }
     if let (Some(dir), Some([from, to])) = (spill, query_after) {
-        // Prove the run is queryable end to end: same unified engine,
-        // same answer shape, flat log or tree alike.
+        // Prove the run is queryable end to end through the unified
+        // engine.
         let mut engine = bqs_tlog::QueryEngine::open(dir)?;
         let result = engine.query_time_range(None, bqs_tlog::TimeRange::new(from, to))?;
         spill_line.push_str(&format!(
@@ -597,11 +597,7 @@ fn fleet(run: FleetRun<'_>) -> Result<String, CliError> {
     }
     if let Some(dir) = spill {
         // Reopen the probe's shard log and check the durable copy too.
-        let probe_dir = if workers == 1 {
-            std::path::PathBuf::from(dir)
-        } else {
-            bqs_tlog::shard_dir(dir, worker_of(probe, workers))
-        };
+        let probe_dir = bqs_tlog::shard_dir(dir, worker_of(probe, workers));
         let (log, _) = TrajectoryLog::open_read_only(probe_dir, LogConfig::default())?;
         let from_disk = log.read_track(probe)?;
         if from_disk != solo {
@@ -688,7 +684,7 @@ fn unified_query(
     );
     if engine.shard_count() > 1 {
         for shard in &result.shards {
-            let label = shard.shard.map_or("flat".to_string(), |k| k.to_string());
+            let label = shard.shard;
             if shard.skipped {
                 summary.push_str(&format!("  shard {label:>2}: pruned, never opened\n"));
             } else {
@@ -711,21 +707,14 @@ fn unified_query(
 }
 
 /// `bqs query --at`: the track's position at `t`, reconstructed by the
-/// one log that holds the track — the flat log itself, or the owning
-/// shard of a tree. Each candidate is opened read-only, and only the
-/// records bracketing `t` are decoded.
+/// one log that holds the track, found among the cold sources
+/// [`bqs_tlog::cold_sources`] lists — the shards of a tree, or a flat
+/// log. Each candidate is opened read-only, and only the records
+/// bracketing `t` are decoded.
 fn reconstruct_at(dir: &str, track: u64, t: f64) -> Result<String, CliError> {
     use bqs_tlog::{LogConfig, TrajectoryLog};
 
-    let logs = if bqs_tlog::is_sharded_tree(dir) {
-        bqs_tlog::shard_dirs(dir)?
-            .into_iter()
-            .map(|(_, shard)| shard)
-            .collect()
-    } else {
-        vec![std::path::PathBuf::from(dir)]
-    };
-    for log_dir in logs {
+    for (_, log_dir) in bqs_tlog::cold_sources(dir)? {
         let (log, _) = TrajectoryLog::open_read_only(log_dir, LogConfig::default())?;
         if let Some(p) = log.reconstruct_at(track, t)? {
             return Ok(format!(
@@ -968,11 +957,6 @@ fn serve(run: ServeRun<'_>) -> Result<String, CliError> {
         Ok((path, events)) => format!("flight recorder: {events} event(s) dumped to {path}\n"),
         Err(e) => format!("flight recorder: dump failed ({e})\n"),
     };
-    let manifest_line = if report.manifest_shards > 0 {
-        format!("wrote MANIFEST ({} shards)\n", report.manifest_shards)
-    } else {
-        String::new()
-    };
     let rejected_line = if report.rejected_connections > 0 {
         format!(
             "rejected {} connection(s) over the {max_connections}-connection cap\n",
@@ -997,7 +981,7 @@ fn serve(run: ServeRun<'_>) -> Result<String, CliError> {
          {rejected_line}\
          {lateness_line}\
          spilled {} sessions, {} points, {} B ({:.2} B/point) to {spill}\n\
-         {manifest_line}\
+         wrote MANIFEST ({} shards)\n\
          {trace_line}\
          pruning power {:.4}\n",
         report.connections,
@@ -1007,6 +991,7 @@ fn serve(run: ServeRun<'_>) -> Result<String, CliError> {
         report.spilled_points,
         report.spilled_bytes,
         report.spilled_bytes as f64 / report.spilled_points.max(1) as f64,
+        report.manifest_shards,
         report.stats.pruning_power(),
     ))
 }
@@ -1499,9 +1484,13 @@ mod tests {
         })
         .unwrap();
         assert!(text.contains("spilled 5 sessions"), "{text}");
+        assert!(text.contains("wrote MANIFEST (1 shards"), "{text}");
 
+        // One worker writes a one-shard tree, MANIFEST and all.
+        assert!(std::path::Path::new(&dir).join("shard-0").is_dir());
         let verdict = run(&Command::LogVerify { dir: dir.clone() }).unwrap();
-        assert!(verdict.starts_with("OK"), "{verdict}");
+        assert!(verdict.starts_with("OK: 1 shards"), "{verdict}");
+        assert!(verdict.contains("MANIFEST verified"), "{verdict}");
 
         let listing = run(&Command::Query {
             dir: dir.clone(),
@@ -1708,9 +1697,9 @@ mod tests {
 
     #[test]
     fn unified_query_answers_identically_over_flat_logs_and_shard_trees() {
-        let flat = tmp("uq-flat");
+        let single = tmp("uq-single");
         let tree = tmp("uq-tree");
-        let _ = std::fs::remove_dir_all(&flat);
+        let _ = std::fs::remove_dir_all(&single);
         let _ = std::fs::remove_dir_all(&tree);
         let fleet_to = |dir: &str, workers: usize| Command::Fleet {
             sessions: 10,
@@ -1722,7 +1711,7 @@ mod tests {
             spill: Some(dir.to_string()),
             query_after: None,
         };
-        run(&fleet_to(&flat, 1)).unwrap();
+        run(&fleet_to(&single, 1)).unwrap();
         let text = run(&fleet_to(&tree, 4)).unwrap();
         assert!(text.contains("wrote MANIFEST"), "{text}");
 
@@ -1735,7 +1724,9 @@ mod tests {
             at: None,
             out: None,
         };
-        // Identical data lines; only the shard breakdown differs.
+        // Identical data lines; only the shard breakdown differs. The
+        // one-worker tree's only shard, read as a flat log, answers the
+        // same too.
         let data = |text: String| {
             text.lines()
                 .filter(|l| !l.contains("shard") && !l.contains("pruned"))
@@ -1743,10 +1734,15 @@ mod tests {
                 .collect::<Vec<_>>()
                 .join("\n")
         };
-        let from_flat = run(&query(&flat)).unwrap();
+        let shard0 = bqs_tlog::shard_dir(&single, 0).display().to_string();
+        let from_single = run(&query(&single)).unwrap();
         let from_tree = run(&query(&tree)).unwrap();
+        let from_flat = run(&query(&shard0)).unwrap();
+        assert!(from_single.contains("1 shard(s)"), "{from_single}");
         assert!(from_tree.contains("4 shard(s)"), "{from_tree}");
-        assert_eq!(data(from_flat), data(from_tree));
+        assert!(from_flat.contains("1 shard(s)"), "{from_flat}");
+        assert_eq!(data(from_single.clone()), data(from_tree));
+        assert_eq!(data(from_single), data(from_flat));
 
         // A track-selective query prunes shards via the MANIFEST.
         let one = run(&Command::Query {
@@ -1788,7 +1784,9 @@ mod tests {
 
     #[test]
     fn incompatible_spill_layouts_are_diagnosed_specifically() {
-        // A flat log refuses a multi-worker tree with a layout-specific
+        use bqs_tlog::{LogConfig, TrajectoryLog};
+
+        // A flat log refuses any spill tree with a layout-specific
         // error, not the generic non-empty message.
         let dir = tmp("layout-guard");
         let _ = std::fs::remove_dir_all(&dir);
@@ -1802,20 +1800,26 @@ mod tests {
             spill: Some(spill),
             query_after: None,
         };
-        run(&fleet(1, dir.clone())).unwrap();
-        let err = run(&fleet(4, dir.clone())).unwrap_err();
-        assert!(err.contains("flat trajectory log"), "{err}");
-        assert!(err.contains("fresh directory"), "{err}");
+        {
+            let (mut log, _) = TrajectoryLog::open(&dir, LogConfig::default()).unwrap();
+            log.append(1, &[bqs_geo::TimedPoint::new(0.0, 0.0, 0.0)])
+                .unwrap();
+        }
+        for workers in [1, 4] {
+            let err = run(&fleet(workers, dir.clone())).unwrap_err();
+            assert!(err.contains("flat trajectory log"), "{err}");
+            assert!(err.contains("fresh directory"), "{err}");
+        }
 
-        // And a tree refuses both a flat run and a different worker
-        // count, naming what it found.
+        // And a tree refuses any other worker count, one included,
+        // naming what it found.
         let tree = tmp("layout-guard-tree");
         let _ = std::fs::remove_dir_all(&tree);
         run(&fleet(4, tree.clone())).unwrap();
-        let err = run(&fleet(1, tree.clone())).unwrap_err();
-        assert!(err.contains("sharded spill tree"), "{err}");
-        let err = run(&fleet(2, tree)).unwrap_err();
-        assert!(err.contains("different --workers"), "{err}");
+        for workers in [1, 2] {
+            let err = run(&fleet(workers, tree.clone())).unwrap_err();
+            assert!(err.contains("different --workers"), "{err}");
+        }
     }
 
     #[test]
@@ -1858,6 +1862,23 @@ mod tests {
         }
         let err = run(&at(99, 333.0)).unwrap_err();
         assert!(err.contains("track 99 has no data"), "{err}");
+
+        // A tree missing a shard answers neither a reconstruction nor a
+        // listing: part of the data must not pass for the whole.
+        std::fs::remove_dir_all(bqs_tlog::shard_dir(&tree, 1)).unwrap();
+        let listing = Command::Query {
+            dir: tree.clone(),
+            track: None,
+            from: None,
+            to: None,
+            bbox: None,
+            at: None,
+            out: None,
+        };
+        for command in [at(0, 333.0), at(3, 333.0), listing] {
+            let err = run(&command).unwrap_err();
+            assert!(err.contains("not a contiguous shard tree"), "{err}");
+        }
     }
 
     #[test]

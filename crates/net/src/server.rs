@@ -78,8 +78,8 @@ use bqs_obs::{
 };
 use bqs_tlog::codec::{check_time, check_times, CodecError};
 use bqs_tlog::{
-    prepare_spill_logs, LogConfig, Manifest, QueryEngine, SpillMetrics, SpillSink, TimeRange,
-    TrajectoryLog,
+    prepare_spill_logs, shard_dir, LogConfig, Manifest, QueryEngine, SpillMetrics, SpillSink,
+    TimeRange, TrajectoryLog,
 };
 use polling::{source_of, Event, Poller};
 use std::collections::{HashMap, VecDeque};
@@ -148,8 +148,8 @@ pub const DEFAULT_MAX_CONNECTIONS: usize = 4096;
 pub struct ServerConfig {
     /// Address to bind, `host:port` (`:0` picks an ephemeral port).
     pub addr: String,
-    /// Fleet worker shards; 1 spills a flat log, more a `shard-<k>/`
-    /// tree.
+    /// Fleet worker shards, each spilling to its own `shard-<k>/` log
+    /// of the spill tree.
     pub workers: usize,
     /// Directory the fleet spills closed sessions into. Must be empty
     /// or absent (the same rule as `bqs fleet --spill`).
@@ -230,7 +230,7 @@ pub struct ServeReport {
     pub spilled_bytes: u64,
     /// Decision statistics merged across all worker engines.
     pub stats: DecisionStats,
-    /// Shards named in the written `MANIFEST` (0 for a flat log).
+    /// Shards named in the written `MANIFEST` (one per worker).
     pub manifest_shards: usize,
 }
 
@@ -676,9 +676,9 @@ pub struct Server {
 }
 
 impl Server {
-    /// Validates the config, prepares the spill layout (flat log for 1
-    /// worker, `shard-<k>/` tree above), spawns the fleet workers and
-    /// binds the listener. Refuses a non-empty or layout-incompatible
+    /// Validates the config, prepares the spill tree (one `shard-<k>/`
+    /// log per worker), spawns the fleet workers and binds the
+    /// listener. Refuses a non-empty or layout-incompatible
     /// spill directory up front, exactly like `bqs fleet --spill`.
     pub fn bind(config: ServerConfig) -> Result<Server, NetError> {
         for (flag, value) in [
@@ -841,7 +841,7 @@ impl Server {
 
     /// Serves until a client sends `Shutdown`, then drains connections,
     /// finishes the fleet, spills every session, writes the `MANIFEST`
-    /// (multi-worker trees) and reports what happened.
+    /// and reports what happened.
     ///
     /// Transient accept failures (a client resetting mid-handshake, fd
     /// pressure) are retried; only a *persistently* failing listener
@@ -963,9 +963,7 @@ impl Server {
         if !backfill.is_empty() {
             write_backfill(&self.shared.spill, self.shared.workers, &backfill)?;
         }
-        if self.shared.workers > 1 {
-            report.manifest_shards = Manifest::rebuild(&self.shared.spill)?.shards.len();
-        }
+        report.manifest_shards = Manifest::rebuild(&self.shared.spill)?.shards.len();
         Ok(report)
     }
 
@@ -1025,21 +1023,14 @@ fn write_backfill(
 ) -> Result<(), NetError> {
     let mut by_shard: HashMap<usize, Vec<TrackId>> = HashMap::new();
     for &track in backfill.keys() {
-        let shard = if workers > 1 {
-            worker_of(track, workers)
-        } else {
-            0
-        };
-        by_shard.entry(shard).or_default().push(track);
+        by_shard
+            .entry(worker_of(track, workers))
+            .or_default()
+            .push(track);
     }
     for (shard, mut tracks) in by_shard {
         tracks.sort_unstable();
-        let dir = if workers > 1 {
-            spill.join(format!("shard-{shard}"))
-        } else {
-            spill.to_path_buf()
-        };
-        let (mut log, _) = TrajectoryLog::open(&dir, LogConfig::default())?;
+        let (mut log, _) = TrajectoryLog::open(shard_dir(spill, shard), LogConfig::default())?;
         for track in tracks {
             for batch in &backfill[&track] {
                 log.append_backfill(track, batch)?;

@@ -125,16 +125,21 @@ fn concurrent_clients_ingest_and_the_spilled_tree_matches_solo_compression() {
 }
 
 #[test]
-fn single_worker_spills_a_flat_log() {
-    let root = temp_root("flat");
+fn single_worker_spills_a_one_shard_tree() {
+    let root = temp_root("single");
     let (addr, server) = start(1, &root);
     let mut client = BqsClient::connect(addr).expect("connect");
     client.append(3, &wave(3, 80)).expect("append");
     client.shutdown().expect("shutdown");
     let report = server.join().expect("server thread");
     assert_eq!(report.spilled_sessions, 1);
-    assert_eq!(report.manifest_shards, 0);
-    let (log, _) = TrajectoryLog::open(&root, LogConfig::default()).unwrap();
+    assert_eq!(report.manifest_shards, 1);
+    assert!(bqs_tlog::shard_dir(&root, 0).is_dir());
+    let verify = bqs_tlog::verify_sharded(&root).expect("one-shard tree verifies");
+    assert_eq!(verify.shards.len(), 1);
+    assert_eq!(verify.manifest, bqs_tlog::ManifestStatus::Verified);
+    let (log, _) =
+        TrajectoryLog::open(bqs_tlog::shard_dir(&root, 0), LogConfig::default()).unwrap();
     let config = BqsConfig::new(10.0).unwrap();
     let expected = compress_all(&mut FastBqsCompressor::new(config), wave(3, 80));
     assert_eq!(log.read_track(3).unwrap(), expected);
@@ -466,7 +471,8 @@ fn an_evicted_track_takes_its_parked_tail_with_it() {
 
     client.shutdown().expect("shutdown");
     handle.join().expect("server thread");
-    let (log, _) = TrajectoryLog::open(&root, LogConfig::default()).unwrap();
+    let (log, _) =
+        TrajectoryLog::open(bqs_tlog::shard_dir(&root, 0), LogConfig::default()).unwrap();
     let summary = log.track_summaries();
     assert_eq!(summary[0].track, 1);
     assert_eq!(summary[0].records, 1, "one session, one record");

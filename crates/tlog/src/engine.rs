@@ -4,8 +4,9 @@
 //!
 //! A fleet's data lives in up to three places at once:
 //!
-//! 1. **cold, sharded** — records in the `shard-<k>/` spill tree (or a
-//!    flat log) that evicted/finished sessions already made durable;
+//! 1. **cold, sharded** — records in the `shard-<k>/` spill tree that
+//!    evicted/finished sessions already made durable (a flat log reads
+//!    as a one-shard tree, see [`cold_sources`]);
 //! 2. **hot, emitted** — kept points of *open* sessions, buffered in the
 //!    spill sink until the session closes;
 //! 3. **hot, in-flight** — the tail a live compressor would emit if the
@@ -18,12 +19,14 @@
 //! thread; the hot side arrives as a [`FleetSnapshot`] taken from the
 //! live fleet ([`bqs_core::fleet::ParallelFleet::snapshot`]).
 //!
-//! **Pruning.** A tree's [`Manifest`] (per shard: live track set, time
+//! **Pruning.** The [`Manifest`] (per shard: live track set, time
 //! spans, bounding boxes) lets the engine skip — never even open —
-//! shards that cannot contain the query. Pruning is observable
-//! ([`UnifiedOutput::shards_pruned`], per-shard [`ShardQuery`]) and
-//! sound: a pruned and an unpruned run return identical slices, which
-//! `tests/query_unified.rs` enforces.
+//! shards that cannot contain the query. It is loaded from the tree's
+//! `MANIFEST` when that still describes every shard, and folded from a
+//! scan otherwise (a flat log has none), so every engine has one.
+//! Pruning is observable ([`UnifiedOutput::shards_pruned`], per-shard
+//! [`ShardQuery`]) and sound: a pruned and an unpruned run return
+//! identical slices, which `tests/query_unified.rs` enforces.
 //!
 //! **Merge rule.** Durable data wins on overlap: per track, hot points
 //! are admitted only *after* the track's durable time span
@@ -56,7 +59,7 @@ use crate::error::TlogError;
 use crate::log::{LogConfig, TrajectoryLog};
 use crate::manifest::{shard_fingerprint, Manifest, ManifestShard};
 use crate::query::{QueryOutput, QueryStats, TimeRange, TrackSlice};
-use crate::sharded::{is_sharded_tree, shard_dirs};
+use crate::sharded::cold_sources;
 use bqs_core::fleet::{FleetSnapshot, TrackId};
 use bqs_geo::{Rect, TimedPoint};
 use std::collections::BTreeMap;
@@ -66,8 +69,8 @@ use std::sync::Arc;
 /// What one cold shard contributed to a query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardQuery {
-    /// The shard index; `None` for a flat (unsharded) log.
-    pub shard: Option<usize>,
+    /// The shard index (0 for a flat log).
+    pub shard: usize,
     /// `true` when the manifest proved the shard irrelevant and it was
     /// not queried (nor opened, if it was not open yet).
     pub skipped: bool,
@@ -147,7 +150,7 @@ fn fan_out<T: Send, R: Send>(items: Vec<T>, work: impl Fn(T) -> R + Sync) -> Vec
 /// and caught up before every query from then on.
 #[derive(Debug)]
 struct ShardSlot {
-    shard: Option<usize>,
+    shard: usize,
     dir: PathBuf,
     /// Shared with the prepared queries still reading it.
     log: Option<Arc<TrajectoryLog>>,
@@ -202,17 +205,17 @@ impl ShardSlot {
     /// Rebuilds the slot's manifest entry from its log's record headers
     /// when the log has read other segment bytes than the entry
     /// describes (always, with `force`).
-    fn sync_entry(&mut self, manifest: &mut Option<Arc<Manifest>>, force: bool) {
-        let (Some(manifest), Some(shard), Some(log)) = (manifest, self.shard, &self.log) else {
+    fn sync_entry(&mut self, manifest: &mut Arc<Manifest>, force: bool) {
+        let Some(log) = &self.log else {
             return;
         };
         let segments = log.segment_lengths();
         if !force && segments == self.described {
             return;
         }
-        let entry = ManifestShard::of_log(shard, log, &segments);
+        let entry = ManifestShard::of_log(self.shard, log, &segments);
         let shards = &mut Arc::make_mut(manifest).shards;
-        match shards.iter_mut().find(|s| s.shard == shard) {
+        match shards.iter_mut().find(|s| s.shard == self.shard) {
             Some(old) => *old = entry,
             None => shards.push(entry),
         }
@@ -227,7 +230,7 @@ impl ShardSlot {
 #[derive(Debug)]
 pub struct QueryEngine {
     shards: Vec<ShardSlot>,
-    manifest: Option<Arc<Manifest>>,
+    manifest: Arc<Manifest>,
     hot: Option<FleetSnapshot>,
     config: LogConfig,
     pruning: bool,
@@ -236,102 +239,43 @@ pub struct QueryEngine {
 }
 
 impl QueryEngine {
-    /// Opens the logs at `path`, auto-detecting the layout: a directory
-    /// with `shard-<k>/` subdirectories is treated as a spill tree
-    /// ([`QueryEngine::open_tree`]), anything else as one flat log
-    /// ([`QueryEngine::open_flat`]).
-    pub fn open(path: impl AsRef<Path>) -> Result<QueryEngine, TlogError> {
-        let path = path.as_ref();
-        if is_sharded_tree(path) {
-            QueryEngine::open_tree(path)
-        } else {
-            QueryEngine::open_flat(path)
-        }
-    }
-
-    /// An engine over a single flat log. The log is opened read-only
-    /// immediately (there is nothing to prune, so laziness buys
-    /// nothing) — the caller learns about a missing directory, or a
-    /// directory that holds no log at all, here rather than as an
-    /// eerily empty first query.
-    pub fn open_flat(dir: impl Into<PathBuf>) -> Result<QueryEngine, TlogError> {
-        let mut slot = ShardSlot {
-            shard: None,
-            dir: dir.into(),
-            log: None,
-            described: Vec::new(),
-        };
-        let config = LogConfig::default();
-        let opened = slot.open(config)?;
-        if slot
-            .log
-            .as_ref()
-            .is_some_and(|l| l.footprint().segments == 0)
-        {
-            // A real flat log always has at least one segment (the
-            // writer bootstraps one on creation); an existing directory
-            // without any is a wrong path, not an empty dataset.
-            return Err(TlogError::io(
-                format!(
-                    "{} holds no trajectory log (no seg-*.tlg files and no shard-<k> \
-                     directories)",
-                    slot.dir.display()
-                ),
-                std::io::Error::new(std::io::ErrorKind::NotFound, "not a trajectory log"),
-            ));
-        }
-        Ok(QueryEngine {
-            shards: vec![slot],
-            manifest: None,
-            hot: None,
-            config,
-            pruning: true,
-            unreported: opened,
-        })
-    }
-
-    /// An engine over a `shard-<k>/` spill tree. When the tree's
-    /// `MANIFEST` parses and matches every shard directory, shard logs
-    /// are opened lazily, only when a query survives manifest pruning.
-    /// Otherwise (missing, damaged or stale) every shard is scanned now,
-    /// the manifest is folded from the scan, and the opened logs are
-    /// kept for the queries to come.
-    pub fn open_tree(root: impl AsRef<Path>) -> Result<QueryEngine, TlogError> {
+    /// Opens the cold sources [`cold_sources`] lists at `root`: the
+    /// shards of a spill tree, or a flat log as one shard. When the
+    /// root's `MANIFEST` parses and matches every source directory,
+    /// logs are opened lazily, only when a query survives manifest
+    /// pruning. Otherwise (missing — as for a flat log — damaged or
+    /// stale) every source is scanned now, the manifest is folded from
+    /// the scan, and the opened logs are kept for the queries to come.
+    pub fn open(root: impl AsRef<Path>) -> Result<QueryEngine, TlogError> {
         let root = root.as_ref();
-        let dirs = shard_dirs(root)?;
-        if dirs.is_empty() {
-            return Err(TlogError::io(
-                format!("{} holds no shard-<k> directories", root.display()),
-                std::io::Error::new(std::io::ErrorKind::NotFound, "not a sharded spill tree"),
-            ));
-        }
+        let sources = cold_sources(root)?;
         let config = LogConfig::default();
         // A damaged manifest is never trusted: it is simply not used.
         let loaded = Manifest::load(root).ok().flatten();
-        let listings = dirs
+        let listings = sources
             .iter()
             .map(|(_, dir)| shard_fingerprint(dir))
             .collect::<Result<Vec<_>, _>>()?;
-        let fresh = loaded.filter(|m| m.describes(&dirs, &listings));
+        let fresh = loaded.filter(|m| m.describes(&sources, &listings));
+        let scan = fresh.is_none();
         let mut engine = QueryEngine {
-            shards: dirs
+            shards: sources
                 .into_iter()
                 .zip(listings)
                 .map(|((shard, dir), described)| ShardSlot {
-                    shard: Some(shard),
+                    shard,
                     dir,
                     log: None,
                     described,
                 })
                 .collect(),
-            manifest: fresh.map(Arc::new),
+            manifest: Arc::new(fresh.unwrap_or_default()),
             hot: None,
             config,
             pruning: true,
             unreported: CatchUp::default(),
         };
-        if engine.manifest.is_none() {
-            engine.manifest = Some(Arc::default());
+        if scan {
             for slot in &mut engine.shards {
                 engine.unreported.add(slot.open(config)?);
                 slot.sync_entry(&mut engine.manifest, true);
@@ -360,11 +304,11 @@ impl QueryEngine {
         self.shards.len()
     }
 
-    /// The tree manifest in use, when the engine was opened over a tree:
-    /// loaded from `MANIFEST` or folded from a scan, with the entries of
-    /// shards that changed since rebuilt from their logs.
-    pub fn manifest(&self) -> Option<&Manifest> {
-        self.manifest.as_deref()
+    /// The manifest in use: loaded from `MANIFEST` or folded from a
+    /// scan, with the entries of shards that changed since rebuilt from
+    /// their logs.
+    pub fn manifest(&self) -> &Manifest {
+        &self.manifest
     }
 
     /// Points of `track` (or of every track when `None`) whose
@@ -417,18 +361,18 @@ impl QueryEngine {
             slot.sync_entry(&mut self.manifest, false);
         }
         // Plan: decide per shard, from the manifest alone, whether it
-        // can possibly contribute. Flat logs and manifest-less engines
-        // are never pruned.
+        // can possibly contribute.
         let skip: Vec<bool> = self
             .shards
             .iter()
-            .map(|slot| match (&self.manifest, slot.shard, self.pruning) {
-                (Some(manifest), Some(shard), true) => manifest
-                    .shards
-                    .iter()
-                    .find(|s| s.shard == shard)
-                    .is_none_or(|s| !s.may_contain(track, range, area.as_ref())),
-                _ => false,
+            .map(|slot| {
+                self.pruning
+                    && self
+                        .manifest
+                        .shards
+                        .iter()
+                        .find(|s| s.shard == slot.shard)
+                        .is_none_or(|s| !s.may_contain(track, range, area.as_ref()))
             })
             .collect();
         // Open the surviving shards not open yet, then bring their
@@ -472,8 +416,8 @@ pub struct PreparedQuery {
     range: TimeRange,
     area: Option<Rect>,
     /// Per shard, ascending: its index and, unless pruned, its log.
-    shards: Vec<(Option<usize>, Option<Arc<TrajectoryLog>>)>,
-    manifest: Option<Arc<Manifest>>,
+    shards: Vec<(usize, Option<Arc<TrajectoryLog>>)>,
+    manifest: Arc<Manifest>,
     catch_up: CatchUp,
 }
 
@@ -481,14 +425,7 @@ impl PreparedQuery {
     /// The latest durable timestamp of `track` across all cold sources
     /// — the watermark below which hot points are duplicates.
     fn durable_t_max(&self, track: TrackId) -> Option<f64> {
-        if let Some(manifest) = &self.manifest {
-            return manifest.track_time_span(track).map(|(_, hi)| hi);
-        }
-        self.shards
-            .iter()
-            .filter_map(|(_, log)| log.as_ref())
-            .filter_map(|log| log.track_time_span(track).map(|(_, hi)| hi))
-            .reduce(f64::max)
+        self.manifest.track_time_span(track).map(|(_, hi)| hi)
     }
 
     /// The second half of a query: queries every pinned shard in
@@ -667,7 +604,7 @@ mod tests {
     }
 
     #[test]
-    fn flat_logs_work_without_a_manifest() {
+    fn a_flat_log_reads_as_one_shard() {
         let root = temp_root("flat");
         {
             let (mut log, _) = TrajectoryLog::open(&root, LogConfig::default()).unwrap();
@@ -676,13 +613,27 @@ mod tests {
         }
         let mut engine = QueryEngine::open(&root).unwrap();
         assert_eq!(engine.shard_count(), 1);
-        assert!(engine.manifest().is_none());
+        // The manifest is folded from the scan: shard 0 is the flat log.
+        assert_eq!(engine.manifest(), &Manifest::scan(&root).unwrap());
+        assert_eq!(engine.manifest().shards[0].shard, 0);
+        for (track, range) in [
+            (None, TimeRange::new(0.0, 95.0)),
+            (Some(2), TimeRange::all()),
+            (Some(9), TimeRange::all()),
+        ] {
+            engine.set_pruning(true);
+            let pruned = engine.query_time_range(track, range).unwrap();
+            engine.set_pruning(false);
+            let unpruned = engine.query_time_range(track, range).unwrap();
+            assert_eq!(pruned.slices, unpruned.slices, "track {track:?}");
+            assert_eq!(pruned.shards[0].shard, 0);
+            assert_eq!(pruned.shards_pruned, usize::from(track == Some(9)));
+        }
         let out = engine
             .query_time_range(None, TimeRange::new(0.0, 95.0))
             .unwrap();
         assert_eq!(out.slices.len(), 2);
         assert_eq!(out.total_points(), 20);
-        assert_eq!(out.shards_pruned, 0);
     }
 
     #[test]
@@ -811,7 +762,7 @@ mod tests {
             "caught up by the appended bytes alone"
         );
         assert_eq!(
-            engine.manifest().unwrap(),
+            engine.manifest(),
             &Manifest::scan(&root).unwrap(),
             "only shard 1's entry was rebuilt, and it matches a full scan"
         );

@@ -28,9 +28,12 @@
 //!   or owned (`SpillSink<TrajectoryLog>`) — the owned form is what a
 //!   parallel worker shard carries onto its thread.
 //! * [`sharded`] — the `shard-<k>/` spill-tree layout behind
-//!   [`ParallelFleet`](bqs_core::fleet::ParallelFleet): one private
-//!   log per worker shard, tree-wide verification ([`verify_sharded`])
-//!   and the writer-side layout guard ([`check_spill_root`]).
+//!   [`ParallelFleet`](bqs_core::fleet::ParallelFleet), the one layout
+//!   every spill writes (one worker too): one private log per worker
+//!   shard, tree-wide verification ([`verify_sharded`]), the
+//!   writer-side layout guard ([`check_tree_root`]) and the readers'
+//!   source listing ([`cold_sources`]), which also takes a flat log as
+//!   one shard.
 //! * [`manifest`] — the tree's `MANIFEST`: per-shard track sets, time
 //!   spans and bounding boxes, cached so readers can prune shards
 //!   without opening them (rebuilt whenever stale, cross-checked by
@@ -94,8 +97,8 @@ pub use manifest::{Manifest, ManifestShard, MANIFEST_FILE};
 pub use query::{QueryOutput, QueryStats, TimeRange, TrackSlice};
 pub use segment::{RecordKind, RecordSummary, FORMAT_VERSION, MAGIC};
 pub use sharded::{
-    check_spill_root, check_tree_root, is_sharded_tree, open_shard_logs, prepare_spill_logs,
-    shard_dir, shard_dirs, spill_layout, verify_sharded, ManifestStatus, ShardedVerifyReport,
-    SpillLayout, SHARD_DIR_PREFIX,
+    check_tree_root, cold_sources, is_sharded_tree, open_shard_logs, prepare_spill_logs, shard_dir,
+    spill_layout, verify_sharded, ManifestStatus, ShardedVerifyReport, SpillLayout,
+    SHARD_DIR_PREFIX,
 };
 pub use spill::{SpillFailure, SpillMetrics, SpillReport, SpillSink};

@@ -29,7 +29,7 @@ use crate::crc::crc32;
 use crate::error::TlogError;
 use crate::log::{list_segments, LogConfig, TrackSummary, TrajectoryLog};
 use crate::query::TimeRange;
-use crate::sharded::shard_dirs;
+use crate::sharded::cold_sources;
 use bqs_core::fleet::TrackId;
 use bqs_geo::{Point2, Rect};
 use std::fmt::Write as _;
@@ -134,20 +134,15 @@ pub(crate) fn shard_fingerprint(dir: &Path) -> Result<Vec<(u64, u64)>, TlogError
 }
 
 impl Manifest {
-    /// Builds a manifest by scanning every shard log under `root`
-    /// read-only (no locks are taken; a live writer is not disturbed).
-    /// Fails when `root` holds no `shard-<k>` directories.
+    /// Builds a manifest by scanning every cold source under `root`
+    /// ([`cold_sources`]: the shards of a tree, or a flat log as shard
+    /// 0) read-only (no locks are taken; a live writer is not
+    /// disturbed). Fails when `root` holds neither, or a tree whose
+    /// shards are not exactly `0..N`.
     pub fn scan(root: impl AsRef<Path>) -> Result<Manifest, TlogError> {
-        let root = root.as_ref();
-        let dirs = shard_dirs(root)?;
-        if dirs.is_empty() {
-            return Err(TlogError::io(
-                format!("{} holds no shard-<k> directories", root.display()),
-                std::io::Error::new(std::io::ErrorKind::NotFound, "not a sharded spill tree"),
-            ));
-        }
-        let mut shards = Vec::with_capacity(dirs.len());
-        for (shard, dir) in dirs {
+        let sources = cold_sources(root)?;
+        let mut shards = Vec::with_capacity(sources.len());
+        for (shard, dir) in sources {
             let listing = shard_fingerprint(&dir)?;
             let (log, _) = TrajectoryLog::open_read_only(&dir, LogConfig::default())?;
             shards.push(ManifestShard::of_log(shard, &log, &listing));
@@ -383,7 +378,7 @@ mod tests {
     use bqs_geo::TimedPoint;
 
     fn is_fresh(manifest: &Manifest, root: &Path) -> bool {
-        let dirs = shard_dirs(root).unwrap();
+        let dirs = cold_sources(root).unwrap();
         let listings: Vec<_> = dirs
             .iter()
             .map(|(_, dir)| shard_fingerprint(dir).unwrap())
@@ -433,11 +428,7 @@ mod tests {
         assert_eq!(loaded, scanned);
         assert!(is_fresh(&loaded, &root));
         let engine = QueryEngine::open(&root).unwrap();
-        assert_eq!(
-            engine.manifest(),
-            Some(&scanned),
-            "a fresh manifest is used"
-        );
+        assert_eq!(engine.manifest(), &scanned, "a fresh manifest is used");
     }
 
     #[test]
@@ -453,7 +444,7 @@ mod tests {
         assert!(!is_fresh(&manifest, &root));
         // A reader falls back to a fresh scan that sees the append.
         let engine = QueryEngine::open(&root).unwrap();
-        let fresh = engine.manifest().unwrap();
+        let fresh = engine.manifest();
         assert!(fresh.shards[0].tracks.iter().any(|t| t.track == 500));
     }
 
@@ -474,7 +465,7 @@ mod tests {
 
         // So a reader trusts it and opens only the shard a query needs.
         let mut engine = QueryEngine::open(&root).unwrap();
-        assert_eq!(engine.manifest(), Some(&manifest));
+        assert_eq!(engine.manifest(), &manifest);
         let out = engine.query_time_range(Some(1), TimeRange::all()).unwrap();
         assert_eq!(out.slices[0].points, points(1, 40, 0.0));
         assert_eq!((out.shards_pruned, out.reopened_shards), (1, 1));
@@ -495,7 +486,7 @@ mod tests {
         ));
         // The read path silently falls back to scanning.
         let engine = QueryEngine::open(&root).unwrap();
-        assert_eq!(engine.manifest(), Some(&Manifest::scan(&root).unwrap()));
+        assert_eq!(engine.manifest(), &Manifest::scan(&root).unwrap());
     }
 
     #[test]

@@ -9,10 +9,17 @@
 //!
 //! ```text
 //! <root>/
+//!   MANIFEST                    ← per-shard pruning summary
 //!   shard-0/ seg-000001.tlg …   ← worker 0's private TrajectoryLog
 //!   shard-1/ seg-000001.tlg …   ← worker 1's private TrajectoryLog
 //!   …
 //! ```
+//!
+//! This is the one spill layout: a single worker writes `shard-0/` and
+//! a MANIFEST like any other count. A flat log is what one shard
+//! directory holds; readers still accept one at a root (written by
+//! `bqs log append`, or spilled by older builds) as a one-shard source
+//! ([`cold_sources`]).
 //!
 //! Because `ParallelFleet` routes a track to exactly one worker, a track
 //! appears in exactly one shard directory; queries for a single track
@@ -21,7 +28,9 @@
 //! `docs/format.md` §"Sharded spill trees".
 
 use crate::error::TlogError;
-use crate::log::{verify_dir, LogConfig, RecoveryReport, TrajectoryLog, VerifyReport};
+use crate::log::{
+    list_segments, verify_dir, LogConfig, RecoveryReport, TrajectoryLog, VerifyReport,
+};
 use std::path::{Path, PathBuf};
 
 /// Directory-name prefix of one shard's log inside a spill tree.
@@ -78,43 +87,6 @@ pub fn spill_layout(root: impl AsRef<Path>) -> Result<SpillLayout, TlogError> {
     }
 }
 
-/// Refuses up front to spill a `workers`-shaped layout into a root that
-/// already holds an *incompatible* one, instead of writing the mixed or
-/// gapped trees [`verify_sharded`] rejects after the fact:
-///
-/// * a flat log cannot take a `shard-<k>/` tree (`workers > 1`) — the
-///   tree tooling would never visit the flat segments, and vice versa;
-/// * a tree cannot take a flat log (`workers == 1`) — a rogue top-level
-///   segment file is invisible to every tree operation;
-/// * a tree built with a *different* worker count cannot be extended —
-///   track routing is `worker_of(track, N)`, so a second run at `M ≠ N`
-///   would scatter tracks across shards inconsistently (and fewer
-///   workers would leave orphaned shards that fail contiguity checks).
-///
-/// A missing or empty root, or a tree with exactly `0..workers` shards,
-/// passes; a single worker (`workers <= 1`) is assumed to write a
-/// *flat* log (the `bqs fleet --spill` convention), so an existing flat
-/// log passes too. Library callers that write a `shard-<k>/` tree even
-/// for one shard (i.e. [`open_shard_logs`]) are guarded by
-/// [`check_tree_root`] instead, where a flat log never passes.
-pub fn check_spill_root(root: impl AsRef<Path>, workers: usize) -> Result<(), TlogError> {
-    if workers > 1 {
-        return check_tree_root(root, workers);
-    }
-    let root = root.as_ref();
-    match spill_layout(root)? {
-        SpillLayout::ShardTree(shards) => Err(TlogError::IncompatibleLayout {
-            dir: root.to_path_buf(),
-            reason: format!(
-                "already holds a sharded spill tree ({} shards), but a single-worker run \
-                 writes a flat log; use a fresh directory or rerun with matching --workers",
-                shards.len()
-            ),
-        }),
-        _ => Ok(()),
-    }
-}
-
 /// Refuses a root whose layout cannot take a `shards`-way tree: a flat
 /// log (any shard count — the tree tooling would never visit its
 /// top-level segments), or a tree whose shard set is not exactly
@@ -168,13 +140,13 @@ pub fn open_shard_logs(
 }
 
 /// Prepares a spill destination for a *fresh* run and opens its logs:
-/// the layout guard ([`check_spill_root`]) runs first so an
-/// incompatible existing layout gets its specific diagnosis, then any
-/// other non-empty directory is refused (spill runs start their stream
-/// clocks at arbitrary points; writing over an earlier run's data
-/// would fail the log's time-order check with a cryptic error deep in
-/// the codec), and finally one log per worker is opened — a flat log
-/// at the root for one worker, `shard-<k>/` logs above.
+/// any non-empty directory is refused — with the specific diagnosis of
+/// [`check_tree_root`] when its layout is incompatible, else a generic
+/// one (spill runs start their stream clocks at arbitrary points;
+/// writing over an earlier run's data would fail the log's time-order
+/// check with a cryptic error deep in the codec) — and then one
+/// `shard-<k>/` log per worker is opened ([`open_shard_logs`]). One
+/// worker writes `shard-0/`, like any other count.
 ///
 /// This is the single entry point behind every spill writer
 /// (`bqs fleet --spill`, `bqs serve`), so the guard rules and their
@@ -186,35 +158,28 @@ pub fn prepare_spill_logs(
 ) -> Result<Vec<TrajectoryLog>, TlogError> {
     let root = root.as_ref();
     let workers = workers.max(1);
-    check_spill_root(root, workers)?;
-    if root.exists()
-        && root
-            .read_dir()
-            .map_err(|e| TlogError::io(format!("read dir {}", root.display()), e))?
-            .next()
-            .is_some()
-    {
+    if !matches!(
+        spill_layout(root)?,
+        SpillLayout::Missing | SpillLayout::Empty
+    ) {
+        check_tree_root(root, workers)?;
         return Err(TlogError::IncompatibleLayout {
             dir: root.to_path_buf(),
             reason: "is not empty; use a fresh directory per spill run".to_string(),
         });
     }
-    if workers == 1 {
-        let (log, _) = TrajectoryLog::open(root, config)?;
-        Ok(vec![log])
-    } else {
-        Ok(open_shard_logs(root, workers, config)?
-            .into_iter()
-            .map(|(log, _)| log)
-            .collect())
-    }
+    Ok(open_shard_logs(root, workers, config)?
+        .into_iter()
+        .map(|(log, _)| log)
+        .collect())
 }
 
 /// Lists the shard directories present under `root`, sorted by shard
-/// index. An empty result means `root` is not a sharded tree (it may
-/// still be a flat single log). Entries that merely *look* like shards
-/// but are files, or whose suffix is not a number, are ignored.
-pub fn shard_dirs(root: impl AsRef<Path>) -> Result<Vec<(usize, PathBuf)>, TlogError> {
+/// index, gaps and all (readers go through [`cold_sources`]). An empty
+/// result means `root` is not a sharded tree. Entries that merely
+/// *look* like shards but are files, or whose suffix is not a number,
+/// are ignored.
+fn shard_dirs(root: impl AsRef<Path>) -> Result<Vec<(usize, PathBuf)>, TlogError> {
     let root = root.as_ref();
     let mut out = Vec::new();
     let entries = std::fs::read_dir(root)
@@ -262,29 +227,15 @@ pub struct ShardedVerifyReport {
     pub manifest: ManifestStatus,
 }
 
-/// Strictly verifies every shard log under `root` (see
-/// [`verify_dir`]): any fault in any shard is an error, and so is a
-/// malformed tree — shard indices must be exactly `0..N` (a gap means a
-/// shard directory is *missing*, a duplicate like `shard-1`/`shard-01`
-/// would double-count records), since a fleet always writes a
-/// contiguous tree. Fails with a typed I/O error when `root` contains
-/// no `shard-<k>` directories — use [`verify_dir`] directly for a flat
-/// log.
-pub fn verify_sharded(root: impl AsRef<Path>) -> Result<ShardedVerifyReport, TlogError> {
-    let root = root.as_ref();
+/// The shard directories under `root` (empty when there are none),
+/// refused unless their indices are exactly `0..N`: a fleet always
+/// writes a contiguous tree, so a gap means a shard directory is
+/// *missing* (its tracks must not read or verify as absent), and a
+/// duplicate like `shard-1`/`shard-01` would double-count records.
+fn contiguous_shard_dirs(root: &Path) -> Result<Vec<(usize, PathBuf)>, TlogError> {
     let dirs = shard_dirs(root)?;
-    if dirs.is_empty() {
-        return Err(TlogError::io(
-            format!(
-                "{} holds no {SHARD_DIR_PREFIX}<k> directories",
-                root.display()
-            ),
-            std::io::Error::new(std::io::ErrorKind::NotFound, "not a sharded spill tree"),
-        ));
-    }
     // `shard_dirs` sorts by index, so contiguity reduces to a positional
-    // check; it catches both gaps (a deleted shard must not verify OK)
-    // and duplicate spellings of one index.
+    // check.
     for (position, (index, dir)) in dirs.iter().enumerate() {
         if *index != position {
             return Err(TlogError::io(
@@ -301,6 +252,58 @@ pub fn verify_sharded(root: impl AsRef<Path>) -> Result<ShardedVerifyReport, Tlo
                 ),
             ));
         }
+    }
+    Ok(dirs)
+}
+
+/// The cold sources a read of `root` opens, as `(shard index, log
+/// directory)` pairs in index order — the one place that tells the two
+/// shapes a reader may be pointed at apart:
+///
+/// * a spill tree gives its `shard-<k>/` directories, refused unless
+///   they are exactly `0..N`;
+/// * a flat log (what `bqs log append` writes, what every shard
+///   directory holds, and what older builds spilled for one worker)
+///   gives the single source `(0, root)`.
+///
+/// A missing directory, or one holding neither shape, is an error
+/// rather than an empty answer.
+pub fn cold_sources(root: impl AsRef<Path>) -> Result<Vec<(usize, PathBuf)>, TlogError> {
+    let root = root.as_ref();
+    let shards = contiguous_shard_dirs(root)?;
+    if !shards.is_empty() {
+        return Ok(shards);
+    }
+    if list_segments(root)?.is_empty() {
+        return Err(TlogError::io(
+            format!(
+                "{} holds no trajectory log (no seg-*.tlg files and no \
+                 {SHARD_DIR_PREFIX}<k> directories)",
+                root.display()
+            ),
+            std::io::Error::new(std::io::ErrorKind::NotFound, "not a trajectory log"),
+        ));
+    }
+    Ok(vec![(0, root.to_path_buf())])
+}
+
+/// Strictly verifies every shard log under `root` (see
+/// [`verify_dir`]): any fault in any shard is an error, and so is a
+/// shard set that is not exactly `0..N` (the check [`cold_sources`]
+/// makes for every read). Fails with a typed I/O error when `root`
+/// contains no `shard-<k>` directories — use [`verify_dir`] directly
+/// for a flat log.
+pub fn verify_sharded(root: impl AsRef<Path>) -> Result<ShardedVerifyReport, TlogError> {
+    let root = root.as_ref();
+    let dirs = contiguous_shard_dirs(root)?;
+    if dirs.is_empty() {
+        return Err(TlogError::io(
+            format!(
+                "{} holds no {SHARD_DIR_PREFIX}<k> directories",
+                root.display()
+            ),
+            std::io::Error::new(std::io::ErrorKind::NotFound, "not a sharded spill tree"),
+        ));
     }
     let mut report = ShardedVerifyReport::default();
     for (index, dir) in dirs {
@@ -334,8 +337,9 @@ pub fn verify_sharded(root: impl AsRef<Path>) -> Result<ShardedVerifyReport, Tlo
 }
 
 /// `true` when `root` exists and contains at least one `shard-<k>`
-/// directory — the dispatch test `bqs log verify` uses to pick between
-/// a flat log and a sharded tree.
+/// directory — the dispatch test of the commands that act on what the
+/// user pointed at (`bqs log verify`, and the flat-log writers that
+/// refuse a tree root).
 pub fn is_sharded_tree(root: impl AsRef<Path>) -> bool {
     matches!(shard_dirs(root), Ok(dirs) if !dirs.is_empty())
 }
@@ -394,6 +398,8 @@ mod tests {
         assert!(!is_sharded_tree(&root));
         assert!(verify_sharded(&root).is_err());
         assert!(verify_dir(&root).is_ok());
+        // Readers take it as one source, shard 0.
+        assert_eq!(cold_sources(&root).unwrap(), vec![(0, root.clone())]);
     }
 
     #[test]
@@ -424,11 +430,24 @@ mod tests {
                 log.append(k as u64, &points(k as u64, 20)).unwrap();
             }
         }
+        crate::manifest::Manifest::rebuild(&root).unwrap();
         assert!(verify_sharded(&root).is_ok());
-        // Losing a whole shard directory must not verify as OK.
+        assert_eq!(cold_sources(&root).unwrap().len(), 3);
+        // Losing a whole shard directory must not verify as OK…
         std::fs::remove_dir_all(shard_dir(&root, 1)).unwrap();
-        let err = verify_sharded(&root).unwrap_err();
-        assert!(err.to_string().contains("shard-1"), "{err}");
+        let err = verify_sharded(&root).unwrap_err().to_string();
+        assert!(err.contains("shard-1"), "{err}");
+        assert!(err.contains("not a contiguous shard tree"), "{err}");
+        // …nor let the rest answer as the whole: every read refuses the
+        // gapped tree with the same message.
+        let reads = [
+            cold_sources(&root).map(drop),
+            crate::QueryEngine::open(&root).map(drop),
+            crate::manifest::Manifest::scan(&root).map(drop),
+        ];
+        for read in reads {
+            assert_eq!(read.unwrap_err().to_string(), err);
+        }
     }
 
     #[test]
@@ -467,11 +486,8 @@ mod tests {
         assert!(matches!(err, TlogError::IncompatibleLayout { .. }), "{err}");
         assert!(err.to_string().contains("flat trajectory log"), "{err}");
         assert!(!root.join("shard-0").exists(), "nothing must be created");
-        // A single writer may still open the flat log *as a flat log*
-        // (the CLI convention check_spill_root encodes)…
-        assert!(check_spill_root(&root, 1).is_ok());
-        // …but open_shard_logs always writes a tree, so even one shard
-        // must not be dropped next to the flat segments.
+        // Every writer writes a tree, so even one shard must not be
+        // dropped next to the flat segments.
         let err = open_shard_logs(&root, 1, LogConfig::default()).unwrap_err();
         assert!(matches!(err, TlogError::IncompatibleLayout { .. }), "{err}");
         assert!(!root.join("shard-0").exists());
@@ -482,12 +498,11 @@ mod tests {
         let root = temp_root("guard-workers");
         drop(open_shard_logs(&root, 3, LogConfig::default()).unwrap());
         // Same worker count: fine (resume).
-        assert!(check_spill_root(&root, 3).is_ok());
+        assert!(check_tree_root(&root, 3).is_ok());
         // More workers would leave a part-new part-old routing; fewer
-        // would orphan shards; a flat run would drop a rogue segment
-        // next to the tree. All refused with typed errors.
+        // would orphan shards. All refused with typed errors.
         for workers in [1usize, 2, 4, 8] {
-            let err = check_spill_root(&root, workers).unwrap_err();
+            let err = check_tree_root(&root, workers).unwrap_err();
             assert!(
                 matches!(err, TlogError::IncompatibleLayout { .. }),
                 "workers={workers}: {err}"
@@ -543,12 +558,16 @@ mod tests {
 
     #[test]
     fn prepare_spill_logs_opens_fresh_layouts_and_refuses_everything_else() {
-        // One worker → a flat log at the root.
-        let flat = temp_root("prep-flat");
-        let logs = prepare_spill_logs(&flat, 1, LogConfig::default()).unwrap();
+        // One worker → a one-shard tree, never a flat log at the root.
+        let single = temp_root("prep-single");
+        let logs = prepare_spill_logs(&single, 1, LogConfig::default()).unwrap();
         assert_eq!(logs.len(), 1);
-        assert_eq!(logs[0].dir(), flat.as_path());
+        assert_eq!(logs[0].dir(), shard_dir(&single, 0).as_path());
         drop(logs);
+        assert_eq!(
+            spill_layout(&single).unwrap(),
+            SpillLayout::ShardTree(vec![0])
+        );
 
         // Several workers → a shard tree.
         let tree = temp_root("prep-tree");
@@ -557,10 +576,18 @@ mod tests {
         drop(logs);
 
         // Layout mismatches get the specific diagnosis…
-        let err = prepare_spill_logs(&flat, 3, LogConfig::default()).unwrap_err();
-        assert!(err.to_string().contains("flat trajectory log"), "{err}");
+        let flat = temp_root("prep-flat");
+        let (mut log, _) = TrajectoryLog::open(&flat, LogConfig::default()).unwrap();
+        log.append(1, &points(1, 10)).unwrap();
+        drop(log);
+        for workers in [1, 3] {
+            let err = prepare_spill_logs(&flat, workers, LogConfig::default()).unwrap_err();
+            assert!(err.to_string().contains("flat trajectory log"), "{err}");
+        }
         let err = prepare_spill_logs(&tree, 1, LogConfig::default()).unwrap_err();
-        assert!(err.to_string().contains("sharded spill tree"), "{err}");
+        assert!(err.to_string().contains("different --workers"), "{err}");
+        let err = prepare_spill_logs(&single, 3, LogConfig::default()).unwrap_err();
+        assert!(err.to_string().contains("different --workers"), "{err}");
         // …a matching-but-used layout the generic freshness refusal…
         let err = prepare_spill_logs(&tree, 3, LogConfig::default()).unwrap_err();
         assert!(err.to_string().contains("fresh directory"), "{err}");

@@ -26,7 +26,7 @@
 use bqs::core::fleet::{worker_of, ParallelConfig, ParallelFleet, TrackId};
 use bqs::core::{BqsConfig, FastBqsCompressor};
 use bqs::net::{loadgen, BqsClient, LoadgenConfig, Server, ServerConfig};
-use bqs::tlog::{prepare_spill_logs, LogConfig, SpillSink, TrajectoryLog};
+use bqs::tlog::{prepare_spill_logs, LogConfig, ManifestStatus, SpillSink, TrajectoryLog};
 use bqs_cli::Command;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -47,8 +47,8 @@ fn temp_root(tag: &str) -> PathBuf {
 
 /// The reference: the same seeded workload driven through an in-process
 /// parallel fleet with per-shard spill logs — what `bqs fleet --spill`
-/// does, minus the CLI. Uses the server's own layout rule: a flat log
-/// at the root for one worker, `shard-<k>/` directories otherwise.
+/// does, minus the CLI: one `shard-<k>/` log per worker, plus the
+/// `MANIFEST`.
 fn in_process_tree(root: &PathBuf, workers: usize, sessions: usize, points: usize, seed: u64) {
     let traces: Vec<Vec<bqs::geo::TimedPoint>> = (0..sessions)
         .map(|t| loadgen::session_trace(seed, t as u64, points))
@@ -88,9 +88,7 @@ fn in_process_tree_traces(root: &PathBuf, workers: usize, traces: &[Vec<bqs::geo
     for shard in join.shards {
         shard.sink.finish().expect("spill clean");
     }
-    if workers > 1 {
-        bqs::tlog::Manifest::rebuild(root).expect("manifest");
-    }
+    bqs::tlog::Manifest::rebuild(root).expect("manifest");
 }
 
 /// `bqs query` CSV + summary over a tree, with the layout-dependent
@@ -120,11 +118,7 @@ fn read_tracks(
 ) -> BTreeMap<u64, Vec<bqs::geo::TimedPoint>> {
     (0..sessions as u64)
         .map(|t| {
-            let dir = if workers == 1 {
-                root.clone()
-            } else {
-                bqs::tlog::shard_dir(root, worker_of(t, workers))
-            };
+            let dir = bqs::tlog::shard_dir(root, worker_of(t, workers));
             let (log, _) = TrajectoryLog::open(dir, LogConfig::default()).expect("open shard");
             (t, log.read_track(t).expect("read track"))
         })
@@ -408,13 +402,8 @@ proptest! {
                 prop_assert_eq!(serve_report.too_late_points, report.too_late_points);
                 prop_assert_eq!(serve_report.spilled_sessions, sessions);
 
-                // The tree verifies under the layout the worker count
-                // implies…
-                if workers == 1 {
-                    bqs::tlog::verify_dir(&root).expect("flat tree verifies");
-                } else {
-                    bqs::tlog::verify_sharded(&root).expect("tree verifies");
-                }
+                // The tree verifies…
+                bqs::tlog::verify_sharded(&root).expect("tree verifies");
                 // …and is byte-identical to the sorted in-process run.
                 let got_tracks = read_tracks(&root, workers, sessions);
                 prop_assert_eq!(
@@ -504,7 +493,14 @@ fn subscribe_streams_exactly_the_kept_points() {
 /// the raw backfilled prefix followed by the compressed live remainder.
 #[test]
 fn backfill_history_counts_and_merges_durably() {
-    let (workers, sessions, points, seed) = (2usize, 5usize, 90usize, 23u64);
+    // One worker too: its backfill lands in `shard-0/` like any other.
+    for workers in [1usize, 2] {
+        backfill_history_at(workers);
+    }
+}
+
+fn backfill_history_at(workers: usize) {
+    let (sessions, points, seed) = (5usize, 90usize, 23u64);
     let traces: Vec<Vec<bqs::geo::TimedPoint>> = (0..sessions)
         .map(|t| loadgen::session_trace(seed, t as u64, points))
         .collect();
@@ -545,8 +541,10 @@ fn backfill_history_counts_and_merges_durably() {
     let verify = bqs::tlog::verify_sharded(&root).expect("tree verifies");
     assert!(
         verify.total.backfill_records > 0,
-        "no backfill records in the tree"
+        "no backfill records in the tree at {workers} worker(s)"
     );
+    // The MANIFEST was rebuilt after the backfill records landed.
+    assert_eq!(verify.manifest, ManifestStatus::Verified);
 
     // Read-time merge: backfilled history (raw, durable-wins) in front
     // of the live kept sequence.
@@ -557,7 +555,7 @@ fn backfill_history_counts_and_merges_durably() {
         assert_eq!(
             got[&(t as u64)],
             expected,
-            "track {t}: merged history diverged"
+            "track {t}: merged history diverged at {workers} worker(s)"
         );
     }
     let _ = std::fs::remove_dir_all(&root);

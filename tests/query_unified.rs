@@ -197,12 +197,10 @@ proptest! {
                 .expect("unpruned query");
             prop_assert_eq!(&pruned.slices, &unpruned.slices);
             prop_assert_eq!(pruned.slices.len(), 1);
-            if workers > 1 {
-                prop_assert_eq!(
-                    pruned.shards_pruned, workers - 1,
-                    "expected all shards but the probe's own to be skipped"
-                );
-            }
+            prop_assert_eq!(
+                pruned.shards_pruned, workers - 1,
+                "expected all shards but the probe's own to be skipped"
+            );
             prop_assert_eq!(unpruned.shards_pruned, 0);
 
             answers.push(expected_map);
