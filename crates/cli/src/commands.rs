@@ -758,6 +758,7 @@ fn log_append(
     };
     let (mut log, recovery) = TrajectoryLog::open(dir, LogConfig::default())?;
     let receipt = log.append(track, &points)?;
+    std::mem::drop(log);
     let mut out = recovery_line(&recovery);
     out.push_str(&format!(
         "appended track {track}: {} → {} points ({algorithm}), {} B \
@@ -769,7 +770,29 @@ fn log_append(
         bqs_tlog::NAIVE_POINT_BYTES,
         receipt.segment,
     ));
+    out.push_str(&refresh_tree_manifest(dir)?);
     Ok(out)
+}
+
+/// After `bqs log append|compact` wrote `dir`: when `dir` is shard `k`
+/// of a spill tree, rebuilds the tree's `MANIFEST` so the tree still
+/// verifies. Returns the line reporting it, or `""` for a lone log.
+fn refresh_tree_manifest(dir: &str) -> Result<String, CliError> {
+    let dir = std::path::Path::new(dir);
+    let is_shard = dir
+        .file_name()
+        .and_then(|name| name.to_str()?.strip_prefix("shard-")?.parse::<usize>().ok())
+        .is_some();
+    let root = match dir.parent() {
+        Some(root) if root.as_os_str().is_empty() => std::path::Path::new("."),
+        Some(root) => root,
+        None => return Ok(String::new()),
+    };
+    if !(is_shard && bqs_tlog::is_sharded_tree(root)) {
+        return Ok(String::new());
+    }
+    bqs_tlog::Manifest::rebuild(root)?;
+    Ok(format!("rebuilt {}\n", root.join("MANIFEST").display()))
 }
 
 /// Describes what `TrajectoryLog::open` repaired, or `""` when nothing
@@ -799,15 +822,17 @@ fn log_compact(dir: &str, drop: &[u64]) -> Result<String, CliError> {
         }
     }
     let report = log.compact()?;
+    std::mem::drop(log);
     Ok(format!(
         "{}dropped {dropped} track(s); compacted {} → {} segments, \
-         {} → {} B ({} records removed)\n",
+         {} → {} B ({} records removed)\n{}",
         recovery_line(&recovery),
         report.segments_before,
         report.segments_after,
         report.bytes_before,
         report.bytes_after,
         report.records_dropped,
+        refresh_tree_manifest(dir)?,
     ))
 }
 

@@ -14,9 +14,10 @@
 //!   typed replies) whose bodies reuse the varint + f64-bit-map
 //!   primitives of `bqs_tlog`'s storage codec. Torn, oversized and
 //!   corrupt frames are typed [`WireError`]s, never silent.
-//! * [`server`] — [`Server`]: an acceptor handing non-blocking sockets
-//!   to a fixed pool of I/O threads (`--io-threads`, default 4) that
-//!   multiplex them via readiness polling (epoll/kqueue through the
+//! * [`server`] — [`Server`]: a fixed pool of I/O threads
+//!   (`--io-threads`, default 4) that hold every socket — thread 0 also
+//!   polls the listeners and hands connections out — and multiplex them
+//!   via readiness polling (epoll/kqueue through the
 //!   vendored `polling` shim, with a portable fallback). `Append`
 //!   frames decode straight into columnar batches and enter the fleet
 //!   as whole runs — one channel send per frame. Backpressure still

@@ -1,35 +1,36 @@
-//! The serving runtime: an acceptor handing non-blocking sockets to a
-//! small fixed pool of I/O threads, each multiplexing its share of the
-//! connections via readiness polling and feeding one shared
-//! [`ParallelFleet`] through the frame-grained submission path.
+//! The serving runtime: a small fixed pool of I/O threads, each
+//! multiplexing its share of the sockets through one readiness poller
+//! and feeding one shared [`ParallelFleet`] through the frame-grained
+//! submission path. Every socket is in a poller: I/O thread 0 also
+//! polls the client listener and the `--prom-addr` listener.
 //!
 //! ```text
-//!                      ┌─ io thread 0: poller ── conns 0,2,4… ─┐
-//!  clients ──► acceptor┼─ io thread 1: poller ── conns 1,3,5… ─┼─► Mutex<ParallelFleet>
-//!   (TCP)    round-robin└─ …           (epoll/kqueue/fallback) ─┘        │
-//!                                                                        ├─► worker shards ─► spill logs
-//!                                                                        └─ snapshot() ─► QueryEngine (hot + cold)
+//!  clients ──► listener ─┐ io thread 0: poller ── conns 0,2,4… + scrapes ─┐
+//!  scrapers ─► listener ─┘   │ round-robin (channel + wake pipe)           ├─► Mutex<ParallelFleet>
+//!                            └─► io thread 1: poller ── conns 1,3,5… ──────┘        │
+//!                                (epoll/kqueue/fallback)                          ├─► worker shards ─► spill logs
+//!                                                                                 └─ snapshot() ─► QueryEngine (hot + cold)
 //! ```
 //!
-//! * **Multiplexed ingest** — `--io-threads N` (default 4, `N ≥ 1`)
-//!   I/O threads each run a level-triggered readiness loop
-//!   (`polling::Poller`: epoll on Linux, kqueue on macOS, a portable
-//!   round-robin fallback anywhere else). This is the only serving
-//!   path and the only writer of client sockets: `run` → `io_loop` →
-//!   `service_conn` → `handle_payload`, with [`decode_frame`] the one
-//!   server-side frame parser. An `Append` frame is decoded straight into a columnar
-//!   batch ([`decode_append_columns`]) — timestamps validated in one
-//!   contiguous pass — and its columns go straight into the owning
-//!   worker's buffer as a whole run, shipped in **one** channel send
-//!   ([`ParallelFleet::submit_run`]): no row copy, no per-point
-//!   hashing, no thread per connection.
+//! * **One poller per I/O thread** — `--io-threads N` (default 4,
+//!   `N ≥ 1`) threads `bqs-io-<i>` each run a level-triggered readiness
+//!   loop (`polling::Poller`: epoll on Linux, kqueue on macOS, a
+//!   portable round-robin fallback anywhere else); beside the fleet
+//!   workers they are the server's only threads. Thread 0 accepts until
+//!   `WouldBlock` and hands client connections out round-robin, itself
+//!   first; a Prometheus scrape stays on it as a connection of its own.
+//!   The path is `io_loop` → `service_conn` → `handle_payload`, with
+//!   [`decode_frame`] the one server-side frame parser. An `Append`
+//!   frame is decoded straight into a columnar batch
+//!   ([`decode_append_columns`]) and its columns go to the owning
+//!   worker as one run in **one** channel send
+//!   ([`ParallelFleet::submit_run`]): no row copy, no per-point hashing.
 //! * **Backpressure end to end** — an I/O thread submits while holding
 //!   the fleet lock; when a worker shard's bounded channel is full the
 //!   send blocks, the I/O thread stops reading *all* its sockets, the
 //!   kernel's TCP windows fill, and remote `append`s block. Per
 //!   connection, replies that outpace the client gate further reads
-//!   (`OUT_HIGH_WATERMARK`), so no unbounded queue exists anywhere on
-//!   the path.
+//!   (`OUT_HIGH_WATERMARK`), so no unbounded queue exists on the path.
 //! * **Subscribers stay on their I/O thread** — workers queue kept
 //!   points in the `SubHub`; each loop iteration pulls a subscriber's
 //!   batches into its out buffer while that holds less than
@@ -37,34 +38,31 @@
 //!   points pile up is closed. I/O thread 0 also runs the
 //!   `--evict-idle` tick.
 //! * **Bounded connection table** — beyond
-//!   [`ServerConfig::max_connections`] (subscribers included) an
-//!   accepted socket receives one typed [`ErrorCode::OverCapacity`]
-//!   error frame and is closed gracefully, instead of hanging in a
-//!   backlog.
+//!   [`ServerConfig::max_connections`] (subscribers included, scrapes
+//!   not) an accepted socket gets one typed [`ErrorCode::OverCapacity`]
+//!   frame in one non-blocking write and is closed.
 //! * **Queries are hot + cold** — `Query` takes a consistent
-//!   [`ParallelFleet::snapshot`] (every point submitted before the
-//!   request is visible) and merges it with the spill tree through the
-//!   server's one [`QueryEngine`], opened at bind and caught up by the
-//!   bytes spilled since the previous query; a mid-run answer for a
-//!   closed track is exactly the answer the finished tree will give.
-//! * **Graceful shutdown** — `Shutdown` stops the acceptor and starts
-//!   the drain: in-flight frames complete (mid-frame connections get
-//!   a 5 s `DRAIN_GRACE`), idle connections close, the fleet joins and
-//!   every session spills while subscribers are still served, each
-//!   subscriber gets its tail and `SubEnd` (within another
-//!   `DRAIN_GRACE`), the tree `MANIFEST` is written — leaving a
-//!   directory `bqs log verify` accepts.
+//!   [`ParallelFleet::snapshot`] and merges it with the spill tree
+//!   through the server's one [`QueryEngine`], caught up by the bytes
+//!   spilled since the previous query; a mid-run answer for a closed
+//!   track is exactly the answer the finished tree will give.
+//! * **Graceful shutdown** — `Shutdown` wakes every I/O thread: thread
+//!   0 closes the listeners, in-flight frames complete (mid-frame
+//!   connections get a 5 s `DRAIN_GRACE`), idle connections close, the
+//!   fleet joins and every session spills while subscribers are still
+//!   served, each subscriber gets its tail and `SubEnd` (within another
+//!   `DRAIN_GRACE`), and the tree `MANIFEST` is written.
 //!
 //! The runtime stays `std::net` + threads + a vendored poller shim: no
-//! async runtime. What lands on disk is defined by the serial stack
-//! below; `tests/net_equivalence.rs` proves network runs byte-identical
-//! to in-process runs at any (connections, workers, io-threads).
+//! async runtime. `tests/net_equivalence.rs` proves network runs
+//! byte-identical to in-process runs at any (connections, workers,
+//! io-threads).
 
 use crate::error::NetError;
 use crate::wire::{
-    decode_append_columns, decode_frame, frame_to_vec, write_frame, ErrorCode, QueryReport,
-    QuerySpec, Reply, Request, ShardStat, StatsReport, WireError, HEADER_BYTES, MAX_FRAME_BYTES,
-    PROTOCOL_VERSION, TAG_APPEND, TAG_FLUSH, TAG_QUERY, TAG_STATS,
+    decode_append_columns, decode_frame, frame_to_vec, ErrorCode, QueryReport, QuerySpec, Reply,
+    Request, ShardStat, StatsReport, WireError, MAX_FRAME_BYTES, PROTOCOL_VERSION, TAG_APPEND,
+    TAG_FLUSH, TAG_QUERY, TAG_STATS,
 };
 use bqs_core::fleet::{
     worker_of, FleetConfig, FleetMetrics, FleetReorder, FleetSink, ParallelConfig, ParallelFleet,
@@ -81,9 +79,9 @@ use bqs_tlog::{
     prepare_spill_logs, shard_dir, LogConfig, Manifest, QueryEngine, SpillMetrics, SpillSink,
     TimeRange, TrajectoryLog,
 };
-use polling::{source_of, Event, Poller};
+use polling::{source_of, wake_pair, Event, Poller, WakeEnd};
 use std::collections::{HashMap, VecDeque};
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -95,10 +93,21 @@ use std::time::{Duration, Instant};
 /// before the server stops waiting for it.
 const DRAIN_GRACE: Duration = Duration::from_secs(5);
 
-/// Back-off between retries of a failing `accept` (the acceptor and the
-/// Prometheus responder), and the write timeout on an over-capacity
-/// rejection frame.
-const POLL_INTERVAL: Duration = Duration::from_millis(100);
+/// How long a listener whose `accept` failed stays out of I/O thread
+/// 0's poller, so a level-triggered error (`EMFILE`) cannot spin it.
+const ACCEPT_PAUSE: Duration = Duration::from_millis(100);
+
+/// How long the client listener may keep failing before the server
+/// stops accepting and drains.
+const ACCEPT_GIVE_UP: Duration = Duration::from_secs(10);
+
+/// How long a Prometheus scrape may stay open, request and response
+/// together, before I/O thread 0 closes it.
+const SCRAPE_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// Most bytes of a scrape's HTTP request head; a head that does not end
+/// within them is closed without a reply.
+const MAX_HTTP_HEAD: usize = 8192;
 
 /// An I/O thread's poller timeout: the latency bound on noticing the
 /// shutdown flag when no wake byte arrives. Admission and shutdown are
@@ -120,6 +129,12 @@ const OUT_HIGH_WATERMARK: usize = 1 << 20;
 
 /// The io-thread poller key reserved for the wake pipe.
 const WAKE_KEY: usize = usize::MAX;
+
+/// I/O thread 0's poller key for the client listener.
+const LISTEN_KEY: usize = usize::MAX - 1;
+
+/// I/O thread 0's poller key for the Prometheus listener.
+const PROM_KEY: usize = usize::MAX - 2;
 
 /// Most points a subscriber may have queued undelivered before the
 /// server declares it too slow and disconnects it — subscribers must
@@ -261,12 +276,6 @@ struct SubTeeSink {
     hub: Arc<SubHub>,
 }
 
-impl SubTeeSink {
-    fn finish(self) -> Result<Vec<bqs_tlog::SpillReport>, Box<bqs_tlog::SpillFailure>> {
-        self.inner.finish()
-    }
-}
-
 impl FleetSink for SubTeeSink {
     fn accept(&mut self, track: TrackId, point: TimedPoint) {
         self.hub.publish(track, point);
@@ -281,8 +290,6 @@ impl FleetSink for SubTeeSink {
         self.inner.live_buffered()
     }
 }
-
-type FleetSlot = Mutex<Option<FleetState>>;
 
 /// One live subscription: its filters and the batches its connection's
 /// I/O thread has not pulled yet.
@@ -445,25 +452,13 @@ impl ReqKind {
     }
 }
 
-/// Per-request-type metric handles: one counter and one latency
-/// histogram per [`ReqKind`].
-struct PerKind<T> {
-    append: T,
-    query: T,
-    stats: T,
-    flush: T,
-    other: T,
-}
+/// Per-request-type metric handles, one per [`ReqKind`] in declaration
+/// order.
+struct PerKind<T>([T; 5]);
 
 impl<T> PerKind<T> {
     fn get(&self, kind: ReqKind) -> &T {
-        match kind {
-            ReqKind::Append => &self.append,
-            ReqKind::Query => &self.query,
-            ReqKind::Stats => &self.stats,
-            ReqKind::Flush => &self.flush,
-            ReqKind::Other => &self.other,
-        }
+        &self.0[kind as usize]
     }
 }
 
@@ -497,7 +492,8 @@ struct ServerMetrics {
     conns_live: Gauge,
     /// One io-pool thread's busy time per poll tick, microseconds.
     io_tick_us: Histogram,
-    /// Ready events delivered per poll tick (wake pipe included).
+    /// Ready events delivered per poll tick (wake pipe and listeners
+    /// included).
     io_ready_events: Histogram,
     /// Query service time, snapshot → merged reply, microseconds.
     query_us: Histogram,
@@ -516,20 +512,20 @@ impl ServerMetrics {
             bytes_in: c("net_bytes_in_total"),
             bytes_out: c("net_bytes_out_total"),
             frames: c("net_frames_total"),
-            frames_by: PerKind {
-                append: c("net_frames_append_total"),
-                query: c("net_frames_query_total"),
-                stats: c("net_frames_stats_total"),
-                flush: c("net_frames_flush_total"),
-                other: c("net_frames_other_total"),
-            },
-            request_us: PerKind {
-                append: h("net_request_us_append"),
-                query: h("net_request_us_query"),
-                stats: h("net_request_us_stats"),
-                flush: h("net_request_us_flush"),
-                other: h("net_request_us_other"),
-            },
+            frames_by: PerKind([
+                c("net_frames_append_total"),
+                c("net_frames_query_total"),
+                c("net_frames_stats_total"),
+                c("net_frames_flush_total"),
+                c("net_frames_other_total"),
+            ]),
+            request_us: PerKind([
+                h("net_request_us_append"),
+                h("net_request_us_query"),
+                h("net_request_us_stats"),
+                h("net_request_us_flush"),
+                h("net_request_us_other"),
+            ]),
             late_accepted: c("net_late_accepted_points_total"),
             backfilled: c("net_backfilled_points_total"),
             too_late: c("net_too_late_points_total"),
@@ -556,7 +552,7 @@ impl ServerMetrics {
 }
 
 struct Shared {
-    fleet: FleetSlot,
+    fleet: Mutex<Option<FleetState>>,
     /// The read side: one engine over the spill tree for the server's
     /// whole life, caught up by appended bytes at every query. Locked
     /// only to prepare a query (never while `fleet` is held); queries
@@ -565,10 +561,10 @@ struct Shared {
     hub: Arc<SubHub>,
     spill: PathBuf,
     workers: usize,
-    io_threads: usize,
     max_connections: usize,
     fallback_poller: bool,
-    local_addr: SocketAddr,
+    /// The write end of each I/O thread's wake pipe.
+    wakers: Vec<WakeEnd>,
     shutdown: AtomicBool,
     /// Connections currently registered: the admission gate. The
     /// `net_connections_live` gauge mirrors it for readers.
@@ -584,16 +580,10 @@ struct Shared {
     started: Instant,
     metrics: ServerMetrics,
     trace: FlightRecorder,
-    /// Ticket dispenser for per-connection trace ids; ids start at 1
-    /// (0 marks events not tied to any one connection).
-    next_conn_id: AtomicU64,
     /// Stream-time idle-eviction threshold; 0 disables the tick.
     evict_idle: f64,
     /// The lateness window `W` of the admission table.
     lateness: f64,
-    /// Where the Prometheus HTTP responder is bound, when it runs
-    /// (finalize connects here once to pop it out of `accept`).
-    prom_addr: Option<SocketAddr>,
 }
 
 impl Shared {
@@ -610,18 +600,15 @@ impl Shared {
         self.engine.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Registers an accepted connection: the admission gate, the serve
+    /// Registers accepted connection `id`: the admission gate, the serve
     /// totals and the live gauge (whose peak is the high-water mark).
-    /// Returns the connection's trace id.
-    fn conn_admitted(&self) -> u64 {
+    fn conn_admitted(&self, id: u64) {
         let live = self.active.fetch_add(1, Ordering::SeqCst) + 1; // ordering: seqcst admission count pairs with the acceptor capacity check
         self.metrics.conns_admitted.inc();
         // `add`/`sub` commute, so the acceptor and the I/O threads can
         // never leave the gauge at a stale value (a `set(live)` could).
         self.metrics.conns_live.add(1);
-        let id = self.next_conn_id.fetch_add(1, Ordering::Relaxed); // ordering: relaxed unique-id ticket; only atomicity matters
         self.trace.record(TraceEventKind::Accept, id, live as u64);
-        id
     }
 
     /// Unregisters a connection (served to completion, or admitted but
@@ -637,6 +624,11 @@ impl Shared {
         self.metrics.conns_rejected.inc();
         self.trace
             .record(TraceEventKind::Reject, 0, self.max_connections as u64);
+    }
+
+    /// Pops every I/O thread out of `Poller::wait`.
+    fn wake_all(&self) {
+        self.wakers.iter().for_each(wake);
     }
 }
 
@@ -669,9 +661,13 @@ impl Shared {
 /// ```
 pub struct Server {
     listener: TcpListener,
-    /// The Prometheus HTTP responder's listener, bound at `bind` time
-    /// so a bad `--prom-addr` fails up front; taken by `run`.
+    /// The Prometheus listener, bound at `bind` time so a bad
+    /// `--prom-addr` fails up front.
     prom_listener: Option<TcpListener>,
+    local_addr: SocketAddr,
+    prom_addr: Option<SocketAddr>,
+    /// The read end of each I/O thread's wake pipe.
+    wake_rx: Vec<WakeEnd>,
     shared: Arc<Shared>,
 }
 
@@ -763,28 +759,32 @@ impl Server {
             },
             fleet_metrics,
         );
-        let listener = TcpListener::bind(&config.addr)
-            .map_err(|e| NetError::io(format!("bind {}", config.addr), e))?;
-        let local_addr = listener
-            .local_addr()
-            .map_err(|e| NetError::io("local_addr", e))?;
-        let prom_listener = match &config.prom_addr {
-            Some(addr) => Some(
-                TcpListener::bind(addr)
-                    .map_err(|e| NetError::io(format!("bind prom {addr}"), e))?,
-            ),
-            None => None,
+        // Both listeners are non-blocking: I/O thread 0 accepts on them
+        // from its readiness loop.
+        let listen = |addr: &str| {
+            let listener = TcpListener::bind(addr)
+                .and_then(|l| l.set_nonblocking(true).map(|()| l))
+                .map_err(|e| NetError::io(format!("bind {addr}"), e))?;
+            let local = listener
+                .local_addr()
+                .map_err(|e| NetError::io("local_addr", e))?;
+            Ok::<_, NetError>((listener, local))
         };
-        let prom_addr = match &prom_listener {
-            Some(l) => Some(
-                l.local_addr()
-                    .map_err(|e| NetError::io("prom local_addr", e))?,
-            ),
-            None => None,
-        };
+        let (listener, local_addr) = listen(&config.addr)?;
+        let (prom_listener, prom_addr) =
+            config.prom_addr.as_deref().map(listen).transpose()?.unzip();
+        let (wakers, wake_rx) = (0..config.io_threads)
+            .map(|_| wake_pair())
+            .collect::<Result<Vec<_>, _>>()
+            .map_err(|e| NetError::io("wake pipe", e))?
+            .into_iter()
+            .unzip();
         Ok(Server {
             listener,
             prom_listener,
+            local_addr,
+            prom_addr,
+            wake_rx,
             shared: Arc::new(Shared {
                 fleet: Mutex::new(Some(FleetState {
                     fleet,
@@ -795,10 +795,9 @@ impl Server {
                 hub,
                 spill: config.spill,
                 workers: config.workers,
-                io_threads: config.io_threads,
                 max_connections: config.max_connections,
                 fallback_poller: config.fallback_poller,
-                local_addr,
+                wakers,
                 shutdown: AtomicBool::new(false),
                 active: AtomicUsize::new(0),
                 appended_points: AtomicU64::new(0),
@@ -806,23 +805,21 @@ impl Server {
                 started: bqs_obs::now(),
                 metrics: ServerMetrics::new(&registry),
                 trace,
-                next_conn_id: AtomicU64::new(1),
                 evict_idle: config.evict_idle,
                 lateness: config.lateness,
-                prom_addr,
             }),
         })
     }
 
     /// The address actually bound (resolves port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.shared.local_addr
+        self.local_addr
     }
 
     /// The Prometheus responder's bound address (resolves port 0);
     /// `None` unless the config set [`ServerConfig::prom_addr`].
     pub fn prom_addr(&self) -> Option<SocketAddr> {
-        self.shared.prom_addr
+        self.prom_addr
     }
 
     /// The registry the server instruments itself into, with its whole
@@ -847,170 +844,103 @@ impl Server {
     /// pressure) are retried; only a *persistently* failing listener
     /// (≈10 s of consecutive errors) stops the server — and even then
     /// it drains, spills and reports instead of abandoning the fleet.
-    pub fn run(mut self) -> Result<ServeReport, NetError> {
-        // The Prometheus responder: one thread serving `GET /metrics`
-        // over plain HTTP/1.1, one request per connection.
-        let prom = match self.prom_listener.take() {
-            Some(listener) => {
-                let prom_shared = Arc::clone(&self.shared);
-                Some(
-                    std::thread::Builder::new()
-                        .name("bqs-prom".into())
-                        .spawn(move || prom_loop(listener, &prom_shared))
-                        .map_err(|e| NetError::io("spawn prom thread", e))?,
-                )
-            }
-            None => None,
-        };
-        // The accept loop: admit, hand each socket round-robin to an
-        // I/O thread's readiness poller, and on shutdown drain and
-        // finalize.
-        let io_threads = self.shared.io_threads;
-        let mut senders: Vec<Sender<(u64, TcpStream)>> = Vec::with_capacity(io_threads);
-        let mut wakers: Vec<TcpStream> = Vec::with_capacity(io_threads);
-        let mut handles = Vec::with_capacity(io_threads);
+    pub fn run(self) -> Result<ServeReport, NetError> {
+        let shared = self.shared;
         // Nothing is ever sent: each I/O thread drops its sender once it
         // holds no request connection at shutdown, which closes the
         // channel when the last one is done.
         let (requests_tx, requests_done) = std::sync::mpsc::channel::<()>();
-        for i in 0..io_threads {
-            let (tx, rx) = std::sync::mpsc::channel::<(u64, TcpStream)>();
-            let (wake_tx, wake_rx) = wake_pipe()?;
-            let shared = Arc::clone(&self.shared);
+        let (senders, receivers): (Vec<_>, Vec<_>) = (0..shared.wakers.len())
+            .map(|_| std::sync::mpsc::channel::<Conn>())
+            .unzip();
+        // I/O thread 0 listens, and hands every admitted connection out
+        // round-robin over the admission channels, itself first.
+        let mut acceptor = Some(Acceptor {
+            client: self.listener,
+            prom: self.prom_listener,
+            senders,
+            next: 0,
+            last_id: 0,
+            paused_until: Some(bqs_obs::now()),
+            failing_since: None,
+        });
+        let mut handles = Vec::with_capacity(shared.wakers.len());
+        for (i, (rx, wake_rx)) in receivers.into_iter().zip(self.wake_rx).enumerate() {
+            let thread_shared = Arc::clone(&shared);
             let requests = requests_tx.clone();
+            let acceptor = acceptor.take();
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("bqs-io-{i}"))
-                    .spawn(move || io_loop(i, rx, wake_rx, requests, &shared))
+                    .spawn(move || io_loop(rx, wake_rx, requests, acceptor, &thread_shared))
                     .map_err(|e| NetError::io("spawn io thread", e))?,
             );
-            senders.push(tx);
-            wakers.push(wake_tx);
         }
         drop(requests_tx);
-
-        const MAX_CONSECUTIVE_ACCEPT_FAILURES: u32 = 100;
-        let mut accept_failures = 0u32;
-        let mut next = 0usize;
-        loop {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    accept_failures = 0;
-                    // ordering: seqcst pairs with the Shutdown request's store
-                    if self.shared.shutdown.load(Ordering::SeqCst) {
-                        // The wake-up connection (or a late client):
-                        // not served.
-                        drop(stream);
-                        break;
-                    }
-                    // ordering: seqcst capacity check pairs with conn_admitted/conn_closed
-                    if self.shared.active.load(Ordering::SeqCst) >= self.shared.max_connections {
-                        reject_over_capacity(stream, &self.shared);
-                        continue;
-                    }
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    let _ = stream.set_nodelay(true);
-                    let id = self.shared.conn_admitted();
-                    if senders[next].send((id, stream)).is_err() {
-                        // The io thread is gone (it never exits before
-                        // shutdown unless it panicked): undo and drop.
-                        self.shared.conn_closed();
-                    } else {
-                        wake(&wakers[next]);
-                    }
-                    next = (next + 1) % io_threads;
-                }
-                Err(_) if self.shared.shutdown.load(Ordering::SeqCst) => break, // ordering: seqcst pairs with the Shutdown request's store
-                Err(_) => {
-                    accept_failures += 1;
-                    if accept_failures >= MAX_CONSECUTIVE_ACCEPT_FAILURES {
-                        // The listener is gone for good: stop accepting
-                        // but still drain and make everything durable.
-                        self.shared.shutdown.store(true, Ordering::SeqCst); // ordering: seqcst so every worker agrees the server is shutting down
-                        break;
-                    }
-                    std::thread::sleep(POLL_INTERVAL);
-                }
-            }
-        }
-        // Close the admission channels and wake every io thread so the
-        // drain starts immediately rather than at the next tick.
-        drop(senders);
-        wakers.iter().for_each(wake);
         // Every request connection is closed: join the fleet while the
         // I/O threads keep delivering to their subscribers, then let
         // them send each subscriber its tail and `SubEnd`.
         let _ = requests_done.recv();
-        let joined = self.join_fleet();
-        self.shared.fleet_joined.store(true, Ordering::SeqCst); // ordering: seqcst publishes the join to the I/O threads' end-of-stream check
-        wakers.iter().for_each(wake);
+        let joined = join_fleet(&shared);
+        shared.fleet_joined.store(true, Ordering::SeqCst); // ordering: seqcst publishes the join to the I/O threads' end-of-stream check
+        shared.wake_all();
         for handle in handles {
             let _ = handle.join();
-        }
-        // Stop the Prometheus responder: every path here has set the
-        // shutdown flag; one wake connection pops the thread out of
-        // `accept`.
-        if let (Some(prom), Some(addr)) = (prom, self.shared.prom_addr) {
-            drop(TcpStream::connect(wake_addr(addr)));
-            let _ = prom.join();
         }
         let (mut report, backfill) = joined?;
         // Buffered backfill batches become flagged records in the same
         // shard logs the tracks' live data spilled to, *before* the
         // manifest is rebuilt so its spans cover them.
         if !backfill.is_empty() {
-            write_backfill(&self.shared.spill, self.shared.workers, &backfill)?;
+            write_backfill(&shared.spill, shared.workers, &backfill)?;
         }
-        report.manifest_shards = Manifest::rebuild(&self.shared.spill)?.shards.len();
+        report.manifest_shards = Manifest::rebuild(&shared.spill)?.shards.len();
         Ok(report)
     }
+}
 
-    /// Releases whatever the admission table still parks, joins the
-    /// fleet and finishes every spill sink. Runs once every request
-    /// connection is closed, so the served totals are final.
-    fn join_fleet(&self) -> Result<(ServeReport, Backfill), NetError> {
-        let mut state = self
-            .shared
-            .lock_fleet()
-            .take()
-            // bqs-analyze: allow(no-unwrap-in-lib) — invariant: joined once, after the accept loop
-            .expect("the fleet joins once, after the accept loop");
-        for (track, points) in state.reorder.drain_all() {
-            state.fleet.submit_run(track, points);
-        }
-        self.shared.metrics.reorder_depth.set(0);
-        let join = state.fleet.join();
-        if let Some(failure) = join.failures.first() {
-            return Err(NetError::Fleet {
-                shard: failure.shard,
-                panic: failure.panic.clone(),
-                sessions: failure.tracks.len(),
-            });
-        }
-        let mut spilled = Vec::new();
-        for shard in join.shards {
-            let reports = shard.sink.finish();
-            spilled.extend(reports.map_err(|failure| NetError::Spill(failure.to_string()))?);
-        }
-        let m = &self.shared.metrics;
-        let report = ServeReport {
-            connections: m.conns_admitted.get(),
-            rejected_connections: m.conns_rejected.get(),
-            frames: m.frames.get(),
-            appended_points: self.shared.appended_points.load(Ordering::Relaxed), // ordering: relaxed final read; every request connection has closed
-            late_points: m.late_accepted.get(),
-            backfill_points: m.backfilled.get(),
-            too_late_points: m.too_late.get(),
-            spilled_sessions: spilled.len(),
-            spilled_points: spilled.iter().map(|r| r.points).sum(),
-            spilled_bytes: spilled.iter().map(|r| r.bytes).sum(),
-            stats: join.stats,
-            manifest_shards: 0,
-        };
-        Ok((report, state.backfill))
+/// Releases whatever the admission table still parks, joins the fleet
+/// and finishes every spill sink. Runs once every request connection is
+/// closed, so the served totals are final.
+fn join_fleet(shared: &Shared) -> Result<(ServeReport, Backfill), NetError> {
+    let mut state = shared
+        .lock_fleet()
+        .take()
+        // bqs-analyze: allow(no-unwrap-in-lib) — invariant: joined once, after the drain
+        .expect("the fleet joins once, after the drain");
+    for (track, points) in state.reorder.drain_all() {
+        state.fleet.submit_run(track, points);
     }
+    shared.metrics.reorder_depth.set(0);
+    let join = state.fleet.join();
+    if let Some(failure) = join.failures.first() {
+        return Err(NetError::Fleet {
+            shard: failure.shard,
+            panic: failure.panic.clone(),
+            sessions: failure.tracks.len(),
+        });
+    }
+    let mut spilled = Vec::new();
+    for shard in join.shards {
+        let reports = shard.sink.inner.finish();
+        spilled.extend(reports.map_err(|failure| NetError::Spill(failure.to_string()))?);
+    }
+    let m = &shared.metrics;
+    let report = ServeReport {
+        connections: m.conns_admitted.get(),
+        rejected_connections: m.conns_rejected.get(),
+        frames: m.frames.get(),
+        appended_points: shared.appended_points.load(Ordering::Relaxed), // ordering: relaxed final read; every request connection has closed
+        late_points: m.late_accepted.get(),
+        backfill_points: m.backfilled.get(),
+        too_late_points: m.too_late.get(),
+        spilled_sessions: spilled.len(),
+        spilled_points: spilled.iter().map(|r| r.points).sum(),
+        spilled_bytes: spilled.iter().map(|r| r.bytes).sum(),
+        stats: join.stats,
+        manifest_shards: 0,
+    };
+    Ok((report, state.backfill))
 }
 
 /// Writes the buffered backfill batches as flagged records, each into
@@ -1064,112 +994,147 @@ fn evict_tick(shared: &Shared) {
     state.fleet.evict_idle(now);
 }
 
-/// Serves `GET /metrics` over plain HTTP/1.1 until shutdown: accept,
-/// answer one request, close. Scrapers reconnect per scrape, so one
-/// sequential thread is plenty.
-fn prom_loop(listener: TcpListener, shared: &Shared) {
-    loop {
-        let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(_) => {
-                // ordering: seqcst pairs with the Shutdown request's store
-                if shared.shutdown.load(Ordering::SeqCst) {
+/// I/O thread 0's listening side: the client and Prometheus listeners,
+/// and each I/O thread's admission channel (dropped at shutdown).
+struct Acceptor {
+    client: TcpListener,
+    prom: Option<TcpListener>,
+    senders: Vec<Sender<Conn>>,
+    /// The I/O thread the next admitted client connection goes to.
+    next: usize,
+    /// The last connection trace id handed out; ids start at 1 (0 marks
+    /// events tied to no connection).
+    last_id: u64,
+    /// When the listeners join the poller (again): at once when the
+    /// thread starts, [`ACCEPT_PAUSE`] after a failed accept.
+    paused_until: Option<Instant>,
+    /// When the client listener's current streak of failures began.
+    failing_since: Option<Instant>,
+}
+
+impl Acceptor {
+    /// Registers the listeners with the poller once a pause is over
+    /// (re-adding one still registered fails harmlessly); at shutdown,
+    /// takes them out for good.
+    fn listen(&mut self, poller: &Poller, shutdown: bool) {
+        if !shutdown && self.paused_until.is_none_or(|at| bqs_obs::now() < at) {
+            return;
+        }
+        self.paused_until = None;
+        let prom = self.prom.iter().map(|l| (l, PROM_KEY));
+        for (listener, key) in std::iter::once((&self.client, LISTEN_KEY)).chain(prom) {
+            let _ = match shutdown {
+                true => poller.delete(source_of(listener)),
+                false => poller.add(source_of(listener), Event::readable(key)),
+            };
+        }
+    }
+
+    /// Accepts on the listener polled under `key` until it would block: a
+    /// client goes to the next I/O thread in turn (or is refused over
+    /// capacity), a scrape stays here. A failed accept takes the listener
+    /// out of the poller for [`ACCEPT_PAUSE`]; a client listener failing
+    /// for [`ACCEPT_GIVE_UP`] starts the shutdown drain.
+    fn accept(&mut self, key: usize, poller: &Poller, shared: &Shared) {
+        // ordering: seqcst pairs with the Shutdown request's store
+        while !shared.shutdown.load(Ordering::SeqCst) {
+            let listener = match (key, &self.prom) {
+                (PROM_KEY, Some(prom)) => prom,
+                _ => &self.client,
+            };
+            let stream = match listener.accept() {
+                Ok((stream, _)) => stream,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == ErrorKind::ConnectionAborted => continue,
+                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+                Err(_) => {
+                    let now = bqs_obs::now();
+                    let _ = poller.delete(source_of(listener));
+                    self.paused_until = Some(now + ACCEPT_PAUSE);
+                    if key == LISTEN_KEY
+                        && now >= *self.failing_since.get_or_insert(now) + ACCEPT_GIVE_UP
+                    {
+                        // The listener is gone for good: stop accepting
+                        // but still drain and make everything durable.
+                        shared.shutdown.store(true, Ordering::SeqCst); // ordering: seqcst so every I/O thread agrees the server is shutting down
+                        shared.wake_all();
+                    }
                     return;
                 }
-                std::thread::sleep(POLL_INTERVAL);
+            };
+            if stream.set_nonblocking(true).is_err() {
                 continue;
             }
-        };
-        // ordering: seqcst pairs with the Shutdown request's store
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return; // the finalize wake-up (or a late scraper)
+            if key == PROM_KEY {
+                let _ = self.senders[0].send(Conn::new(0, stream, Role::Scrape));
+                continue;
+            }
+            // ordering: seqcst capacity check pairs with conn_admitted/conn_closed
+            if shared.active.load(Ordering::SeqCst) >= shared.max_connections {
+                reject_over_capacity(&stream, shared);
+                continue;
+            }
+            let _ = stream.set_nodelay(true);
+            self.last_id += 1;
+            shared.conn_admitted(self.last_id);
+            let conn = Conn::new(self.last_id, stream, Role::Requests);
+            if self.senders[self.next].send(conn).is_err() {
+                // The io thread is gone (it never exits before shutdown
+                // unless it panicked): undo and drop.
+                shared.conn_closed();
+            } else {
+                wake(&shared.wakers[self.next]);
+            }
+            self.next = (self.next + 1) % self.senders.len();
         }
-        serve_prom_conn(stream, shared);
+        if key == LISTEN_KEY {
+            self.failing_since = None;
+        }
     }
 }
 
-/// Answers one HTTP request: `GET /metrics` gets the Prometheus text
-/// exposition (0.0.4), anything else a 404.
-fn serve_prom_conn(mut stream: TcpStream, shared: &Shared) {
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
-    // Read up to the header terminator; only the request line matters.
-    let mut buf = Vec::new();
-    let mut chunk = [0u8; 1024];
-    while !buf.windows(4).any(|w| w == b"\r\n\r\n") && buf.len() < 8192 {
-        match stream.read(&mut chunk) {
-            Ok(0) => break,
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => break,
-        }
-    }
-    let line = buf.split(|&b| b == b'\r').next().unwrap_or(&[]);
-    let line = std::str::from_utf8(line).unwrap_or("");
-    let target = line.strip_prefix("GET ").and_then(|r| r.split(' ').next());
-    let (status, body) = if target == Some("/metrics") {
-        ("200 OK", shared.metrics.registry.render_prometheus())
-    } else {
-        ("404 Not Found", String::new())
-    };
-    let head = format!(
-        "HTTP/1.1 {status}\r\n\
-         Content-Type: text/plain; version=0.0.4; charset=utf-8\r\n\
-         Content-Length: {}\r\n\
-         Connection: close\r\n\r\n",
-        body.len()
-    );
-    let _ = stream.write_all(head.as_bytes());
-    let _ = stream.write_all(body.as_bytes());
-}
-
-/// Answers an over-the-cap accept with one typed error frame and closes
-/// the socket — a client in `connect` surfaces it as
-/// `NetError::Server { code: OverCapacity, .. }` instead of hanging.
-fn reject_over_capacity(mut stream: TcpStream, shared: &Shared) {
+/// Answers an over-the-cap accept with one typed error frame in one
+/// non-blocking write, so a client in `connect` fails instead of hanging.
+fn reject_over_capacity(mut stream: &TcpStream, shared: &Shared) {
     shared.conn_rejected();
-    let reply = Reply::Error {
+    let frame = reply_frame(&Reply::Error {
         code: ErrorCode::OverCapacity,
         message: format!(
             "connection table full ({} connections); retry later",
             shared.max_connections
         ),
-    };
-    if let Ok(payload) = reply.encode() {
-        let _ = stream.set_write_timeout(Some(POLL_INTERVAL));
-        if write_frame(&mut stream, &payload).is_ok() {
-            shared
-                .metrics
-                .bytes_out
-                .add((HEADER_BYTES + payload.len() + 4) as u64);
-        }
+    });
+    if let Ok(n) = stream.write(&frame) {
+        shared.metrics.bytes_out.add(n as u64);
     }
 }
 
-/// The blocking write end of an I/O thread's wake pipe. `std` has no
-/// portable socketpair, so the pipe is a loopback TCP pair: one byte
-/// written here pops the thread out of `Poller::wait` instantly.
-fn wake_pipe() -> Result<(TcpStream, TcpStream), NetError> {
-    let listener = TcpListener::bind("127.0.0.1:0").map_err(|e| NetError::io("wake pipe", e))?;
-    let addr = listener
-        .local_addr()
-        .map_err(|e| NetError::io("wake pipe", e))?;
-    let tx = TcpStream::connect(addr).map_err(|e| NetError::io("wake pipe", e))?;
-    let (rx, _) = listener
-        .accept()
-        .map_err(|e| NetError::io("wake pipe", e))?;
-    Ok((tx, rx))
+/// Pops an I/O thread out of `Poller::wait`. A full pipe already holds
+/// a wake-up, so a failed write loses nothing.
+fn wake(mut waker: &WakeEnd) {
+    let _ = waker.write(&[1]);
 }
 
-fn wake(waker: &TcpStream) {
-    let _ = (&*waker).write_all(&[1]);
+/// What a connection carries.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Role {
+    /// Framed requests, each answered by one reply frame.
+    Requests,
+    /// Hub subscription `id`'s pushed frames; what the client sends is
+    /// discarded.
+    Subscriber(u64),
+    /// One HTTP/1.1 Prometheus scrape on I/O thread 0, closed after its
+    /// response or [`SCRAPE_TIMEOUT`]; it takes no connection slot and
+    /// counts in no `net_connections_*` or `net_bytes_*` metric.
+    Scrape,
 }
 
 /// One connection's state inside an I/O thread.
 struct Conn {
-    /// The server-wide trace id assigned at admission.
+    /// The server-wide trace id assigned at admission (0 for a scrape).
     id: u64,
     stream: TcpStream,
+    role: Role,
     /// Bytes read off the socket, `consumed` of which are parsed.
     inbuf: Vec<u8>,
     consumed: usize,
@@ -1186,17 +1151,14 @@ struct Conn {
     /// Decode times of requests whose replies have not fully flushed —
     /// drained into the latency histograms when `outbuf` empties.
     pending: Vec<(Instant, ReqKind)>,
-    /// The hub subscription this connection carries once its
-    /// `Subscribe` is served: from then on it only receives pushed
-    /// frames, and whatever the client sends is discarded.
-    sub: Option<u64>,
 }
 
 impl Conn {
-    fn new(id: u64, stream: TcpStream) -> Conn {
+    fn new(id: u64, stream: TcpStream, role: Role) -> Conn {
         Conn {
             id,
             stream,
+            role,
             inbuf: Vec::new(),
             consumed: 0,
             outbuf: Vec::new(),
@@ -1206,7 +1168,6 @@ impl Conn {
             want_write: false,
             eof: false,
             pending: Vec::new(),
-            sub: None,
         }
     }
 
@@ -1220,19 +1181,23 @@ impl Conn {
     fn has_room(&self) -> bool {
         self.outbuf.len() - self.outpos < OUT_HIGH_WATERMARK
     }
+
+    fn is_subscriber(&self) -> bool {
+        matches!(self.role, Role::Subscriber(_))
+    }
 }
 
-/// I/O thread `index`: admit connections from `rx`, poll readiness,
-/// parse frames, serve requests, deliver its subscribers' kept points,
-/// flush — and, on thread 0, run the idle-eviction tick. At shutdown it
-/// drains its request connections and then drops `requests`, the
-/// acceptor's cue to join the fleet; once the fleet has joined, every
-/// subscriber gets its tail and `SubEnd`, and the thread exits.
+/// One I/O thread: admit connections from `rx`, poll readiness, parse
+/// frames, serve requests, deliver its subscribers' kept points, flush —
+/// and, on thread 0 (the one given the `acceptor`), accept, serve scrapes
+/// and run the idle-eviction tick. At shutdown it drains its request
+/// connections and drops `requests`, `Server::run`'s cue to join the
+/// fleet; then every subscriber gets its tail and `SubEnd`.
 fn io_loop(
-    index: usize,
-    rx: Receiver<(u64, TcpStream)>,
-    wake_rx: TcpStream,
+    rx: Receiver<Conn>,
+    wake_rx: WakeEnd,
     requests: Sender<()>,
+    mut acceptor: Option<Acceptor>,
     shared: &Shared,
 ) {
     let poller = if shared.fallback_poller {
@@ -1240,10 +1205,11 @@ fn io_loop(
     } else {
         Poller::new().unwrap_or_else(|_| Poller::with_fallback())
     };
-    let _ = wake_rx.set_nonblocking(true);
     let _ = poller.add(source_of(&wake_rx), Event::readable(WAKE_KEY));
     let mut conns: HashMap<usize, Conn> = HashMap::new();
     let mut next_key = 0usize;
+    // Open scrapes in accept order, with the tick each expires at.
+    let mut scrapes: VecDeque<(Instant, usize)> = VecDeque::new();
     let mut events: Vec<Event> = Vec::new();
     let mut scratch = ColumnarBatch::new();
     let mut rx_open = true;
@@ -1251,18 +1217,21 @@ fn io_loop(
     let mut drain_deadline: Option<Instant> = None;
     let mut end_deadline: Option<Instant> = None;
     let mut next_evict =
-        (index == 0 && shared.evict_idle > 0.0).then(|| bqs_obs::now() + EVICT_TICK);
+        (acceptor.is_some() && shared.evict_idle > 0.0).then(|| bqs_obs::now() + EVICT_TICK);
     loop {
         // Admit whatever the acceptor queued.
         while rx_open {
             match rx.try_recv() {
-                Ok((id, stream)) => {
+                Ok(conn) => {
                     let key = next_key;
                     next_key += 1;
-                    if poller.add(source_of(&stream), Event::readable(key)).is_ok() {
-                        conns.insert(key, Conn::new(id, stream));
-                    } else {
-                        shared.conn_closed();
+                    if conn.role == Role::Scrape {
+                        scrapes.push_back((bqs_obs::now() + SCRAPE_TIMEOUT, key));
+                    }
+                    let added = poller.add(source_of(&conn.stream), Event::readable(key));
+                    conns.insert(key, conn);
+                    if added.is_err() {
+                        close_conn(&poller, &mut conns, key, shared);
                     }
                 }
                 Err(TryRecvError::Empty) => break,
@@ -1272,9 +1241,20 @@ fn io_loop(
                 }
             }
         }
+        while let Some(&(deadline, key)) = scrapes.front() {
+            if bqs_obs::now() < deadline {
+                break;
+            }
+            scrapes.pop_front();
+            close_conn(&poller, &mut conns, key, shared);
+        }
 
         let shutting = shared.shutdown.load(Ordering::SeqCst); // ordering: seqcst so drain decisions agree across workers
+        if let Some(acceptor) = acceptor.as_mut() {
+            acceptor.listen(&poller, shutting);
+        }
         if shutting {
+            acceptor = None; // the listeners close, and every admission channel
             let now = bqs_obs::now();
             let expired = now >= *drain_deadline.get_or_insert(now + DRAIN_GRACE);
             // Final service pass: frames already in flight (kernel
@@ -1286,11 +1266,11 @@ fn io_loop(
                 // bqs-analyze: allow(no-unwrap-in-lib) — invariant: key from this map
                 let conn = conns.get_mut(&key).expect("key from this map");
                 let dead = service_conn(conn, shared, &mut scratch);
-                if dead || conn.sub.is_none() && (conn.at_boundary() || expired) {
+                if dead || !conn.is_subscriber() && (conn.at_boundary() || expired) {
                     close_conn(&poller, &mut conns, key, shared);
                 }
             }
-            if !rx_open && conns.values().all(|conn| conn.sub.is_some()) {
+            if !rx_open && conns.values().all(Conn::is_subscriber) {
                 drop(requests.take()); // no request connection is left
             }
             if conns.is_empty() && !rx_open {
@@ -1304,17 +1284,19 @@ fn io_loop(
         shared.metrics.io_ready_events.record(events.len() as u64);
         let tick_start = bqs_obs::now();
         for &ev in events.iter() {
-            if ev.key == WAKE_KEY {
-                drain_wake(&wake_rx);
-                continue;
-            }
-            let Some(conn) = conns.get_mut(&ev.key) else {
-                continue;
-            };
-            if service_conn(conn, shared, &mut scratch) {
-                close_conn(&poller, &mut conns, ev.key, shared);
-            } else {
-                set_write_interest(&poller, ev.key, conn);
+            match (ev.key, acceptor.as_mut()) {
+                (WAKE_KEY, _) => drain_wake(&wake_rx),
+                (LISTEN_KEY | PROM_KEY, Some(acceptor)) => acceptor.accept(ev.key, &poller, shared),
+                (key, _) => {
+                    let Some(conn) = conns.get_mut(&key) else {
+                        continue;
+                    };
+                    if service_conn(conn, shared, &mut scratch) {
+                        close_conn(&poller, &mut conns, key, shared);
+                    } else {
+                        set_write_interest(&poller, key, conn);
+                    }
+                }
             }
         }
         if shared.hub.any() {
@@ -1326,16 +1308,11 @@ fn io_loop(
             next_evict = Some(bqs_obs::now() + EVICT_TICK);
         }
     }
-    // Streams the acceptor queued that were never admitted.
-    for (_, stream) in rx.try_iter() {
-        drop(stream);
-        shared.conn_closed();
-    }
 }
 
-fn drain_wake(wake_rx: &TcpStream) {
+fn drain_wake(mut wake_rx: &WakeEnd) {
     let mut buf = [0u8; 64];
-    while matches!((&*wake_rx).read(&mut buf), Ok(n) if n > 0) {}
+    while matches!(wake_rx.read(&mut buf), Ok(n) if n > 0) {}
 }
 
 /// Keeps write interest registered exactly while replies are pending.
@@ -1355,11 +1332,12 @@ fn set_write_interest(poller: &Poller, key: usize, conn: &mut Conn) {
 fn close_conn(poller: &Poller, conns: &mut HashMap<usize, Conn>, key: usize, shared: &Shared) {
     if let Some(conn) = conns.remove(&key) {
         let _ = poller.delete(source_of(&conn.stream));
-        if let Some(id) = conn.sub {
+        if let Role::Subscriber(id) = conn.role {
             shared.hub.remove(id);
         }
-        drop(conn.stream);
-        shared.conn_closed();
+        if conn.role != Role::Scrape {
+            shared.conn_closed();
+        }
     }
 }
 
@@ -1379,7 +1357,7 @@ fn deliver_subscribers(
     let expired = ended && now >= *end_deadline.get_or_insert(now + DRAIN_GRACE);
     let mut closing = Vec::new();
     for (&key, conn) in conns.iter_mut() {
-        let Some(id) = conn.sub else {
+        let Role::Subscriber(id) = conn.role else {
             continue;
         };
         if expired || pull_sub(conn, id, &shared.hub, ended).is_err() || flush_conn(conn, shared) {
@@ -1419,7 +1397,7 @@ fn service_conn(conn: &mut Conn, shared: &Shared, scratch: &mut ColumnarBatch) -
     // polling re-reports the socket once the replies drain. A
     // subscriber's bytes are read ungated and discarded, so its EOF is
     // seen at once.
-    let discard = conn.sub.is_some();
+    let discard = conn.is_subscriber();
     if !conn.eof && !conn.close_after_flush && (discard || conn.has_room()) {
         let mut chunk = [0u8; READ_CHUNK];
         let mut read_this_tick = 0usize;
@@ -1434,20 +1412,26 @@ fn service_conn(conn: &mut Conn, shared: &Shared, scratch: &mut ColumnarBatch) -
                         conn.inbuf.extend_from_slice(&chunk[..n]);
                     }
                     read_this_tick += n;
-                    shared.metrics.bytes_in.add(n as u64);
+                    if conn.role != Role::Scrape {
+                        shared.metrics.bytes_in.add(n as u64);
+                    }
                     if read_this_tick >= MAX_TICK_BYTES {
                         break;
                     }
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
                 Err(_) => return true, // transport died
             }
         }
     }
 
-    // 2. Serve every complete frame in the buffer.
-    while !conn.close_after_flush && conn.sub.is_none() {
+    // 2. Serve every complete frame in the buffer — or a scrape's
+    // request, once its head is complete.
+    if conn.role == Role::Scrape && !conn.close_after_flush {
+        answer_scrape(conn, shared);
+    }
+    while !conn.close_after_flush && conn.role == Role::Requests {
         let buf = &conn.inbuf[conn.consumed..];
         if buf.is_empty() {
             break;
@@ -1472,7 +1456,7 @@ fn service_conn(conn: &mut Conn, shared: &Shared, scratch: &mut ColumnarBatch) -
                     After::Subscribe { track, bbox } => {
                         // Kept points queue behind the `Subscribed` ack;
                         // pipelined leftovers are never served.
-                        conn.sub = Some(shared.hub.add(track, bbox));
+                        conn.role = Role::Subscriber(shared.hub.add(track, bbox));
                         conn.consumed = conn.inbuf.len();
                     }
                 }
@@ -1506,6 +1490,36 @@ fn service_conn(conn: &mut Conn, shared: &Shared, scratch: &mut ColumnarBatch) -
     flush_conn(conn, shared)
 }
 
+/// Queues a scrape's response and the close once its HTTP request head
+/// is complete: `GET /metrics` gets the Prometheus text exposition
+/// (0.0.4), anything else a 404. A head that does not end within
+/// [`MAX_HTTP_HEAD`] bytes (or before the peer's EOF) gets no reply.
+fn answer_scrape(conn: &mut Conn, shared: &Shared) {
+    let head = &conn.inbuf[..conn.inbuf.len().min(MAX_HTTP_HEAD)];
+    if !head.windows(4).any(|w| w == b"\r\n\r\n") {
+        conn.close_after_flush = conn.inbuf.len() >= MAX_HTTP_HEAD;
+        return;
+    }
+    let line = head.split(|&b| b == b'\r').next().unwrap_or(&[]);
+    let line = std::str::from_utf8(line).unwrap_or("");
+    let target = line.strip_prefix("GET ").and_then(|r| r.split(' ').next());
+    let (status, body) = if target == Some("/metrics") {
+        ("200 OK", shared.metrics.registry.render_prometheus())
+    } else {
+        ("404 Not Found", String::new())
+    };
+    let response = format!(
+        "HTTP/1.1 {status}\r\n\
+         Content-Type: text/plain; version=0.0.4; charset=utf-8\r\n\
+         Content-Length: {}\r\n\
+         Connection: close\r\n\r\n{body}",
+        body.len()
+    );
+    conn.outbuf.extend_from_slice(response.as_bytes());
+    conn.consumed = conn.inbuf.len();
+    conn.close_after_flush = true;
+}
+
 /// Flushes as much of the out queue as the socket takes. Returns `true`
 /// when the connection is done (transport failure, or close-after-flush
 /// with an empty out buffer).
@@ -1515,10 +1529,12 @@ fn flush_conn(conn: &mut Conn, shared: &Shared) -> bool {
             Ok(0) => return true,
             Ok(n) => {
                 conn.outpos += n;
-                shared.metrics.bytes_out.add(n as u64);
+                if conn.role != Role::Scrape {
+                    shared.metrics.bytes_out.add(n as u64);
+                }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
             Err(_) => return true,
         }
     }
@@ -1913,9 +1929,8 @@ fn handle_request(
             (Reply::Subscribed, After::Subscribe { track, bbox })
         }
         Request::Shutdown => {
-            shared.shutdown.store(true, Ordering::SeqCst); // ordering: seqcst publishes shutdown before the wake-up connect below
-                                                           // Unblock the acceptor so the run loop can start draining.
-            drop(TcpStream::connect(wake_addr(shared.local_addr)));
+            shared.shutdown.store(true, Ordering::SeqCst); // ordering: seqcst publishes shutdown before the wake-ups below
+            shared.wake_all(); // every I/O thread starts its drain now
             (
                 Reply::ShuttingDown {
                     connections: shared.metrics.conns_admitted.get(),
@@ -1950,22 +1965,6 @@ fn shutting_down_error() -> Reply {
     Reply::Error {
         code: ErrorCode::ShuttingDown,
         message: "server is shutting down".to_string(),
-    }
-}
-
-/// The address the shutdown wake-up connects to. A server bound to a
-/// wildcard address (`0.0.0.0` / `::`) cannot be *connected* to at
-/// that address on every platform, so the wake-up targets loopback on
-/// the same port instead.
-fn wake_addr(local: SocketAddr) -> SocketAddr {
-    if local.ip().is_unspecified() {
-        let ip: std::net::IpAddr = match local {
-            SocketAddr::V4(_) => std::net::Ipv4Addr::LOCALHOST.into(),
-            SocketAddr::V6(_) => std::net::Ipv6Addr::LOCALHOST.into(),
-        };
-        SocketAddr::new(ip, local.port())
-    } else {
-        local
     }
 }
 

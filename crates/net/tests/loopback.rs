@@ -904,3 +904,110 @@ fn nan_filters_are_bad_requests_and_the_connection_survives() {
     server.join().expect("server thread");
     let _ = std::fs::remove_dir_all(&root);
 }
+
+/// Sends `request` to the scrape endpoint and reads until the server
+/// closes; returns the response text (empty when it closed without
+/// replying, reset included).
+fn http_exchange(prom: std::net::SocketAddr, request: &[u8]) -> String {
+    use std::io::Read;
+    let mut stream = TcpStream::connect(prom).expect("connect prom");
+    stream.write_all(request).expect("send request");
+    let mut response = Vec::new();
+    match stream.read_to_end(&mut response) {
+        Ok(_) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
+        Err(e) => panic!("reading the response: {e}"),
+    }
+    String::from_utf8(response).expect("utf-8 response")
+}
+
+fn start_with_prom(
+    root: &PathBuf,
+) -> (
+    std::net::SocketAddr,
+    std::net::SocketAddr,
+    std::thread::JoinHandle<bqs_net::ServeReport>,
+) {
+    let mut config = ServerConfig::new("127.0.0.1:0", 2, root);
+    config.io_threads = 2;
+    config.prom_addr = Some("127.0.0.1:0".to_string());
+    let server = Server::bind(config).expect("bind");
+    let (addr, prom) = (server.local_addr(), server.prom_addr().expect("prom bound"));
+    (
+        addr,
+        prom,
+        std::thread::spawn(move || server.run().expect("serve")),
+    )
+}
+
+#[test]
+fn the_scrape_endpoint_answers_metrics_404s_and_drops_oversized_heads() {
+    let root = temp_root("prom");
+    let (addr, prom, server) = start_with_prom(&root);
+    let mut client = BqsClient::connect(addr).expect("connect");
+    client.append(1, &wave(1, 40)).expect("append");
+
+    let ok = http_exchange(prom, b"GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n");
+    assert!(ok.starts_with("HTTP/1.1 200 OK\r\n"), "{ok}");
+    assert!(ok.contains("\n# TYPE net_frames_total counter\n"), "{ok}");
+    let (head, body) = ok.split_once("\r\n\r\n").expect("head and body");
+    assert!(
+        head.contains(&format!("Content-Length: {}", body.len())),
+        "{head}"
+    );
+
+    let missing = http_exchange(prom, b"GET /x HTTP/1.1\r\n\r\n");
+    assert!(
+        missing.starts_with("HTTP/1.1 404 Not Found\r\n"),
+        "{missing}"
+    );
+    assert!(missing.ends_with("Content-Length: 0\r\nConnection: close\r\n\r\n"));
+
+    // A head that never ends within 8 KiB is closed without a reply.
+    let mut oversized = b"GET /metrics HTTP/1.1\r\n".to_vec();
+    oversized.extend(std::iter::repeat_n(b'a', 9000));
+    assert_eq!(http_exchange(prom, &oversized), "");
+
+    // Scrapes hold no connection slot and move no connection counter.
+    let stats = client.stats().expect("stats");
+    assert_eq!(stats.connections, 1, "{stats:?}");
+    client.shutdown().expect("shutdown");
+    let report = server.join().expect("server thread");
+    assert_eq!((report.connections, report.appended_points), (1, 40));
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// One scraper connects and never sends its request line. The next
+/// scrape is answered at once, not after the first one's 2 s bound; the
+/// silent one is closed at that bound.
+#[test]
+fn a_silent_scraper_does_not_delay_the_next_scrape() {
+    use std::io::Read;
+    let root = temp_root("prom-silent");
+    let (addr, prom, server) = start_with_prom(&root);
+    let mut silent = TcpStream::connect(prom).expect("connect silent scraper");
+    std::thread::sleep(std::time::Duration::from_millis(100));
+
+    let started = std::time::Instant::now();
+    let response = http_exchange(prom, b"GET /metrics HTTP/1.1\r\n\r\n");
+    let waited = started.elapsed();
+    assert!(response.starts_with("HTTP/1.1 200 OK\r\n"), "{response}");
+    assert!(
+        waited < std::time::Duration::from_millis(500),
+        "the second scrape waited {waited:?} behind the silent one"
+    );
+
+    silent
+        .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .unwrap();
+    let mut buf = [0u8; 16];
+    assert_eq!(silent.read(&mut buf).expect("closed, not timed out"), 0);
+    assert!(started.elapsed() < std::time::Duration::from_secs(5));
+
+    BqsClient::connect(addr)
+        .expect("connect")
+        .shutdown()
+        .expect("shutdown");
+    server.join().expect("server thread");
+    let _ = std::fs::remove_dir_all(&root);
+}

@@ -3,9 +3,10 @@
 //!
 //! The build environment has no crates.io access, so this crate vendors
 //! the minimal surface the `bqs-net` I/O pool needs — register a raw
-//! socket under a `usize` key with a read/write interest, then block in
-//! [`Poller::wait`] until any registered socket is ready (or a timeout
-//! elapses). Three backends, picked at [`Poller::new`] time:
+//! socket (a stream, a listener, or a [`wake_pair`] end) under a `usize`
+//! key with a read/write interest, then block in [`Poller::wait`] until
+//! any registered socket is ready (or a timeout elapses). Three
+//! backends, picked at [`Poller::new`] time:
 //!
 //! * **epoll** (Linux) — level-triggered `epoll_create1`/`epoll_ctl`/
 //!   `epoll_wait` through a minimal `extern "C"` shim. No `libc` crate:
@@ -44,18 +45,47 @@ pub type RawSource = std::os::unix::io::RawFd;
 #[cfg(not(unix))]
 pub type RawSource = u64;
 
-/// The raw registration handle of a TCP stream on this platform.
-pub fn source_of(stream: &std::net::TcpStream) -> RawSource {
+/// The raw registration handle of a socket on this platform: a stream,
+/// a listener, or either end of a [`wake_pair`].
+#[cfg(unix)]
+pub fn source_of(socket: &impl std::os::unix::io::AsRawFd) -> RawSource {
+    socket.as_raw_fd()
+}
+
+/// The raw registration handle of a socket on this platform: a stream,
+/// a listener, or either end of a [`wake_pair`].
+#[cfg(not(unix))]
+pub fn source_of(socket: &impl std::os::windows::io::AsRawSocket) -> RawSource {
+    socket.as_raw_socket()
+}
+
+/// One end of a [`wake_pair`]: a Unix socketpair end on unix, a
+/// loopback TCP stream elsewhere.
+#[cfg(unix)]
+pub type WakeEnd = std::os::unix::net::UnixStream;
+/// One end of a [`wake_pair`]: a Unix socketpair end on unix, a
+/// loopback TCP stream elsewhere.
+#[cfg(not(unix))]
+pub type WakeEnd = std::net::TcpStream;
+
+/// A connected pair of non-blocking stream sockets for waking a thread
+/// out of [`Poller::wait`]: register the second end readable, and a
+/// byte written to the first makes it ready at once. A write that finds
+/// the pair full fails with `WouldBlock`, which is harmless: a wake-up
+/// is already pending. On unix the pair is a socketpair; elsewhere,
+/// where `std` has none, a loopback TCP connection.
+pub fn wake_pair() -> io::Result<(WakeEnd, WakeEnd)> {
     #[cfg(unix)]
-    {
-        use std::os::unix::io::AsRawFd;
-        stream.as_raw_fd()
-    }
+    let (tx, rx) = WakeEnd::pair()?;
     #[cfg(not(unix))]
-    {
-        use std::os::windows::io::AsRawSocket;
-        stream.as_raw_socket()
-    }
+    let (tx, rx) = {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0")?;
+        let tx = WakeEnd::connect(listener.local_addr()?)?;
+        (tx, listener.accept()?.0)
+    };
+    tx.set_nonblocking(true)?;
+    rx.set_nonblocking(true)?;
+    Ok((tx, rx))
 }
 
 /// A readiness event: which registered key, and which directions are
@@ -674,6 +704,54 @@ mod tests {
         // Double registration is refused, modify of a stranger too.
         assert!(poller.add(source_of(&d), Event::all(9)).is_err());
         assert!(poller.modify(source_of(&b), Event::all(9)).is_err());
+    }
+
+    #[test]
+    fn os_backend_reports_a_listener_with_a_pending_connection() {
+        let poller = Poller::new().expect("poller");
+        if poller.is_fallback() {
+            return;
+        }
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        listener.set_nonblocking(true).unwrap();
+        poller
+            .add(source_of(&listener), Event::readable(5))
+            .unwrap();
+        let mut events = Vec::new();
+        let n = poller
+            .wait(&mut events, Some(Duration::from_millis(10)))
+            .unwrap();
+        assert_eq!(n, 0, "nobody connecting: timeout");
+        let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let n = poller
+            .wait(&mut events, Some(Duration::from_secs(5)))
+            .unwrap();
+        assert_eq!((n, events[0].key), (1, 5));
+        let _served = listener.accept().expect("a pending connection");
+        assert_eq!(
+            listener.accept().unwrap_err().kind(),
+            io::ErrorKind::WouldBlock
+        );
+    }
+
+    #[test]
+    fn a_wake_pair_byte_wakes_the_poller_and_drains() {
+        let poller = Poller::new().expect("poller");
+        let (tx, rx) = wake_pair().expect("wake pair");
+        poller
+            .add(source_of(&rx), Event::readable(usize::MAX))
+            .unwrap();
+        (&tx).write_all(&[1]).unwrap();
+        let mut events = Vec::new();
+        let n = poller
+            .wait(&mut events, Some(Duration::from_secs(5)))
+            .unwrap();
+        assert!(n >= 1 && events[0].key == usize::MAX);
+        let mut buf = [0u8; 8];
+        assert_eq!((&rx).read(&mut buf).unwrap(), 1);
+        // Both ends are non-blocking: an empty pair reads `WouldBlock`.
+        let err = (&rx).read(&mut buf).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::WouldBlock);
     }
 
     #[test]
