@@ -94,6 +94,13 @@ pub trait FleetSink {
     fn live_buffered(&self) -> Vec<(TrackId, Vec<TimedPoint>)> {
         Vec::new()
     }
+
+    /// Takes one non-empty backfill batch of `track` from
+    /// [`ParallelFleet::submit_backfill`]: raw points, sorted within the
+    /// batch, free to lie behind or overlap the track's output. A durable
+    /// sink stores it as is (`bqs-tlog`'s `SpillSink`: one backfill
+    /// record); the default drops it.
+    fn backfill(&mut self, _track: TrackId, _points: &[TimedPoint]) {}
 }
 
 impl FleetSink for Vec<(TrackId, TimedPoint)> {

@@ -315,10 +315,16 @@ impl<S: FleetSink> FleetSink for MeteredSink<S> {
     fn live_buffered(&self) -> Vec<(TrackId, Vec<TimedPoint>)> {
         self.inner.live_buffered()
     }
+
+    fn backfill(&mut self, track: TrackId, points: &[TimedPoint]) {
+        self.inner.backfill(track, points);
+    }
 }
 
 enum Msg {
     Batch(Vec<(TrackId, TimedPoint)>),
+    /// One backfill batch for the shard's sink, past the compressor.
+    Backfill(TrackId, Vec<TimedPoint>),
     Evict(f64),
     /// Snapshot request: the worker answers with a consistent view of
     /// its engine + sink state after all previously queued work.
@@ -359,19 +365,26 @@ impl<S> Worker<S> {
             return;
         }
         let batch = std::mem::replace(&mut self.buffer, Vec::with_capacity(BATCH_POINTS));
+        if let Err(Msg::Batch(lost)) = self.send_data(Msg::Batch(batch)) {
+            self.metrics.on_dropped(lost.len() as u64);
+        }
+    }
+
+    /// Sends one data-plane message (points or backfill), counted in the
+    /// depth gauge while it waits. A failed send marks the worker dead
+    /// and hands the message back.
+    fn send_data(&mut self, msg: Msg) -> Result<(), Msg> {
         // bqs-analyze: allow(no-unwrap-in-lib) — sender is only taken in join(), which consumes self
         let sender = self.sender.as_ref().expect("sender lives until join");
         // The depth gauge rises *before* the send: the worker decrements
         // on receipt, and decrementing a not-yet-incremented gauge would
         // wrap it below zero.
         self.metrics.depth.add(1);
-        if let Err(SendError(msg)) = sender.send(Msg::Batch(batch)) {
+        sender.send(msg).map_err(|SendError(msg)| {
             self.dead = true;
             self.metrics.depth.sub(1);
-            if let Msg::Batch(lost) = msg {
-                self.metrics.on_dropped(lost.len() as u64);
-            }
-        }
+            msg
+        })
     }
 }
 
@@ -396,7 +409,7 @@ where
     loop {
         let idle_from = bqs_obs::now();
         let Ok(msg) = rx.recv() else { break };
-        if matches!(msg, Msg::Batch(_)) {
+        if matches!(msg, Msg::Batch(_) | Msg::Backfill(..)) {
             sink.metrics.depth.sub(1);
         }
         sink.metrics.idle_us.add(elapsed_us(idle_from));
@@ -407,6 +420,7 @@ where
                     engine.push_tagged(track, p, &mut sink);
                 }
             }
+            Msg::Backfill(track, points) => sink.backfill(track, &points),
             Msg::Evict(now) => reports.extend(engine.evict_idle(now, &mut sink)),
             // The reply channel may be gone if the requester timed out;
             // a failed send just drops this shard from the snapshot.
@@ -544,6 +558,20 @@ impl<S: FleetSink + Send + 'static> ParallelFleet<S> {
             worker.metrics.on_dropped(n);
         }
         worker.flush();
+    }
+
+    /// Sends one backfill batch of `track` straight to its worker's
+    /// [`FleetSink::backfill`], blocking while the channel is full. It
+    /// skips the compressor and per-track order, so the point buffer is
+    /// not flushed first; channel order alone puts it ahead of any later
+    /// [`ParallelFleet::snapshot`]. Not counted as submitted points; an
+    /// empty batch, or one for a dead shard, is dropped.
+    pub fn submit_backfill(&mut self, track: TrackId, points: Vec<TimedPoint>) {
+        let shard = self.shard_of(track);
+        let worker = &mut self.workers[shard];
+        if !worker.dead && !points.is_empty() {
+            let _ = worker.send_data(Msg::Backfill(track, points));
+        }
     }
 
     /// Ships every partially filled batch now. Useful before a pause;

@@ -31,6 +31,10 @@
 //!   kernel's TCP windows fill, and remote `append`s block. Per
 //!   connection, replies that outpace the client gate further reads
 //!   (`OUT_HIGH_WATERMARK`), so no unbounded queue exists on the path.
+//!   An acked backfill batch takes the same road: one channel send to
+//!   its track's worker ([`ParallelFleet::submit_backfill`]), whose
+//!   spill sink appends it as a backfill record at once. The server
+//!   holds no backfill, and only a shard's own worker writes its log.
 //! * **Subscribers stay on their I/O thread** — workers queue kept
 //!   points in the `SubHub`; each loop iteration pulls a subscriber's
 //!   batches into its out buffer while that holds less than
@@ -45,7 +49,8 @@
 //!   [`ParallelFleet::snapshot`] and merges it with the spill tree
 //!   through the server's one [`QueryEngine`], caught up by the bytes
 //!   spilled since the previous query; a mid-run answer for a closed
-//!   track is exactly the answer the finished tree will give.
+//!   track, or for one backfilled while it runs, is exactly the answer
+//!   the finished tree will give.
 //! * **Graceful shutdown** — `Shutdown` wakes every I/O thread: thread
 //!   0 closes the listeners, in-flight frames complete (mid-frame
 //!   connections get a 5 s `DRAIN_GRACE`), idle connections close, the
@@ -65,8 +70,8 @@ use crate::wire::{
     TAG_FLUSH, TAG_QUERY, TAG_STATS,
 };
 use bqs_core::fleet::{
-    worker_of, FleetConfig, FleetMetrics, FleetReorder, FleetSink, ParallelConfig, ParallelFleet,
-    Released, SessionReport, TooLate, TrackId,
+    FleetConfig, FleetMetrics, FleetReorder, FleetSink, ParallelConfig, ParallelFleet, Released,
+    SessionReport, TooLate, TrackId,
 };
 use bqs_core::stream::DecisionStats;
 use bqs_core::{BqsConfig, FastBqsCompressor};
@@ -76,8 +81,8 @@ use bqs_obs::{
 };
 use bqs_tlog::codec::{check_time, check_times, CodecError};
 use bqs_tlog::{
-    prepare_spill_logs, shard_dir, LogConfig, Manifest, QueryEngine, SpillMetrics, SpillSink,
-    TimeRange, TrajectoryLog,
+    prepare_spill_logs, LogConfig, Manifest, QueryEngine, SpillMetrics, SpillSink, TimeRange,
+    TrajectoryLog,
 };
 use polling::{source_of, wake_pair, Event, Poller, WakeEnd};
 use std::collections::{HashMap, VecDeque};
@@ -233,7 +238,8 @@ pub struct ServeReport {
     pub appended_points: u64,
     /// Points accepted behind their track's watermark (reorder buffer).
     pub late_points: u64,
-    /// Points accepted through the durable backfill path.
+    /// Points accepted through the durable backfill path, each batch
+    /// appended by its track's worker as one backfill record on arrival.
     pub backfill_points: u64,
     /// Points refused because they fell beyond the lateness window.
     pub too_late_points: u64,
@@ -260,13 +266,7 @@ struct FleetState {
     /// backwards or non-finite timestamps must never reach the fleet,
     /// where it would poison the track's spill at close.
     reorder: FleetReorder,
-    /// Backfill batches accepted over the wire, buffered until
-    /// finalization writes them as flagged backfill records. Each inner
-    /// vec is one accepted batch → one durable record.
-    backfill: Backfill,
 }
-
-type Backfill = HashMap<TrackId, Vec<Vec<TimedPoint>>>;
 
 /// The fleet sink behind every worker shard: the durable spill sink,
 /// with each kept point teed into the subscriber hub first. When no
@@ -288,6 +288,11 @@ impl FleetSink for SubTeeSink {
 
     fn live_buffered(&self) -> Vec<(TrackId, Vec<TimedPoint>)> {
         self.inner.live_buffered()
+    }
+
+    /// Subscribers see kept points only, never backfill.
+    fn backfill(&mut self, track: TrackId, points: &[TimedPoint]) {
+        self.inner.backfill(track, points);
     }
 }
 
@@ -789,7 +794,6 @@ impl Server {
                 fleet: Mutex::new(Some(FleetState {
                     fleet,
                     reorder: FleetReorder::new(config.lateness),
-                    backfill: HashMap::new(),
                 })),
                 engine: Mutex::new(engine),
                 hub,
@@ -887,13 +891,7 @@ impl Server {
         for handle in handles {
             let _ = handle.join();
         }
-        let (mut report, backfill) = joined?;
-        // Buffered backfill batches become flagged records in the same
-        // shard logs the tracks' live data spilled to, *before* the
-        // manifest is rebuilt so its spans cover them.
-        if !backfill.is_empty() {
-            write_backfill(&shared.spill, shared.workers, &backfill)?;
-        }
+        let mut report = joined?;
         report.manifest_shards = Manifest::rebuild(&shared.spill)?.shards.len();
         Ok(report)
     }
@@ -902,7 +900,7 @@ impl Server {
 /// Releases whatever the admission table still parks, joins the fleet
 /// and finishes every spill sink. Runs once every request connection is
 /// closed, so the served totals are final.
-fn join_fleet(shared: &Shared) -> Result<(ServeReport, Backfill), NetError> {
+fn join_fleet(shared: &Shared) -> Result<ServeReport, NetError> {
     let mut state = shared
         .lock_fleet()
         .take()
@@ -940,34 +938,7 @@ fn join_fleet(shared: &Shared) -> Result<(ServeReport, Backfill), NetError> {
         stats: join.stats,
         manifest_shards: 0,
     };
-    Ok((report, state.backfill))
-}
-
-/// Writes the buffered backfill batches as flagged records, each into
-/// the shard log its track's live data spilled to (the fleet's worker
-/// routing), reopening the logs the spill sinks just closed.
-fn write_backfill(
-    spill: &std::path::Path,
-    workers: usize,
-    backfill: &Backfill,
-) -> Result<(), NetError> {
-    let mut by_shard: HashMap<usize, Vec<TrackId>> = HashMap::new();
-    for &track in backfill.keys() {
-        by_shard
-            .entry(worker_of(track, workers))
-            .or_default()
-            .push(track);
-    }
-    for (shard, mut tracks) in by_shard {
-        tracks.sort_unstable();
-        let (mut log, _) = TrajectoryLog::open(shard_dir(spill, shard), LogConfig::default())?;
-        for track in tracks {
-            for batch in &backfill[&track] {
-                log.append_backfill(track, batch)?;
-            }
-        }
-    }
-    Ok(())
+    Ok(report)
 }
 
 /// One idle-eviction pass: finalises (through the normal spill path)
@@ -1743,13 +1714,15 @@ fn admission_reply(
 fn handle_append_late(
     track: u64,
     backfill: bool,
-    points: &[TimedPoint],
+    points: Vec<TimedPoint>,
     shared: &Shared,
     conn: u64,
 ) -> (Reply, After) {
     // A late batch may be disordered — that is what the reorder buffer
     // is for — but not non-finite; a backfill batch becomes one durable
-    // record, so it must also be sorted within itself.
+    // record, so it must also be sorted within itself. That is the whole
+    // of the log's rule (it stores positions bit for bit), so an acked
+    // batch always encodes and cannot fail-stop its worker's sink.
     let times = points.iter().map(|p| p.t);
     let checked = if backfill {
         check_times(times, f64::NEG_INFINITY)
@@ -1775,11 +1748,9 @@ fn handle_append_late(
         return (shutting_down_error(), After::Close);
     };
     if backfill {
-        state
-            .backfill
-            .entry(track)
-            .or_default()
-            .push(points.to_vec());
+        // Backpressure: like a live run, this send blocks while the
+        // owning worker's channel is full.
+        state.fleet.submit_backfill(track, points);
         drop(guard);
         shared.metrics.backfilled.add(n);
         return (Reply::LateAppended { track, points: n }, After::Continue);
@@ -1920,7 +1891,7 @@ fn handle_request(
             track,
             backfill,
             points,
-        } => handle_append_late(track, backfill, &points, shared, conn),
+        } => handle_append_late(track, backfill, points, shared, conn),
         Request::Subscribe { bbox, .. } if has_nan(&[], bbox) => nan_refused(),
         Request::Subscribe { track, bbox } => {
             // The acknowledgement is queued like any reply; the runtime

@@ -209,6 +209,103 @@ fn queries_reuse_one_engine_caught_up_by_appended_bytes() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
+/// An acked backfill batch is on disk while the server still runs: the
+/// next `Query` from another connection holds every point of it, and so
+/// does a cold engine opened on the live tree.
+#[test]
+fn acked_backfill_is_queryable_and_on_disk_before_shutdown() {
+    let root = temp_root("backfill-live");
+    let (addr, server) = start(2, &root);
+    let mut a = BqsClient::connect(addr).expect("connect");
+    let mut b = BqsClient::connect(addr).expect("connect");
+    a.append(5, &wave(5, 40)).expect("append"); // t ∈ [0, 2340], all hot
+    let history: Vec<_> = wave(5, 20)
+        .into_iter()
+        .map(|p| bqs_geo::TimedPoint::at(p.pos, p.t - 5_000.0))
+        .collect();
+    assert_eq!(a.append_backfill(5, &history).expect("backfill"), 20);
+
+    let answer = b
+        .query_time_range(Some(5), f64::NEG_INFINITY, f64::INFINITY)
+        .expect("query");
+    assert_eq!(answer.slices.len(), 1);
+    assert_eq!(answer.slices[0].points[..20], history[..]);
+    let mut cold = bqs_tlog::QueryEngine::open(&root).expect("open the live tree");
+    let on_disk = cold
+        .query_time_range(Some(5), bqs_tlog::TimeRange::all())
+        .expect("cold query");
+    assert_eq!(on_disk.slices.len(), 1, "the batch is not on disk");
+    assert_eq!(on_disk.slices[0].points, history);
+
+    b.shutdown().expect("shutdown");
+    let report = server.join().expect("server thread");
+    assert_eq!(report.backfill_points, 20);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// Backfill batches with a NaN or huge position, or a huge finite time,
+/// are admitted: the log stores raw doubles bit for bit, so the shard's
+/// worker appends them without error, and the session that closes on
+/// the same shard afterwards still spills. A batch the log cannot store
+/// (a NaN time) is refused before it is acked.
+#[test]
+fn odd_backfill_values_do_not_stop_the_shard_spilling() {
+    let root = temp_root("backfill-odd");
+    let (addr, server) = start(1, &root);
+    let mut client = BqsClient::connect(addr).expect("connect");
+    let at = |x: f64, y: f64, t: f64| bqs_geo::TimedPoint::new(x, y, t);
+    let batches = [
+        (1, vec![at(f64::NAN, 0.0, 1.0), at(2.0, f64::NAN, 2.0)]),
+        (2, vec![at(1e300, -1e300, 3.0), at(f64::MAX, f64::MIN, 4.0)]),
+        (3, vec![at(0.0, 0.0, 1e300), at(0.0, 0.0, f64::MAX)]),
+    ];
+    for (track, batch) in &batches {
+        assert_eq!(client.append_backfill(*track, batch).expect("acked"), 2);
+    }
+    let err = client
+        .append_backfill(4, &[at(0.0, 0.0, f64::NAN)])
+        .expect_err("a NaN time cannot be stored");
+    assert!(
+        matches!(
+            err,
+            NetError::Server {
+                code: ErrorCode::BadRequest,
+                ..
+            }
+        ),
+        "{err}"
+    );
+    let mid_run = client
+        .query_time_range(None, f64::NEG_INFINITY, f64::INFINITY)
+        .expect("query");
+    assert_eq!(mid_run.slices.len(), 3, "every odd batch is queryable");
+    let live = wave(5, 40);
+    client.append(5, &live).expect("append");
+    client.shutdown().expect("shutdown");
+    let report = server.join().expect("the run ends without a spill error");
+    assert_eq!(report.backfill_points, 6);
+    bqs_tlog::verify_sharded(&root).expect("tree verifies");
+
+    let (log, _) =
+        TrajectoryLog::open_read_only(root.join("shard-0"), LogConfig::default()).expect("open");
+    for (track, batch) in &batches {
+        let stored = log.read_track(*track).expect("read");
+        let bits = |ps: &[bqs_geo::TimedPoint]| -> Vec<[u64; 3]> {
+            ps.iter()
+                .map(|p| [p.pos.x.to_bits(), p.pos.y.to_bits(), p.t.to_bits()])
+                .collect()
+        };
+        assert_eq!(bits(&stored), bits(batch), "track {track}");
+    }
+    let mut fbqs = FastBqsCompressor::new(BqsConfig::new(10.0).unwrap());
+    assert_eq!(
+        log.read_track(5).expect("read"),
+        compress_all(&mut fbqs, live),
+        "the later session reached disk"
+    );
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 #[test]
 fn bad_batches_and_bad_frames_get_typed_errors() {
     let root = temp_root("errors");

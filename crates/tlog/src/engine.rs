@@ -22,27 +22,32 @@
 //! **Pruning.** The [`Manifest`] (per shard: live track set, time
 //! spans, bounding boxes) lets the engine skip — never even open —
 //! shards that cannot contain the query. It is loaded from the tree's
-//! `MANIFEST` when that still describes every shard, and folded from a
-//! scan otherwise (a flat log has none), so every engine has one.
-//! Pruning is observable ([`UnifiedOutput::shards_pruned`], per-shard
-//! [`ShardQuery`]) and sound: a pruned and an unpruned run return
-//! identical slices, which `tests/query_unified.rs` enforces.
+//! `MANIFEST` when that still describes every shard; otherwise (a flat
+//! log has none) every shard is opened at once. An opened shard's log
+//! answers the same question from its own record headers, folding only
+//! the tracks a query names, so writes between queries cost no manifest
+//! rebuild. Pruning is observable ([`UnifiedOutput::shards_pruned`],
+//! per-shard [`ShardQuery`]) and sound: a pruned and an unpruned run
+//! return identical slices, which `tests/query_unified.rs` enforces.
 //!
 //! **Merge rule.** Durable data wins on overlap: per track, hot points
-//! are admitted only *after* the track's durable time span
-//! (`t > durable t_max`), so a point that was both spilled and still
-//! sitting in a stale snapshot is counted once, from disk. Take the
-//! snapshot *before* the query is prepared and anything spilled in
-//! between is simply seen cold instead of hot.
+//! are admitted only past the track's *live watermark* — the end of its
+//! last in-order record, the gate [`TrajectoryLog::append`] holds the
+//! live stream to — so a point that was both spilled and still sitting
+//! in a stale snapshot is counted once, from disk. Backfill records
+//! never move that watermark, and a hot point that ties a backfill point
+//! on `t` wins, as it will once its session spills: the log's own
+//! read-time rule. Take the snapshot *before* the query is prepared and
+//! anything spilled in between is simply seen cold instead of hot.
 //!
 //! **Liveness.** One engine may serve a whole run beside live writers.
 //! A query runs in two steps. [`QueryEngine::prepare`] (`&mut self`)
 //! catches each opened shard log up with [`TrajectoryLog::refresh`] —
 //! only the bytes appended since the previous query, nothing at all on
 //! an idle tree, a whole rescan only after a compaction or repair —
-//! brings every changed shard's manifest entry in line with its log,
-//! prunes, and pins the surviving logs. [`PreparedQuery::run`] then
-//! reads only what it pinned, so it needs no access to the engine: a
+//! prunes (an opened log from its own index, an unopened shard from its
+//! manifest entry), and pins the surviving logs. [`PreparedQuery::run`]
+//! then reads only what it pinned, so it needs no access to the engine: a
 //! server holds its engine lock for the catch-up alone and runs
 //! concurrent queries side by side. A log still pinned by a running
 //! query is caught up on a copy, never under the reader's feet. A
@@ -56,7 +61,7 @@
 //! resulting tree* — for arbitrary interleavings and any worker count.
 
 use crate::error::TlogError;
-use crate::log::{LogConfig, TrajectoryLog};
+use crate::log::{merge_live_backfill, LogConfig, TrajectoryLog};
 use crate::manifest::{shard_fingerprint, Manifest, ManifestShard};
 use crate::query::{QueryOutput, QueryStats, TimeRange, TrackSlice};
 use crate::sharded::cold_sources;
@@ -155,11 +160,9 @@ struct ShardSlot {
     /// Shared with the prepared queries still reading it.
     log: Option<Arc<TrajectoryLog>>,
     /// `(seq, length)` of every segment the shard's manifest entry
-    /// describes: the directory listing the entry was checked against
-    /// while the log is unopened, the log's indexed segments once the
-    /// entry was rebuilt from it. Comparing state, not what the last
-    /// catch-up reported, keeps a catch-up that failed half-way from
-    /// leaving the entry stale.
+    /// describes: the directory listing the entry was checked against.
+    /// Consulted only while the log is unopened; an opened log answers
+    /// for itself.
     described: Vec<(u64, u64)>,
 }
 
@@ -201,26 +204,6 @@ impl ShardSlot {
             reopens: usize::from(scan.rescanned),
         })
     }
-
-    /// Rebuilds the slot's manifest entry from its log's record headers
-    /// when the log has read other segment bytes than the entry
-    /// describes (always, with `force`).
-    fn sync_entry(&mut self, manifest: &mut Arc<Manifest>, force: bool) {
-        let Some(log) = &self.log else {
-            return;
-        };
-        let segments = log.segment_lengths();
-        if !force && segments == self.described {
-            return;
-        }
-        let entry = ManifestShard::of_log(self.shard, log, &segments);
-        let shards = &mut Arc::make_mut(manifest).shards;
-        match shards.iter_mut().find(|s| s.shard == self.shard) {
-            Some(old) => *old = entry,
-            None => shards.push(entry),
-        }
-        self.described = segments;
-    }
 }
 
 /// The unified hot/cold query engine. See the module docs for the
@@ -230,7 +213,8 @@ impl ShardSlot {
 #[derive(Debug)]
 pub struct QueryEngine {
     shards: Vec<ShardSlot>,
-    manifest: Arc<Manifest>,
+    /// The loaded `MANIFEST`, whose entries speak for unopened shards.
+    manifest: Manifest,
     hot: Option<FleetSnapshot>,
     config: LogConfig,
     pruning: bool,
@@ -244,8 +228,8 @@ impl QueryEngine {
     /// root's `MANIFEST` parses and matches every source directory,
     /// logs are opened lazily, only when a query survives manifest
     /// pruning. Otherwise (missing — as for a flat log — damaged or
-    /// stale) every source is scanned now, the manifest is folded from
-    /// the scan, and the opened logs are kept for the queries to come.
+    /// stale) every source is scanned now, and the opened logs are kept
+    /// for the queries to come.
     pub fn open(root: impl AsRef<Path>) -> Result<QueryEngine, TlogError> {
         let root = root.as_ref();
         let sources = cold_sources(root)?;
@@ -269,7 +253,7 @@ impl QueryEngine {
                     described,
                 })
                 .collect(),
-            manifest: Arc::new(fresh.unwrap_or_default()),
+            manifest: fresh.unwrap_or_default(),
             hot: None,
             config,
             pruning: true,
@@ -278,7 +262,6 @@ impl QueryEngine {
         if scan {
             for slot in &mut engine.shards {
                 engine.unreported.add(slot.open(config)?);
-                slot.sync_entry(&mut engine.manifest, true);
             }
         }
         Ok(engine)
@@ -304,11 +287,9 @@ impl QueryEngine {
         self.shards.len()
     }
 
-    /// The manifest in use: loaded from `MANIFEST` or folded from a
-    /// scan, with the entries of shards that changed since rebuilt from
-    /// their logs.
-    pub fn manifest(&self) -> &Manifest {
-        &self.manifest
+    /// The loaded manifest entry of `slot`'s shard.
+    fn entry(&self, slot: &ShardSlot) -> Option<&ManifestShard> {
+        self.manifest.shards.iter().find(|s| s.shard == slot.shard)
     }
 
     /// Points of `track` (or of every track when `None`) whose
@@ -334,18 +315,17 @@ impl QueryEngine {
     }
 
     /// The first half of a query: catches every cold source up with what
-    /// writers did since the last query, decides from the manifest which
-    /// shards can contribute, opens those not open yet, and pins them.
+    /// writers did since the last query, decides which shards can
+    /// contribute, opens those not open yet, and pins them.
     ///
     /// An opened log is refreshed by its appended bytes (rescanned whole
-    /// only after a compaction or repair); an unopened shard whose
-    /// directory listing moved since its manifest entry was checked is
-    /// opened. Every shard whose log read other bytes than its manifest
-    /// entry describes rebuilds *that entry alone* from its log's record
-    /// headers. On an idle tree this reads no segment byte. It is what
-    /// lets one engine serve many queries beside live writers without
-    /// pruning away (or double-counting against the hot snapshot) data
-    /// spilled after the engine was opened.
+    /// only after a compaction or repair) and prunes from its own index;
+    /// an unopened shard prunes from its manifest entry, and is opened
+    /// once its directory listing moved away from that entry. On an idle
+    /// tree this reads no segment byte. It is what lets one engine serve
+    /// many queries beside live writers without pruning away (or
+    /// double-counting against the hot snapshot) data spilled after the
+    /// engine was opened.
     ///
     /// The returned query holds no borrow of the engine: run it after
     /// releasing whatever lock guards the engine.
@@ -358,26 +338,23 @@ impl QueryEngine {
         let config = self.config;
         for slot in &mut self.shards {
             self.unreported.add(slot.catch_up(config)?);
-            slot.sync_entry(&mut self.manifest, false);
         }
-        // Plan: decide per shard, from the manifest alone, whether it
+        // Plan: decide per shard, from record headers alone, whether it
         // can possibly contribute.
         let skip: Vec<bool> = self
             .shards
             .iter()
             .map(|slot| {
                 self.pruning
-                    && self
-                        .manifest
-                        .shards
-                        .iter()
-                        .find(|s| s.shard == slot.shard)
-                        .is_none_or(|s| !s.may_contain(track, range, area.as_ref()))
+                    && !match &slot.log {
+                        Some(log) => log.may_contain(track, range, area.as_ref()),
+                        None => self
+                            .entry(slot)
+                            .is_some_and(|s| s.may_contain(track, range, area.as_ref())),
+                    }
             })
             .collect();
-        // Open the surviving shards not open yet, then bring their
-        // entries up to date: the hot merge reads durable watermarks
-        // there.
+        // Open the surviving shards not open yet.
         let unopened: Vec<&mut ShardSlot> = self
             .shards
             .iter_mut()
@@ -387,9 +364,6 @@ impl QueryEngine {
             .collect();
         for opened in fan_out(unopened, |slot| slot.open(config)) {
             self.unreported.add(opened?);
-        }
-        for slot in &mut self.shards {
-            slot.sync_entry(&mut self.manifest, false);
         }
         Ok(PreparedQuery {
             track,
@@ -401,15 +375,14 @@ impl QueryEngine {
                 .zip(&skip)
                 .map(|(slot, &skipped)| (slot.shard, slot.log.clone().filter(|_| !skipped)))
                 .collect(),
-            manifest: self.manifest.clone(),
             catch_up: std::mem::take(&mut self.unreported),
         })
     }
 }
 
 /// A query whose cold side is caught up and pinned by
-/// [`QueryEngine::prepare`]: the surviving shards' logs and the manifest
-/// as they stood then. Running it touches nothing else.
+/// [`QueryEngine::prepare`]: the surviving shards' logs as they stood
+/// then. Running it touches nothing else.
 #[derive(Debug)]
 pub struct PreparedQuery {
     track: Option<TrackId>,
@@ -417,20 +390,15 @@ pub struct PreparedQuery {
     area: Option<Rect>,
     /// Per shard, ascending: its index and, unless pruned, its log.
     shards: Vec<(usize, Option<Arc<TrajectoryLog>>)>,
-    manifest: Arc<Manifest>,
     catch_up: CatchUp,
 }
 
 impl PreparedQuery {
-    /// The latest durable timestamp of `track` across all cold sources
-    /// — the watermark below which hot points are duplicates.
-    fn durable_t_max(&self, track: TrackId) -> Option<f64> {
-        self.manifest.track_time_span(track).map(|(_, hi)| hi)
-    }
-
     /// The second half of a query: queries every pinned shard in
     /// parallel and merges the answer with `hot`, a live snapshot taken
-    /// before the query was prepared (durable wins on overlap).
+    /// before the query was prepared (durable wins on overlap). The
+    /// pinned logs give each track's live watermark: a pruned shard holds
+    /// nothing in the query's range or area, so no copy of a match.
     pub fn run(self, hot: Option<&FleetSnapshot>) -> Result<UnifiedOutput, TlogError> {
         let (track, range, area) = (self.track, self.range, self.area);
         let surviving: Vec<(usize, &TrajectoryLog)> = self
@@ -458,7 +426,8 @@ impl PreparedQuery {
             })
             .collect();
         let mut stats = QueryStats::default();
-        let mut per_track: BTreeMap<TrackId, Vec<Vec<TimedPoint>>> = BTreeMap::new();
+        // Per track: (hot, cold) points.
+        let mut per_track: BTreeMap<TrackId, (Vec<TimedPoint>, Vec<TimedPoint>)> = BTreeMap::new();
         for (i, result) in results {
             let output: QueryOutput = result?;
             shard_reports[i].stats = output.stats;
@@ -467,44 +436,50 @@ impl PreparedQuery {
             stats.decoded_points += output.stats.decoded_points;
             stats.kept_points += output.stats.kept_points;
             for slice in output.slices {
-                per_track.entry(slice.track).or_default().push(slice.points);
+                let cold = &mut per_track.entry(slice.track).or_default().1;
+                if cold.is_empty() {
+                    *cold = slice.points;
+                } else {
+                    cold.extend(slice.points);
+                }
             }
         }
 
-        // Merge the hot side: durable wins on overlap, so a track's hot
-        // points are admitted only past its durable time span.
+        // The hot side: durable wins on overlap, so a track's hot points
+        // are admitted only past its live watermark. The area filter
+        // waits for the merge: a hot point outside the area still
+        // shadows the backfill point it ties.
+        let in_area = |p: &TimedPoint| area.is_none_or(|a| a.contains(p.pos));
         let mut hot_points = 0usize;
         let mut hot_tracks = 0usize;
         for t in hot.iter().flat_map(|snapshot| &snapshot.tracks) {
             if track.is_some_and(|wanted| wanted != t.track) {
                 continue;
             }
-            let watermark = self.durable_t_max(t.track);
+            let watermark = self
+                .shards
+                .iter()
+                .filter_map(|(_, log)| log.as_deref()?.live_watermark(t.track))
+                .reduce(f64::max);
             let fresh: Vec<TimedPoint> = t
                 .points()
                 .into_iter()
-                .filter(|p| watermark.is_none_or(|hi| p.t > hi))
-                .filter(|p| range.contains(p.t) && area.is_none_or(|a| a.contains(p.pos)))
+                .filter(|p| watermark.is_none_or(|hi| p.t > hi) && range.contains(p.t))
                 .collect();
-            if !fresh.is_empty() {
-                hot_points += fresh.len();
-                hot_tracks += 1;
-                per_track.entry(t.track).or_default().push(fresh);
-            }
+            let shown = fresh.iter().filter(|p| in_area(p)).count();
+            hot_points += shown;
+            hot_tracks += usize::from(shown > 0);
+            per_track.entry(t.track).or_default().0 = fresh;
         }
 
-        // Assemble slices: one per track, sources merged in time order.
+        // One slice per track in time order, hot points winning exact-t
+        // ties with backfill points as the finished log will.
         let slices: Vec<TrackSlice> = per_track
             .into_iter()
-            .map(|(track, mut sources)| {
-                let points = if sources.len() == 1 {
-                    sources.pop().unwrap_or_default()
-                } else {
-                    let mut all: Vec<TimedPoint> = sources.into_iter().flatten().collect();
-                    all.sort_by(|a, b| a.t.total_cmp(&b.t));
-                    all
-                };
-                TrackSlice { track, points }
+            .filter_map(|(track, (hot, cold))| {
+                let mut points = merge_live_backfill(hot, cold);
+                points.retain(in_area);
+                (!points.is_empty()).then_some(TrackSlice { track, points })
             })
             .collect();
 
@@ -613,9 +588,6 @@ mod tests {
         }
         let mut engine = QueryEngine::open(&root).unwrap();
         assert_eq!(engine.shard_count(), 1);
-        // The manifest is folded from the scan: shard 0 is the flat log.
-        assert_eq!(engine.manifest(), &Manifest::scan(&root).unwrap());
-        assert_eq!(engine.manifest().shards[0].shard, 0);
         for (track, range) in [
             (None, TimeRange::new(0.0, 95.0)),
             (Some(2), TimeRange::all()),
@@ -762,11 +734,6 @@ mod tests {
             "caught up by the appended bytes alone"
         );
         assert_eq!(
-            engine.manifest(),
-            &Manifest::scan(&root).unwrap(),
-            "only shard 1's entry was rebuilt, and it matches a full scan"
-        );
-        assert_eq!(
             engine
                 .query_time_range(None, TimeRange::all())
                 .unwrap()
@@ -839,8 +806,9 @@ mod tests {
     fn a_catch_up_that_fails_half_way_still_rebuilds_the_entry() {
         // The catch-up indexes shard 1's appended tail, then fails on a
         // new segment whose header is garbage. Once the header is fixed
-        // the next catch-up finds no new record, yet shard 1's manifest
-        // entry must still follow its log, or it prunes track 9 away.
+        // the next catch-up finds no new record, yet shard 1's pruning
+        // and manifest entry must still follow its log, or track 9 is
+        // pruned away.
         let root = temp_root("failed-catch-up");
         build_tree(&root);
         let mut engine = QueryEngine::open(&root).unwrap();
@@ -865,7 +833,6 @@ mod tests {
             assert_eq!(held.slices, expected.slices, "track {track:?}");
             assert_eq!(held.shards_pruned, expected.shards_pruned);
         }
-        assert_eq!(engine.manifest(), fresh.manifest());
     }
 
     #[test]

@@ -17,9 +17,10 @@
 use crate::codec;
 use crate::crc::crc32;
 use crate::error::TlogError;
+use crate::query::TimeRange;
 use crate::segment::{self, RecordKind, RecordSummary, ScanOutcome, SEGMENT_HEADER_LEN};
 use bqs_core::fleet::TrackId;
-use bqs_geo::TimedPoint;
+use bqs_geo::{Rect, TimedPoint};
 use std::collections::BTreeMap;
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -140,7 +141,18 @@ pub struct TrackSummary {
     pub t_max: f64,
     /// Union of the records' bounding boxes; `None` only for a track
     /// with no records (which the index never stores).
-    pub bbox: Option<bqs_geo::Rect>,
+    pub bbox: Option<Rect>,
+}
+
+impl TrackSummary {
+    /// Whether the track could hold a point in `range` (and `area`).
+    pub(crate) fn may_contain(&self, range: TimeRange, area: Option<&Rect>) -> bool {
+        range.overlaps(self.t_min, self.t_max)
+            && match (area, &self.bbox) {
+                (Some(area), Some(bbox)) => area.intersects(bbox),
+                _ => true,
+            }
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -334,12 +346,6 @@ impl TrajectoryLog {
         Ok((log, scan))
     }
 
-    /// `true` when the log was opened with
-    /// [`TrajectoryLog::open_read_only`].
-    pub fn read_only(&self) -> bool {
-        self.writer.is_none()
-    }
-
     /// Catches a read-only log up with what writers did since it was
     /// opened or last refreshed, reading only bytes it has not indexed:
     /// the tail of its last known segment past the valid prefix, and
@@ -499,42 +505,58 @@ impl TrajectoryLog {
     pub fn track_summaries(&self) -> Vec<TrackSummary> {
         self.index
             .iter()
-            .map(|(&track, refs)| {
-                let mut summary = TrackSummary {
-                    track,
-                    records: refs.len(),
-                    points: 0,
-                    t_min: f64::INFINITY,
-                    t_max: f64::NEG_INFINITY,
-                    bbox: None,
-                };
-                for &(si, ri) in refs {
-                    let rec = &self.segments[si].records[ri];
-                    summary.points += rec.count;
-                    summary.t_min = summary.t_min.min(rec.t_min);
-                    summary.t_max = summary.t_max.max(rec.t_max);
-                    summary.bbox = Some(match summary.bbox {
-                        Some(b) => b.union(&rec.bbox),
-                        None => rec.bbox,
-                    });
-                }
-                summary
-            })
+            .map(|(&track, refs)| self.summarize(track, refs))
             .collect()
     }
 
-    /// The live time span `[t_min, t_max]` of one track, from record
-    /// headers alone; `None` for unknown or deleted tracks.
-    pub fn track_time_span(&self, track: TrackId) -> Option<(f64, f64)> {
-        let refs = self.track_records(track);
-        // A min/max fold rather than a first/last shortcut: backfill
-        // records break the cross-record time ordering.
-        refs.iter()
-            .map(|&(si, ri)| {
-                let rec = &self.segments[si].records[ri];
-                (rec.t_min, rec.t_max)
-            })
-            .reduce(|(lo, hi), (t_min, t_max)| (lo.min(t_min), hi.max(t_max)))
+    /// Folds one track's live records' headers into its summary.
+    fn summarize(&self, track: TrackId, refs: &[(usize, usize)]) -> TrackSummary {
+        let mut summary = TrackSummary {
+            track,
+            records: refs.len(),
+            points: 0,
+            t_min: f64::INFINITY,
+            t_max: f64::NEG_INFINITY,
+            bbox: None,
+        };
+        for &(si, ri) in refs {
+            let rec = &self.segments[si].records[ri];
+            summary.points += rec.count;
+            summary.t_min = summary.t_min.min(rec.t_min);
+            summary.t_max = summary.t_max.max(rec.t_max);
+            summary.bbox = Some(match summary.bbox {
+                Some(b) => b.union(&rec.bbox),
+                None => rec.bbox,
+            });
+        }
+        summary
+    }
+
+    /// Whether `track` (any track, when `None`) could hold a point in
+    /// `range` and `area`: the answer a manifest entry folded from this
+    /// log gives, without folding the tracks the question does not name.
+    pub(crate) fn may_contain(
+        &self,
+        track: Option<TrackId>,
+        range: TimeRange,
+        area: Option<&Rect>,
+    ) -> bool {
+        let (lo, hi) = track.map_or((TrackId::MIN, TrackId::MAX), |t| (t, t));
+        let mut named = self.index.range(lo..=hi);
+        named.any(|(&t, refs)| self.summarize(t, refs).may_contain(range, area))
+    }
+
+    /// The end of `track`'s last in-order record: the gate
+    /// [`TrajectoryLog::append`] holds the live stream to, and the line
+    /// past which a live fleet's points are not on disk yet. Backfill
+    /// never moves it. `None` for a track with no in-order record.
+    pub(crate) fn live_watermark(&self, track: TrackId) -> Option<f64> {
+        self.track_records(track)
+            .iter()
+            .rev()
+            .map(|&(si, ri)| &self.segments[si].records[ri])
+            .find(|rec| rec.kind != RecordKind::Backfill)
+            .map(|rec| rec.t_max)
     }
 
     /// Whether any of `track`'s live records came through the backfill
@@ -583,16 +605,7 @@ impl TrajectoryLog {
         if points.is_empty() {
             return Err(TlogError::EmptyAppend);
         }
-        // The watermark is the last *in-order* record's end: backfill
-        // records are exempt from cross-record ordering and must not
-        // drag the live stream's gate around.
-        let prev_max = self
-            .track_records(track)
-            .iter()
-            .rev()
-            .map(|&(si, ri)| &self.segments[si].records[ri])
-            .find(|rec| rec.kind != RecordKind::Backfill)
-            .map_or(f64::NEG_INFINITY, |rec| rec.t_max);
+        let prev_max = self.live_watermark(track).unwrap_or(f64::NEG_INFINITY);
         codec::check_time(prev_max, points[0].t, 0)?;
         let (frame, summary) = segment::build_points_frame(track, points)?;
         let (si, ri, offset) = self.write_frame(&frame, summary)?;
@@ -842,6 +855,8 @@ impl TrajectoryLog {
 /// the live copy wins and the backfill point is dropped — the
 /// "durable-wins" rule viewed from inside one log: data that passed the
 /// ordered ingest gate outranks a late retransmission of the same fix.
+/// The query engine merges a live fleet's unspilled points into a cold
+/// answer by the same rule, so mid-run ties resolve as the finished log's.
 pub(crate) fn merge_live_backfill(
     live: Vec<TimedPoint>,
     mut backfill: Vec<TimedPoint>,
@@ -850,6 +865,9 @@ pub(crate) fn merge_live_backfill(
         return live;
     }
     backfill.sort_by(|a, b| a.t.total_cmp(&b.t));
+    if live.is_empty() {
+        return backfill;
+    }
     let mut out = Vec::with_capacity(live.len() + backfill.len());
     let mut li = 0;
     let mut bi = 0;
@@ -1220,10 +1238,10 @@ mod tests {
 
         // The writer's lock does not block a read-only open.
         let (ro, rep) = TrajectoryLog::open_read_only(&dir, LogConfig::default()).unwrap();
-        assert!(ro.read_only());
+        assert!(ro.writer.is_none());
         assert_eq!(rep.records, 1);
         assert_eq!(ro.read_track(1).unwrap(), a);
-        assert_eq!(ro.track_time_span(1), Some((0.0, 295.0)));
+        assert_eq!(ro.live_watermark(1), Some(295.0));
 
         // Every write path is refused with a typed error.
         let mut ro = ro;
@@ -1318,6 +1336,7 @@ mod tests {
 
         // The live watermark is the last *in-order* record's end (1095),
         // not the backfill record's t_max: live appends continue fine…
+        assert_eq!(log.live_watermark(1), Some(1_095.0));
         let more = walk(1, 5, 2_000.0); // t ∈ [2000, 2020]
         log.append(1, &more).unwrap();
         // …and a live batch behind the live watermark is still refused.
@@ -1342,7 +1361,7 @@ mod tests {
         let all = log.read_track(1).unwrap();
         assert_eq!(all, want, "duplicate dropped, rest merged in order");
         assert!(all.windows(2).all(|w| w[1].t >= w[0].t));
-        assert_eq!(log.track_time_span(1), Some((0.0, 2_020.0)));
+        assert_eq!(log.live_watermark(1), Some(2_020.0));
 
         // Queries take the merged path and filter exactly.
         let out = log
@@ -1351,10 +1370,18 @@ mod tests {
         assert_eq!(out.slices.len(), 1);
         let expect: Vec<TimedPoint> = want.iter().copied().filter(|p| p.t <= 1_010.0).collect();
         assert_eq!(out.slices[0].points, expect);
-        assert_eq!(
-            out.stats.decoded_records, out.stats.candidate_records,
-            "backfilled tracks bypass record pruning"
+        // Pruning stays exact: the in-order record past the range is
+        // skipped…
+        let counts = (out.stats.candidate_records, out.stats.decoded_records);
+        assert_eq!(counts, (4, 3));
+        // …and an in-order record outside the area is still read where
+        // it shadows a backfill point inside it.
+        let corner = Rect::from_corners(
+            bqs_geo::Point2::new(-2.0, -2.0),
+            bqs_geo::Point2::new(0.0, 0.0),
         );
+        let boxed = log.query_bbox(Some(1), corner, None).unwrap();
+        assert!(boxed.slices.is_empty(), "{boxed:?}");
 
         // Strict verification understands (and counts) backfill records.
         drop(log);

@@ -61,11 +61,7 @@ impl ManifestShard {
     /// fingerprinted by `segments` — `(seq, length)` per segment file,
     /// listed *before* the log was scanned, so that an append racing the
     /// scan leaves the entry stale rather than wrongly fresh.
-    pub(crate) fn of_log(
-        shard: usize,
-        log: &TrajectoryLog,
-        segments: &[(u64, u64)],
-    ) -> ManifestShard {
+    fn of_log(shard: usize, log: &TrajectoryLog, segments: &[(u64, u64)]) -> ManifestShard {
         ManifestShard {
             shard,
             segments: segments.len(),
@@ -104,13 +100,7 @@ impl ManifestShard {
         self.tracks
             .iter()
             .filter(|t| track.is_none_or(|wanted| t.track == wanted))
-            .any(|t| {
-                range.overlaps(t.t_min, t.t_max)
-                    && match (area, &t.bbox) {
-                        (Some(area), Some(bbox)) => area.intersects(bbox),
-                        _ => true,
-                    }
-            })
+            .any(|t| t.may_contain(range, area))
     }
 }
 
@@ -165,24 +155,9 @@ impl Manifest {
             )
     }
 
-    /// The live time span of `track` across all shards (a track lives in
-    /// one shard of a routed tree, but the lookup does not assume it).
-    pub fn track_time_span(&self, track: TrackId) -> Option<(f64, f64)> {
-        let mut span: Option<(f64, f64)> = None;
-        for shard in &self.shards {
-            for t in shard.tracks.iter().filter(|t| t.track == track) {
-                span = Some(match span {
-                    Some((lo, hi)) => (lo.min(t.t_min), hi.max(t.t_max)),
-                    None => (t.t_min, t.t_max),
-                });
-            }
-        }
-        span
-    }
-
     /// Serialises the manifest to its text form (header, one `shard`
     /// line per shard, one `track` line per live track, trailing CRC).
-    pub fn to_text(&self) -> String {
+    fn to_text(&self) -> String {
         let mut body = String::new();
         body.push_str(MANIFEST_HEADER);
         body.push('\n');
@@ -427,8 +402,12 @@ mod tests {
         let loaded = Manifest::load(&root).unwrap().unwrap();
         assert_eq!(loaded, scanned);
         assert!(is_fresh(&loaded, &root));
-        let engine = QueryEngine::open(&root).unwrap();
-        assert_eq!(engine.manifest(), &scanned, "a fresh manifest is used");
+        // A fresh manifest is trusted: a query opens only the shard it
+        // cannot prune.
+        let mut engine = QueryEngine::open(&root).unwrap();
+        let out = engine.query_time_range(Some(1), TimeRange::all()).unwrap();
+        assert_eq!(out.slices[0].points, points(1, 40, 0.0));
+        assert_eq!((out.shards_pruned, out.reopened_shards), (2, 1));
     }
 
     #[test]
@@ -443,9 +422,11 @@ mod tests {
         }
         assert!(!is_fresh(&manifest, &root));
         // A reader falls back to a fresh scan that sees the append.
-        let engine = QueryEngine::open(&root).unwrap();
-        let fresh = engine.manifest();
-        assert!(fresh.shards[0].tracks.iter().any(|t| t.track == 500));
+        let mut engine = QueryEngine::open(&root).unwrap();
+        let out = engine
+            .query_time_range(Some(500), TimeRange::all())
+            .unwrap();
+        assert_eq!(out.slices[0].points, points(500, 5, 90_000.0));
     }
 
     #[test]
@@ -465,7 +446,6 @@ mod tests {
 
         // So a reader trusts it and opens only the shard a query needs.
         let mut engine = QueryEngine::open(&root).unwrap();
-        assert_eq!(engine.manifest(), &manifest);
         let out = engine.query_time_range(Some(1), TimeRange::all()).unwrap();
         assert_eq!(out.slices[0].points, points(1, 40, 0.0));
         assert_eq!((out.shards_pruned, out.reopened_shards), (1, 1));
@@ -484,9 +464,13 @@ mod tests {
             Manifest::load(&root).unwrap_err(),
             TlogError::Corrupt { .. }
         ));
-        // The read path silently falls back to scanning.
-        let engine = QueryEngine::open(&root).unwrap();
-        assert_eq!(engine.manifest(), &Manifest::scan(&root).unwrap());
+        // The read path silently falls back to scanning: it opens every
+        // shard up front, where a trusted manifest opens only the one a
+        // query needs.
+        let mut engine = QueryEngine::open(&root).unwrap();
+        let out = engine.query_time_range(Some(1), TimeRange::all()).unwrap();
+        assert_eq!(out.slices[0].points, points(1, 40, 0.0));
+        assert_eq!((out.shards_pruned, out.reopened_shards), (1, 2));
     }
 
     #[test]
@@ -508,9 +492,6 @@ mod tests {
         assert!(shard0.may_contain(None, TimeRange::all(), Some(&near)));
         // Combined: right place, wrong time.
         assert!(!shard0.may_contain(Some(0), TimeRange::new(2_000.0, 3_000.0), Some(&near)));
-
-        assert_eq!(manifest.track_time_span(0), Some((0.0, 1_170.0)));
-        assert_eq!(manifest.track_time_span(42), None);
     }
 
     #[test]

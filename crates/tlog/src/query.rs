@@ -9,7 +9,8 @@
 //! touches a small fraction of the log.
 
 use crate::error::TlogError;
-use crate::log::TrajectoryLog;
+use crate::log::{merge_live_backfill, TrajectoryLog};
+use crate::segment::{RecordKind, RecordSummary};
 use bqs_core::fleet::TrackId;
 use bqs_core::reconstruct::Reconstructor;
 use bqs_geo::{Rect, TimedPoint};
@@ -158,52 +159,46 @@ impl TrajectoryLog {
             Some(t) => vec![t],
             None => self.tracks(),
         };
+        let matches =
+            |p: &TimedPoint| range.contains(p.t) && area.is_none_or(|a| a.contains(p.pos));
+        let could_match = |rec: &RecordSummary| {
+            range.overlaps(rec.t_min, rec.t_max) && area.is_none_or(|a| a.intersects(&rec.bbox))
+        };
         let mut reader = self.reader();
         for track in tracks {
-            if self.track_has_backfill(track) {
-                // Record-level pruning is unsafe for backfilled tracks:
-                // an exact-timestamp point in a *pruned* in-order record
-                // must still shadow its backfill duplicate. Decode every
-                // record, merge, then filter pointwise.
-                let refs = self.track_records(track);
-                stats.candidate_records += refs.len();
-                stats.decoded_records += refs.len();
-                stats.decoded_points += refs
-                    .iter()
-                    .map(|&(si, ri)| self.record_summary(si, ri).count as usize)
-                    .sum::<usize>();
-                let points: Vec<TimedPoint> = self
-                    .read_track(track)?
-                    .into_iter()
-                    .filter(|p| range.contains(p.t) && area.is_none_or(|a| a.contains(p.pos)))
-                    .collect();
-                if !points.is_empty() {
-                    stats.kept_points += points.len();
-                    slices.push(TrackSlice { track, points });
-                }
-                continue;
-            }
-            let mut points = Vec::new();
-            for &(si, ri) in self.track_records(track) {
-                stats.candidate_records += 1;
-                let rec = self.record_summary(si, ri);
-                if !range.overlaps(rec.t_min, rec.t_max) {
-                    continue;
-                }
-                if let Some(area) = area {
-                    if !area.intersects(&rec.bbox) {
-                        continue;
-                    }
-                }
+            let refs = self.track_records(track);
+            stats.candidate_records += refs.len();
+            let mut decode = |si, ri| {
                 let decoded = reader.read_points(si, ri)?;
                 stats.decoded_records += 1;
                 stats.decoded_points += decoded.len();
-                points.extend(
-                    decoded
-                        .into_iter()
-                        .filter(|p| range.contains(p.t) && area.is_none_or(|a| a.contains(p.pos))),
-                );
+                Ok::<_, TlogError>(decoded)
+            };
+            // Backfill records prune like any record. An in-order record
+            // is decoded when it could match, or when its span holds a
+            // matching backfill point's timestamp: an exact-timestamp
+            // in-order point shadows that backfill point wherever it lies.
+            let mut shadowed = Vec::new();
+            for &(si, ri) in refs {
+                let rec = self.record_summary(si, ri);
+                if rec.kind == RecordKind::Backfill && could_match(rec) {
+                    shadowed.extend(decode(si, ri)?.into_iter().filter(matches));
+                }
             }
+            shadowed.sort_by(|a, b| a.t.total_cmp(&b.t));
+            let spans_shadowed = |rec: &RecordSummary| {
+                let from = shadowed.partition_point(|p| p.t < rec.t_min);
+                shadowed.get(from).is_some_and(|p| p.t <= rec.t_max)
+            };
+            let mut points = Vec::new();
+            for &(si, ri) in refs {
+                let rec = self.record_summary(si, ri);
+                if rec.kind != RecordKind::Backfill && (could_match(rec) || spans_shadowed(rec)) {
+                    points.extend(decode(si, ri)?);
+                }
+            }
+            let mut points = merge_live_backfill(points, shadowed);
+            points.retain(matches);
             if !points.is_empty() {
                 stats.kept_points += points.len();
                 slices.push(TrackSlice { track, points });

@@ -8,7 +8,9 @@
 //! compressed output is encoded and appended to the [`TrajectoryLog`] as
 //! one record. Long-running fleets thus become durable: an evicted
 //! session's data survives process death and is queryable after reopen.
-//! Every sink counts its spills into [`SpillMetrics`] handles.
+//! A backfill batch ([`FleetSink::backfill`]) skips the buffers: it is
+//! appended at once as one backfill record. Every sink counts its spills
+//! into [`SpillMetrics`] handles.
 //!
 //! `FleetSink` methods cannot return errors, so append failures are
 //! stashed (first error wins, the track's buffer is retained) and must
@@ -89,6 +91,9 @@ pub struct SpillFailure {
     pub error: TlogError,
     /// Buffered output that never reached the log, per track.
     pub unflushed: HashMap<TrackId, Vec<TimedPoint>>,
+    /// Backfill points that never reached the log: the failed batch's,
+    /// if a backfill append failed, and every later batch's.
+    pub lost_backfill_points: u64,
     /// Spills that did succeed before the failure.
     pub reports: Vec<SpillReport>,
 }
@@ -98,9 +103,10 @@ impl std::fmt::Display for SpillFailure {
         let points: usize = self.unflushed.values().map(Vec::len).sum();
         write!(
             f,
-            "{} ({} tracks / {points} points left unflushed)",
+            "{} ({} tracks / {points} points left unflushed, {} backfill points lost)",
             self.error,
             self.unflushed.len(),
+            self.lost_backfill_points,
         )
     }
 }
@@ -153,6 +159,8 @@ impl std::error::Error for SpillFailure {
 pub struct SpillSink<L: BorrowMut<TrajectoryLog>> {
     log: L,
     buffers: HashMap<TrackId, Vec<TimedPoint>>,
+    /// Backfill points dropped since the first failed append.
+    lost_backfill_points: u64,
     reports: Vec<SpillReport>,
     error: Option<TlogError>,
     metrics: SpillMetrics,
@@ -174,6 +182,7 @@ impl<L: BorrowMut<TrajectoryLog>> SpillSink<L> {
         SpillSink {
             log,
             buffers: HashMap::new(),
+            lost_backfill_points: 0,
             reports: Vec::new(),
             error: None,
             metrics,
@@ -186,25 +195,9 @@ impl<L: BorrowMut<TrajectoryLog>> SpillSink<L> {
         self.log.borrow_mut()
     }
 
-    /// Tracks with buffered (not yet spilled) output.
-    pub fn buffered_tracks(&self) -> usize {
-        self.buffers.len()
-    }
-
-    /// Points buffered across all open tracks.
-    pub fn buffered_points(&self) -> usize {
-        self.buffers.values().map(Vec::len).sum()
-    }
-
     /// Spills recorded so far.
     pub fn reports(&self) -> &[SpillReport] {
         &self.reports
-    }
-
-    /// Whether an append has failed (the error is kept for
-    /// [`SpillSink::finish`]).
-    pub fn has_error(&self) -> bool {
-        self.error.is_some()
     }
 
     fn flush_track(&mut self, track: TrackId, reason: FlushReason, stats: DecisionStats) {
@@ -261,6 +254,7 @@ impl<L: BorrowMut<TrajectoryLog>> SpillSink<L> {
             Some(error) => Err(Box::new(SpillFailure {
                 error,
                 unflushed: self.buffers,
+                lost_backfill_points: self.lost_backfill_points,
                 reports: self.reports,
             })),
             None => Ok(self.reports),
@@ -282,6 +276,19 @@ impl<L: BorrowMut<TrajectoryLog>> FleetSink for SpillSink<L> {
     /// append), none of which the log holds.
     fn live_buffered(&self) -> Vec<(TrackId, Vec<TimedPoint>)> {
         self.buffers.iter().map(|(t, v)| (*t, v.clone())).collect()
+    }
+
+    /// Appends the batch at once as one backfill record; nothing is
+    /// buffered. A failed append's points, and those of every batch
+    /// after it, are dropped and counted in [`SpillFailure`].
+    fn backfill(&mut self, track: TrackId, points: &[TimedPoint]) {
+        if self.error.is_none() {
+            match self.log.borrow_mut().append_backfill(track, points) {
+                Ok(_) => return,
+                Err(e) => self.error = Some(e),
+            }
+        }
+        self.lost_backfill_points += points.len() as u64;
     }
 }
 
@@ -402,7 +409,7 @@ mod tests {
         // carries the session's real statistics.
         assert_eq!(sink.reports().len(), 1);
         assert_eq!(sink.reports()[0].stats.points, 80);
-        assert_eq!(sink.buffered_tracks(), 0);
+        assert!(sink.buffers.is_empty());
         sink.finish().unwrap();
     }
 
@@ -421,7 +428,7 @@ mod tests {
                 fleet.push_tagged(1, p, &mut sink);
             }
             fleet.finish_all(&mut sink);
-            assert!(sink.has_error());
+            assert!(sink.error.is_some());
             sink.finish().unwrap_err()
         };
         assert!(matches!(failure.error, TlogError::Codec(_)), "{failure}");
@@ -436,6 +443,26 @@ mod tests {
     }
 
     #[test]
+    fn failed_backfill_points_are_counted_not_held() {
+        let dir = temp_dir("backfill-failure");
+        let (mut log, _) = TrajectoryLog::open(&dir, LogConfig::default()).unwrap();
+        let sorted = wave(2, 5);
+        let unsorted = [sorted[3], sorted[1]];
+        let failure = {
+            let mut sink = SpillSink::new(&mut log);
+            sink.backfill(2, &sorted);
+            sink.backfill(2, &unsorted);
+            // Fail-stop: a valid batch after the failure is dropped too.
+            sink.backfill(2, &sorted);
+            sink.finish().unwrap_err()
+        };
+        assert!(matches!(failure.error, TlogError::Codec(_)), "{failure}");
+        assert_eq!(failure.lost_backfill_points, 2 + 5);
+        assert!(failure.to_string().ends_with("7 backfill points lost)"));
+        assert_eq!(log.read_track(2).unwrap(), sorted, "the first batch landed");
+    }
+
+    #[test]
     fn unclosed_buffers_are_flushed_by_finish() {
         let dir = temp_dir("unclosed");
         let (mut log, _) = TrajectoryLog::open(&dir, LogConfig::default()).unwrap();
@@ -446,7 +473,7 @@ mod tests {
                 fleet.push_tagged(4, p, &mut sink);
             }
             // No finish_all: some points are already emitted and buffered.
-            assert!(sink.buffered_points() > 0);
+            assert!(!sink.buffers.is_empty());
             let reports = sink.finish().unwrap();
             assert_eq!(reports.len(), 1);
         }

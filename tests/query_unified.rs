@@ -4,8 +4,10 @@
 //! 1. **Hot/cold equivalence** — for 1/2/8 workers, a [`QueryEngine`]
 //!    over (live fleet snapshot + partially spilled shard tree) returns,
 //!    per track, exactly the point sets that `finish_all` → spill →
-//!    query of the finished tree returns. Being observed mid-run must
-//!    change nothing, and nothing may be seen twice or missed.
+//!    query of the finished tree returns — backfill landed mid-run
+//!    included, over the hot range and tying hot kept points. Being
+//!    observed mid-run must change nothing, and nothing may be seen twice
+//!    or missed.
 //! 2. **Worker-count invariance** — the unified answer is identical for
 //!    any worker count.
 //! 3. **Manifest-pruning soundness** — track-selective queries skip
@@ -106,6 +108,32 @@ fn spilling_fleet(
     )
 }
 
+/// Where [`backfill_batch`] moves its tie candidates: east of every
+/// trace, so only backfill points fall inside.
+fn far_east() -> bqs::geo::Rect {
+    bqs::geo::Rect::from_corners(
+        bqs::geo::Point2::new(5_000.0, -1e9),
+        bqs::geo::Point2::new(1e9, 1e9),
+    )
+}
+
+/// A backfill batch for `track` over its hot (phase-2) raw fixes: three
+/// fixes older than the whole trace, then every third hot fix moved
+/// 10 km east (into [`far_east`]) — an exact-`t` tie whenever that fix
+/// is kept, as a session's first always is — each followed by one more
+/// fix 5 s later.
+fn backfill_batch(track: TrackId, hot: &[TimedPoint]) -> Vec<TimedPoint> {
+    let mut batch: Vec<TimedPoint> = (1..=3)
+        .rev()
+        .map(|i| TimedPoint::new(track as f64, -(i as f64), -10.0 * i as f64))
+        .collect();
+    for p in hot.iter().step_by(3) {
+        batch.push(TimedPoint::new(p.pos.x + 10_000.0, p.pos.y, p.t));
+        batch.push(TimedPoint::new(p.pos.x, p.pos.y + 0.5, p.t + 5.0));
+    }
+    batch
+}
+
 fn slices_to_map(out: &bqs::tlog::UnifiedOutput) -> BTreeMap<TrackId, Vec<TimedPoint>> {
     out.slices
         .iter()
@@ -116,10 +144,11 @@ fn slices_to_map(out: &bqs::tlog::UnifiedOutput) -> BTreeMap<TrackId, Vec<TimedP
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// The acceptance property: live fleet + partial spill, queried
-    /// unified, equals finish_all → spill → query of the finished tree
-    /// — per track, point for point, for 1/2/8 workers; and pruned
-    /// track-selective queries skip shards while answering identically.
+    /// The acceptance property: live fleet + partial spill + backfill
+    /// landed mid-run, queried unified, equals finish_all → spill → query
+    /// of the finished tree — per track, point for point, for 1/2/8
+    /// workers; and pruned track-selective queries skip shards while
+    /// answering identically.
     #[test]
     fn unified_live_query_equals_finished_tree_query(
         seed in 0u64..1_000_000,
@@ -148,7 +177,21 @@ proptest! {
             fleet.evict_idle(1e12);
 
             // Phase 2: the rest stays hot (open sessions + buffers).
-            for &(track, p) in &records[split..] {
+            // Half-way through, every even track gets a backfill batch
+            // over its whole hot range, written by its worker at once.
+            let middle = split + (records.len() - split) / 2;
+            for &(track, p) in &records[split..middle] {
+                fleet.push(track, p);
+            }
+            for track in (0..sessions as TrackId).step_by(2) {
+                let hot: Vec<TimedPoint> = records[split..]
+                    .iter()
+                    .filter(|(t, _)| *t == track)
+                    .map(|&(_, p)| p)
+                    .collect();
+                fleet.submit_backfill(track, backfill_batch(track, &hot));
+            }
+            for &(track, p) in &records[middle..] {
                 fleet.push(track, p);
             }
 
@@ -162,6 +205,10 @@ proptest! {
                 .query_time_range(None, TimeRange::all())
                 .expect("unified query");
             let unified_map = slices_to_map(&unified);
+            // A tied hot point outside the box still shadows its
+            // backfill twin inside it.
+            let unified_east =
+                slices_to_map(&engine.query_bbox(None, far_east(), None).expect("bbox query"));
             drop(engine);
 
             // Now close everything and read the finished tree: the
@@ -176,12 +223,16 @@ proptest! {
                 .query_time_range(None, TimeRange::all())
                 .expect("tree query");
             let expected_map = slices_to_map(&expected);
+            let expected_east =
+                slices_to_map(&finished.query_bbox(None, far_east(), None).expect("tree bbox"));
 
             prop_assert_eq!(
                 &unified_map, &expected_map,
                 "live view diverged from finished tree at {} workers", workers
             );
             prop_assert_eq!(unified_map.len(), sessions);
+            prop_assert_eq!(&unified_east, &expected_east, "bbox at {} workers", workers);
+            prop_assert!(!expected_east.is_empty());
 
             // Manifest pruning: write the manifest, query one track with
             // and without pruning — identical slices, shards skipped.
